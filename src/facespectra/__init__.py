@@ -25,7 +25,6 @@ from .mesh import (
     vertex_degrees,
 )
 from .patches import (
-    CanonicalPatch,
     CurveAmbiguityError,
     CurveExtractionError,
     LevelCurve,
@@ -88,5 +87,5 @@ from .experiments import (
     validate_report,
 )
 from .data import DatasetManifest, ManifestError, ManifestRecord, load_manifest, save_manifest
-from .pipeline import compute_basis, compute_feature_table
+from .pipeline import compute_basis, compute_feature_tables
 from .synth import SynthConfig, generate_scan, synth_generate

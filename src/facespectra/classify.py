@@ -172,10 +172,6 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3) -> FLDAModel:
     )
 
 
-def flda_project(model: FLDAModel, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) @ model.projection
-
-
 def flda_predict(model: FLDAModel, X: np.ndarray):
     """Nearest class mean in discriminant space; ties break by class order."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
+from . import __version__, pipeline
 from .data import load_manifest
 from .experiments import (
     ClassifierConfig,
@@ -34,7 +34,7 @@ from .experiments import (
 from .features import METHOD_GLF, METHOD_SHAPEDNA, MODE_COORDS, MODE_NORMS, \
     load_feature_table, save_feature_csv, save_feature_table
 from .patches import PatchConfig
-from .pipeline import compute_basis, compute_feature_table
+from .pipeline import compute_basis
 from .spectral import load_basis, save_basis
 from .synth import SynthConfig, synth_generate
 
@@ -43,77 +43,55 @@ class UsageError(ValueError):
     pass
 
 
-_DEFAULTS = {
-    "synth": {
-        "out": "synth_data", "subjects": 10, "levels": 2, "resolution": 64,
-        "amplitude": 3.0, "subject_amplitude": 1.5, "jitter": 0.0, "seed": 0,
-    },
-    "basis": {
-        "out": "basis.fsb", "lambda_min": 5.0, "lambda_max": 20.0,
-        "curves": 15, "samples": 50, "k": None, "seed": 0, "jobs": 1,
-    },
-    "features": {
-        "manifest": None, "out": "features", "basis": None,
-        "method": "glf", "mode": "coords", "k": 50,
-        "lambda_min": 5.0, "lambda_max": 20.0, "curves": 15, "samples": 50,
-        "align": "none", "missing": "zero", "drop_constant": False,
-        "lumping": "mixed", "rescale": 1.0, "jobs": 1, "seed": 0,
-        "save_patches": None, "csv": None,
-    },
-    "evaluate": {
-        "features": None, "out": "report.json", "task": "expressions",
-        "classifier": "svm", "kernel": "rbf", "C": 1.0, "gamma": None,
-        "reg": 1e-3, "folds": 10, "seed": 0, "sweep": None,
-        "compare_features": None, "jobs": 1,
-    },
-}
+# namespace entries that are not settings of a subcommand
+_INTERNAL = ("command", "config", "func", "parser")
 
 
-def _merged_config(name: str, args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS[name])
-    explicit = {k: v for k, v in vars(args).items()
-                if k not in ("func", "config", "command")}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read --config {config_path}: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise UsageError(f"--config {config_path} must contain a JSON object")
-        unknown = set(overrides) - set(cfg)
-        if unknown:
-            raise UsageError(f"unknown keys in --config: {sorted(unknown)}")
-        cfg.update(overrides)
-    cfg.update(explicit)
-    return cfg
+def _settings(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _INTERNAL}
 
 
-def _patch_config(cfg: dict) -> PatchConfig:
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv) -> argparse.Namespace:
+    """Re-parse ``argv`` with the ``--config`` file's values as the
+    subcommand's defaults, so explicit flags still win over them."""
+    try:
+        overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise UsageError(f"--config {args.config} must contain a JSON object")
+    unknown = set(overrides) - set(_settings(args))
+    if unknown:
+        raise UsageError(f"unknown keys in --config: {sorted(unknown)}")
+    args.parser.set_defaults(**overrides)
+    return parser.parse_args(argv)
+
+
+def _patch_config(args) -> PatchConfig:
     try:
         return PatchConfig(
-            lambda_min=float(cfg["lambda_min"]), lambda_max=float(cfg["lambda_max"]),
-            n_curves=int(cfg["curves"]), samples_per_curve=int(cfg["samples"]),
+            lambda_min=float(args.lambda_min), lambda_max=float(args.lambda_max),
+            n_curves=int(args.curves), samples_per_curve=int(args.samples),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def cmd_synth(args) -> int:
-    cfg = _merged_config("synth", args)
     try:
         sc = SynthConfig(
-            subjects=int(cfg["subjects"]),
-            levels=tuple(range(1, int(cfg["levels"]) + 1)),
-            resolution=int(cfg["resolution"]),
-            amplitude=float(cfg["amplitude"]),
-            subject_amplitude=float(cfg["subject_amplitude"]),
-            jitter=float(cfg["jitter"]),
-            seed=int(cfg["seed"]),
+            subjects=int(args.subjects),
+            levels=tuple(range(1, int(args.levels) + 1)),
+            resolution=int(args.resolution),
+            amplitude=float(args.amplitude),
+            subject_amplitude=float(args.subject_amplitude),
+            jitter=float(args.jitter),
+            seed=int(args.seed),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out = Path(cfg["out"])
+    out = Path(args.out)
     manifest = synth_generate(sc, out)
     n = sc.subjects * len(sc.expressions) * len(sc.levels)
     print(f"wrote {n} scans under {out} (manifest: {manifest})")
@@ -121,96 +99,92 @@ def cmd_synth(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    cfg = _merged_config("basis", args)
-    pc = _patch_config(cfg)
+    pc = _patch_config(args)
     n = pc.n_vertices
-    k = cfg["k"]
-    k = n if k is None else int(k)
+    k = n if args.k is None else int(args.k)
     if not 1 <= k <= n:
         raise UsageError(f"--k must be in [1, {n}] for this configuration, got {k}")
     basis = compute_basis(pc, k)
-    save_basis(cfg["out"], basis)
-    print(f"basis: n={basis.n} k={basis.k} hash={basis.config_hash:#x} -> {cfg['out']}")
+    save_basis(args.out, basis)
+    print(f"basis: n={basis.n} k={basis.k} hash={basis.config_hash:#x} -> {args.out}")
     return 0
 
 
 def cmd_features(args) -> int:
-    cfg = _merged_config("features", args)
-    if not cfg["manifest"]:
+    if not args.manifest:
         raise UsageError("--manifest is required")
-    method = cfg["method"]
+    method = args.method
     if method not in (METHOD_GLF, METHOD_SHAPEDNA):
         raise UsageError(f"--method must be glf or shapedna, got {method!r}")
-    mode = cfg["mode"]
+    mode = args.mode
     if method == METHOD_GLF and mode not in (MODE_COORDS, MODE_NORMS):
         raise UsageError(f"--mode must be coords or norms, got {mode!r}")
-    if cfg["missing"] not in ("zero", "drop"):
-        raise UsageError(f"--missing must be zero or drop, got {cfg['missing']!r}")
-    if cfg["align"] not in ("none", "normal"):
-        raise UsageError(f"--align must be none or normal, got {cfg['align']!r}")
-    pc = _patch_config(cfg)
-    k = int(cfg["k"])
+    if args.missing not in ("zero", "drop"):
+        raise UsageError(f"--missing must be zero or drop, got {args.missing!r}")
+    if args.align not in ("none", "normal"):
+        raise UsageError(f"--align must be none or normal, got {args.align!r}")
+    pc = _patch_config(args)
+    k = int(args.k)
     basis = None
     if method == METHOD_GLF:
-        if not cfg["basis"]:
+        if not args.basis:
             raise UsageError("--basis is required for glf features")
-        basis = load_basis(cfg["basis"], expected_hash=pc.connectivity_hash())
-    manifest = load_manifest(cfg["manifest"])
-    table, errors = compute_feature_table(
-        manifest, pc, method, mode, k, basis=basis,
-        jobs=int(cfg["jobs"]), missing_policy=cfg["missing"], align=cfg["align"],
-        drop_constant=bool(cfg["drop_constant"]), lumping=cfg["lumping"],
-        rescale=float(cfg["rescale"]), patches_dir=cfg["save_patches"],
+        basis = load_basis(args.basis, expected_hash=pc.connectivity_hash())
+    manifest = load_manifest(args.manifest)
+    (table,), errors = pipeline.compute_feature_tables(
+        manifest, pc, [(method, mode, k)], basis=basis,
+        jobs=int(args.jobs), missing_policy=args.missing, align=args.align,
+        drop_constant=bool(args.drop_constant), lumping=args.lumping,
+        rescale=float(args.rescale), patches_dir=args.save_patches,
     )
-    save_feature_table(cfg["out"], table)
-    if cfg["csv"]:
-        save_feature_csv(cfg["csv"], table)
+    save_feature_table(args.out, table)
+    if args.csv:
+        save_feature_csv(args.csv, table)
     print(f"features: {table.X.shape[0]} scans x {table.X.shape[1]} columns "
-          f"({method}/{table.mode}, k={k}) -> {cfg['out']}.npy")
+          f"({method}/{table.mode}, k={k}) -> {args.out}.npy")
     if errors:
         print(json.dumps({"errors": errors}), file=sys.stderr)
         return 1
     return 0
 
 
-def _classifier_config(cfg: dict) -> ClassifierConfig:
-    kind = cfg["classifier"]
+def _classifier_config(args) -> ClassifierConfig:
+    kind = args.classifier
     if kind not in ("svm", "flda"):
         raise UsageError(f"--classifier must be svm or flda, got {kind!r}")
-    if cfg["kernel"] not in ("rbf", "linear"):
-        raise UsageError(f"--kernel must be rbf or linear, got {cfg['kernel']!r}")
-    gamma = cfg["gamma"]
+    if args.kernel not in ("rbf", "linear"):
+        raise UsageError(f"--kernel must be rbf or linear, got {args.kernel!r}")
+    gamma = args.gamma
     return ClassifierConfig(
-        kind=kind, kernel=cfg["kernel"], C=float(cfg["C"]),
-        gamma=None if gamma is None else float(gamma), reg=float(cfg["reg"]),
+        kind=kind, kernel=args.kernel, C=float(args.C),
+        gamma=None if gamma is None else float(gamma), reg=float(args.reg),
     )
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _merged_config("evaluate", args)
-    if not cfg["features"]:
+    if not args.features:
         raise UsageError("--features is required")
-    if cfg["task"] not in ("expressions", "aus"):
-        raise UsageError(f"--task must be expressions or aus, got {cfg['task']!r}")
-    clf = _classifier_config(cfg)
-    folds = int(cfg["folds"])
-    seed = int(cfg["seed"])
-    table = load_feature_table(cfg["features"])
-    run_config = {k: v for k, v in cfg.items() if k != "func"}
+    if args.task not in ("expressions", "aus"):
+        raise UsageError(f"--task must be expressions or aus, got {args.task!r}")
+    clf = _classifier_config(args)
+    folds = int(args.folds)
+    seed = int(args.seed)
+    table = load_feature_table(args.features)
+    run_config = _settings(args)
     run_config["classifier_config"] = clf.to_dict()
     run_config["feature_meta"] = {
         "method": table.method, "mode": table.mode, "k": table.k,
         "n_landmarks": len(table.landmark_labels), "patch_config": table.config,
     }
 
-    if cfg["sweep"]:
-        if cfg["task"] != "expressions":
+    if args.sweep:
+        if args.task != "expressions":
             raise UsageError("--sweep applies to the expressions task only")
         try:
-            k_values = [int(x) for x in str(cfg["sweep"]).split(",") if x.strip()]
+            k_values = [int(x) for x in str(args.sweep).split(",") if x.strip()]
         except ValueError:
             raise UsageError(f"--sweep must be a comma-separated int list, "
-                             f"got {cfg['sweep']!r}") from None
+                             f"got {args.sweep!r}") from None
         if not k_values:
             raise UsageError("--sweep list is empty")
         bad = [k for k in k_values if k > table.k]
@@ -218,17 +192,17 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"sweep k values {bad} exceed the table's k={table.k}")
         result = eigen_sweep(table, k_values, classifier=clf, folds=folds, seed=seed)
         report = build_report("sweep", run_config, sweep_report_section(result))
-        save_report(cfg["out"], report)
+        save_report(args.out, report)
         print(format_sweep_result(result))
-        print(f"report -> {cfg['out']}")
+        print(f"report -> {args.out}")
         return 0
 
-    if cfg["task"] == "expressions":
+    if args.task == "expressions":
         result = evaluate_expressions(table.X, table.expressions, table.subjects,
                                       classifier=clf, folds=folds, seed=seed)
         comparison = None
-        if cfg["compare_features"]:
-            other = load_feature_table(cfg["compare_features"])
+        if args.compare_features:
+            other = load_feature_table(args.compare_features)
             if other.subjects != table.subjects:
                 raise UsageError("--compare-features table has different samples")
             other_result = evaluate_expressions(
@@ -237,20 +211,20 @@ def cmd_evaluate(args) -> int:
             comparison = compare_methods({table.method: result, other.method: other_result})
         report = build_report("expressions", run_config,
                               expression_report_section(result), comparison=comparison)
-        save_report(cfg["out"], report)
+        save_report(args.out, report)
         print(format_expression_result(result))
         if comparison:
             print(f"method comparison: {comparison['ordering']} "
                   f"(mean paired difference {100 * comparison['mean_difference']:+.2f} points)")
-        print(f"report -> {cfg['out']}")
+        print(f"report -> {args.out}")
         return 0
 
     result = evaluate_aus(table.X, table.aus, table.subjects,
                           classifier=clf, folds=folds, seed=seed)
     report = build_report("aus", run_config, au_report_section(result))
-    save_report(cfg["out"], report)
+    save_report(args.out, report)
     print(format_au_result(result))
-    print(f"report -> {cfg['out']}")
+    print(f"report -> {args.out}")
     return 0
 
 
@@ -263,77 +237,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    def add(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
-                       help="JSON file overriding this subcommand's defaults")
+                       help="JSON file overriding this subcommand's defaults; "
+                            "keys are the flags' dest names")
+        p.set_defaults(func=func, parser=p)
         return p
 
-    p = add("synth", "generate a synthetic dataset (meshes, landmarks, manifest)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--levels", type=int, help="number of intensity levels (1..L)")
-    p.add_argument("--resolution", type=int, help="grid vertices across the face")
-    p.add_argument("--amplitude", type=float, help="expression bump scale, mm")
-    p.add_argument("--subject-amplitude", dest="subject_amplitude", type=float)
-    p.add_argument("--jitter", type=float, help="Gaussian vertex noise, mm")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_synth)
+    def add_patch_args(p):
+        p.add_argument("--lambda-min", dest="lambda_min", type=float, default=5.0)
+        p.add_argument("--lambda-max", dest="lambda_max", type=float, default=20.0)
+        p.add_argument("--curves", type=int, default=15, help="level curves per patch")
+        p.add_argument("--samples", type=int, default=50, help="samples per curve")
 
-    p = add("basis", "compute and store the shared graph-Laplacian basis")
-    p.add_argument("--out")
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--curves", type=int, help="level curves per patch")
-    p.add_argument("--samples", type=int, help="samples per curve")
-    p.add_argument("--k", type=int, help="eigenpairs to keep (default: all)")
-    p.add_argument("--seed", type=int, help="accepted for uniformity; this stage is seed-free")
-    p.add_argument("--jobs", type=int, help="accepted for uniformity; single decomposition")
-    p.set_defaults(func=cmd_basis)
+    p = add("synth", "generate a synthetic dataset (meshes, landmarks, manifest)",
+            cmd_synth)
+    p.add_argument("--out", default="synth_data", help="output directory")
+    p.add_argument("--subjects", type=int, default=10)
+    p.add_argument("--levels", type=int, default=2,
+                   help="number of intensity levels (1..L)")
+    p.add_argument("--resolution", type=int, default=64,
+                   help="grid vertices across the face")
+    p.add_argument("--amplitude", type=float, default=3.0,
+                   help="expression bump scale, mm")
+    p.add_argument("--subject-amplitude", dest="subject_amplitude", type=float,
+                   default=1.5)
+    p.add_argument("--jitter", type=float, default=0.0, help="Gaussian vertex noise, mm")
+    p.add_argument("--seed", type=int, default=0)
 
-    p = add("features", "extract patches and feature vectors for a manifest")
+    p = add("basis", "compute and store the shared graph-Laplacian basis", cmd_basis)
+    p.add_argument("--out", default="basis.fsb")
+    add_patch_args(p)
+    p.add_argument("--k", type=int, default=None,
+                   help="eigenpairs to keep (default: all)")
+
+    p = add("features", "extract patches and feature vectors for a manifest",
+            cmd_features)
     p.add_argument("--manifest")
-    p.add_argument("--out", help="output stem (.npy and .json are written)")
+    p.add_argument("--out", default="features",
+                   help="output stem (.npy and .json are written)")
     p.add_argument("--basis", help="basis file (required for glf)")
-    p.add_argument("--method", choices=("glf", "shapedna"))
-    p.add_argument("--mode", choices=("coords", "norms"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--lambda-min", dest="lambda_min", type=float)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p.add_argument("--curves", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--align", choices=("none", "normal"))
-    p.add_argument("--missing", choices=("zero", "drop"),
+    p.add_argument("--method", choices=("glf", "shapedna"), default="glf")
+    p.add_argument("--mode", choices=("coords", "norms"), default="coords")
+    p.add_argument("--k", type=int, default=50)
+    add_patch_args(p)
+    p.add_argument("--align", choices=("none", "normal"), default="none")
+    p.add_argument("--missing", choices=("zero", "drop"), default="zero",
                    help="zero-fill missing patches or drop the scan")
     p.add_argument("--drop-constant", dest="drop_constant", action="store_true",
                    help="drop the constant-eigenvector coefficient row")
-    p.add_argument("--lumping", choices=("mixed", "barycentric"))
-    p.add_argument("--rescale", type=float, help="unit rescale applied to meshes")
-    p.add_argument("--jobs", type=int, help="worker pool size for scan extraction")
-    p.add_argument("--seed", type=int, help="accepted for uniformity; extraction is seed-free")
+    p.add_argument("--lumping", choices=("mixed", "barycentric"), default="mixed")
+    p.add_argument("--rescale", type=float, default=1.0,
+                   help="unit rescale applied to meshes")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker pool size for scan extraction")
     p.add_argument("--save-patches", dest="save_patches",
                    help="directory for per-scan patch archives")
     p.add_argument("--csv", help="also export the feature matrix as CSV")
-    p.set_defaults(func=cmd_features)
 
-    p = add("evaluate", "run cross-validated experiments and write a report")
+    p = add("evaluate", "run cross-validated experiments and write a report",
+            cmd_evaluate)
     p.add_argument("--features")
-    p.add_argument("--out")
-    p.add_argument("--task", choices=("expressions", "aus"))
-    p.add_argument("--classifier", choices=("svm", "flda"))
-    p.add_argument("--kernel", choices=("rbf", "linear"))
-    p.add_argument("--C", type=float)
+    p.add_argument("--out", default="report.json")
+    p.add_argument("--task", choices=("expressions", "aus"), default="expressions")
+    p.add_argument("--classifier", choices=("svm", "flda"), default="svm")
+    p.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
+    p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--gamma", type=float)
-    p.add_argument("--reg", type=float)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--reg", type=float, default=1e-3)
+    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", help="comma-separated eigenvalue counts")
-    p.add_argument("--compare-features",
-                   dest="compare_features",
+    p.add_argument("--compare-features", dest="compare_features",
                    help="second feature table; emit a paired method comparison")
-    p.add_argument("--jobs", type=int,
-                   help="accepted for uniformity; folds run serially")
-    p.set_defaults(func=cmd_evaluate)
     return parser
 
 
@@ -341,6 +318,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.config:
+            args = _apply_config(parser, args, argv)
         return args.func(args)
     except UsageError as exc:
         print(json.dumps({"error": {"type": "usage", "message": str(exc)}}),

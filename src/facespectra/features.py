@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .patches import npy_json_paths
 from .spectral import SpectralBasis
 
 METHOD_GLF = "glf"
@@ -23,12 +23,12 @@ MODE_COORDS = "coords"
 MODE_NORMS = "norms"
 
 
-def glf_project(patch, basis: SpectralBasis, k: int) -> np.ndarray:
+def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
     """Project the patch's x/y/z coordinate functions onto the first k
     shared eigenvectors.  Returns the (k, 3) coefficient matrix; entry
     (i, c) is the plain dot product of eigenvector i with channel c (no
     normalization)."""
-    coords = patch.vertices if hasattr(patch, "vertices") else np.asarray(patch, dtype=np.float64)
+    coords = np.asarray(patch, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError(f"patch coordinates must be (n, 3), got {coords.shape}")
     if coords.shape[0] != basis.n:
@@ -106,24 +106,6 @@ def assemble_face(blocks, missing, method: str, mode: str, k: int) -> FaceFeatur
     return FaceFeatureVector(out, missing, method, mode, k)
 
 
-def patch_features(patch_coords: np.ndarray, method: str, mode: str, k: int,
-                   basis: SpectralBasis | None = None, faces: np.ndarray | None = None,
-                   lumping: str = "mixed") -> np.ndarray:
-    """Feature block for a single patch (dispatch over method/mode)."""
-    from .spectral import shape_dna
-
-    if method == METHOD_GLF:
-        if basis is None:
-            raise ValueError("glf features require the shared spectral basis")
-        coeffs = glf_project(patch_coords, basis, k)
-        return coeffs if mode == MODE_COORDS else glf_norms(coeffs)
-    if method == METHOD_SHAPEDNA:
-        if faces is None:
-            raise ValueError("shapedna features require the canonical face list")
-        return shape_dna(patch_coords, faces, k, lumping=lumping)
-    raise ValueError(f"unknown feature method {method!r}")
-
-
 def feature_names(landmark_labels, method: str, mode: str, k: int) -> list:
     """Column names: ``L{landmark}_e{i}_{x|y|z}`` in per-coordinate mode,
     ``L{landmark}_e{i}`` otherwise."""
@@ -190,9 +172,8 @@ class FeatureTable:
 def save_feature_table(path, table: FeatureTable) -> None:
     """Binary feature matrix (`.npy`) with a JSON sidecar holding method,
     k, landmark labels, connectivity hash and the per-sample label columns."""
-    path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
-    np.save(str(base) + ".npy", np.asarray(table.X, dtype=np.float64))
+    npy, sidecar = npy_json_paths(path)
+    np.save(npy, np.asarray(table.X, dtype=np.float64))
     meta = {
         "method": table.method,
         "mode": table.mode,
@@ -207,14 +188,13 @@ def save_feature_table(path, table: FeatureTable) -> None:
         "aus": [list(map(int, a)) for a in table.aus],
         "missing": [[bool(x) for x in row] for row in table.missing],
     }
-    Path(str(base) + ".json").write_text(json.dumps(meta, indent=1), encoding="utf-8")
+    sidecar.write_text(json.dumps(meta, indent=1), encoding="utf-8")
 
 
 def load_feature_table(path) -> FeatureTable:
-    path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
-    X = np.load(str(base) + ".npy")
-    meta = json.loads(Path(str(base) + ".json").read_text(encoding="utf-8"))
+    npy, sidecar = npy_json_paths(path)
+    X = np.load(npy)
+    meta = json.loads(sidecar.read_text(encoding="utf-8"))
     table = FeatureTable(
         X=X,
         subjects=[str(s) for s in meta["subjects"]],
@@ -231,7 +211,7 @@ def load_feature_table(path) -> FeatureTable:
     )
     expected = len(table.landmark_labels) * block_length(table.method, table.mode, table.k)
     if X.shape[1] != expected:
-        raise ValueError(f"{base}: matrix width {X.shape[1]} does not match metadata "
+        raise ValueError(f"{npy}: matrix width {X.shape[1]} does not match metadata "
                          f"(expected {expected})")
     return table
 

@@ -8,7 +8,6 @@ optional unit rescale factor for datasets stored in other units.
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +30,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TriangleMesh:
-    """Indexed triangle soup with optional per-vertex validity flags.
+    """Indexed triangle soup.
 
     Non-manifold input is accepted; only index-range validity and
     non-degeneracy of individual faces are enforced.  Instances are
@@ -41,20 +40,12 @@ class TriangleMesh:
 
     vertices: np.ndarray  # (n, 3) float64, mm
     faces: np.ndarray     # (F, 3) int64
-    valid: np.ndarray | None = None  # (n,) bool
 
     def __post_init__(self):
         v = _readonly(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
         f = _readonly(np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-        if self.valid is not None:
-            flags = _readonly(np.asarray(self.valid, dtype=bool).reshape(-1))
-            if flags.shape[0] != v.shape[0]:
-                raise MeshStructureError(
-                    f"validity flags ({flags.shape[0]}) do not match vertex count ({v.shape[0]})"
-                )
-            object.__setattr__(self, "valid", flags)
         if f.size:
             if f.min() < 0 or f.max() >= v.shape[0]:
                 bad = int(np.nonzero(((f < 0) | (f >= v.shape[0])).any(axis=1))[0][0])
@@ -77,14 +68,16 @@ class TriangleMesh:
         return self.faces.shape[0]
 
     def edges(self) -> np.ndarray:
-        """Unique undirected edges derived from faces, shape (E, 2), sorted."""
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        if e.size == 0:
-            return e.reshape(0, 2)
-        return np.unique(e, axis=0)
+        return unique_edges(self.faces)
+
+
+def unique_edges(faces: np.ndarray) -> np.ndarray:
+    """Unique undirected edges of a face list, shape (E, 2): each row
+    ascending, rows sorted."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    e.sort(axis=1)
+    return np.unique(e, axis=0) if e.size else e
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ class RigidTransform:
 
 def apply_transform(mesh: TriangleMesh, t: RigidTransform) -> TriangleMesh:
     """Return a new mesh with transformed vertices; connectivity unchanged."""
-    return TriangleMesh(t.apply(mesh.vertices), mesh.faces, mesh.valid)
+    return TriangleMesh(t.apply(mesh.vertices), mesh.faces)
 
 
 def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
@@ -141,12 +134,7 @@ def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
 
 def vertex_degrees(mesh: TriangleMesh) -> np.ndarray:
     """Number of distinct undirected edges incident to each vertex."""
-    deg = np.zeros(mesh.n_vertices, dtype=np.int64)
-    e = mesh.edges()
-    if e.size:
-        np.add.at(deg, e[:, 0], 1)
-        np.add.at(deg, e[:, 1], 1)
-    return deg
+    return np.bincount(mesh.edges().ravel(), minlength=mesh.n_vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +302,47 @@ def _parse_ply_header(data: bytes, path):
         if not line or line.startswith("comment") or line.startswith("obj_info"):
             continue
         tok = line.split()
-        if tok[0] == "format":
-            if tok[1] not in ("ascii", "binary_little_endian"):
-                raise MeshFormatError(f"{path}: line {ln}: unsupported format {tok[1]!r}")
-            fmt = tok[1]
-        elif tok[0] == "element":
-            elements.append((tok[1], int(tok[2]), []))
-        elif tok[0] == "property":
-            if not elements:
-                raise MeshFormatError(f"{path}: line {ln}: property before any element")
-            if tok[1] == "list":
-                elements[-1][2].append(("list", tok[2], tok[3], tok[4]))
-            else:
-                if tok[1] not in _PLY_SCALAR:
-                    raise MeshFormatError(f"{path}: line {ln}: unknown type {tok[1]!r}")
-                elements[-1][2].append(("scalar", tok[1], tok[2]))
-        elif tok[0] == "end_header":
-            break
+        try:
+            if tok[0] == "format":
+                if tok[1] not in ("ascii", "binary_little_endian"):
+                    raise MeshFormatError(f"{path}: line {ln}: unsupported format {tok[1]!r}")
+                fmt = tok[1]
+            elif tok[0] == "element":
+                elements.append((tok[1], int(tok[2]), []))
+            elif tok[0] == "property":
+                if not elements:
+                    raise MeshFormatError(f"{path}: line {ln}: property before any element")
+                if tok[1] == "list":
+                    types, prop = tok[2:4], ("list", tok[2], tok[3], tok[4])
+                else:
+                    types, prop = tok[1:2], ("scalar", tok[1], tok[2])
+                for t in types:
+                    if t not in _PLY_SCALAR:
+                        raise MeshFormatError(f"{path}: line {ln}: unknown type {t!r}")
+                elements[-1][2].append(prop)
+            elif tok[0] == "end_header":
+                break
+        except MeshFormatError:
+            raise
+        except (IndexError, ValueError):
+            raise MeshFormatError(f"{path}: line {ln}: malformed header line {line!r}") from None
     if fmt is None:
         raise MeshFormatError(f"{path}: no format line in header")
     return fmt, elements, body_start
+
+
+def _triangle_rows(rows: np.ndarray, count: int, path) -> np.ndarray:
+    """Face index triples from ``(list length, i, j, k)`` rows, read on the
+    assumption that every face is a triangle: rows up to the first
+    non-triangle are exact, so that face is named correctly."""
+    bad = np.nonzero(rows[:, 0] != 3)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise MeshFormatError(
+            f"{path}: face {i}: only triangles supported (list length {rows[i, 0]})")
+    if rows.shape[0] < count:
+        raise MeshFormatError(f"{path}: face {rows.shape[0]}: truncated face data")
+    return rows[:, 1:]
 
 
 def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
@@ -352,7 +361,10 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                 names = [p[2] for p in props if p[0] == "scalar"]
                 if any(p[0] == "list" for p in props):
                     raise MeshFormatError(f"{path}: list property on vertex element unsupported")
-                rows = np.array(tokens[pos:pos + count * len(names)], dtype=np.float64)
+                try:
+                    rows = np.array(tokens[pos:pos + count * len(names)], dtype=np.float64)
+                except ValueError:
+                    raise MeshFormatError(f"{path}: non-numeric vertex data") from None
                 if rows.size != count * len(names):
                     raise MeshFormatError(f"{path}: truncated vertex data")
                 rows = rows.reshape(count, len(names))
@@ -363,16 +375,12 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                     raise MeshFormatError(f"{path}: vertex element lacks x/y/z") from None
                 vertices = rows[:, cols]
             elif name == "face":
-                out = []
-                for i in range(count):
-                    k = int(tokens[pos]); pos += 1
-                    if k != 3:
-                        raise MeshFormatError(
-                            f"{path}: face {i}: only triangles supported (list length {k})"
-                        )
-                    out.append([int(tokens[pos]), int(tokens[pos + 1]), int(tokens[pos + 2])])
-                    pos += 3
-                faces = np.array(out, dtype=np.int64).reshape(-1, 3)
+                try:
+                    rows = np.array(tokens[pos:pos + 4 * count], dtype=np.int64)
+                except ValueError:
+                    raise MeshFormatError(f"{path}: non-numeric face data") from None
+                faces = _triangle_rows(rows[:rows.size // 4 * 4].reshape(-1, 4), count, path)
+                pos += 4 * count
             else:
                 if any(p[0] == "list" for p in props):
                     raise MeshFormatError(
@@ -401,25 +409,13 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                 if len(props) != 1 or props[0][0] != "list":
                     raise MeshFormatError(f"{path}: face element must be a single list property")
                 _, count_t, item_t, _ = props[0]
-                cfmt = "<" + _PLY_SCALAR[count_t]
-                ifmt = "<" + _PLY_SCALAR[item_t]
-                csize = np.dtype(cfmt).itemsize
-                isize = np.dtype(ifmt).itemsize
-                out = np.empty((count, 3), dtype=np.int64)
-                for i in range(count):
-                    if offset + csize > len(data):
-                        raise MeshFormatError(f"{path}: offset {offset}: truncated face block")
-                    k = int(np.frombuffer(data, dtype=cfmt, count=1, offset=offset)[0])
-                    offset += csize
-                    if k != 3:
-                        raise MeshFormatError(
-                            f"{path}: offset {offset}: only triangles supported (list length {k})"
-                        )
-                    if offset + 3 * isize > len(data):
-                        raise MeshFormatError(f"{path}: offset {offset}: truncated face block")
-                    out[i] = np.frombuffer(data, dtype=ifmt, count=3, offset=offset)
-                    offset += 3 * isize
-                faces = out
+                dtype = np.dtype([("n", "<" + _PLY_SCALAR[count_t]),
+                                  ("i", "<" + _PLY_SCALAR[item_t], 3)])
+                block = memoryview(data)[offset:offset + count * dtype.itemsize]
+                rec = np.frombuffer(block, dtype=dtype, count=len(block) // dtype.itemsize)
+                faces = _triangle_rows(
+                    np.column_stack([rec["n"], rec["i"]]).astype(np.int64), count, path)
+                offset += count * dtype.itemsize
             else:
                 if any(p[0] == "list" for p in props):
                     raise MeshFormatError(

@@ -114,26 +114,6 @@ class LevelCurve:
         return float(np.linalg.norm(seg, axis=1).sum())
 
 
-@dataclass(frozen=True)
-class CanonicalPatch:
-    """Fixed-topology patch: vertex 0 is the apex (at the origin), then
-    curve k sample j at index ``1 + k*m + j``.  Connectivity is implied
-    (see :func:`canonical_connectivity`) and identical for all patches."""
-
-    vertices: np.ndarray  # (1 + K*m, 3)
-    label: str
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "label", str(self.label))
-
-    @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-
 def canonical_connectivity(cfg: PatchConfig) -> np.ndarray:
     """Shared face list for the canonical patch layout.
 
@@ -224,26 +204,22 @@ def _trace_components(segments, n_points):
     return loops, chains
 
 
-def _cross3(a, b):
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
-
-
 def _plane_basis(normal):
+    """Orthonormal ``(e1, e2)`` spanning the plane orthogonal to ``normal``,
+    computed once per landmark since every level shares the apex normal."""
     n = np.asarray(normal, dtype=np.float64)
     n = n / np.sqrt(n @ n)
     ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = _cross3(n, ref)
+    e1 = np.cross(n, ref)
     e1 = e1 / np.sqrt(e1 @ e1)
-    e2 = _cross3(n, e1)
-    return e1, e2, n
+    e2 = np.cross(n, e1)
+    return e1, e2
 
 
-def _winding(points, center, normal):
+def _winding(points, center, plane):
     """Signed number of turns of ``points`` around ``center`` projected on
-    the plane orthogonal to ``normal`` (positive = counterclockwise)."""
-    e1, e2, _ = _plane_basis(normal)
+    ``plane = (e1, e2)`` (positive = counterclockwise about e1 x e2)."""
+    e1, e2 = plane
     d = points - center
     theta = np.arctan2(d @ e2, d @ e1)
     dt = np.diff(np.concatenate([theta, theta[:1]]))
@@ -268,7 +244,7 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     return n / norm
 
 
-def _extract_level_curve_from_field(vertices, faces, field, center, level, normal,
+def _extract_level_curve_from_field(vertices, faces, field, center, level, plane,
                                     context="", face_min=None, face_max=None):
     if face_min is None or face_max is None:
         fv = field[faces]
@@ -312,7 +288,7 @@ def _extract_level_curve_from_field(vertices, faces, field, center, level, norma
         if len(path) < 3:
             continue
         loop_pts = pts[path]
-        w = _winding(loop_pts, center, normal)
+        w = _winding(loop_pts, center, plane)
         if abs(w) >= 0.5:
             centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
             candidates.append((abs(w), -centroid_d, loop_pts, w))
@@ -352,7 +328,8 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float,
     if normal is None:
         normal = apex_normal(mesh, r)
     return _extract_level_curve_from_field(
-        mesh.vertices, mesh.faces, field, r, float(level), normal, context=context
+        mesh.vertices, mesh.faces, field, r, float(level), _plane_basis(normal),
+        context=context,
     )
 
 
@@ -419,9 +396,12 @@ def _rotation_to_z(n):
 
 
 def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
-                reference_axis=(1.0, 0.0, 0.0), align: str = "none") -> CanonicalPatch:
+                reference_axis=(1.0, 0.0, 0.0), align: str = "none") -> np.ndarray:
     """Extract all level curves around one landmark and assemble the
-    canonical patch (apex-centered at the origin).
+    canonical patch (apex-centered at the origin) as a ``(1 + K*m, 3)``
+    array: vertex 0 is the apex, then curve k sample j at index
+    ``1 + k*m + j``.  Its connectivity is :func:`canonical_connectivity`,
+    identical for all patches.
 
     ``landmark`` is a (label, position) pair.  Curves are oriented
     counterclockwise about the outward apex normal; each curve starts at
@@ -441,12 +421,13 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     fv = field[mesh.faces]
     face_min = fv.min(axis=1)
     face_max = fv.max(axis=1)
+    plane = _plane_basis(normal)
     m = cfg.samples_per_curve
     rings = []
     prev = None
     for level in cfg.levels():
         curve = _extract_level_curve_from_field(
-            mesh.vertices, mesh.faces, field, center, float(level), normal,
+            mesh.vertices, mesh.faces, field, center, float(level), plane,
             context=f" (landmark {label!r})", face_min=face_min, face_max=face_max,
         )
         pts = np.roll(curve.points, -_canonical_start(curve.points, center, axis), axis=0)
@@ -466,7 +447,7 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
             cos_a, sin_a = start_dir[0] / norm, start_dir[1] / norm
             rot2 = np.array([[cos_a, sin_a, 0.0], [-sin_a, cos_a, 0.0], [0.0, 0.0, 1.0]])
             verts = verts @ rot2.T
-    return CanonicalPatch(verts, label)
+    return verts
 
 
 def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig,
@@ -483,9 +464,8 @@ def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig
     errors: dict = {}
     for i, (label, pos) in enumerate(landmarks.items()):
         try:
-            patch = build_patch(mesh, (label, pos), cfg,
-                                reference_axis=reference_axis, align=align)
-            out[i] = patch.vertices
+            out[i] = build_patch(mesh, (label, pos), cfg,
+                                 reference_axis=reference_axis, align=align)
         except CurveExtractionError as exc:
             missing[i] = True
             errors[label] = str(exc)
@@ -495,33 +475,39 @@ def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig
 # ---------------------------------------------------------------------------
 # Patch archives: one binary file per scan + JSON sidecar
 
+def npy_json_paths(path) -> tuple[Path, Path]:
+    """``(<stem>.npy, <stem>.json)`` for a stem given with or without
+    either suffix: the file pair of a patch archive or feature table."""
+    path = Path(path)
+    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
+    return Path(f"{base}.npy"), Path(f"{base}.json")
+
+
 def save_patch_archive(path, patches: np.ndarray, labels, missing, cfg: PatchConfig) -> None:
     """Write per-scan patches as ``<path>.npy`` plus ``<path>.json`` sidecar
     recording the patch configuration, landmark labels and missing flags."""
-    path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
+    npy, sidecar_path = npy_json_paths(path)
     arr = np.asarray(patches, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] != cfg.n_vertices or arr.shape[2] != 3:
         raise ValueError(f"patch array shape {arr.shape} does not match config "
                          f"(expected (N, {cfg.n_vertices}, 3))")
-    np.save(str(base) + ".npy", arr)
+    np.save(npy, arr)
     sidecar = {
         "config": cfg.to_dict(),
         "labels": list(labels),
         "missing": [bool(x) for x in missing],
     }
-    Path(str(base) + ".json").write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
+    sidecar_path.write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
 
 
 def load_patch_archive(path):
     """Read a patch archive; returns (patches, labels, missing, cfg)."""
-    path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
-    arr = np.load(str(base) + ".npy")
-    sidecar = json.loads(Path(str(base) + ".json").read_text(encoding="utf-8"))
+    npy, sidecar_path = npy_json_paths(path)
+    arr = np.load(npy)
+    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
     cfg = PatchConfig.from_dict(sidecar["config"])
     labels = [str(x) for x in sidecar["labels"]]
     missing = np.array(sidecar["missing"], dtype=bool)
     if arr.shape != (len(labels), cfg.n_vertices, 3):
-        raise ValueError(f"{base}: archive shape {arr.shape} inconsistent with sidecar")
+        raise ValueError(f"{npy}: archive shape {arr.shape} inconsistent with sidecar")
     return arr, labels, missing, cfg

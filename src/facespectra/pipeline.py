@@ -26,7 +26,8 @@ from .features import (
 )
 from .mesh import load_landmarks, load_mesh
 from .patches import PatchConfig, canonical_connectivity, extract_patches, save_patch_archive
-from .spectral import SpectralBasis, eig_sym, graph_laplacian, shape_dna
+from .spectral import (DegenerateGeometryError, EigenConvergenceError, SpectralBasis,
+                       eig_sym, graph_laplacian, shape_dna)
 
 
 def compute_basis(cfg: PatchConfig, k: int | None = None) -> SpectralBasis:
@@ -42,6 +43,8 @@ def compute_basis(cfg: PatchConfig, k: int | None = None) -> SpectralBasis:
 def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant):
     if method not in (METHOD_GLF, METHOD_SHAPEDNA):
         raise ValueError(f"unknown method {method!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if method == METHOD_GLF:
         if mode not in (MODE_COORDS, MODE_NORMS):
             raise ValueError(f"unknown glf mode {mode!r}")
@@ -55,6 +58,9 @@ def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant)
         if need > basis.k:
             raise ValueError(f"k={k} (+constant row) exceeds basis columns {basis.k}")
         return mode
+    if k > patch_cfg.n_vertices - 1:
+        raise ValueError(f"shapedna k={k} exceeds the {patch_cfg.n_vertices - 1} non-zero "
+                         f"eigenvalues of a {patch_cfg.n_vertices}-vertex patch")
     return "eigenvalues"
 
 
@@ -74,11 +80,12 @@ def _init_worker(ctx):
         _CTX["basis"] = None
 
 
-def _spec_blocks(patches, missing, spec):
+def _spec_blocks(patches, missing, labels, spec, errors):
     """Per-landmark feature blocks for one (method, mode, k) spec.
 
-    A landmark whose feature computation fails is flagged missing for
-    this spec; it is never fabricated.
+    A landmark whose descriptor fails on its geometry is flagged missing
+    for this spec and its reason added to ``errors``; it is never
+    fabricated.
     """
     method, mode, k = spec
     blocks = []
@@ -97,9 +104,11 @@ def _spec_blocks(patches, missing, spec):
             else:
                 blocks.append(shape_dna(patches[i], _CTX["faces"], k,
                                         lumping=_CTX["lumping"]))
-        except Exception:
+        except (DegenerateGeometryError, EigenConvergenceError) as exc:
             blocks.append(None)
             miss[i] = True
+            reason = f"{method} k={k}: {exc}"
+            errors[labels[i]] = "; ".join(filter(None, (errors.get(labels[i]), reason)))
     return blocks, miss
 
 
@@ -119,7 +128,7 @@ def _featurize_record(task):
             )
         per_spec = []
         for spec in _CTX["specs"]:
-            blocks, miss = _spec_blocks(patches, missing, spec)
+            blocks, miss = _spec_blocks(patches, missing, landmarks.labels, spec, errors)
             vec = assemble_face(blocks, miss, spec[0], spec[1], spec[2])
             per_spec.append((vec.values, miss))
         return index, per_spec, list(landmarks.labels), errors
@@ -222,13 +231,3 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             config_hash=patch_cfg.connectivity_hash(),
         ))
     return tables, errors
-
-
-def compute_feature_table(manifest: DatasetManifest, patch_cfg: PatchConfig,
-                          method: str, mode: str, k: int,
-                          basis: SpectralBasis | None = None, **kwargs):
-    """Single-spec convenience wrapper around :func:`compute_feature_tables`."""
-    tables, errors = compute_feature_tables(
-        manifest, patch_cfg, [(method, mode, k)], basis=basis, **kwargs
-    )
-    return tables[0], errors

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .mesh import unique_edges
+
 
 class DegenerateGeometryError(ValueError):
     """Zero-area face or non-positive mass entry."""
@@ -70,17 +72,11 @@ def graph_laplacian(faces: np.ndarray, n: int) -> np.ndarray:
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     if faces.size and (faces.min() < 0 or faces.max() >= n):
         raise ValueError(f"face indices out of range for n={n}")
+    e = unique_edges(faces)
     L = np.zeros((n, n), dtype=np.int64)
-    e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    e.sort(axis=1)
-    if e.size:
-        e = np.unique(e, axis=0)
-        L[e[:, 0], e[:, 1]] = -1
-        L[e[:, 1], e[:, 0]] = -1
-        deg = np.zeros(n, dtype=np.int64)
-        np.add.at(deg, e[:, 0], 1)
-        np.add.at(deg, e[:, 1], 1)
-        L[np.arange(n), np.arange(n)] = deg
+    L[e[:, 0], e[:, 1]] = -1
+    L[e[:, 1], e[:, 0]] = -1
+    L[np.diag_indices(n)] = -L.sum(axis=1)
     return L
 
 
@@ -250,14 +246,11 @@ def shape_dna(vertices, faces: np.ndarray, k: int,
     """Shape-DNA signature: the k smallest non-zero eigenvalues of the
     symmetrized cotangent operator, ascending.
 
-    ``vertices`` is an (n, 3) array or anything with a ``.vertices``
-    attribute (e.g. a canonical patch).  One zero mode per connected
+    ``vertices`` is an (n, 3) array.  One zero mode per connected
     component (the constant function) carries no shape information and is
     dropped before truncation.  The signature is invariant under rigid
     motion and scales as 1/s^2 when the patch is scaled by s.
     """
-    if hasattr(vertices, "vertices"):
-        vertices = vertices.vertices
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
@@ -303,6 +296,9 @@ def load_basis(path, expected_hash: int | None = None) -> SpectralBasis:
     data = path.read_bytes()
     if data[:4] != _BASIS_MAGIC:
         raise ValueError(f"{path}: not a spectral basis file")
+    off = 4 + struct.calcsize("<IQQQ")
+    if len(data) < off:
+        raise ValueError(f"{path}: truncated basis file ({len(data)} of at least {off} bytes)")
     version, n, k, chash = struct.unpack_from("<IQQQ", data, 4)
     if version != _BASIS_VERSION:
         raise ValueError(f"{path}: unsupported basis file version {version}")
@@ -311,7 +307,9 @@ def load_basis(path, expected_hash: int | None = None) -> SpectralBasis:
             f"{path}: basis connectivity hash {chash:#x} does not match the "
             f"requested patch configuration ({expected_hash:#x})"
         )
-    off = 4 + struct.calcsize("<IQQQ")
+    need = off + 8 * (n + 1) * k
+    if len(data) < need:
+        raise ValueError(f"{path}: truncated basis file ({len(data)} of {need} bytes)")
     v = np.frombuffer(data, dtype="<f8", count=n * k, offset=off).reshape(n, k).copy()
     off += 8 * n * k
     w = np.frombuffer(data, dtype="<f8", count=k, offset=off).copy()

@@ -117,10 +117,10 @@ def test_criterion_2_operator_invariants():
     idx = lmk.labels.index("NOSE_4")
     patch = build_patch(mesh, ("NOSE_4", lmk.positions[idx]), ACC_PATCH)
     pfaces = canonical_connectivity(ACC_PATCH)
-    S = cotan_stiffness(patch.vertices, pfaces)
+    S = cotan_stiffness(patch, pfaces)
     assert np.abs(S.sum(axis=1)).max() <= 1e-9 * np.abs(S).max()
-    B = voronoi_mass(patch.vertices, pfaces)
-    tri = patch.vertices[pfaces]
+    B = voronoi_mass(patch, pfaces)
+    tri = patch[pfaces]
     total_area = 0.5 * np.linalg.norm(
         np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1).sum()
     assert B.sum() == pytest.approx(total_area, rel=1e-9)
@@ -143,12 +143,12 @@ def test_criterion_3_shape_dna_laws():
     for label in labels:
         pos = lmk.positions[lmk.labels.index(label)]
         patch = build_patch(mesh, (label, pos), ACC_PATCH)
-        w0 = shape_dna(patch.vertices, pfaces, 40)
+        w0 = shape_dna(patch, pfaces, 40)
         t = RigidTransform.random(rng, max_translation=25.0)
-        w_rigid = shape_dna(t.apply(patch.vertices), pfaces, 40)
+        w_rigid = shape_dna(t.apply(patch), pfaces, 40)
         assert np.abs(w_rigid - w0).max() <= 1e-8 * np.abs(w0).max()
         s = float(rng.uniform(0.5, 3.0))
-        w_scaled = shape_dna(patch.vertices * s, pfaces, 40)
+        w_scaled = shape_dna(patch * s, pfaces, 40)
         assert np.abs(w_scaled - w0 / s**2).max() <= 1e-6 * np.abs(w0 / s**2).max()
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
@@ -162,7 +162,7 @@ def test_criterion_4_glf_projection_laws():
     patch = build_patch(mesh, ("MOUTH_3", lmk.positions[idx]), ACC_PATCH)
     n = ACC_PATCH.n_vertices
     basis = compute_basis(ACC_PATCH)     # full basis, k = n
-    X = patch.vertices
+    X = patch
     # translation moves only row 0
     shift = np.array([3.0, -2.0, 1.0])
     C0 = glf_project(X, basis, 60)

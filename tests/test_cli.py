@@ -173,24 +173,42 @@ def test_evaluate_cmd_compare_features(cli_workspace, tmp_path, capsys):
     assert "comparison" in capsys.readouterr().out
 
 
-def test_config_file_overrides_defaults(tmp_path):
+def _features_with_config(ws, tmp_path, config, flags=()):
+    """Run glf ``features`` with ``config`` as its --config file; return
+    the table's k."""
+    cfgfile = tmp_path / "features.json"
+    cfgfile.write_text(json.dumps(config))
+    out = tmp_path / "cfg_feats"
+    rc = main(["features", "--config", str(cfgfile), "--manifest",
+               str(ws["data"] / "manifest.csv"), "--basis", str(ws["basis"]),
+               "--out", str(out), *flags] + PATCH_FLAGS)
+    assert rc == 0
+    return load_feature_table(out).k
+
+
+def test_config_file_overrides_defaults(cli_workspace, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"subjects": 1, "resolution": 24, "seed": 9}))
     out = tmp_path / "d"
     rc = main(["synth", "--config", str(cfgfile), "--out", str(out)])
     assert rc == 0
     assert len(load_manifest(out / "manifest.csv")) == 12
+    assert _features_with_config(cli_workspace, tmp_path, {"k": 6}) == 6
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"bogus": 1}))
-    rc = main(["synth", "--config", str(cfgfile), "--out", str(tmp_path / "d")])
-    assert rc == 2
-    assert "bogus" in capsys.readouterr().err
+    # the removed no-op flags are unknown keys too
+    for command, key in (("synth", "bogus"), ("basis", "bogus"), ("basis", "seed"),
+                         ("features", "bogus"), ("features", "seed"),
+                         ("evaluate", "bogus"), ("evaluate", "jobs")):
+        cfgfile.write_text(json.dumps({key: 1}))
+        rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "d")])
+        assert rc == 2, command
+        assert key in capsys.readouterr().err
 
 
-def test_explicit_flag_wins_over_config(tmp_path):
+def test_explicit_flag_wins_over_config(cli_workspace, tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"subjects": 3, "resolution": 24}))
     out = tmp_path / "d"
@@ -198,6 +216,25 @@ def test_explicit_flag_wins_over_config(tmp_path):
                "--out", str(out)])
     assert rc == 0
     assert len(load_manifest(out / "manifest.csv")) == 12
+    assert _features_with_config(cli_workspace, tmp_path, {"k": 6}, ["--k", "4"]) == 4
+
+
+def test_removed_no_op_flags_rejected(capsys):
+    for argv in (["basis", "--seed", "1"], ["basis", "--jobs", "2"],
+                 ["features", "--seed", "1"], ["evaluate", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_features_cmd_shapedna_k_beyond_patch_fails(cli_workspace, tmp_path, capsys):
+    out = tmp_path / "dna"
+    rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+               "--method", "shapedna", "--k", "200", "--out", str(out)] + PATCH_FLAGS)
+    assert rc == 1
+    assert "k=200" in capsys.readouterr().err
+    assert not out.with_suffix(".npy").exists()
 
 
 def test_invalid_synth_amplitude_usage_error(tmp_path, capsys):

@@ -207,8 +207,8 @@ def test_shape_dna_locality_of_deformation():
         i = lmk_n.labels.index(label)
         p_n = build_patch(neutral, (label, lmk_n.positions[i]), pc)
         p_d = build_patch(deformed, (label, lmk_d.positions[i]), pc)
-        w_n = shape_dna(p_n.vertices, faces, 10)
-        w_d = shape_dna(p_d.vertices, faces, 10)
+        w_n = shape_dna(p_n, faces, 10)
+        w_d = shape_dna(p_d, faces, 10)
         rel = np.abs(w_d - w_n).max() / np.abs(w_n).max()
         if expect_change:
             assert rel > threshold

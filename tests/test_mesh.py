@@ -114,6 +114,7 @@ def test_ply_ascii_shared_edge_count(tmp_path):
     mesh = load_ply(p)
     assert mesh.n_vertices == 4
     assert mesh.n_faces == 2
+    assert np.array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
     # 4 boundary edges + 1 shared diagonal
     assert mesh.edges().shape[0] == 5
 
@@ -133,6 +134,7 @@ def test_ply_binary_little_endian(tmp_path):
     mesh = load_ply(p)
     assert mesh.n_vertices == 4
     assert mesh.edges().shape[0] == 5
+    assert np.array_equal(mesh.faces, [[0, 1, 2], [0, 2, 3]])
     assert np.allclose(mesh.vertices[2], [1, 1, 0])
 
 
@@ -143,6 +145,44 @@ def test_ply_rejects_non_triangle(tmp_path):
     p.write_text(text)
     with pytest.raises(MeshFormatError, match="triangles"):
         load_ply(p)
+
+
+def _ply_binary(faces, cut=0):
+    """Binary PLY of the unit square's 4 vertices with the given face lists;
+    ``cut`` bytes are dropped from the end."""
+    header = (
+        "ply\nformat binary_little_endian 1.0\n"
+        "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n"
+        f"element face {len(faces)}\nproperty list uchar int vertex_indices\nend_header\n"
+    ).encode("ascii")
+    body = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype="<f4").tobytes()
+    for f in faces:
+        body += np.uint8(len(f)).tobytes() + np.array(f, dtype="<i4").tobytes()
+    data = header + body
+    return data[:len(data) - cut]
+
+
+@pytest.mark.parametrize("content, match", [
+    (PLY_ASCII.replace("3 0 2 3\n", "3 0 2\n"), "truncated face"),
+    (PLY_ASCII.replace("1 1 0\n", "1 one 0\n"), "non-numeric vertex"),
+    (PLY_ASCII.replace("3 0 2 3", "3 0 two 3"), "non-numeric face"),
+    (PLY_ASCII.replace("element vertex 4", "element vertex three"), "line 3"),
+    (PLY_ASCII.replace("format ascii 1.0", "format"), "line 2"),
+    (PLY_ASCII.replace("list uchar int", "list uchar int128"), "unknown type"),
+    (_ply_binary([[0, 1, 2], [0, 2, 3]], cut=5), "face 1: truncated"),
+    (_ply_binary([[0, 1, 2], [0, 1, 2, 3]]), "face 1: only triangles"),
+], ids=["ascii-truncated-face", "ascii-vertex-word", "ascii-face-word",
+        "header-count-word", "header-format-empty", "header-list-type",
+        "binary-truncated-face", "binary-quad"])
+def test_ply_malformed_input_raises_named_error(tmp_path, content, match):
+    p = tmp_path / "bad.ply"
+    if isinstance(content, str):
+        p.write_text(content)
+    else:
+        p.write_bytes(content)
+    with pytest.raises(MeshFormatError, match=match) as exc:
+        load_ply(p)
+    assert str(p) in str(exc.value)
 
 
 def test_load_mesh_dispatch_and_unknown_format(tmp_path):

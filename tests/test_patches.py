@@ -259,10 +259,10 @@ def test_smallest_patch_on_planar_grid():
     apex = mesh.vertices[20 * 41 + 20]
     cfg = PatchConfig(1.0, 2.0, 2, 3)
     patch = build_patch(mesh, ("C", apex), cfg)
-    assert patch.n_vertices == 7
-    assert np.allclose(patch.vertices[0], 0.0)
-    d1 = np.linalg.norm(patch.vertices[1:4], axis=1)
-    d2 = np.linalg.norm(patch.vertices[4:7], axis=1)
+    assert patch.shape == (7, 3)
+    assert np.allclose(patch[0], 0.0)
+    d1 = np.linalg.norm(patch[1:4], axis=1)
+    d2 = np.linalg.norm(patch[4:7], axis=1)
     # resampled ring points sit on chords, slightly inside the exact radius
     assert np.all(d1 <= 1.0 + 1e-9) and np.all(d1 > 0.8)
     assert np.all(d2 <= 2.0 + 1e-9) and np.all(d2 > 1.6)
@@ -272,7 +272,7 @@ def test_default_patch_vertex_count_on_synthetic_face():
     mesh, lmk, _ = generate_scan(SynthConfig(subjects=1, seed=5), 0, "HA", 1)
     cfg = PatchConfig(5, 20, 15, 50)
     patch = build_patch(mesh, ("NOSE_4", lmk.positions[lmk.labels.index("NOSE_4")]), cfg)
-    assert patch.n_vertices == 751
+    assert patch.shape == (751, 3)
 
 
 def test_build_patch_commutes_with_rigid_motion():
@@ -287,7 +287,7 @@ def test_build_patch_commutes_with_rigid_motion():
         moved = apply_transform(mesh, t)
         patch_t = build_patch(moved, (label, t.apply(pos)), cfg,
                               reference_axis=t.rotation @ np.array([1.0, 0, 0]))
-        assert np.abs(patch_t.vertices - base.vertices @ t.rotation.T).max() < 1e-6
+        assert np.abs(patch_t - base @ t.rotation.T).max() < 1e-6
 
 
 def test_build_patch_normal_alignment_mode():
@@ -297,7 +297,7 @@ def test_build_patch_normal_alignment_mode():
     pos = lmk.positions[lmk.labels.index(label)]
     patch = build_patch(mesh, (label, pos), cfg, align="normal")
     # first ring start direction lies in the xz half-plane with y ~ 0
-    assert abs(patch.vertices[1][1]) < 1e-9
+    assert abs(patch[1][1]) < 1e-9
     rng = np.random.default_rng(8)
     t = RigidTransform.random(rng, max_translation=10.0)
     moved = apply_transform(mesh, t)
@@ -305,7 +305,7 @@ def test_build_patch_normal_alignment_mode():
                           reference_axis=t.rotation @ np.array([1.0, 0, 0]),
                           align="normal")
     # normal-aligned patches are pose independent
-    assert np.abs(patch_t.vertices - patch.vertices).max() < 1e-6
+    assert np.abs(patch_t - patch).max() < 1e-6
 
 
 def test_build_patch_propagates_context():

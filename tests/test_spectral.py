@@ -334,6 +334,30 @@ def test_basis_file_bit_identical_rerun(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _saved_basis(tmp_path):
+    cfg = PatchConfig(5, 20, 3, 8)
+    L = graph_laplacian(canonical_connectivity(cfg), cfg.n_vertices)
+    p = tmp_path / "b.fsb"
+    save_basis(p, eig_sym(L, 10, config_hash=cfg.connectivity_hash()))
+    return p
+
+
+def test_load_basis_names_truncated_header(tmp_path):
+    p = _saved_basis(tmp_path)
+    p.write_bytes(p.read_bytes()[:10])
+    with pytest.raises(ValueError, match="truncated basis file") as exc:
+        load_basis(p)
+    assert str(p) in str(exc.value)
+
+
+def test_load_basis_names_truncated_body(tmp_path):
+    p = _saved_basis(tmp_path)
+    p.write_bytes(p.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="truncated basis file") as exc:
+        load_basis(p)
+    assert str(p) in str(exc.value)
+
+
 def test_spectral_basis_requires_ascending_eigenvalues():
     with pytest.raises(ValueError, match="ascending"):
         SpectralBasis(np.array([1.0, 0.5]), np.eye(2))
