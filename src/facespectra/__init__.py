@@ -51,9 +51,7 @@ from .spectral import (
     voronoi_mass,
 )
 from .features import (
-    FaceFeatureVector,
     FeatureTable,
-    assemble_face,
     glf_norms,
     glf_project,
     glf_reconstruct,

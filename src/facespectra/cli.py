@@ -31,8 +31,7 @@ from .experiments import (
     save_report,
     sweep_report_section,
 )
-from .features import METHOD_GLF, METHOD_SHAPEDNA, MODE_COORDS, MODE_NORMS, \
-    load_feature_table, save_feature_csv, save_feature_table
+from .features import METHOD_GLF, load_feature_table, save_feature_csv, save_feature_table
 from .patches import PatchConfig
 from .pipeline import compute_basis
 from .spectral import load_basis, save_basis
@@ -51,10 +50,36 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _INTERNAL}
 
 
+def _config_value(action: argparse.Action, key: str, value):
+    """A ``--config`` value checked as its flag checks a command-line one:
+    a JSON boolean for an on/off flag, ``null`` only where the flag's
+    default is None, otherwise a string or number that passes the flag's
+    ``type`` and ``choices``."""
+    if action.nargs == 0:
+        ok = isinstance(value, bool)
+    elif value is None:
+        ok = action.default is None
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            converted = (action.type or str)(str(value))
+        except ValueError:
+            ok = False
+        else:
+            ok = action.choices is None or converted in action.choices
+            value = converted
+    else:
+        ok = False
+    if not ok:
+        raise UsageError(f"--config key {key!r}: invalid value {value!r} for "
+                         f"{action.option_strings[0]}")
+    return value
+
+
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv) -> argparse.Namespace:
-    """Re-parse ``argv`` with the ``--config`` file's values as the
-    subcommand's defaults, so explicit flags still win over them."""
+    """Re-parse ``argv`` with the ``--config`` file's values, checked like
+    the flags' own, as the subcommand's defaults, so explicit flags still
+    win over them."""
     try:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -64,16 +89,16 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     unknown = set(overrides) - set(_settings(args))
     if unknown:
         raise UsageError(f"unknown keys in --config: {sorted(unknown)}")
-    args.parser.set_defaults(**overrides)
+    actions = {a.dest: a for a in args.parser._actions}
+    args.parser.set_defaults(**{key: _config_value(actions[key], key, value)
+                                for key, value in overrides.items()})
     return parser.parse_args(argv)
 
 
 def _patch_config(args) -> PatchConfig:
     try:
-        return PatchConfig(
-            lambda_min=float(args.lambda_min), lambda_max=float(args.lambda_max),
-            n_curves=int(args.curves), samples_per_curve=int(args.samples),
-        )
+        return PatchConfig(lambda_min=args.lambda_min, lambda_max=args.lambda_max,
+                           n_curves=args.curves, samples_per_curve=args.samples)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -81,13 +106,13 @@ def _patch_config(args) -> PatchConfig:
 def cmd_synth(args) -> int:
     try:
         sc = SynthConfig(
-            subjects=int(args.subjects),
-            levels=tuple(range(1, int(args.levels) + 1)),
-            resolution=int(args.resolution),
-            amplitude=float(args.amplitude),
-            subject_amplitude=float(args.subject_amplitude),
-            jitter=float(args.jitter),
-            seed=int(args.seed),
+            subjects=args.subjects,
+            levels=tuple(range(1, args.levels + 1)),
+            resolution=args.resolution,
+            amplitude=args.amplitude,
+            subject_amplitude=args.subject_amplitude,
+            jitter=args.jitter,
+            seed=args.seed,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -101,7 +126,7 @@ def cmd_synth(args) -> int:
 def cmd_basis(args) -> int:
     pc = _patch_config(args)
     n = pc.n_vertices
-    k = n if args.k is None else int(args.k)
+    k = n if args.k is None else args.k
     if not 1 <= k <= n:
         raise UsageError(f"--k must be in [1, {n}] for this configuration, got {k}")
     basis = compute_basis(pc, k)
@@ -113,62 +138,36 @@ def cmd_basis(args) -> int:
 def cmd_features(args) -> int:
     if not args.manifest:
         raise UsageError("--manifest is required")
-    method = args.method
-    if method not in (METHOD_GLF, METHOD_SHAPEDNA):
-        raise UsageError(f"--method must be glf or shapedna, got {method!r}")
-    mode = args.mode
-    if method == METHOD_GLF and mode not in (MODE_COORDS, MODE_NORMS):
-        raise UsageError(f"--mode must be coords or norms, got {mode!r}")
-    if args.missing not in ("zero", "drop"):
-        raise UsageError(f"--missing must be zero or drop, got {args.missing!r}")
-    if args.align not in ("none", "normal"):
-        raise UsageError(f"--align must be none or normal, got {args.align!r}")
     pc = _patch_config(args)
-    k = int(args.k)
     basis = None
-    if method == METHOD_GLF:
+    if args.method == METHOD_GLF:
         if not args.basis:
             raise UsageError("--basis is required for glf features")
         basis = load_basis(args.basis, expected_hash=pc.connectivity_hash())
     manifest = load_manifest(args.manifest)
     (table,), errors = pipeline.compute_feature_tables(
-        manifest, pc, [(method, mode, k)], basis=basis,
-        jobs=int(args.jobs), missing_policy=args.missing, align=args.align,
-        drop_constant=bool(args.drop_constant), lumping=args.lumping,
-        rescale=float(args.rescale), patches_dir=args.save_patches,
+        manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
+        jobs=args.jobs, missing_policy=args.missing, align=args.align,
+        drop_constant=args.drop_constant, lumping=args.lumping,
+        rescale=args.rescale, patches_dir=args.save_patches,
     )
     save_feature_table(args.out, table)
     if args.csv:
         save_feature_csv(args.csv, table)
     print(f"features: {table.X.shape[0]} scans x {table.X.shape[1]} columns "
-          f"({method}/{table.mode}, k={k}) -> {args.out}.npy")
+          f"({table.method}/{table.mode}, k={table.k}) -> {args.out}.npy")
     if errors:
         print(json.dumps({"errors": errors}), file=sys.stderr)
         return 1
     return 0
 
 
-def _classifier_config(args) -> ClassifierConfig:
-    kind = args.classifier
-    if kind not in ("svm", "flda"):
-        raise UsageError(f"--classifier must be svm or flda, got {kind!r}")
-    if args.kernel not in ("rbf", "linear"):
-        raise UsageError(f"--kernel must be rbf or linear, got {args.kernel!r}")
-    gamma = args.gamma
-    return ClassifierConfig(
-        kind=kind, kernel=args.kernel, C=float(args.C),
-        gamma=None if gamma is None else float(gamma), reg=float(args.reg),
-    )
-
-
 def cmd_evaluate(args) -> int:
     if not args.features:
         raise UsageError("--features is required")
-    if args.task not in ("expressions", "aus"):
-        raise UsageError(f"--task must be expressions or aus, got {args.task!r}")
-    clf = _classifier_config(args)
-    folds = int(args.folds)
-    seed = int(args.seed)
+    clf = ClassifierConfig(kind=args.classifier, kernel=args.kernel, C=args.C,
+                           gamma=args.gamma, reg=args.reg)
+    folds, seed = args.folds, args.seed
     table = load_feature_table(args.features)
     run_config = _settings(args)
     run_config["classifier_config"] = clf.to_dict()
@@ -181,7 +180,7 @@ def cmd_evaluate(args) -> int:
         if args.task != "expressions":
             raise UsageError("--sweep applies to the expressions task only")
         try:
-            k_values = [int(x) for x in str(args.sweep).split(",") if x.strip()]
+            k_values = [int(x) for x in args.sweep.split(",") if x.strip()]
         except ValueError:
             raise UsageError(f"--sweep must be a comma-separated int list, "
                              f"got {args.sweep!r}") from None

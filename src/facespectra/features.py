@@ -3,8 +3,8 @@
 Two descriptor families: projections of the patch coordinate functions
 onto the shared graph-Laplacian eigenbasis (with an optional
 rotation-invariant per-row-norm variant), and per-patch Shape-DNA
-eigenvalue signatures.  Per-face vectors concatenate the per-landmark
-blocks in landmark order.
+eigenvalue signatures.  A scan's feature row concatenates its
+per-landmark blocks (``block_length`` values each) in landmark order.
 """
 
 from __future__ import annotations
@@ -54,56 +54,10 @@ def glf_norms(coeffs: np.ndarray) -> np.ndarray:
     return np.linalg.norm(np.asarray(coeffs, dtype=np.float64), axis=1)
 
 
-@dataclass(frozen=True)
-class FaceFeatureVector:
-    """Concatenation of per-landmark feature blocks in landmark order."""
-
-    values: np.ndarray        # (d,)
-    missing: np.ndarray       # (N,) bool, per landmark
-    method: str               # METHOD_GLF | METHOD_SHAPEDNA
-    mode: str                 # MODE_COORDS | MODE_NORMS (norms for shapedna)
-    k: int
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64).reshape(-1))
-        m = np.ascontiguousarray(np.asarray(self.missing, dtype=bool).reshape(-1))
-        v.setflags(write=False)
-        m.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "missing", m)
-
-
 def block_length(method: str, mode: str, k: int) -> int:
     if method == METHOD_GLF and mode == MODE_COORDS:
         return 3 * k
     return k
-
-
-def assemble_face(blocks, missing, method: str, mode: str, k: int) -> FaceFeatureVector:
-    """Concatenate per-landmark blocks; missing patches are zero-filled and
-    flagged so dimensionality stays fixed across a dataset.
-
-    ``blocks[i]`` is a (k, 3) coefficient matrix (glf/coords), a (k,)
-    norm vector (glf/norms) or a (k,) eigenvalue signature (shapedna);
-    entries for missing landmarks may be None.
-    """
-    n = len(blocks)
-    missing = np.asarray(missing, dtype=bool).reshape(-1)
-    if missing.shape[0] != n:
-        raise ValueError("missing mask length does not match block count")
-    width = block_length(method, mode, k)
-    out = np.zeros(n * width, dtype=np.float64)
-    for i, b in enumerate(blocks):
-        if missing[i]:
-            continue
-        b = np.asarray(b, dtype=np.float64)
-        flat = b.reshape(-1)
-        if flat.shape[0] != width:
-            raise ValueError(
-                f"landmark block {i} has {flat.shape[0]} values, expected {width}"
-            )
-        out[i * width:(i + 1) * width] = flat
-    return FaceFeatureVector(out, missing, method, mode, k)
 
 
 def feature_names(landmark_labels, method: str, mode: str, k: int) -> list:

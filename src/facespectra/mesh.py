@@ -137,6 +137,26 @@ def vertex_degrees(mesh: TriangleMesh) -> np.ndarray:
     return np.bincount(mesh.edges().ravel(), minlength=mesh.n_vertices)
 
 
+def _text_lines(path):
+    """Lines of a UTF-8 text file; a decoding error names the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise MeshFormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
+def _parsed_mesh(path, vertices, faces, rescale: float) -> TriangleMesh:
+    """The mesh parsed from ``path``, rescaled; a structural error names
+    the file."""
+    if rescale != 1.0:
+        vertices = vertices * float(rescale)
+    try:
+        return TriangleMesh(vertices, faces)
+    except MeshStructureError as exc:
+        raise MeshStructureError(f"{path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Landmarks
 
@@ -180,26 +200,28 @@ def snap_landmarks(mesh: TriangleMesh, landmarks: LandmarkSet) -> LandmarkSet:
 def load_landmarks(path) -> LandmarkSet:
     """Read a landmark CSV with header ``label,x,y,z`` (order preserved)."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(_text_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MeshFormatError(f"{path}: empty landmark file") from None
+    if [h.strip().lower() for h in header] != ["label", "x", "y", "z"]:
+        raise MeshFormatError(f"{path}: expected header 'label,x,y,z', got {header!r}")
+    labels, pos = [], []
+    for ln, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise MeshFormatError(f"{path}: line {ln}: expected 4 fields, got {len(row)}")
+        labels.append(row[0])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MeshFormatError(f"{path}: empty landmark file") from None
-        if [h.strip().lower() for h in header] != ["label", "x", "y", "z"]:
-            raise MeshFormatError(f"{path}: expected header 'label,x,y,z', got {header!r}")
-        labels, pos = [], []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise MeshFormatError(f"{path}: line {ln}: expected 4 fields, got {len(row)}")
-            labels.append(row[0])
-            try:
-                pos.append([float(row[1]), float(row[2]), float(row[3])])
-            except ValueError:
-                raise MeshFormatError(f"{path}: line {ln}: non-numeric coordinate") from None
-    return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64))
+            pos.append([float(row[1]), float(row[2]), float(row[3])])
+        except ValueError:
+            raise MeshFormatError(f"{path}: line {ln}: non-numeric coordinate") from None
+    try:
+        return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64))
+    except ValueError as exc:
+        raise MeshFormatError(f"{path}: {exc}") from None
 
 
 def save_landmarks(path, landmarks: LandmarkSet) -> None:
@@ -219,46 +241,43 @@ def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
     path = Path(path)
     verts: list = []
     faces: list = []
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tok = line.split()
-            if tok[0] == "v":
-                if len(tok) < 4:
-                    raise MeshFormatError(f"{path}: line {ln}: vertex needs 3 coordinates")
+    for ln, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tok = line.split()
+        if tok[0] == "v":
+            if len(tok) < 4:
+                raise MeshFormatError(f"{path}: line {ln}: vertex needs 3 coordinates")
+            try:
+                verts.append((float(tok[1]), float(tok[2]), float(tok[3])))
+            except ValueError:
+                raise MeshFormatError(f"{path}: line {ln}: non-numeric vertex coordinate") from None
+        elif tok[0] == "f":
+            refs = tok[1:]
+            if len(refs) != 3:
+                raise MeshFormatError(
+                    f"{path}: line {ln}: only triangular faces are supported "
+                    f"(got {len(refs)} vertices)"
+                )
+            idx = []
+            for t in refs:
+                head = t.split("/")[0]
                 try:
-                    verts.append((float(tok[1]), float(tok[2]), float(tok[3])))
+                    i = int(head)
                 except ValueError:
-                    raise MeshFormatError(f"{path}: line {ln}: non-numeric vertex coordinate") from None
-            elif tok[0] == "f":
-                refs = tok[1:]
-                if len(refs) != 3:
+                    raise MeshFormatError(f"{path}: line {ln}: bad face index {t!r}") from None
+                if i <= 0:
                     raise MeshFormatError(
-                        f"{path}: line {ln}: only triangular faces are supported "
-                        f"(got {len(refs)} vertices)"
+                        f"{path}: line {ln}: face indices must be positive (1-based), got {i}"
                     )
-                idx = []
-                for t in refs:
-                    head = t.split("/")[0]
-                    try:
-                        i = int(head)
-                    except ValueError:
-                        raise MeshFormatError(f"{path}: line {ln}: bad face index {t!r}") from None
-                    if i <= 0:
-                        raise MeshFormatError(
-                            f"{path}: line {ln}: face indices must be positive (1-based), got {i}"
-                        )
-                    idx.append(i - 1)
-                faces.append(idx)
-            # all other record types (vn, vt, g, ...) are ignored
+                idx.append(i - 1)
+            faces.append(idx)
+        # all other record types (vn, vt, g, ...) are ignored
     if not verts:
         raise MeshFormatError(f"{path}: no vertices found")
-    v = np.array(verts, dtype=np.float64)
-    if rescale != 1.0:
-        v = v * float(rescale)
-    return TriangleMesh(v, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    return _parsed_mesh(path, np.array(verts, dtype=np.float64),
+                        np.array(faces, dtype=np.int64).reshape(-1, 3), rescale)
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:
@@ -428,9 +447,7 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
         raise MeshFormatError(f"{path}: no vertex element")
     if faces is None:
         faces = np.zeros((0, 3), dtype=np.int64)
-    if rescale != 1.0:
-        vertices = vertices * float(rescale)
-    return TriangleMesh(vertices, faces)
+    return _parsed_mesh(path, vertices, faces, rescale)
 
 
 def load_mesh(path, format: str | None = None, rescale: float = 1.0) -> TriangleMesh:

@@ -339,7 +339,7 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float,
 def resample_uniform(curve, m: int) -> np.ndarray:
     """Resample a closed polyline to ``m`` points at equal arclength spacing,
     starting at the polyline's first point."""
-    pts = curve.points if isinstance(curve, LevelCurve) else np.asarray(curve, dtype=np.float64)
+    pts = np.asarray(curve, dtype=np.float64)
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
     seg = np.empty_like(pts)

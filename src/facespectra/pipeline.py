@@ -9,6 +9,7 @@ can run on a bounded worker pool with deterministic output ordering.
 from __future__ import annotations
 
 import multiprocessing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +21,11 @@ from .features import (
     MODE_COORDS,
     MODE_NORMS,
     FeatureTable,
-    assemble_face,
+    block_length,
     glf_norms,
     glf_project,
 )
-from .mesh import load_landmarks, load_mesh
+from .mesh import MeshFormatError, MeshStructureError, load_landmarks, load_mesh
 from .patches import PatchConfig, canonical_connectivity, extract_patches, save_patch_archive
 from .spectral import (DegenerateGeometryError, EigenConvergenceError, SpectralBasis,
                        eig_sym, graph_laplacian, shape_dna)
@@ -64,76 +65,80 @@ def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant)
     return "eigenvalues"
 
 
-# Per-process context for pool workers (set once by the initializer so the
-# basis is not re-pickled for every task).
-_CTX: dict = {}
+@dataclass(frozen=True)
+class _Job:
+    """What stays fixed for one featurization run: all patches share one
+    connectivity, so the config, its faces and the basis are set once per
+    worker (the basis is not re-pickled for every task)."""
+
+    cfg: PatchConfig
+    specs: tuple          # checked (method, mode, k) triples
+    basis: SpectralBasis | None
+    faces: np.ndarray     # canonical_connectivity(cfg)
+    align: str
+    drop_constant: bool
+    lumping: str
+    rescale: float
+    patches_dir: Path | None
 
 
-def _init_worker(ctx):
-    _CTX.clear()
-    _CTX.update(ctx)
-    if _CTX.get("basis_vectors") is not None:
-        _CTX["basis"] = SpectralBasis(
-            _CTX["basis_values"], _CTX["basis_vectors"], _CTX.get("basis_hash")
-        )
-    else:
-        _CTX["basis"] = None
+_JOB: _Job | None = None
+
+
+def _set_job(job: _Job) -> None:
+    global _JOB
+    _JOB = job
 
 
 def _spec_blocks(patches, missing, labels, spec, errors):
-    """Per-landmark feature blocks for one (method, mode, k) spec.
+    """One scan's feature row for a (method, mode, k) spec and its missing
+    mask: landmark i's block fills ``row[i*w:(i+1)*w]``, zeros where the
+    landmark is missing.
 
     A landmark whose descriptor fails on its geometry is flagged missing
     for this spec and its reason added to ``errors``; it is never
     fabricated.
     """
     method, mode, k = spec
-    blocks = []
+    w = block_length(method, mode, k)
+    row = np.zeros(len(labels) * w)
     miss = missing.copy()
-    for i in range(patches.shape[0]):
-        if miss[i]:
-            blocks.append(None)
-            continue
+    for i in np.flatnonzero(~missing):
         try:
-            if method == METHOD_GLF:
-                if _CTX["drop_constant"]:
-                    coeffs = glf_project(patches[i], _CTX["basis"], k + 1)[1:]
-                else:
-                    coeffs = glf_project(patches[i], _CTX["basis"], k)
-                blocks.append(coeffs if mode == MODE_COORDS else glf_norms(coeffs))
+            if method == METHOD_SHAPEDNA:
+                block = shape_dna(patches[i], _JOB.faces, k, lumping=_JOB.lumping)
+            elif _JOB.drop_constant:
+                block = glf_project(patches[i], _JOB.basis, k + 1)[1:]
             else:
-                blocks.append(shape_dna(patches[i], _CTX["faces"], k,
-                                        lumping=_CTX["lumping"]))
+                block = glf_project(patches[i], _JOB.basis, k)
+            if mode == MODE_NORMS:
+                block = glf_norms(block)
         except (DegenerateGeometryError, EigenConvergenceError) as exc:
-            blocks.append(None)
             miss[i] = True
             reason = f"{method} k={k}: {exc}"
             errors[labels[i]] = "; ".join(filter(None, (errors.get(labels[i]), reason)))
-    return blocks, miss
+            continue
+        row[i * w:(i + 1) * w] = block.reshape(-1)
+    return row, miss
 
 
-def _featurize_record(task):
-    index, mesh_path, lmk_path = task
-    cfg = PatchConfig.from_dict(_CTX["patch_cfg"])
+def _featurize_record(rec):
+    """``(per-spec (row, missing) list, landmark labels, errors)`` for one
+    manifest record; an unreadable mesh or landmark file gives ``(None,
+    None, {"scan", "error"})`` instead."""
     try:
-        mesh = load_mesh(mesh_path, rescale=_CTX["rescale"])
-        landmarks = load_landmarks(lmk_path)
-        patches, missing, errors = extract_patches(
-            mesh, landmarks, cfg, align=_CTX["align"]
-        )
-        if _CTX["patches_dir"] is not None:
-            save_patch_archive(
-                Path(_CTX["patches_dir"]) / Path(mesh_path).stem,
-                patches, landmarks.labels, missing, cfg,
-            )
-        per_spec = []
-        for spec in _CTX["specs"]:
-            blocks, miss = _spec_blocks(patches, missing, landmarks.labels, spec, errors)
-            vec = assemble_face(blocks, miss, spec[0], spec[1], spec[2])
-            per_spec.append((vec.values, miss))
-        return index, per_spec, list(landmarks.labels), errors
-    except Exception as exc:
-        return index, None, None, {"scan": str(mesh_path), "error": str(exc)}
+        mesh = load_mesh(rec.mesh_path, rescale=_JOB.rescale)
+        landmarks = load_landmarks(rec.landmarks_path)
+        patches, missing, errors = extract_patches(mesh, landmarks, _JOB.cfg,
+                                                   align=_JOB.align)
+        if _JOB.patches_dir is not None:
+            save_patch_archive(_JOB.patches_dir / rec.mesh_path.stem,
+                               patches, landmarks.labels, missing, _JOB.cfg)
+    except (MeshFormatError, MeshStructureError, OSError) as exc:
+        return None, None, {"scan": str(rec.mesh_path), "error": str(exc)}
+    per_spec = [_spec_blocks(patches, missing, landmarks.labels, spec, errors)
+                for spec in _JOB.specs]
+    return per_spec, list(landmarks.labels), errors
 
 
 def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
@@ -146,52 +151,32 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
 
     ``specs`` is a list of (method, mode, k) triples; patches are
     extracted once per scan and shared.  Returns ``(tables, errors)``
-    where ``tables[i]`` corresponds to ``specs[i]``.  A scan that cannot
-    be read or extracted at all is skipped and logged; with
+    where ``tables[i]`` corresponds to ``specs[i]``.  A scan whose mesh
+    or landmark file cannot be read is skipped and logged with the file
+    named; any other exception aborts the run.  With
     ``missing_policy="drop"`` scans with any missing patch are dropped
     too (otherwise their blocks are zero-filled and flagged).
     """
     if missing_policy not in ("zero", "drop"):
         raise ValueError(f"unknown missing policy {missing_policy!r}")
-    specs = [(m, _check_spec(m, mo, int(k), basis, patch_cfg, drop_constant), int(k))
-             for (m, mo, k) in specs]
+    specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, drop_constant), int(k))
+                  for (m, mo, k) in specs)
     if patches_dir is not None:
-        Path(patches_dir).mkdir(parents=True, exist_ok=True)
-    ctx = {
-        "patch_cfg": patch_cfg.to_dict(),
-        "specs": specs,
-        "align": align,
-        "drop_constant": drop_constant,
-        "lumping": lumping,
-        "rescale": rescale,
-        "patches_dir": str(patches_dir) if patches_dir is not None else None,
-        "faces": canonical_connectivity(patch_cfg),
-        "basis_values": basis.eigenvalues if basis is not None else None,
-        "basis_vectors": basis.eigenvectors if basis is not None else None,
-        "basis_hash": basis.config_hash if basis is not None else None,
-    }
-    tasks = [
-        (i, str(rec.mesh_path), str(rec.landmarks_path))
-        for i, rec in enumerate(manifest.records)
-    ]
-    results = [None] * len(tasks)
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs, initializer=_init_worker, initargs=(ctx,)) as pool:
-            for out in pool.imap(_featurize_record, tasks, chunksize=4):
-                results[out[0]] = out
+        patches_dir = Path(patches_dir)
+        patches_dir.mkdir(parents=True, exist_ok=True)
+    job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), align,
+               drop_constant, lumping, rescale, patches_dir)
+    if jobs > 1 and len(manifest.records) > 1:
+        with multiprocessing.Pool(jobs, initializer=_set_job, initargs=(job,)) as pool:
+            results = list(pool.imap(_featurize_record, manifest.records, chunksize=4))
     else:
-        _init_worker(ctx)
-        for t in tasks:
-            out = _featurize_record(t)
-            results[out[0]] = out
+        _set_job(job)
+        results = [_featurize_record(rec) for rec in manifest.records]
 
-    rows = [[] for _ in specs]
-    missing_rows = [[] for _ in specs]
-    keep_records = []
+    kept = []
     errors = []
     landmark_labels = None
-    for i, rec in enumerate(manifest.records):
-        index, per_spec, labels, errs = results[i]
+    for rec, (per_spec, labels, errs) in zip(manifest.records, results):
         if per_spec is None:
             errors.append(errs)
             continue
@@ -203,31 +188,28 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             continue
         if errs:
             errors.append({"scan": str(rec.mesh_path), "missing_patches": errs})
-        any_missing = any(miss.any() for _, miss in per_spec)
-        if any_missing and missing_policy == "drop":
+        if missing_policy == "drop" and any(miss.any() for _, miss in per_spec):
             errors.append({"scan": str(rec.mesh_path),
                            "error": "dropped (missing patches under --missing drop)"})
             continue
-        for s, (values, miss) in enumerate(per_spec):
-            rows[s].append(values)
-            missing_rows[s].append(miss)
-        keep_records.append(rec)
-    if not keep_records:
+        kept.append((rec, per_spec))
+    if not kept:
         raise RuntimeError("no scan could be featurized")
-    tables = []
-    for s, (method, mode, k) in enumerate(specs):
-        tables.append(FeatureTable(
-            X=np.vstack(rows[s]),
-            subjects=[r.subject for r in keep_records],
-            expressions=[r.expression for r in keep_records],
-            intensities=[r.intensity for r in keep_records],
-            aus=[r.aus for r in keep_records],
-            missing=np.vstack(missing_rows[s]),
+    records = [rec for rec, _ in kept]
+    return [
+        FeatureTable(
+            X=np.vstack([per_spec[s][0] for _, per_spec in kept]),
+            subjects=[r.subject for r in records],
+            expressions=[r.expression for r in records],
+            intensities=[r.intensity for r in records],
+            aus=[r.aus for r in records],
+            missing=np.vstack([per_spec[s][1] for _, per_spec in kept]),
             landmark_labels=landmark_labels,
             method=method,
             mode=mode,
             k=k,
             config=patch_cfg.to_dict(),
             config_hash=patch_cfg.connectivity_hash(),
-        ))
-    return tables, errors
+        )
+        for s, (method, mode, k) in enumerate(specs)
+    ], errors

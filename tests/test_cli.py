@@ -219,6 +219,16 @@ def test_explicit_flag_wins_over_config(cli_workspace, tmp_path):
     assert _features_with_config(cli_workspace, tmp_path, {"k": 6}, ["--k", "4"]) == 4
 
 
+def test_config_value_checked_like_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for config in ({"drop_constant": "false"}, {"curves": 2.5}, {"method": "foo"},
+                   {"lumping": 1}, {"k": None}, {"k": True}):
+        cfgfile.write_text(json.dumps(config))
+        rc = main(["features", "--config", str(cfgfile)])
+        assert rc == 2, config
+        assert repr(next(iter(config))) in capsys.readouterr().err, config
+
+
 def test_removed_no_op_flags_rejected(capsys):
     for argv in (["basis", "--seed", "1"], ["basis", "--jobs", "2"],
                  ["features", "--seed", "1"], ["evaluate", "--jobs", "2"]):

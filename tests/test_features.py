@@ -3,7 +3,6 @@ import pytest
 
 from facespectra.features import (
     FeatureTable,
-    assemble_face,
     block_length,
     feature_names,
     glf_norms,
@@ -107,37 +106,6 @@ def test_projection_dimension_mismatch_errors(basis):
         glf_project(np.zeros((N + 1, 3)), basis, 5)
     with pytest.raises(ValueError, match="k"):
         glf_project(np.zeros((N, 3)), basis, N + 1)
-
-
-# ---------------------------------------------------------------------------
-# assemble_face
-
-def test_assemble_lengths():
-    blocks = [np.arange(150.0).reshape(50, 3) for _ in range(2)]
-    v = assemble_face(blocks, [False, False], "glf", "coords", 50)
-    assert v.values.shape == (300,)
-    dna = [np.arange(50.0) for _ in range(68)]
-    v2 = assemble_face(dna, [False] * 68, "shapedna", "eigenvalues", 50)
-    assert v2.values.shape == (3400,)
-
-
-def test_assemble_all_missing_zero_vector():
-    v = assemble_face([None, None], [True, True], "glf", "coords", 4)
-    assert np.array_equal(v.values, np.zeros(24))
-    assert v.missing.all()
-
-
-def test_assemble_inconsistent_lengths_error():
-    with pytest.raises(ValueError, match="values"):
-        assemble_face([np.zeros(9), np.zeros(8)], [False, False],
-                      "shapedna", "eigenvalues", 9)
-
-
-def test_assemble_block_order_follows_landmark_order():
-    blocks = [np.full((2, 3), 1.0), np.full((2, 3), 2.0)]
-    v = assemble_face(blocks, [False, False], "glf", "coords", 2)
-    assert np.array_equal(v.values[:6], np.ones(6))
-    assert np.array_equal(v.values[6:], np.full(6, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
+import multiprocessing
+import shutil
+
 import numpy as np
 import pytest
 
 from facespectra import pipeline
-from facespectra.data import DatasetManifest
-from facespectra.features import save_feature_table
-from facespectra.patches import PatchConfig
+from facespectra.data import DatasetManifest, load_manifest
+from facespectra.features import glf_norms, glf_project, save_feature_table
+from facespectra.patches import PatchConfig, canonical_connectivity, load_patch_archive
 from facespectra.pipeline import compute_basis, compute_feature_tables
-from facespectra.spectral import DegenerateGeometryError
+from facespectra.spectral import DegenerateGeometryError, shape_dna
 
 from conftest import TINY_PATCH_CFG
 
@@ -30,13 +33,53 @@ def test_feature_pipeline_deterministic_bytes(tiny_manifest, tiny_basis, tmp_pat
     assert runs[0] == runs[1]
 
 
-def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis):
+def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis, tmp_path, monkeypatch):
     (serial,), _ = compute_feature_tables(
         tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 8)], basis=tiny_basis)
     (parallel,), _ = compute_feature_tables(
         tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 8)], basis=tiny_basis, jobs=2)
     assert np.array_equal(serial.X, parallel.X)
     assert serial.subjects == parallel.subjects
+
+    manifest = DatasetManifest(tiny_manifest.records[:6], tiny_manifest.root)
+
+    def run(jobs, out):
+        """Every job setting; returns the tables and the archive bytes."""
+        tables, errors = compute_feature_tables(
+            manifest, TINY_PATCH_CFG,
+            [("glf", "coords", 8), ("glf", "norms", 8), ("shapedna", "coords", 8)],
+            basis=tiny_basis, jobs=jobs, drop_constant=True, align="normal",
+            patches_dir=out)
+        assert errors == []
+        return tables, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    serial_tables, serial_arch = run(1, tmp_path / "serial")
+    # spawned workers unpickle the job; forked ones would inherit it
+    monkeypatch.setattr(pipeline, "multiprocessing", multiprocessing.get_context("spawn"))
+    parallel_tables, parallel_arch = run(2, tmp_path / "parallel")
+    for a, b in zip(serial_tables, parallel_tables):
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.missing, b.missing)
+        assert a.subjects == b.subjects
+    assert len(serial_arch) == 12 and serial_arch == parallel_arch
+
+
+def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_path):
+    """Landmark block i of a scan's row is the descriptor of its patch i."""
+    k = 8
+    manifest = DatasetManifest(tiny_manifest.records[:1], tiny_manifest.root)
+    tables, errors = compute_feature_tables(
+        manifest, TINY_PATCH_CFG,
+        [("glf", "coords", k), ("glf", "norms", k), ("shapedna", "coords", k)],
+        basis=tiny_basis, patches_dir=tmp_path)
+    assert errors == []
+    patches, _, _, _ = load_patch_archive(tmp_path / manifest.records[0].mesh_path.stem)
+    faces = canonical_connectivity(TINY_PATCH_CFG)
+    coords, norms, dna = (t.X[0].reshape(68, -1) for t in tables)
+    for i, patch in enumerate(patches):
+        coeffs = glf_project(patch, tiny_basis, k)
+        assert np.array_equal(coords[i], coeffs.reshape(-1))
+        assert np.array_equal(norms[i], glf_norms(coeffs))
+        assert np.array_equal(dna[i], shape_dna(patch, faces, k))
 
 
 def test_multi_spec_matches_single_spec(tiny_manifest, tiny_basis):
@@ -118,3 +161,33 @@ def test_descriptor_failure_names_landmark(tiny_manifest, monkeypatch):
         assert "injected zero-area face" in e["missing_patches"][first]
     assert table.missing[:, 0].all() and not table.missing[:, 1:].any()
     assert not table.X[:, :8].any() and table.X[:, 8:].all()
+
+
+def test_unreadable_inputs_skip_scan_naming_file(tiny_dataset_dir, tiny_basis, tmp_path):
+    shutil.copytree(tiny_dataset_dir, tmp_path / "data")
+    manifest = load_manifest(tmp_path / "data" / "manifest.csv")
+    manifest = DatasetManifest(manifest.records[:4], manifest.root)
+    mesh0, lmk1, mesh2 = (manifest.records[0].mesh_path, manifest.records[1].landmarks_path,
+                          manifest.records[2].mesh_path)
+    mesh0.write_bytes(b"\xff\xfe" + mesh0.read_bytes())           # not UTF-8
+    header, first, *rest = lmk1.read_text().splitlines()
+    lmk1.write_text("\n".join([header, first, first] + rest) + "\n")  # duplicate label
+    with open(mesh2, "a") as fh:
+        fh.write("f 1 2 99999\n")                                  # index past the end
+    (table,), errors = compute_feature_tables(manifest, TINY_PATCH_CFG,
+                                              [("glf", "coords", 5)], basis=tiny_basis)
+    assert table.subjects == [manifest.records[3].subject]
+    assert [e["scan"] for e in errors] == [str(r.mesh_path) for r in manifest.records[:3]]
+    for e, bad in zip(errors, (mesh0, lmk1, mesh2)):
+        assert str(bad) in e["error"], e
+
+
+def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
+    """Only unreadable inputs skip a scan; a bug in the featurizer aborts."""
+    def broken(patch, basis, k):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(pipeline, "glf_project", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                               basis=tiny_basis, jobs=1)
