@@ -27,7 +27,6 @@ from .mesh import (
 from .patches import (
     CurveAmbiguityError,
     CurveExtractionError,
-    LevelCurve,
     PatchConfig,
     build_patch,
     canonical_connectivity,

@@ -176,6 +176,9 @@ def cmd_evaluate(args) -> int:
         "n_landmarks": len(table.landmark_labels), "patch_config": table.config,
     }
 
+    if args.compare_features and (args.sweep or args.task != "expressions"):
+        raise UsageError("--compare-features applies to the expressions task "
+                         "without --sweep only")
     if args.sweep:
         if args.task != "expressions":
             raise UsageError("--sweep applies to the expressions task only")
@@ -186,9 +189,13 @@ def cmd_evaluate(args) -> int:
                              f"got {args.sweep!r}") from None
         if not k_values:
             raise UsageError("--sweep list is empty")
-        bad = [k for k in k_values if k > table.k]
+        bad = [k for k in k_values if not 1 <= k <= table.k]
         if bad:
-            raise UsageError(f"sweep k values {bad} exceed the table's k={table.k}")
+            raise UsageError(f"sweep k values {bad} are outside [1, {table.k}] "
+                             f"(the table's k)")
+        repeated = sorted({k for k in k_values if k_values.count(k) > 1})
+        if repeated:
+            raise UsageError(f"sweep k values {repeated} are repeated")
         result = eigen_sweep(table, k_values, classifier=clf, folds=folds, seed=seed)
         report = build_report("sweep", run_config, sweep_report_section(result))
         save_report(args.out, report)
@@ -288,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop the constant-eigenvector coefficient row")
     p.add_argument("--lumping", choices=("mixed", "barycentric"), default="mixed")
     p.add_argument("--rescale", type=float, default=1.0,
-                   help="unit rescale applied to meshes")
+                   help="unit rescale applied to meshes and their landmarks")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker pool size for scan extraction")
     p.add_argument("--save-patches", dest="save_patches",

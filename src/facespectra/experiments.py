@@ -263,6 +263,8 @@ def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | No
     extraction (column slicing) and the fold assignment across k."""
     k_values = [int(k) for k in k_values]
     for k in k_values:
+        if k < 1:
+            raise ValueError(f"k={k} must be >= 1")
         if k > table.k:
             raise ValueError(f"k={k} exceeds the table's component count {table.k}")
     splits = identity_disjoint_folds(table.subjects, folds, seed)
@@ -372,7 +374,7 @@ def validate_report(report: dict) -> None:
 
 
 def save_report(path, report: dict) -> None:
-    validate_report(report)
+    """Write a report built (and validated) by :func:`build_report`."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")

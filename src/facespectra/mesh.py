@@ -197,8 +197,10 @@ def snap_landmarks(mesh: TriangleMesh, landmarks: LandmarkSet) -> LandmarkSet:
     return LandmarkSet(landmarks.labels, mesh.vertices[nearest])
 
 
-def load_landmarks(path) -> LandmarkSet:
-    """Read a landmark CSV with header ``label,x,y,z`` (order preserved)."""
+def load_landmarks(path, rescale: float = 1.0) -> LandmarkSet:
+    """Read a landmark CSV with header ``label,x,y,z`` (order preserved);
+    positions are multiplied by ``rescale``, the factor its mesh is loaded
+    with."""
     path = Path(path)
     reader = csv.reader(_text_lines(path))
     try:
@@ -219,7 +221,7 @@ def load_landmarks(path) -> LandmarkSet:
         except ValueError:
             raise MeshFormatError(f"{path}: line {ln}: non-numeric coordinate") from None
     try:
-        return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64))
+        return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64) * float(rescale))
     except ValueError as exc:
         raise MeshFormatError(f"{path}: {exc}") from None
 

@@ -88,32 +88,6 @@ class PatchConfig:
         )
 
 
-@dataclass(frozen=True)
-class LevelCurve:
-    """Closed polyline of surface points at distance ``level`` from a landmark.
-
-    The closing segment (last point back to the first) is implied, not
-    stored.  Points are ordered counterclockwise about the outward apex
-    normal; by construction of the tracing step each point appears once,
-    so the polyline is simple in index order.
-    """
-
-    points: np.ndarray  # (P, 3)
-    level: float
-
-    def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=np.float64).reshape(-1, 3))
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "level", float(self.level))
-        if pts.shape[0] < 3:
-            raise ValueError("a closed curve needs at least 3 points")
-
-    def arclength(self) -> float:
-        seg = np.diff(np.vstack([self.points, self.points[:1]]), axis=0)
-        return float(np.linalg.norm(seg, axis=1).sum())
-
-
 def canonical_connectivity(cfg: PatchConfig) -> np.ndarray:
     """Shared face list for the canonical patch layout.
 
@@ -160,8 +134,10 @@ def _edge_crossing_points(vertices, edge_pairs, center, level):
     return a + t[:, None] * d
 
 
-def _trace_components(segments, n_points):
-    """Split crossing-point segments into closed loops and open chains.
+def _trace_loops(segments, n_points):
+    """Closed loops of crossing-point indices joined by ``segments``; a
+    walk that does not close (an open chain ending at the mesh boundary)
+    is dropped.
 
     Each crossing point lies on one mesh edge, shared by at most two
     crossed triangles, so point degrees are <= 2 on manifold regions.
@@ -178,48 +154,44 @@ def _trace_components(segments, n_points):
         nbr[q][deg[q]] = p
         deg[q] += 1
     visited = bytearray(n_points)
-
-    def walk(start):
+    loops = []
+    for start in range(n_points):
+        if visited[start]:
+            continue
         path = [start]
         visited[start] = 1
         prev, cur = -1, start
         while True:
             a, b = nbr[cur]
             nxt = a if a != prev else b
-            if nxt == -1 or nxt == start or visited[nxt]:
-                return path, nxt == start
+            if nxt == -1 or visited[nxt]:
+                break
             visited[nxt] = 1
             path.append(nxt)
             prev, cur = cur, nxt
-
-    loops, chains = [], []
-    # chains first so loop tracing never starts mid-chain
-    for start in range(n_points):
-        if not visited[start] and deg[start] == 1:
-            chains.append(walk(start)[0])
-    for start in range(n_points):
-        if not visited[start] and deg[start] > 0:
-            path, closed = walk(start)
-            (loops if closed else chains).append(path)
-    return loops, chains
+        if nxt == start:
+            loops.append(path)
+    return loops
 
 
 def _plane_basis(normal):
-    """Orthonormal ``(e1, e2)`` spanning the plane orthogonal to ``normal``,
-    computed once per landmark since every level shares the apex normal."""
+    """Right-handed orthonormal frame with rows ``(e1, e2, n)``: ``e1, e2``
+    span the plane orthogonal to ``normal`` and ``e1 x e2 = n``.  Computed
+    once per landmark since every level shares the apex normal."""
     n = np.asarray(normal, dtype=np.float64)
     n = n / np.sqrt(n @ n)
     ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(n, ref)
     e1 = e1 / np.sqrt(e1 @ e1)
     e2 = np.cross(n, e1)
-    return e1, e2
+    return np.array([e1, e2, n])
 
 
-def _winding(points, center, plane):
+def _winding(points, center, frame):
     """Signed number of turns of ``points`` around ``center`` projected on
-    ``plane = (e1, e2)`` (positive = counterclockwise about e1 x e2)."""
-    e1, e2 = plane
+    the plane of ``frame = (e1, e2, n)`` (positive = counterclockwise
+    about n)."""
+    e1, e2, _ = frame
     d = points - center
     theta = np.arctan2(d @ e2, d @ e1)
     dt = np.diff(np.concatenate([theta, theta[:1]]))
@@ -244,26 +216,24 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     return n / norm
 
 
-def _extract_level_curve_from_field(vertices, faces, field, center, level, plane,
-                                    context="", face_min=None, face_max=None):
-    if face_min is None or face_max is None:
-        fv = field[faces]
-        face_min = fv.min(axis=1)
-        face_max = fv.max(axis=1)
+def _enclosing_loop(mesh, field, face_min, face_max, center, level, frame, context):
+    """The closed iso-contour of ``field`` at ``level`` that winds around
+    ``center``, as a ``(P, 3)`` array of edge-crossing points ordered
+    counterclockwise about the frame normal (P >= 3)."""
     # a face is crossed iff its vertex values straddle the level
     mixed = np.nonzero((face_min < level) & (face_max >= level))[0]
     if mixed.size == 0:
         raise CurveExtractionError(
             f"iso-level {level} has no crossings{context}"
         )
-    fr = faces[mixed]
+    fr = mesh.faces[mixed]
     ir = field[fr] < level
     # edge slot s joins face corners s and s+1; a slot is crossed iff the
     # inside flags differ, so every mixed face has exactly two crossed slots
     xmask = ir != ir[:, [1, 2, 0]]
     u = fr
     v = fr[:, [1, 2, 0]]
-    n_verts = vertices.shape[0]
+    n_verts = mesh.n_vertices
     keys = np.minimum(u, v).astype(np.int64) * n_verts + np.maximum(u, v)
     flat = keys[xmask]
     if flat.size != 2 * fr.shape[0]:
@@ -277,8 +247,8 @@ def _extract_level_curve_from_field(vertices, faces, field, center, level, plane
         )
     segments = inverse.reshape(-1, 2)
     edge_pairs = np.stack([uniq // n_verts, uniq % n_verts], axis=1)
-    pts = _edge_crossing_points(vertices, edge_pairs, center, level)
-    loops, chains = _trace_components(segments.tolist(), uniq.size)
+    pts = _edge_crossing_points(mesh.vertices, edge_pairs, center, level)
+    loops = _trace_loops(segments.tolist(), uniq.size)
     if not loops:
         raise CurveExtractionError(
             f"iso-level {level} is not closed (reaches the mesh boundary){context}"
@@ -288,7 +258,7 @@ def _extract_level_curve_from_field(vertices, faces, field, center, level, plane
         if len(path) < 3:
             continue
         loop_pts = pts[path]
-        w = _winding(loop_pts, center, plane)
+        w = _winding(loop_pts, center, frame)
         if abs(w) >= 0.5:
             centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
             candidates.append((abs(w), -centroid_d, loop_pts, w))
@@ -307,13 +277,29 @@ def _extract_level_curve_from_field(vertices, faces, field, center, level, plane
         loop_pts = loop_pts[keep]
         if loop_pts.shape[0] < 3:
             raise CurveExtractionError(f"iso-level {level} degenerates to <3 points{context}")
-    return LevelCurve(loop_pts, level)
+    return loop_pts
 
 
-def extract_level_curve(mesh: TriangleMesh, r, level: float,
-                        normal=None, label: str = "") -> LevelCurve:
+def _level_curves(mesh: TriangleMesh, center, levels, normal, label):
+    """Yield the enclosing loop around ``center`` at each of ``levels``,
+    oriented counterclockwise about ``normal``; the distance field, its
+    per-face range and the winding frame are computed once for all."""
+    context = f" (landmark {label!r})" if label else ""
+    field = distance_field(mesh, center)
+    fv = field[mesh.faces]
+    face_min = fv.min(axis=1)
+    face_max = fv.max(axis=1)
+    frame = _plane_basis(normal)
+    for level in levels:
+        yield _enclosing_loop(mesh, field, face_min, face_max, center, float(level),
+                              frame, context)
+
+
+def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") -> np.ndarray:
     """Extract the closed iso-contour of the Euclidean distance field around
-    ``r`` at radius ``level``, as an ordered polyline of edge-crossing points.
+    ``r`` at radius ``level``, as a ``(P, 3)`` polyline of edge-crossing
+    points (P >= 3, closing segment implied) ordered counterclockwise about
+    the outward apex normal.
 
     Crossed edges are found from the sign structure of the per-vertex
     field (marching triangles); the crossing position on each edge solves
@@ -323,14 +309,7 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float,
     if level <= 0:
         raise ValueError(f"level must be positive, got {level}")
     r = np.asarray(r, dtype=np.float64).reshape(3)
-    context = f" (landmark {label!r})" if label else ""
-    field = distance_field(mesh, r)
-    if normal is None:
-        normal = apex_normal(mesh, r)
-    return _extract_level_curve_from_field(
-        mesh.vertices, mesh.faces, field, r, float(level), _plane_basis(normal),
-        context=context,
-    )
+    return next(_level_curves(mesh, r, [level], apex_normal(mesh, r), label))
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +361,6 @@ def _align_to_previous(samples, previous):
     return np.roll(samples, -s, axis=0)
 
 
-def _rotation_to_z(n):
-    """Rotation taking unit vector n to +z (Rodrigues)."""
-    n = n / np.linalg.norm(n)
-    z = np.array([0.0, 0.0, 1.0])
-    v = np.cross(n, z)
-    c = float(n @ z)
-    s = np.linalg.norm(v)
-    if s < 1e-15:
-        return np.eye(3) if c > 0 else np.diag([1.0, -1.0, -1.0])
-    vx = np.array([[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]]) / s
-    return np.eye(3) + s * vx + (1 - c) * (vx @ vx)
-
-
 def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
                 reference_axis=(1.0, 0.0, 0.0), align: str = "none") -> np.ndarray:
     """Extract all level curves around one landmark and assemble the
@@ -416,30 +382,17 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     label, center = landmark
     center = np.asarray(center, dtype=np.float64).reshape(3)
     axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
-    field = distance_field(mesh, center)
     normal = apex_normal(mesh, center)
-    fv = field[mesh.faces]
-    face_min = fv.min(axis=1)
-    face_max = fv.max(axis=1)
-    plane = _plane_basis(normal)
-    m = cfg.samples_per_curve
     rings = []
-    prev = None
-    for level in cfg.levels():
-        curve = _extract_level_curve_from_field(
-            mesh.vertices, mesh.faces, field, center, float(level), plane,
-            context=f" (landmark {label!r})", face_min=face_min, face_max=face_max,
-        )
-        pts = np.roll(curve.points, -_canonical_start(curve.points, center, axis), axis=0)
-        samples = resample_uniform(pts, m)
-        if prev is not None:
-            samples = _align_to_previous(samples, prev)
+    for curve in _level_curves(mesh, center, cfg.levels(), normal, label):
+        curve = np.roll(curve, -_canonical_start(curve, center, axis), axis=0)
+        samples = resample_uniform(curve, cfg.samples_per_curve)
+        if rings:
+            samples = _align_to_previous(samples, rings[-1])
         rings.append(samples)
-        prev = samples
     verts = np.vstack([center[None, :]] + rings) - center
     if align == "normal":
-        rot = _rotation_to_z(normal)
-        verts = verts @ rot.T
+        verts = verts @ _plane_basis(normal).T
         start_dir = verts[1].copy()
         start_dir[2] = 0.0
         norm = np.linalg.norm(start_dir)
@@ -451,7 +404,7 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
 
 
 def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig,
-                    reference_axis=(1.0, 0.0, 0.0), align: str = "none"):
+                    align: str = "none"):
     """Build patches for every landmark of a scan.
 
     Returns ``(array (N, 1+K*m, 3), missing (N,) bool, errors dict)``.
@@ -464,8 +417,7 @@ def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig
     errors: dict = {}
     for i, (label, pos) in enumerate(landmarks.items()):
         try:
-            out[i] = build_patch(mesh, (label, pos), cfg,
-                                 reference_axis=reference_axis, align=align)
+            out[i] = build_patch(mesh, (label, pos), cfg, align=align)
         except CurveExtractionError as exc:
             missing[i] = True
             errors[label] = str(exc)

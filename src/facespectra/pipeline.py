@@ -128,7 +128,7 @@ def _featurize_record(rec):
     None, {"scan", "error"})`` instead."""
     try:
         mesh = load_mesh(rec.mesh_path, rescale=_JOB.rescale)
-        landmarks = load_landmarks(rec.landmarks_path)
+        landmarks = load_landmarks(rec.landmarks_path, rescale=_JOB.rescale)
         patches, missing, errors = extract_patches(mesh, landmarks, _JOB.cfg,
                                                    align=_JOB.align)
         if _JOB.patches_dir is not None:

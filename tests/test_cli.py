@@ -173,6 +173,22 @@ def test_evaluate_cmd_compare_features(cli_workspace, tmp_path, capsys):
     assert "comparison" in capsys.readouterr().out
 
 
+def test_evaluate_cmd_bad_sweep_or_comparison_is_usage_error(cli_workspace, tmp_path,
+                                                             capsys):
+    glf = str(cli_workspace["glf"])
+    report_path = tmp_path / "bad.json"
+    for flags, named in ((["--sweep", "0,5"], "[0]"), (["--sweep=-3,5"], "[-3]"),
+                         (["--sweep", "5,2,5"], "[5]"),
+                         (["--task", "aus", "--compare-features", glf], "--compare-features"),
+                         (["--sweep", "2,6", "--compare-features", glf],
+                          "--compare-features")):
+        rc = main(["evaluate", "--features", glf, "--classifier", "flda", "--folds", "2",
+                   "--out", str(report_path), *flags])
+        assert rc == 2, flags
+        assert named in capsys.readouterr().err, flags
+        assert not report_path.exists()
+
+
 def _features_with_config(ws, tmp_path, config, flags=()):
     """Run glf ``features`` with ``config`` as its --config file; return
     the table's k."""

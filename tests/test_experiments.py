@@ -206,6 +206,13 @@ def test_sweep_rejects_k_above_table():
         eigen_sweep(table, [11], classifier=FLDA)
 
 
+def test_sweep_rejects_k_below_one():
+    table = sweep_table(np.random.default_rng(10))
+    for k in (0, -2):
+        with pytest.raises(ValueError, match=">= 1"):
+            eigen_sweep(table, [k, 5], classifier=FLDA)
+
+
 # ---------------------------------------------------------------------------
 # comparison + reports
 

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facespectra.mesh import RigidTransform, TriangleMesh, apply_transform, vertex_degrees
 from facespectra.patches import (
     CurveAmbiguityError,
     CurveExtractionError,
-    LevelCurve,
     PatchConfig,
+    apex_normal,
     build_patch,
     canonical_connectivity,
     extract_level_curve,
@@ -75,9 +76,9 @@ def test_grid_curve_distance_and_turning():
     mesh = make_grid_mesh(21, 21)
     apex = mesh.vertices[10 * 21 + 10]
     curve = extract_level_curve(mesh, apex, 2.0)
-    d = np.linalg.norm(curve.points - apex, axis=1)
+    d = np.linalg.norm(curve - apex, axis=1)
     assert np.abs(d - 2.0).max() <= 1e-6 * 2.0
-    total = turning_angle(curve.points[:, :2])
+    total = turning_angle(curve[:, :2])
     assert abs(abs(total) - 2 * np.pi) < 1e-6
 
 
@@ -86,8 +87,8 @@ def test_tiny_level_crosses_each_fan_edge_once():
     apex_idx = 7 * 15 + 7
     apex = mesh.vertices[apex_idx]
     curve = extract_level_curve(mesh, apex, 0.3)
-    assert len(curve.points) == vertex_degrees(mesh)[apex_idx]
-    d = np.linalg.norm(curve.points - apex, axis=1)
+    assert len(curve) == vertex_degrees(mesh)[apex_idx]
+    d = np.linalg.norm(curve - apex, axis=1)
     assert np.abs(d - 0.3).max() <= 1e-6 * 0.3
 
 
@@ -99,7 +100,8 @@ def test_sphere_curve_length_matches_circle_oracle():
     # chord lam subtends polar angle 2*asin(lam / 2R); circle radius R sin(theta)
     theta = 2.0 * math.asin(lam / (2 * R))
     oracle = 2 * np.pi * R * math.sin(theta)
-    assert curve.arclength() == pytest.approx(oracle, rel=0.02)
+    arclength = np.linalg.norm(curve - np.roll(curve, 1, axis=0), axis=1).sum()
+    assert arclength == pytest.approx(oracle, rel=0.02)
 
 
 def test_curve_invariant_holds_on_synthetic_face():
@@ -107,7 +109,7 @@ def test_curve_invariant_holds_on_synthetic_face():
     for idx in (0, 20, 40):
         for lam in (5.0, 12.0, 20.0):
             curve = extract_level_curve(mesh, lmk.positions[idx], lam)
-            d = np.linalg.norm(curve.points - lmk.positions[idx], axis=1)
+            d = np.linalg.norm(curve - lmk.positions[idx], axis=1)
             assert np.abs(d - lam).max() <= 1e-6 * lam
 
 
@@ -115,7 +117,7 @@ def test_curve_ccw_orientation_about_apex_normal():
     mesh = make_grid_mesh(21, 21)  # face normals point +z
     apex = mesh.vertices[10 * 21 + 10]
     curve = extract_level_curve(mesh, apex, 3.0)
-    assert turning_angle(curve.points[:, :2]) > 0
+    assert turning_angle(curve[:, :2]) > 0
 
 
 def test_missing_level_raises_with_context():
@@ -146,11 +148,6 @@ def test_component_not_enclosing_raises_ambiguity():
     mesh = TriangleMesh(verts, faces)
     with pytest.raises(CurveAmbiguityError, match="encloses"):
         extract_level_curve(mesh, np.zeros(3), 31.0)
-
-
-def test_level_curve_needs_at_least_three_points():
-    with pytest.raises(ValueError):
-        LevelCurve(np.zeros((2, 3)), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +295,14 @@ def test_build_patch_normal_alignment_mode():
     patch = build_patch(mesh, (label, pos), cfg, align="normal")
     # first ring start direction lies in the xz half-plane with y ~ 0
     assert abs(patch[1][1]) < 1e-9
+    # the one rotation taking the apex normal to +z and the first sample of
+    # the unaligned patch into the +x half-plane
+    unaligned = build_patch(mesh, (label, pos), cfg)
+    n = apex_normal(mesh, pos)
+    u = unaligned[1] - (unaligned[1] @ n) * n
+    u /= np.linalg.norm(u)
+    expected = unaligned @ np.array([u, np.cross(n, u), n]).T
+    assert np.abs(patch - expected).max() <= 1e-12 * np.abs(expected).max()
     rng = np.random.default_rng(8)
     t = RigidTransform.random(rng, max_translation=10.0)
     moved = apply_transform(mesh, t)
@@ -349,3 +354,30 @@ def test_patch_archive_shape_mismatch(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         save_patch_archive(tmp_path / "bad", np.zeros((2, 5, 3)), ["A", "B"],
                            [False, False], cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_build_patch_invariant_under_reindexing(seed):
+    """Vertex re-indexing, face re-ordering and cyclic corner rotation
+    leave the patch unchanged on random height fields."""
+    rng = np.random.default_rng(seed)
+    waves = rng.normal(scale=0.4, size=(4, 2))
+    amps = rng.normal(scale=0.3, size=4)
+    phases = rng.uniform(0, 2 * np.pi, size=4)
+
+    def height(x, y):
+        return sum(a * np.sin(w[0] * x + w[1] * y + p) for a, w, p in zip(amps, waves, phases))
+
+    mesh = make_grid_mesh(21, 21, spacing=0.5, height=height)
+    pos = mesh.vertices[10 * 21 + 10] + rng.normal(scale=0.05, size=3)
+    perm = rng.permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    faces = perm[mesh.faces][rng.permutation(len(mesh.faces))]
+    turn = (np.arange(3)[None, :] + rng.integers(0, 3, size=(len(faces), 1))) % 3
+    shuffled = TriangleMesh(verts, np.take_along_axis(faces, turn, axis=1))
+    cfg = PatchConfig(1.5, 4.0, 3, 8)
+    for align in ("none", "normal"):
+        base = build_patch(mesh, ("C", pos), cfg, align=align)
+        assert np.abs(build_patch(shuffled, ("C", pos), cfg, align=align) - base).max() < 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import shutil
 
@@ -7,6 +8,7 @@ import pytest
 from facespectra import pipeline
 from facespectra.data import DatasetManifest, load_manifest
 from facespectra.features import glf_norms, glf_project, save_feature_table
+from facespectra.mesh import LandmarkSet, load_landmarks, load_mesh, save_landmarks
 from facespectra.patches import PatchConfig, canonical_connectivity, load_patch_archive
 from facespectra.pipeline import compute_basis, compute_feature_tables
 from facespectra.spectral import DegenerateGeometryError, shape_dna
@@ -191,3 +193,60 @@ def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
     with pytest.raises(TypeError, match="injected bug"):
         compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
                                basis=tiny_basis, jobs=1)
+
+
+def test_rescale_applies_to_meshes_and_landmarks(tiny_manifest, tiny_basis, tmp_path):
+    """A corpus stored at twice the scale and read back with rescale=0.5
+    gives the original table exactly (scaling by 2 is exact)."""
+    records = tiny_manifest.records[:2]
+    doubled = []
+    for rec in records:
+        mesh = load_mesh(rec.mesh_path)
+        lmk = load_landmarks(rec.landmarks_path)
+        mesh_path = tmp_path / rec.mesh_path.name
+        lmk_path = tmp_path / rec.landmarks_path.name
+        mesh_path.write_text(
+            "".join("v %r %r %r\n" % tuple(v) for v in (2 * mesh.vertices).tolist())
+            + "".join("f %d %d %d\n" % tuple(f) for f in (mesh.faces + 1).tolist()))
+        lmk_path.write_text("label,x,y,z\n" + "".join(
+            "%s,%r,%r,%r\n" % (label, *p) for label, p in
+            zip(lmk.labels, (2 * lmk.positions).tolist())))
+        doubled.append(dataclasses.replace(rec, mesh_path=mesh_path, landmarks_path=lmk_path))
+    spec = [("glf", "coords", 8)]
+    (orig,), errors = compute_feature_tables(DatasetManifest(records, tiny_manifest.root),
+                                             TINY_PATCH_CFG, spec, basis=tiny_basis)
+    assert errors == []
+    (scaled,), errors = compute_feature_tables(DatasetManifest(doubled, tmp_path),
+                                               TINY_PATCH_CFG, spec, basis=tiny_basis,
+                                               rescale=0.5)
+    assert errors == []
+    assert np.array_equal(scaled.X, orig.X) and not scaled.missing.any()
+
+
+def test_missing_policy_zero_flags_and_drop_removes_scan(tiny_manifest, tiny_basis, tmp_path):
+    records = tiny_manifest.records[:3]
+    lmk = load_landmarks(records[0].landmarks_path)
+    positions = lmk.positions.copy()
+    positions[2] += 1000.0                      # far off the mesh
+    off = tmp_path / "off_surface.csv"
+    save_landmarks(off, LandmarkSet(lmk.labels, positions))
+    manifest = DatasetManifest([dataclasses.replace(records[0], landmarks_path=off),
+                                *records[1:]], tiny_manifest.root)
+    scan = str(records[0].mesh_path)
+    tables = {}
+    for policy in ("zero", "drop"):
+        (tables[policy],), errors = compute_feature_tables(
+            manifest, TINY_PATCH_CFG, [("glf", "coords", 5)], basis=tiny_basis,
+            missing_policy=policy)
+        assert errors[0]["scan"] == scan
+        assert list(errors[0]["missing_patches"]) == [lmk.labels[2]]
+        if policy == "zero":
+            assert len(errors) == 1
+        else:
+            assert errors[1:] == [{"scan": scan, "error": "dropped (missing patches "
+                                                          "under --missing drop)"}]
+    zero, drop = tables["zero"], tables["drop"]
+    assert zero.missing.shape[0] == 3 and np.flatnonzero(zero.missing[0]).tolist() == [2]
+    assert not zero.missing[1:].any() and not zero.X[0, 2 * 15:3 * 15].any()
+    assert np.array_equal(drop.X, zero.X[1:]) and not drop.missing.any()
+    assert drop.subjects == zero.subjects[1:]
