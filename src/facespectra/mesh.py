@@ -132,6 +132,13 @@ def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
     return np.linalg.norm(mesh.vertices - r, axis=1)
 
 
+def nearest_vertex(points: np.ndarray, r) -> int:
+    """Row index of the point in ``points`` (n, 3) nearest to ``r``; the
+    lowest index wins a tie."""
+    d = points - np.asarray(r, dtype=np.float64).reshape(3)
+    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
+
+
 def vertex_degrees(mesh: TriangleMesh) -> np.ndarray:
     """Number of distinct undirected edges incident to each vertex."""
     return np.bincount(mesh.edges().ravel(), minlength=mesh.n_vertices)
@@ -192,8 +199,7 @@ def snap_landmarks(mesh: TriangleMesh, landmarks: LandmarkSet) -> LandmarkSet:
     Datasets sometimes annotate points slightly off the surface; snapping
     is optional and never applied implicitly.
     """
-    d = landmarks.positions[:, None, :] - mesh.vertices[None, :, :]
-    nearest = np.argmin(np.einsum("ijk,ijk->ij", d, d), axis=1)
+    nearest = [nearest_vertex(mesh.vertices, p) for p in landmarks.positions]
     return LandmarkSet(landmarks.labels, mesh.vertices[nearest])
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import TriangleMesh, LandmarkSet, distance_field
+from .mesh import TriangleMesh, LandmarkSet, distance_field, nearest_vertex
 
 
 class CurveExtractionError(RuntimeError):
@@ -116,9 +116,10 @@ def canonical_connectivity(cfg: PatchConfig) -> np.ndarray:
 # Iso-contour extraction (marching triangles on the vertex distance field)
 
 def _edge_crossing_points(vertices, edge_pairs, center, level):
-    """Points on the given edges at exact Euclidean distance ``level`` from
-    ``center``.  The crossed edges are selected from the sign structure of
-    the per-vertex field, which guarantees exactly one root in [0, 1]."""
+    """Points on the given edges at exact Euclidean distance ``level`` (one
+    value, or one per edge) from ``center``.  The crossed edges are
+    selected from the sign structure of the per-vertex field, which
+    guarantees exactly one root in [0, 1]."""
     a = vertices[edge_pairs[:, 0]]
     d = vertices[edge_pairs[:, 1]] - a
     m0 = a - center
@@ -134,36 +135,43 @@ def _edge_crossing_points(vertices, edge_pairs, center, level):
     return a + t[:, None] * d
 
 
-def _trace_loops(segments, n_points):
-    """Closed loops of crossing-point indices joined by ``segments``; a
-    walk that does not close (an open chain ending at the mesh boundary)
-    is dropped.
+def _neighbours(segments, n_points):
+    """``(first, second, deg)``: for each point, the point joined to it by
+    the first and by the second of ``segments`` that contain it (-1 for
+    none), and its degree.  Every point must lie on some segment."""
+    ends = segments.ravel()
+    other = segments[:, ::-1].ravel()
+    order = np.argsort(ends, kind="stable")
+    deg = np.bincount(ends, minlength=n_points)
+    start = np.cumsum(deg) - deg
+    first = other[order[start]]
+    second = np.full(n_points, -1, dtype=np.int64)
+    two = deg > 1
+    second[two] = other[order[start[two] + 1]]
+    return first, second, deg
+
+
+def _trace_loops(first, second, lo, hi):
+    """Closed loops of the points ``lo..hi-1``, walked along the neighbour
+    lists ``first``/``second`` (-1 for none; no neighbour lies outside the
+    range); a walk that does not close (an open chain ending at the mesh
+    boundary) is dropped.
 
     Each crossing point lies on one mesh edge, shared by at most two
     crossed triangles, so point degrees are <= 2 on manifold regions.
     """
-    nbr = [[-1, -1] for _ in range(n_points)]
-    deg = [0] * n_points
-    for p, q in segments:
-        if deg[p] > 1 or deg[q] > 1:
-            raise CurveExtractionError(
-                "non-manifold iso-contour (a crossing point has degree > 2)"
-            )
-        nbr[p][deg[p]] = q
-        deg[p] += 1
-        nbr[q][deg[q]] = p
-        deg[q] += 1
-    visited = bytearray(n_points)
+    visited = bytearray(hi)
     loops = []
-    for start in range(n_points):
+    for start in range(lo, hi):
         if visited[start]:
             continue
         path = [start]
         visited[start] = 1
         prev, cur = -1, start
         while True:
-            a, b = nbr[cur]
-            nxt = a if a != prev else b
+            nxt = first[cur]
+            if nxt == prev:
+                nxt = second[cur]
             if nxt == -1 or visited[nxt]:
                 break
             visited[nxt] = 1
@@ -201,14 +209,17 @@ def _winding(points, center, frame):
 
 def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     """Outward surface normal near ``r``: area-weighted average of the face
-    normals incident to the nearest mesh vertex."""
+    normals incident to the nearest vertex that some face references
+    (vertices no face uses are ignored)."""
     r = np.asarray(r, dtype=np.float64).reshape(3)
-    d = mesh.vertices - r
-    nearest = int(np.argmin(np.einsum("ij,ij->i", d, d)))
-    mask = (mesh.faces == nearest).any(axis=1)
-    tris = mesh.vertices[mesh.faces[mask]]
-    if tris.shape[0] == 0:
-        raise CurveExtractionError(f"no faces incident to the vertex nearest to {r.tolist()}")
+    f = mesh.faces
+    if f.size == 0:
+        raise CurveExtractionError(f"no faces near {r.tolist()}")
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[f] = True
+    used = np.flatnonzero(used)
+    nearest = used[nearest_vertex(mesh.vertices[used], r)]
+    tris = mesh.vertices[f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]]
     n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).sum(axis=0)
     norm = np.linalg.norm(n)
     if norm < 1e-15:
@@ -216,83 +227,107 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     return n / norm
 
 
-def _enclosing_loop(mesh, field, face_min, face_max, center, level, frame, context):
-    """The closed iso-contour of ``field`` at ``level`` that winds around
-    ``center``, as a ``(P, 3)`` array of edge-crossing points ordered
-    counterclockwise about the frame normal (P >= 3)."""
-    # a face is crossed iff its vertex values straddle the level
-    mixed = np.nonzero((face_min < level) & (face_max >= level))[0]
-    if mixed.size == 0:
-        raise CurveExtractionError(
-            f"iso-level {level} has no crossings{context}"
-        )
-    fr = mesh.faces[mixed]
-    ir = field[fr] < level
+def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, context):
+    """Yield, for each of ``levels`` in turn, the closed iso-contour of
+    ``field`` that winds around ``center``, as a ``(P, 3)`` array of
+    edge-crossing points ordered counterclockwise about the frame normal
+    (P >= 3).  The crossed edges of all levels are found, numbered and
+    solved in one pass; a level that fails raises when its turn comes."""
+    levels = np.asarray(levels, dtype=np.float64)
+    n_verts = mesh.n_vertices
+    span = n_verts * n_verts
+    # (level, face) of every crossed face, level-major and in face order: a
+    # face is crossed iff its vertex values straddle the level
+    crossed = np.flatnonzero((face_min < levels[:, None]) & (face_max >= levels[:, None]))
+    lev, fi = np.divmod(crossed, face_min.size)
+    n_mixed = np.bincount(lev, minlength=levels.size)
+    fr = mesh.faces[fi]
+    ir = field[fr] < levels[lev, None]
     # edge slot s joins face corners s and s+1; a slot is crossed iff the
     # inside flags differ, so every mixed face has exactly two crossed slots
     xmask = ir != ir[:, [1, 2, 0]]
-    u = fr
+    bad = np.count_nonzero(xmask, axis=1) != 2
+    if bad.any():
+        raise CurveExtractionError(
+            f"iso-level {levels[lev[bad][0]]}: inconsistent crossing structure{context}"
+        )
     v = fr[:, [1, 2, 0]]
-    n_verts = mesh.n_vertices
-    keys = np.minimum(u, v).astype(np.int64) * n_verts + np.maximum(u, v)
-    flat = keys[xmask]
-    if flat.size != 2 * fr.shape[0]:
-        raise CurveExtractionError(
-            f"iso-level {level}: inconsistent crossing structure{context}"
-        )
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    if uniq.size < 3:
-        raise CurveExtractionError(
-            f"iso-level {level} crosses fewer than 3 mesh edges{context}"
-        )
-    segments = inverse.reshape(-1, 2)
-    edge_pairs = np.stack([uniq // n_verts, uniq % n_verts], axis=1)
-    pts = _edge_crossing_points(mesh.vertices, edge_pairs, center, level)
-    loops = _trace_loops(segments.tolist(), uniq.size)
-    if not loops:
-        raise CurveExtractionError(
-            f"iso-level {level} is not closed (reaches the mesh boundary){context}"
-        )
-    candidates = []
-    for path in loops:
-        if len(path) < 3:
-            continue
-        loop_pts = pts[path]
-        w = _winding(loop_pts, center, frame)
-        if abs(w) >= 0.5:
-            centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
-            candidates.append((abs(w), -centroid_d, loop_pts, w))
-    if not candidates:
-        raise CurveAmbiguityError(
-            f"iso-level {level}: {len(loops)} closed component(s), none encloses the landmark{context}"
-        )
-    candidates.sort(key=lambda c: (-c[0], c[1]))
-    loop_pts, w = candidates[0][2], candidates[0][3]
-    if w < 0:
-        loop_pts = loop_pts[::-1]
-    # drop consecutive duplicates (crossing exactly at a shared vertex)
-    seg = np.linalg.norm(np.diff(np.vstack([loop_pts, loop_pts[:1]]), axis=0), axis=1)
-    keep = seg > 1e-12 * level
-    if not keep.all():
-        loop_pts = loop_pts[keep]
-        if loop_pts.shape[0] < 3:
-            raise CurveExtractionError(f"iso-level {level} degenerates to <3 points{context}")
-    return loop_pts
+    # an edge key within a level, tagged with the level index
+    keys = lev[:, None] * span + np.minimum(fr, v) * n_verts + np.maximum(fr, v)
+    uniq, inverse = np.unique(keys[xmask], return_inverse=True)
+    bounds = np.searchsorted(uniq, np.arange(levels.size + 1) * span).tolist()
+    edges = uniq % span
+    pts = _edge_crossing_points(mesh.vertices,
+                                np.stack([edges // n_verts, edges % n_verts], axis=1),
+                                center, levels[uniq // span])
+    first, second, deg = _neighbours(inverse.reshape(-1, 2), uniq.size)
+    first, second = first.tolist(), second.tolist()
+    for i, level in enumerate(levels.tolist()):
+        if n_mixed[i] == 0:
+            raise CurveExtractionError(
+                f"iso-level {level} has no crossings{context}"
+            )
+        lo, hi = bounds[i], bounds[i + 1]
+        if hi - lo < 3:
+            raise CurveExtractionError(
+                f"iso-level {level} crosses fewer than 3 mesh edges{context}"
+            )
+        if deg[lo:hi].max() > 2:
+            raise CurveExtractionError(
+                "non-manifold iso-contour (a crossing point has degree > 2)"
+            )
+        loops = _trace_loops(first, second, lo, hi)
+        if not loops:
+            raise CurveExtractionError(
+                f"iso-level {level} is not closed (reaches the mesh boundary){context}"
+            )
+        candidates = []
+        for path in loops:
+            if len(path) < 3:
+                continue
+            loop_pts = pts[path]
+            w = _winding(loop_pts, center, frame)
+            if abs(w) >= 0.5:
+                centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
+                candidates.append((abs(w), -centroid_d, loop_pts, w))
+        if not candidates:
+            raise CurveAmbiguityError(
+                f"iso-level {level}: {len(loops)} closed component(s), none encloses the landmark{context}"
+            )
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        loop_pts, w = candidates[0][2], candidates[0][3]
+        if w < 0:
+            loop_pts = loop_pts[::-1]
+        # drop consecutive duplicates (crossing exactly at a shared vertex)
+        seg = np.linalg.norm(np.diff(np.vstack([loop_pts, loop_pts[:1]]), axis=0), axis=1)
+        keep = seg > 1e-12 * level
+        if not keep.all():
+            loop_pts = loop_pts[keep]
+            if loop_pts.shape[0] < 3:
+                raise CurveExtractionError(f"iso-level {level} degenerates to <3 points{context}")
+        yield loop_pts
 
 
-def _level_curves(mesh: TriangleMesh, center, levels, normal, label):
-    """Yield the enclosing loop around ``center`` at each of ``levels``,
-    oriented counterclockwise about ``normal``; the distance field, its
-    per-face range and the winding frame are computed once for all."""
+def _level_curves(mesh: TriangleMesh, center, levels, label):
+    """The apex normal at ``center`` and an iterator over the enclosing loop
+    around it at each of ``levels``, oriented counterclockwise about that
+    normal.  Only a face with a corner closer than the largest level can
+    cross a level, so the normal and every loop are taken from those faces;
+    the distance field is computed once for all levels."""
     context = f" (landmark {label!r})" if label else ""
     field = distance_field(mesh, center)
     fv = field[mesh.faces]
-    face_min = fv.min(axis=1)
-    face_max = fv.max(axis=1)
-    frame = _plane_basis(normal)
-    for level in levels:
-        yield _enclosing_loop(mesh, field, face_min, face_max, center, float(level),
-                              frame, context)
+    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
+    near = face_min < max(levels)
+    if not near.any():
+        raise CurveExtractionError(f"iso-level {float(levels[0])} has no crossings{context}")
+    # compress: several times faster than a boolean index on a large mesh
+    crop = TriangleMesh(mesh.vertices, mesh.faces.compress(near, axis=0))
+    normal = apex_normal(crop, center)
+    fv = fv.compress(near, axis=0)
+    face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
+    return normal, _enclosing_loops(crop, field, face_min.compress(near), face_max, center,
+                                    levels, _plane_basis(normal), context)
 
 
 def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") -> np.ndarray:
@@ -309,7 +344,7 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") ->
     if level <= 0:
         raise ValueError(f"level must be positive, got {level}")
     r = np.asarray(r, dtype=np.float64).reshape(3)
-    return next(_level_curves(mesh, r, [level], apex_normal(mesh, r), label))
+    return next(_level_curves(mesh, r, [level], label)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +417,9 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     label, center = landmark
     center = np.asarray(center, dtype=np.float64).reshape(3)
     axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
-    normal = apex_normal(mesh, center)
+    normal, curves = _level_curves(mesh, center, cfg.levels(), label)
     rings = []
-    for curve in _level_curves(mesh, center, cfg.levels(), normal, label):
+    for curve in curves:
         curve = np.roll(curve, -_canonical_start(curve, center, axis), axis=0)
         samples = resample_uniform(curve, cfg.samples_per_curve)
         if rings:

@@ -356,12 +356,8 @@ def test_patch_archive_shape_mismatch(tmp_path):
                            [False, False], cfg)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_build_patch_invariant_under_reindexing(seed):
-    """Vertex re-indexing, face re-ordering and cyclic corner rotation
-    leave the patch unchanged on random height fields."""
-    rng = np.random.default_rng(seed)
+def random_height_field(rng):
+    """21 x 21 grid (0.5 spacing) under a random sum of four plane waves."""
     waves = rng.normal(scale=0.4, size=(4, 2))
     amps = rng.normal(scale=0.3, size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
@@ -369,7 +365,27 @@ def test_build_patch_invariant_under_reindexing(seed):
     def height(x, y):
         return sum(a * np.sin(w[0] * x + w[1] * y + p) for a, w, p in zip(amps, waves, phases))
 
-    mesh = make_grid_mesh(21, 21, spacing=0.5, height=height)
+    return make_grid_mesh(21, 21, spacing=0.5, height=height)
+
+
+def test_build_patch_ignores_unreferenced_vertex_at_landmark():
+    mesh = make_grid_mesh(41, 41, spacing=0.25)
+    apex = mesh.vertices[20 * 41 + 20] + [0.02, -0.03, 0.0]
+    stray = TriangleMesh(np.vstack([mesh.vertices, apex]), mesh.faces)
+    cfg = PatchConfig(1.0, 2.0, 2, 3)
+    for align in ("none", "normal"):
+        base = build_patch(mesh, ("C", apex), cfg, align=align)
+        assert np.array_equal(build_patch(stray, ("C", apex), cfg, align=align), base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_build_patch_invariant_under_reindexing(seed):
+    """Vertex re-indexing, face re-ordering and cyclic corner rotation
+    leave the patch unchanged on random height fields; surface beyond
+    lambda_max and vertices no face uses leave it bit-identical."""
+    rng = np.random.default_rng(seed)
+    mesh = random_height_field(rng)
     pos = mesh.vertices[10 * 21 + 10] + rng.normal(scale=0.05, size=3)
     perm = rng.permutation(mesh.n_vertices)
     verts = np.empty_like(mesh.vertices)
@@ -378,6 +394,36 @@ def test_build_patch_invariant_under_reindexing(seed):
     turn = (np.arange(3)[None, :] + rng.integers(0, 3, size=(len(faces), 1))) % 3
     shuffled = TriangleMesh(verts, np.take_along_axis(faces, turn, axis=1))
     cfg = PatchConfig(1.5, 4.0, 3, 8)
+    # a translated copy of the whole mesh, and unreferenced vertices, all
+    # farther than lambda_max from the landmark
+    n = mesh.n_vertices
+    far_copy = TriangleMesh(np.vstack([mesh.vertices, mesh.vertices + [30.0, 0.0, 0.0]]),
+                            np.vstack([mesh.faces, mesh.faces + n]))
+    u = rng.normal(size=(5, 3))
+    away = pos + u / np.linalg.norm(u, axis=1)[:, None] * rng.uniform(4.5, 40.0, size=(5, 1))
+    strays = TriangleMesh(np.vstack([far_copy.vertices, away]), far_copy.faces)
     for align in ("none", "normal"):
         base = build_patch(mesh, ("C", pos), cfg, align=align)
         assert np.abs(build_patch(shuffled, ("C", pos), cfg, align=align) - base).max() < 1e-9
+        for extended in (far_copy, strays):
+            assert np.array_equal(build_patch(extended, ("C", pos), cfg, align=align), base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_build_patch_rigid_motion_on_random_height_fields(seed):
+    """A rotation plus translation of mesh, landmark and reference axis
+    rotates the unaligned patch and leaves the normal-aligned one as is."""
+    rng = np.random.default_rng(seed)
+    mesh = random_height_field(rng)
+    pos = mesh.vertices[10 * 21 + 10] + rng.normal(scale=0.05, size=3)
+    cfg = PatchConfig(1.5, 4.0, 3, 8)
+    t = RigidTransform.random(rng, max_translation=50.0)
+    moved = apply_transform(mesh, t)
+    axis = t.rotation @ np.array([1.0, 0.0, 0.0])
+    base = build_patch(mesh, ("C", pos), cfg)
+    patch_t = build_patch(moved, ("C", t.apply(pos)), cfg, reference_axis=axis)
+    assert np.abs(patch_t - base @ t.rotation.T).max() < 1e-9
+    base = build_patch(mesh, ("C", pos), cfg, align="normal")
+    patch_t = build_patch(moved, ("C", t.apply(pos)), cfg, reference_axis=axis, align="normal")
+    assert np.abs(patch_t - base).max() < 1e-9
