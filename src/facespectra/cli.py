@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,7 +63,7 @@ def _config_value(action: argparse.Action, key: str, value):
     elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
             converted = (action.type or str)(str(value))
-        except ValueError:
+        except (ValueError, argparse.ArgumentTypeError):
             ok = False
         else:
             ok = action.choices is None or converted in action.choices
@@ -93,6 +94,17 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     args.parser.set_defaults(**{key: _config_value(actions[key], key, value)
                                 for key, value in overrides.items()})
     return parser.parse_args(argv)
+
+
+def _positive(kind):
+    """Flag ``type`` that parses with ``kind`` and accepts only finite
+    values above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    return parse
 
 
 def _patch_config(args) -> PatchConfig:
@@ -148,8 +160,8 @@ def cmd_features(args) -> int:
     (table,), errors = pipeline.compute_feature_tables(
         manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
         jobs=args.jobs, missing_policy=args.missing, align=args.align,
-        drop_constant=args.drop_constant, lumping=args.lumping,
-        rescale=args.rescale, patches_dir=args.save_patches,
+        drop_constant=args.drop_constant, rescale=args.rescale,
+        patches_dir=args.save_patches,
     )
     save_feature_table(args.out, table)
     if args.csv:
@@ -293,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="zero-fill missing patches or drop the scan")
     p.add_argument("--drop-constant", dest="drop_constant", action="store_true",
                    help="drop the constant-eigenvector coefficient row")
-    p.add_argument("--lumping", choices=("mixed", "barycentric"), default="mixed")
-    p.add_argument("--rescale", type=float, default=1.0,
+    p.add_argument("--rescale", type=_positive(float), default=1.0,
                    help="unit rescale applied to meshes and their landmarks")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_positive(int), default=1,
                    help="worker pool size for scan extraction")
     p.add_argument("--save-patches", dest="save_patches",
                    help="directory for per-scan patch archives")

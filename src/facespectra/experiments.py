@@ -172,7 +172,7 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
 class AUResult:
     rows: list                   # dicts: au, precision, recall, f1, positives
     weighted_f1: float
-    skipped: list                # dicts: au, fold (zero training positives)
+    skipped: list                # dicts: au, fold[, reason] (untrainable folds)
     fold_count: int
     seed: int
 
@@ -185,7 +185,9 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     test folds, averaged with per-AU positive counts as weights.
 
     An AU with zero positive training samples in a fold is skipped for
-    that fold and recorded.
+    that fold and recorded.  FLDA needs two training samples per class,
+    so under FLDA a fold with exactly one positive or one negative is
+    skipped too, recorded with the counts as its reason.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -198,8 +200,15 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
         ybin = np.array([1.0 if au in s else -1.0 for s in present])
         tp = fp = fn = tn = 0
         for f, (train, test) in enumerate(splits):
-            if not (ybin[train] > 0).any():
+            pos = int((ybin[train] > 0).sum())
+            neg = len(train) - pos
+            if not pos:
                 skipped.append({"au": int(au), "fold": int(f)})
+                continue
+            if classifier.kind == "flda" and 1 in (pos, neg):
+                skipped.append({"au": int(au), "fold": int(f),
+                                "reason": f"flda needs 2 training samples per class, "
+                                          f"got {pos} positive and {neg} negative"})
                 continue
             mu, sigma = standardize_fit(X[train])
             Xtr = standardize_apply(X[train], mu, sigma)

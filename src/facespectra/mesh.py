@@ -312,6 +312,9 @@ _PLY_SCALAR = {
 
 
 def _parse_ply_header(data: bytes, path):
+    """``(format, [(element name, count, property descriptors)], body
+    offset)``; the vertex element must be scalar with x, y and z, the face
+    element a single list property, and any other element scalar."""
     end = data.find(b"end_header")
     if end < 0:
         raise MeshFormatError(f"{path}: missing end_header")
@@ -355,6 +358,14 @@ def _parse_ply_header(data: bytes, path):
             raise MeshFormatError(f"{path}: line {ln}: malformed header line {line!r}") from None
     if fmt is None:
         raise MeshFormatError(f"{path}: no format line in header")
+    for name, _, props in elements:
+        kinds = [p[0] for p in props]
+        if name == "face" and kinds != ["list"]:
+            raise MeshFormatError(f"{path}: face element must be a single list property")
+        if name != "face" and "list" in kinds:
+            raise MeshFormatError(f"{path}: list property on element {name!r} unsupported")
+        if name == "vertex" and not {"x", "y", "z"} <= {p[2] for p in props}:
+            raise MeshFormatError(f"{path}: vertex element lacks one of x, y, z")
     return fmt, elements, body_start
 
 
@@ -385,9 +396,7 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
         pos = 0
         for name, count, props in elements:
             if name == "vertex":
-                names = [p[2] for p in props if p[0] == "scalar"]
-                if any(p[0] == "list" for p in props):
-                    raise MeshFormatError(f"{path}: list property on vertex element unsupported")
+                names = [p[2] for p in props]
                 try:
                     rows = np.array(tokens[pos:pos + count * len(names)], dtype=np.float64)
                 except ValueError:
@@ -396,11 +405,7 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                     raise MeshFormatError(f"{path}: truncated vertex data")
                 rows = rows.reshape(count, len(names))
                 pos += count * len(names)
-                try:
-                    cols = [names.index(c) for c in ("x", "y", "z")]
-                except ValueError:
-                    raise MeshFormatError(f"{path}: vertex element lacks x/y/z") from None
-                vertices = rows[:, cols]
+                vertices = rows[:, [names.index(c) for c in ("x", "y", "z")]]
             elif name == "face":
                 try:
                     rows = np.array(tokens[pos:pos + 4 * count], dtype=np.int64)
@@ -409,32 +414,21 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                 faces = _triangle_rows(rows[:rows.size // 4 * 4].reshape(-1, 4), count, path)
                 pos += 4 * count
             else:
-                if any(p[0] == "list" for p in props):
-                    raise MeshFormatError(
-                        f"{path}: cannot skip element {name!r} with list properties"
-                    )
                 pos += count * len(props)
     else:
         offset = body_start
         for name, count, props in elements:
             if name == "vertex":
-                if any(p[0] == "list" for p in props):
-                    raise MeshFormatError(f"{path}: list property on vertex element unsupported")
                 dtype = np.dtype([(p[2], "<" + _PLY_SCALAR[p[1]]) for p in props])
                 need = dtype.itemsize * count
                 if offset + need > len(data):
                     raise MeshFormatError(f"{path}: offset {offset}: truncated vertex block")
                 rec = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
                 offset += need
-                for c in ("x", "y", "z"):
-                    if c not in dtype.names:
-                        raise MeshFormatError(f"{path}: vertex element lacks property {c!r}")
                 vertices = np.stack(
                     [rec["x"].astype(np.float64), rec["y"].astype(np.float64),
                      rec["z"].astype(np.float64)], axis=1)
             elif name == "face":
-                if len(props) != 1 or props[0][0] != "list":
-                    raise MeshFormatError(f"{path}: face element must be a single list property")
                 _, count_t, item_t, _ = props[0]
                 dtype = np.dtype([("n", "<" + _PLY_SCALAR[count_t]),
                                   ("i", "<" + _PLY_SCALAR[item_t], 3)])
@@ -444,10 +438,6 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                     np.column_stack([rec["n"], rec["i"]]).astype(np.int64), count, path)
                 offset += count * dtype.itemsize
             else:
-                if any(p[0] == "list" for p in props):
-                    raise MeshFormatError(
-                        f"{path}: cannot skip element {name!r} with list properties"
-                    )
                 dtype = np.dtype([(p[2], "<" + _PLY_SCALAR[p[1]]) for p in props])
                 offset += dtype.itemsize * count
 

@@ -77,7 +77,6 @@ class _Job:
     faces: np.ndarray     # canonical_connectivity(cfg)
     align: str
     drop_constant: bool
-    lumping: str
     rescale: float
     patches_dir: Path | None
 
@@ -106,7 +105,7 @@ def _spec_blocks(patches, missing, labels, spec, errors):
     for i in np.flatnonzero(~missing):
         try:
             if method == METHOD_SHAPEDNA:
-                block = shape_dna(patches[i], _JOB.faces, k, lumping=_JOB.lumping)
+                block = shape_dna(patches[i], _JOB.faces, k)
             elif _JOB.drop_constant:
                 block = glf_project(patches[i], _JOB.basis, k + 1)[1:]
             else:
@@ -145,7 +144,7 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
                            specs, basis: SpectralBasis | None = None,
                            jobs: int = 1, missing_policy: str = "zero",
                            align: str = "none", drop_constant: bool = False,
-                           lumping: str = "mixed", rescale: float = 1.0,
+                           rescale: float = 1.0,
                            patches_dir=None):
     """Featurize every scan in a manifest for one or more feature specs.
 
@@ -159,13 +158,17 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
     """
     if missing_policy not in ("zero", "drop"):
         raise ValueError(f"unknown missing policy {missing_policy!r}")
+    if not 0.0 < rescale < float("inf"):
+        raise ValueError(f"rescale must be a positive finite number, got {rescale}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, drop_constant), int(k))
                   for (m, mo, k) in specs)
     if patches_dir is not None:
         patches_dir = Path(patches_dir)
         patches_dir.mkdir(parents=True, exist_ok=True)
     job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), align,
-               drop_constant, lumping, rescale, patches_dir)
+               drop_constant, rescale, patches_dir)
     if jobs > 1 and len(manifest.records) > 1:
         with multiprocessing.Pool(jobs, initializer=_set_job, initargs=(job,)) as pool:
             results = list(pool.imap(_featurize_record, manifest.records, chunksize=4))

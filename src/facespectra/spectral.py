@@ -81,27 +81,27 @@ def graph_laplacian(faces: np.ndarray, n: int) -> np.ndarray:
 
 
 def _corner_cotangents(vertices: np.ndarray, faces: np.ndarray):
-    """Cotangent of each triangle corner angle plus twice the face area.
+    """Cotangent of each triangle corner angle, twice the face area and the
+    squared length of the edge opposite each corner.
 
     Raises on faces with area below 1e-12 mm^2.
     """
     tri = vertices[faces]
-    e0 = tri[:, 2] - tri[:, 1]  # edge opposite corner 0
-    e1 = tri[:, 0] - tri[:, 2]
-    e2 = tri[:, 1] - tri[:, 0]
-    cross = np.cross(e1, -e2)
-    double_area = np.linalg.norm(cross, axis=1)
+    # e[c] is the edge opposite corner c
+    e = (tri[:, 2] - tri[:, 1], tri[:, 0] - tri[:, 2], tri[:, 1] - tri[:, 0])
+    double_area = np.linalg.norm(np.cross(e[1], -e[2]), axis=1)
     bad = double_area < 2e-12
     if bad.any():
         raise DegenerateGeometryError(
             f"face {int(np.nonzero(bad)[0][0])} has area below 1e-12 mm^2"
         )
-    # cot at corner c = (u . v) / |u x v| with u, v the edges leaving c
     cots = np.empty((faces.shape[0], 3), dtype=np.float64)
-    cots[:, 0] = np.einsum("ij,ij->i", -e1, e2) / double_area
-    cots[:, 1] = np.einsum("ij,ij->i", -e2, e0) / double_area
-    cots[:, 2] = np.einsum("ij,ij->i", -e0, e1) / double_area
-    return cots, double_area
+    sq = np.empty((faces.shape[0], 3), dtype=np.float64)
+    for c in range(3):
+        # cot at corner c = (u . v) / |u x v| with u, v the edges leaving c
+        cots[:, c] = np.einsum("ij,ij->i", -e[(c + 1) % 3], e[(c + 2) % 3]) / double_area
+        sq[:, c] = np.einsum("ij,ij->i", e[c], e[c])
+    return cots, double_area, sq
 
 
 def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
@@ -110,75 +110,62 @@ def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     Off-diagonals are -(cot a + cot b) over the angles opposite each edge;
     boundary edges contribute a single cotangent (natural boundary).
     Diagonals are the negated row sums, so every row sums to zero.
-    Negative weights from obtuse triangles are kept as-is.
+    Negative weights from obtuse triangles are kept as-is.  The matrix is
+    exactly symmetric: entries (i, j) and (j, i) receive the same
+    cotangents in the same order.
     """
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
-    cots, _ = _corner_cotangents(vertices, faces)
-    W = np.zeros((n, n), dtype=np.float64)
-    # corner c faces the edge joining the other two corners
-    for c, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-        np.add.at(W, (faces[:, i], faces[:, j]), cots[:, c])
-        np.add.at(W, (faces[:, j], faces[:, i]), cots[:, c])
-    S = np.diag(W.sum(axis=1)) - W
+    cots, _, _ = _corner_cotangents(vertices, faces)
+    # corner c faces the edge joining the other two corners; each face
+    # lists its three half-edges and then their reverses
+    rows = faces[:, [1, 2, 0, 2, 0, 1]]
+    cols = faces[:, [2, 0, 1, 1, 2, 0]]
+    S = np.bincount((rows * n + cols).ravel(), weights=-np.tile(cots, 2).ravel(),
+                    minlength=n * n).reshape(n, n)
+    S[np.diag_indices(n)] = -S.sum(axis=1)
     return S
 
 
-def voronoi_mass(vertices: np.ndarray, faces: np.ndarray,
-                 lumping: str = "mixed") -> np.ndarray:
-    """Diagonal mass entries (mm^2) per vertex.
+def voronoi_mass(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Diagonal mass entries (mm^2) per vertex: mixed Voronoi areas.
 
-    ``mixed``: circumcentric Voronoi areas for non-obtuse triangles; a
-    triangle with an angle >= 90 deg instead contributes area/2 at that
-    corner and area/4 at the others.  ``barycentric``: area/3 per corner
-    (available for sensitivity checks).  Either way the entries sum to
-    the total surface area exactly.
+    Circumcentric Voronoi areas for non-obtuse triangles; a triangle with
+    an angle >= 90 deg instead contributes area/2 at that corner and
+    area/4 at the others.  The entries sum to the total surface area.
     """
-    if lumping not in ("mixed", "barycentric"):
-        raise ValueError(f"unknown lumping {lumping!r}")
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
-    cots, double_area = _corner_cotangents(vertices, faces)
+    cots, double_area, sq = _corner_cotangents(vertices, faces)
     area = 0.5 * double_area
-    B = np.zeros(n, dtype=np.float64)
-    if lumping == "barycentric":
-        for c in range(3):
-            np.add.at(B, faces[:, c], area / 3.0)
-        return B
-    tri = vertices[faces]
-    # squared edge lengths; edge s is opposite corner s
-    sq = np.empty((faces.shape[0], 3), dtype=np.float64)
-    sq[:, 0] = np.einsum("ij,ij->i", tri[:, 2] - tri[:, 1], tri[:, 2] - tri[:, 1])
-    sq[:, 1] = np.einsum("ij,ij->i", tri[:, 0] - tri[:, 2], tri[:, 0] - tri[:, 2])
-    sq[:, 2] = np.einsum("ij,ij->i", tri[:, 1] - tri[:, 0], tri[:, 1] - tri[:, 0])
-    obtuse_corner = np.argmin(cots, axis=1)
-    is_non_acute = cots[np.arange(faces.shape[0]), obtuse_corner] <= 0.0
     # circumcentric contribution at corner c: (|e_a|^2 cot_a + |e_b|^2 cot_b)/8
     contrib = np.empty((faces.shape[0], 3), dtype=np.float64)
     for c in range(3):
         a, b = (c + 1) % 3, (c + 2) % 3
         contrib[:, c] = (sq[:, a] * cots[:, a] + sq[:, b] * cots[:, b]) / 8.0
-    rows = np.nonzero(is_non_acute)[0]
-    if rows.size:
-        contrib[rows] = area[rows, None] / 4.0
-        contrib[rows, obtuse_corner[rows]] = area[rows] / 2.0
-    for c in range(3):
-        np.add.at(B, faces[:, c], contrib[:, c])
-    return B
+    rows = np.flatnonzero(cots.min(axis=1) <= 0.0)  # an angle >= 90 deg
+    contrib[rows] = area[rows, None] / 4.0
+    contrib[rows, np.argmin(cots[rows], axis=1)] = area[rows] / 2.0
+    # corner-major, so each vertex sums its corners in (corner, face) order
+    return np.bincount(faces.ravel(order="F"), weights=contrib.ravel(order="F"),
+                       minlength=n)
 
 
 def symmetrize(S: np.ndarray, mass: np.ndarray) -> np.ndarray:
-    """O = B^{-1/2} S B^{-1/2} with B the diagonal mass matrix.  O is
-    symmetric and shares its eigenvalues with B^{-1} S."""
+    """O = B^{-1/2} S B^{-1/2} with B the diagonal mass matrix; O shares
+    its eigenvalues with B^{-1} S.
+
+    S must be symmetric (``cotan_stiffness`` guarantees it exactly); O is
+    then exactly symmetric as well.
+    """
     mass = np.asarray(mass, dtype=np.float64).reshape(-1)
     if np.any(mass <= 0):
         bad = int(np.nonzero(mass <= 0)[0][0])
         raise DegenerateGeometryError(f"mass entry {bad} is not positive ({mass[bad]})")
-    inv_sqrt = 1.0 / np.sqrt(mass)
-    O = S * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return 0.5 * (O + O.T)
+    s = 1.0 / np.sqrt(mass)
+    return S * (s[:, None] * s[None, :])
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -221,28 +208,28 @@ def eig_sym(A: np.ndarray, k: int, config_hash: int | None = None) -> SpectralBa
 
 
 def connected_components(faces: np.ndarray, n: int) -> int:
-    """Number of connected components of the vertex graph derived from faces."""
-    parent = np.arange(n)
+    """Number of connected components of the vertex graph derived from faces.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    Hook and compress: every root is hooked under the smallest root that
+    shares a face with it, then pointers are jumped until each vertex
+    points at its root; repeat until no face spans two roots.
+    """
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    for tri in faces:
-        a = find(tri[0])
-        for x in tri[1:]:
-            b = find(x)
-            if a != b:
-                parent[b] = a
-    roots = {find(i) for i in range(n)}
-    return len(roots)
+    parent = np.arange(n)
+    while True:
+        roots = parent[faces]
+        low = roots.min(axis=1)
+        if (roots == low[:, None]).all():
+            return int((parent == np.arange(n)).sum())
+        np.minimum.at(parent, roots.ravel(), np.repeat(low, 3))
+        while True:
+            jumped = parent[parent]
+            if (jumped == parent).all():
+                break
+            parent = jumped
 
 
-def shape_dna(vertices, faces: np.ndarray, k: int,
-              lumping: str = "mixed") -> np.ndarray:
+def shape_dna(vertices, faces: np.ndarray, k: int) -> np.ndarray:
     """Shape-DNA signature: the k smallest non-zero eigenvalues of the
     symmetrized cotangent operator, ascending.
 
@@ -252,15 +239,12 @@ def shape_dna(vertices, faces: np.ndarray, k: int,
     motion and scales as 1/s^2 when the patch is scaled by s.
     """
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
-    S = cotan_stiffness(vertices, faces)
-    B = voronoi_mass(vertices, faces, lumping=lumping)
-    O = symmetrize(S, B)
     n_zero = connected_components(faces, n)
     if not 1 <= k <= n - n_zero:
         raise ValueError(f"k must be in [1, {n - n_zero}] after dropping "
                          f"{n_zero} zero mode(s), got {k}")
+    O = symmetrize(cotan_stiffness(vertices, faces), voronoi_mass(vertices, faces))
     try:
         w = np.linalg.eigvalsh(O)
     except np.linalg.LinAlgError as exc:

@@ -217,7 +217,8 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     # the removed no-op flags are unknown keys too
     for command, key in (("synth", "bogus"), ("basis", "bogus"), ("basis", "seed"),
                          ("features", "bogus"), ("features", "seed"),
-                         ("evaluate", "bogus"), ("evaluate", "jobs")):
+                         ("features", "lumping"), ("evaluate", "bogus"),
+                         ("evaluate", "jobs")):
         cfgfile.write_text(json.dumps({key: 1}))
         rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "d")])
         assert rc == 2, command
@@ -238,20 +239,33 @@ def test_explicit_flag_wins_over_config(cli_workspace, tmp_path):
 def test_config_value_checked_like_flag(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     for config in ({"drop_constant": "false"}, {"curves": 2.5}, {"method": "foo"},
-                   {"lumping": 1}, {"k": None}, {"k": True}):
+                   {"align": 1}, {"k": None}, {"k": True}, {"rescale": 0},
+                   {"rescale": -1}, {"jobs": 0}, {"jobs": -2}):
         cfgfile.write_text(json.dumps(config))
         rc = main(["features", "--config", str(cfgfile)])
         assert rc == 2, config
-        assert repr(next(iter(config))) in capsys.readouterr().err, config
+        err = capsys.readouterr().err
+        assert repr(next(iter(config))) in err, config
+        assert "--" + next(iter(config)).replace("_", "-") in err, config
 
 
 def test_removed_no_op_flags_rejected(capsys):
     for argv in (["basis", "--seed", "1"], ["basis", "--jobs", "2"],
-                 ["features", "--seed", "1"], ["evaluate", "--jobs", "2"]):
+                 ["features", "--seed", "1"], ["evaluate", "--jobs", "2"],
+                 ["features", "--lumping", "mixed"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_out_of_range_flags_rejected(capsys):
+    for flag, value in (("--rescale", "-1"), ("--rescale", "0"), ("--rescale", "nan"),
+                        ("--jobs", "-2"), ("--jobs", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "--manifest", "m.csv", flag, value])
+        assert exc.value.code == 2, (flag, value)
+        assert f"argument {flag}" in capsys.readouterr().err, (flag, value)
 
 
 def test_features_cmd_shapedna_k_beyond_patch_fails(cli_workspace, tmp_path, capsys):

@@ -143,6 +143,30 @@ def test_au_zero_positives_skipped_and_recorded():
     assert res.rows[0]["f1"] == 0.0
 
 
+def test_au_flda_single_sample_class_fold_skipped_with_reason():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 5))
+    subjects = [f"S{i // 4}" for i in range(40)]
+    # AU1 on sample 0 only, AU4 on all but sample 0, AU2 a learnable split
+    aus = [((1,) if i == 0 else (4,)) + ((2,) if X[i, 0] > 0 else ()) for i in range(40)]
+    res = evaluate_aus(X, aus, subjects, classifier=FLDA, folds=5, seed=0)
+    assert [r["au"] for r in res.rows] == list(AU_SET)
+    by_au = {}
+    for s in res.skipped:
+        by_au.setdefault(s["au"], []).append(s)
+    # the fold testing sample 0 has no positive to train on, recorded as before
+    assert len(by_au[1]) == 5
+    assert sum(set(s) == {"au", "fold"} for s in by_au[1]) == 1
+    one_pos = [s for s in by_au[1] if "reason" in s]
+    assert len(one_pos) == 4
+    assert all("1 positive and 31 negative" in s["reason"] for s in one_pos)
+    # with sample 0 tested, AU4's training fold is all positive: constant predictor
+    assert len(by_au[4]) == 4
+    assert all("31 positive and 1 negative" in s["reason"] for s in by_au[4])
+    assert 2 not in by_au
+    assert next(r for r in res.rows if r["au"] == 2)["f1"] >= 0.8
+
+
 def test_au_weighted_average_uses_positive_counts():
     rows_total = 0
     rng = np.random.default_rng(7)

@@ -171,9 +171,20 @@ def _ply_binary(faces, cut=0):
     (PLY_ASCII.replace("list uchar int", "list uchar int128"), "unknown type"),
     (_ply_binary([[0, 1, 2], [0, 2, 3]], cut=5), "face 1: truncated"),
     (_ply_binary([[0, 1, 2], [0, 1, 2, 3]]), "face 1: only triangles"),
+    (PLY_ASCII.replace("vertex_indices\n", "vertex_indices\nproperty uchar flag\n")
+     .replace("3 0 1 2\n3 0 2 3\n", "3 0 1 2 3\n3 0 2 3 3\n"), "single list property"),
+    (_ply_binary([[0, 1, 2], [0, 2, 3]]).replace(
+        b"vertex_indices\n", b"vertex_indices\nproperty uchar flag\n"), "single list property"),
+    (PLY_ASCII.replace("property float z\n", "property float z\nproperty list uchar int n\n"),
+     "element 'vertex'"),
+    (_ply_binary([[0, 1, 2]]).replace(b"property float z\n", b""), "vertex element lacks"),
+    (PLY_ASCII.replace("end_header", "element edge 0\nproperty list uchar int v\nend_header"),
+     "element 'edge'"),
 ], ids=["ascii-truncated-face", "ascii-vertex-word", "ascii-face-word",
         "header-count-word", "header-format-empty", "header-list-type",
-        "binary-truncated-face", "binary-quad"])
+        "binary-truncated-face", "binary-quad", "ascii-face-extra-property",
+        "binary-face-extra-property", "ascii-vertex-list", "binary-vertex-no-z",
+        "ascii-other-list"])
 def test_ply_malformed_input_raises_named_error(tmp_path, content, match):
     p = tmp_path / "bad.ply"
     if isinstance(content, str):

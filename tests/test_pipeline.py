@@ -128,6 +128,15 @@ def test_basis_patch_size_mismatch_rejected(tiny_manifest):
                                [("glf", "coords", 5)], basis=wrong)
 
 
+def test_rescale_and_jobs_out_of_range_rejected(tiny_manifest, tiny_basis):
+    for kwargs, match in (({"rescale": 0.0}, "rescale"), ({"rescale": -1.0}, "rescale"),
+                          ({"rescale": float("nan")}, "rescale"), ({"jobs": 0}, "jobs"),
+                          ({"jobs": -2}, "jobs")):
+        with pytest.raises(ValueError, match=match):
+            compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                                   basis=tiny_basis, **kwargs)
+
+
 def test_k_out_of_range_rejected(tiny_manifest, tiny_basis):
     n = TINY_PATCH_CFG.n_vertices
     for spec, match in ((("glf", "coords", 0), "k must be"),
@@ -146,11 +155,11 @@ def test_descriptor_failure_names_landmark(tiny_manifest, monkeypatch):
     its label and reason appear in the scan's errors."""
     real, calls = pipeline.shape_dna, []
 
-    def failing_first_landmark(vertices, faces, k, lumping="mixed"):
+    def failing_first_landmark(vertices, faces, k):
         calls.append(None)
         if len(calls) % 68 == 1:
             raise DegenerateGeometryError("injected zero-area face")
-        return real(vertices, faces, k, lumping=lumping)
+        return real(vertices, faces, k)
 
     monkeypatch.setattr(pipeline, "shape_dna", failing_first_landmark)
     manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
