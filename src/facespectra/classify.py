@@ -87,15 +87,36 @@ def _class_stats(X, y, classes):
     return means, counts
 
 
-def flda_train(X: np.ndarray, labels, reg: float = 1e-3) -> FLDAModel:
+def flda_span(X: np.ndarray):
+    """Span reduction of a training matrix, shared by every labelling of
+    its rows: ``(Q, Z)`` with ``Q`` an orthonormal basis (d, r) of the
+    centered rows' span and ``Z = Xc @ Q``.  When d <= n there is nothing
+    to reduce: ``Q`` is None and ``Z`` is the centered data."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    if d <= n:
+        return None, Xc
+    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
+    rank = int((s > s[0] * 1e-12).sum()) if s.size else 0
+    if rank == 0:
+        raise np.linalg.LinAlgError("training data has zero variance")
+    Q = vt[:rank].T                          # (d, r)
+    return Q, Xc @ Q                         # Z: (n, r)
+
+
+def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel:
     """Fisher discriminant: top C-1 generalized eigenvectors of the
     regularized within-class / between-class scatter problem.
 
     The within-class scatter is regularized with eps*I,
     eps = reg * trace(S_w) / d, since d typically far exceeds the sample
     count and raw S_w is singular.  When d > n the problem is solved in
-    the span of the centered data, which is exactly equivalent.
+    the span of the centered data, which is exactly equivalent.  ``span``
+    is :func:`flda_span` of ``X``, computed here when not given.
     """
+    if not 0 < reg < np.inf:
+        raise ValueError(f"reg must be positive and finite, got {reg!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray([str(l) for l in labels])
     classes = sorted(set(y.tolist()))
@@ -104,22 +125,8 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3) -> FLDAModel:
     for c in classes:
         if (y == c).sum() < 2:
             raise ValueError(f"class {c!r} has fewer than 2 samples")
-    n, d = X.shape
-    mean = X.mean(axis=0)
-    Xc = X - mean
-
-    reduce = d > n
-    if reduce:
-        # orthonormal basis for the span of the centered data
-        u, s, vt = np.linalg.svd(Xc, full_matrices=False)
-        rank = int((s > s[0] * 1e-12).sum()) if s.size else 0
-        if rank == 0:
-            raise np.linalg.LinAlgError("training data has zero variance")
-        Q = vt[:rank].T                      # (d, r)
-        Z = Xc @ Q                           # (n, r)
-    else:
-        Q = None
-        Z = Xc
+    d = X.shape[1]
+    Q, Z = flda_span(X) if span is None else span
 
     means_z, counts = _class_stats(Z, y, classes)
     grand = Z.mean(axis=0)
@@ -157,10 +164,7 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3) -> FLDAModel:
     signs = np.sign(W[idx, np.arange(W.shape[1])])
     signs[signs == 0] = 1.0
     W = W * signs[None, :]
-    if Q is not None:
-        W_full = Q @ W
-    else:
-        W_full = W
+    W_full = W if Q is None else Q @ W
     means_x, _ = _class_stats(X, y, classes)
     class_means = means_x @ W_full
     return FLDAModel(
@@ -210,7 +214,6 @@ class BinarySVM:
     C: float
     n_iter: int
     final_violation: float
-    objective_history: np.ndarray | None = None
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         K = kernel_matrix(np.atleast_2d(X), self.support_vectors, self.kernel, self.gamma)
@@ -219,75 +222,78 @@ class BinarySVM:
 
 def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
                      C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-                     max_iter: int = 100_000, track_objective: bool = False) -> BinarySVM:
+                     max_iter: int = 100_000) -> BinarySVM:
     """Solve the soft-margin dual with SMO, selecting the maximal-violating
     pair each step.  Deterministic: ties in the working-set selection
     break to the lowest index.  Raises :class:`ConvergenceError` if the
     KKT violation is still above ``tol`` after ``max_iter`` pair updates.
+
+    The loop keeps m = -y*G, G the gradient of 0.5 a'Qa - sum(a) with
+    Q = yy'K.  Since y is +-1, a step of t along y_i e_i - y_j e_j moves m
+    by -t (K[:, i] - K[:, j]), and only alpha_i and alpha_j can change
+    their membership of the up/low index sets.
     """
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C!r}")
+    if gamma is not None and not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise ValueError("labels must contain both +1 and -1")
-    n = X.shape[0]
     if gamma is None and kernel == "rbf":
         gamma = 1.0 / X.shape[1]
     K = kernel_matrix(X, X, kernel, gamma)
-    Q = (y[:, None] * y[None, :]) * K
-    alpha = np.zeros(n)
-    G = -np.ones(n)                       # gradient of 0.5 a'Qa - sum(a)
+    columns = np.ascontiguousarray(K.T)  # columns[i] is K[:, i]
     eps = 1e-12 * max(1.0, C)
-    history = [] if track_objective else None
-
-    def objective():
-        return float(alpha.sum() - 0.5 * alpha @ Q @ alpha)
+    top = C - eps
+    alpha = np.zeros(X.shape[0])
+    up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > eps))
+    low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < top))
+    alpha = alpha.tolist()
+    labels = y.tolist()
+    m = y.copy()                          # -y*G at alpha = 0, where G = -1
 
     violation = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        minus_yG = -y * G
-        up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
         if not up.any() or not low.any():
             violation = 0.0
             break
-        i = int(np.argmax(np.where(up, minus_yG, -np.inf)))
-        j = int(np.argmin(np.where(low, minus_yG, np.inf)))
-        m_up = minus_yG[i]
-        m_low = minus_yG[j]
-        violation = m_up - m_low
+        i = int(np.where(up, m, -np.inf).argmax())
+        j = int(np.where(low, m, np.inf).argmin())
+        violation = m.item(i) - m.item(j)
         if violation <= tol:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
         if eta <= 1e-12:
             eta = 1e-12
         t = violation / eta
         # box limits along the direction (y_i e_i - y_j e_j)
-        t_max_i = (C - alpha[i]) if y[i] > 0 else alpha[i]
-        t_max_j = alpha[j] if y[j] > 0 else (C - alpha[j])
+        t_max_i = (C - alpha[i]) if labels[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if labels[j] > 0 else (C - alpha[j])
         t = min(t, t_max_i, t_max_j)
         if t <= 0:
             break
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        G += t * (y[i] * Q[:, i] - y[j] * Q[:, j])
-        if history is not None:
-            history.append(objective())
+        alpha[i] += labels[i] * t
+        alpha[j] -= labels[j] * t
+        m -= t * (columns[i] - columns[j])
+        for k in (i, j):
+            inside, below = alpha[k] > eps, alpha[k] < top
+            up[k], low[k] = (below, inside) if labels[k] > 0 else (inside, below)
     else:
         raise ConvergenceError(
             f"SMO did not converge in {max_iter} iterations "
             f"(max KKT violation {violation:.3e})"
         )
 
-    free = (alpha > eps) & (alpha < C - eps)
+    alpha = np.array(alpha)
+    free = (alpha > eps) & (alpha < top)
     if free.any():
-        bias = float(np.mean(-(y * G)[free]))
+        bias = float(np.mean(m[free]))
     else:
-        minus_yG = -y * G
-        up = ((y > 0) & (alpha < C - eps)) | ((y < 0) & (alpha > eps))
-        low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < C - eps))
-        hi = minus_yG[up].max() if up.any() else 0.0
-        lo = minus_yG[low].min() if low.any() else 0.0
+        hi = m[up].max() if up.any() else 0.0
+        lo = m[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
     sv = alpha > eps
     return BinarySVM(
@@ -299,19 +305,7 @@ def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
         C=C,
         n_iter=it,
         final_violation=float(max(violation, 0.0)),
-        objective_history=np.array(history) if history is not None else None,
     )
-
-
-def svm_dual_objective(machine: BinarySVM, X: np.ndarray, y: np.ndarray) -> float:
-    """Dual objective sum(a) - 0.5 a'Qa of a trained machine, recomputed
-    from its support set (for oracle comparisons)."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    coef = machine.dual_coef
-    Ksv = kernel_matrix(machine.support_vectors, machine.support_vectors,
-                        machine.kernel, machine.gamma)
-    alpha_sum = np.abs(coef).sum()
-    return float(alpha_sum - 0.5 * coef @ Ksv @ coef)
 
 
 @dataclass

@@ -320,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("expressions", "aus"), default="expressions")
     p.add_argument("--classifier", choices=("svm", "flda"), default="svm")
     p.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--reg", type=float, default=1e-3)
+    p.add_argument("--C", type=_positive(float), default=1.0)
+    p.add_argument("--gamma", type=_positive(float))
+    p.add_argument("--reg", type=_positive(float), default=1e-3)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", help="comma-separated eigenvalue counts")

@@ -51,25 +51,6 @@ def _train_predict(cfg: ClassifierConfig, X_train, y_train, X_test):
     raise ValueError(f"unknown classifier {cfg.kind!r}")
 
 
-def _train_predict_binary(cfg: ClassifierConfig, X_train, y_train, X_test):
-    """Binary path used per AU; y in {+1,-1}.  A single-class training
-    fold yields the constant predictor of that class."""
-    uniq = set(np.unique(y_train).tolist())
-    if len(uniq) == 1:
-        value = uniq.pop()
-        return np.full(X_test.shape[0], value)
-    if cfg.kind == "svm":
-        machine = classify.svm_train_binary(X_train, y_train, kernel=cfg.kernel,
-                                            C=cfg.C, gamma=cfg.gamma)
-        return np.where(machine.decision(X_test) > 0, 1.0, -1.0)
-    if cfg.kind == "flda":
-        labels = np.where(y_train > 0, "pos", "neg")
-        model = classify.flda_train(X_train, labels, reg=cfg.reg)
-        pred = classify.flda_predict(model, X_test)
-        return np.where(np.asarray(pred) == "pos", 1.0, -1.0)
-    raise ValueError(f"unknown classifier {cfg.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Confusion matrices
 
@@ -188,44 +169,64 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     that fold and recorded.  FLDA needs two training samples per class,
     so under FLDA a fold with exactly one positive or one negative is
     skipped too, recorded with the counts as its reason.
+
+    Each fold is standardized once for all its AUs and, under FLDA,
+    reduced to the span of its training rows once.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
     present = [set(int(a) for a in s) for s in au_sets]
     splits = fold_splits if fold_splits is not None else identity_disjoint_folds(
         subjects, folds, seed)
-    rows = []
-    skipped = []
-    for au in aus:
-        ybin = np.array([1.0 if au in s else -1.0 for s in present])
-        tp = fp = fn = tn = 0
-        for f, (train, test) in enumerate(splits):
-            pos = int((ybin[train] > 0).sum())
+    ybins = [np.array([1.0 if au in s else -1.0 for s in present]) for au in aus]
+    counts = [np.zeros(3, dtype=np.int64) for _ in aus]     # tp, fp, fn
+    skipped = [[] for _ in aus]
+    for f, (train, test) in enumerate(splits):
+        trained = []
+        for a, au in enumerate(aus):
+            pos = int((ybins[a][train] > 0).sum())
             neg = len(train) - pos
             if not pos:
-                skipped.append({"au": int(au), "fold": int(f)})
-                continue
-            if classifier.kind == "flda" and 1 in (pos, neg):
-                skipped.append({"au": int(au), "fold": int(f),
-                                "reason": f"flda needs 2 training samples per class, "
-                                          f"got {pos} positive and {neg} negative"})
-                continue
-            mu, sigma = standardize_fit(X[train])
-            Xtr = standardize_apply(X[train], mu, sigma)
-            Xte = standardize_apply(X[test], mu, sigma)
-            pred = _train_predict_binary(classifier, Xtr, ybin[train], Xte)
-            truth = ybin[test]
-            tp += int(((pred > 0) & (truth > 0)).sum())
-            fp += int(((pred > 0) & (truth < 0)).sum())
-            fn += int(((pred < 0) & (truth > 0)).sum())
-            tn += int(((pred < 0) & (truth < 0)).sum())
-        positives = int((ybin > 0).sum())
+                skipped[a].append({"au": int(au), "fold": int(f)})
+            elif classifier.kind == "flda" and 1 in (pos, neg):
+                skipped[a].append({"au": int(au), "fold": int(f),
+                                   "reason": f"flda needs 2 training samples per class, "
+                                             f"got {pos} positive and {neg} negative"})
+            else:
+                trained.append(a)
+        mu, sigma = standardize_fit(X[train])
+        Xtr = standardize_apply(X[train], mu, sigma)
+        Xte = standardize_apply(X[test], mu, sigma)
+        span = None
+        for a in trained:
+            y_train = ybins[a][train]
+            if (y_train > 0).all():
+                # an AU present in every training sample: constant predictor
+                pred = np.ones(len(test))
+            elif classifier.kind == "svm":
+                machine = classify.svm_train_binary(Xtr, y_train, kernel=classifier.kernel,
+                                                    C=classifier.C, gamma=classifier.gamma)
+                pred = np.where(machine.decision(Xte) > 0, 1.0, -1.0)
+            elif classifier.kind == "flda":
+                span = span or classify.flda_span(Xtr)
+                model = classify.flda_train(Xtr, np.where(y_train > 0, "pos", "neg"),
+                                            reg=classifier.reg, span=span)
+                pred = np.where(np.asarray(classify.flda_predict(model, Xte)) == "pos",
+                                1.0, -1.0)
+            else:
+                raise ValueError(f"unknown classifier {classifier.kind!r}")
+            truth = ybins[a][test]
+            counts[a] += [((pred > 0) & (truth > 0)).sum(), ((pred > 0) & (truth < 0)).sum(),
+                          ((pred < 0) & (truth > 0)).sum()]
+    rows = []
+    for a, au in enumerate(aus):
+        tp, fp, fn = counts[a].tolist()
         precision = tp / (tp + fp) if (tp + fp) else 0.0
         recall = tp / (tp + fn) if (tp + fn) else 0.0
         f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0
         rows.append({
             "au": int(au),
-            "positives": positives,
+            "positives": int((ybins[a] > 0).sum()),
             "precision": round(precision, 6),
             "recall": round(recall, 6),
             "f1": round(f1, 6),
@@ -233,7 +234,8 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     weights = np.array([r["positives"] for r in rows], dtype=np.float64)
     f1s = np.array([r["f1"] for r in rows], dtype=np.float64)
     weighted = float((weights * f1s).sum() / weights.sum()) if weights.sum() else 0.0
-    return AUResult(rows=rows, weighted_f1=weighted, skipped=skipped,
+    return AUResult(rows=rows, weighted_f1=weighted,
+                    skipped=[entry for entries in skipped for entry in entries],
                     fold_count=len(splits), seed=seed)
 
 

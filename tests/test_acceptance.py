@@ -13,7 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from facespectra.classify import identity_disjoint_folds
+from facespectra.classify import (
+    flda_train,
+    identity_disjoint_folds,
+    kernel_matrix,
+    svm_train_binary,
+)
 from facespectra.data import load_manifest
 from facespectra.experiments import (
     ClassifierConfig,
@@ -40,8 +45,7 @@ from facespectra.spectral import (
 )
 from facespectra.synth import SynthConfig, generate_scan, synth_generate
 
-from test_classify import brute_force_dual_optimum
-from facespectra.classify import flda_train, kernel_matrix, svm_dual_objective, svm_train_binary
+from smo_oracles import brute_force_dual_optimum, svm_dual_objective
 
 # Experiment-scale configuration: 15 curves over [5, 20] mm as in the
 # standard setup; 20 samples per curve keeps the basis at 301x301 so the

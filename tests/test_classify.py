@@ -1,63 +1,24 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from facespectra.classify import (
     BinarySVM,
     ConvergenceError,
     SVMModel,
     flda_predict,
+    flda_span,
     flda_train,
     identity_disjoint_folds,
     kernel_matrix,
-    svm_dual_objective,
     svm_predict,
     svm_train,
     svm_train_binary,
 )
-
-
-# ---------------------------------------------------------------------------
-# Brute-force QP oracle: enumerate active sets of the dual problem
-
-def brute_force_dual_optimum(K, y, C):
-    """Global optimum of max sum(a) - 0.5 a'Qa st. 0<=a<=C, y'a=0 by
-    enumerating every {lower, upper, free} assignment and solving the
-    stationarity system on the free set."""
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    Q = np.outer(y, y) * K
-    best = -np.inf
-    for assign in itertools.product((0, 1, 2), repeat=n):
-        assign = np.array(assign)
-        alpha = np.zeros(n)
-        alpha[assign == 1] = C
-        free = np.nonzero(assign == 2)[0]
-        if free.size:
-            nf = free.size
-            A = np.zeros((nf + 1, nf + 1))
-            A[:nf, :nf] = Q[np.ix_(free, free)]
-            A[:nf, nf] = y[free]
-            A[nf, :nf] = y[free]
-            rhs = np.concatenate([
-                1.0 - Q[np.ix_(free, assign == 1)].sum(axis=1) * C,
-                [-(y[assign == 1] * C).sum()],
-            ])
-            try:
-                sol = np.linalg.solve(A, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            alpha[free] = sol[:nf]
-            if (alpha[free] < -1e-9).any() or (alpha[free] > C + 1e-9).any():
-                continue
-        if abs(y @ alpha) > 1e-8 * max(1.0, C):
-            continue
-        obj = alpha.sum() - 0.5 * alpha @ Q @ alpha
-        best = max(best, obj)
-    return best
+from smo_oracles import brute_force_dual_optimum, reference_smo, svm_dual_objective
 
 
 def test_svm_matches_bruteforce_qp_oracle():
@@ -105,9 +66,8 @@ def test_svm_objective_monotone_nondecreasing():
     y = np.where(X[:, 0] + 0.3 * rng.normal(size=30) > 0, 1.0, -1.0)
     if abs(y.sum()) == 30:
         y[0] = -y[0]
-    machine = svm_train_binary(X, y, kernel="rbf", C=1.0, track_objective=True)
-    hist = machine.objective_history
-    assert hist is not None and len(hist) > 1
+    _, hist = reference_smo(X, y, kernel="rbf", C=1.0)
+    assert len(hist) > 1
     assert (np.diff(hist) >= -1e-9).all()
 
 
@@ -124,6 +84,72 @@ def test_svm_iteration_cap_raises():
         y[0] = -y[0]
     with pytest.raises(ConvergenceError, match="violation"):
         svm_train_binary(X, y, kernel="rbf", C=100.0, tol=1e-12, max_iter=3)
+
+
+@st.composite
+def smo_problems(draw):
+    """Small binary problems; on a coarse grid the kernel has many equal
+    entries, so the working-set selection meets ties."""
+    n = draw(st.integers(2, 14))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        X = rng.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        X = rng.normal(size=(n, d))
+    y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+    y[0], y[-1] = 1.0, -1.0
+    # duplicate points with conflicting labels
+    for k in range(draw(st.integers(0, n // 2))):
+        X[n - 1 - k], y[n - 1 - k] = X[k], -y[k]
+    return X, y
+
+
+def _smo_outcome(solver, X, y, **kw):
+    try:
+        return solver(X, y, **kw)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smo_problems(), st.sampled_from(["rbf", "linear"]), st.sampled_from([0.05, 1.0, 100.0]),
+       st.sampled_from([None, 0.5]), st.sampled_from([1e-3, 1e-6]), st.sampled_from([2, 5000]))
+def test_svm_matches_reference_smo_exactly(problem, kernel, C, gamma, tol, max_iter):
+    X, y = problem
+    kw = dict(kernel=kernel, C=C, gamma=gamma, tol=tol, max_iter=max_iter)
+    got = _smo_outcome(svm_train_binary, X, y, **kw)
+    want = _smo_outcome(lambda *a, **k: reference_smo(*a, **k)[0], X, y, **kw)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.dual_coef, want.dual_coef)
+    assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert (got.bias, got.n_iter, got.final_violation) == (
+        want.bias, want.n_iter, want.final_violation)
+    assert (got.gamma, got.C, got.kernel) == (want.gamma, want.C, want.kernel)
+
+
+def test_svm_iteration_cap_message_matches_reference():
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(40, 4))
+    y = np.where(rng.random(40) > 0.5, 1.0, -1.0)
+    kw = dict(kernel="rbf", C=100.0, tol=1e-12, max_iter=3)
+    with pytest.raises(ConvergenceError) as got:
+        svm_train_binary(X, y, **kw)
+    with pytest.raises(ConvergenceError) as want:
+        reference_smo(X, y, **kw)
+    assert str(got.value) == str(want.value)
+
+
+def test_svm_rejects_out_of_range_C_and_gamma():
+    X = np.array([[0.0], [1.0]])
+    y = np.array([1.0, -1.0])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="C must be positive"):
+            svm_train_binary(X, y, C=bad)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            svm_train_binary(X, y, gamma=bad)
 
 
 def test_svm_multiclass_unanimous_and_deterministic():
@@ -285,6 +311,28 @@ def test_flda_needs_two_classes_and_two_samples():
         flda_train(np.zeros((4, 2)), ["A"] * 4)
     with pytest.raises(ValueError, match="fewer than 2"):
         flda_train(np.zeros((3, 2)), ["A", "A", "B"])
+
+
+def test_flda_rejects_out_of_range_reg():
+    X = np.array([[0.0], [0.1], [4.0], [4.1]])
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="reg must be positive"):
+            flda_train(X, ["A", "A", "B", "B"], reg=bad)
+
+
+@pytest.mark.parametrize("d", [500, 8])
+def test_flda_given_span_equals_computed_span(d):
+    # d > n reduces to the span of the rows, d <= n keeps the centered data
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(40, d))
+    y = ["P" if i % 3 else "Q" for i in range(40)]
+    span = flda_span(X)
+    assert (span[0] is None) == (d <= 40)
+    a = flda_train(X, y, reg=1e-3)
+    b = flda_train(X, y, reg=1e-3, span=span)
+    for field in ("projection", "class_means", "priors", "eigenvalues"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.classes == b.classes
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,20 @@ def test_out_of_range_flags_rejected(capsys):
         assert f"argument {flag}" in capsys.readouterr().err, (flag, value)
 
 
+def test_out_of_range_classifier_settings_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for flag in ("--C", "--gamma", "--reg"):
+        for value in ("0", "-1", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["evaluate", "--features", "t", flag, value])
+            assert exc.value.code == 2, (flag, value)
+            assert f"argument {flag}" in capsys.readouterr().err, (flag, value)
+            cfgfile.write_text(json.dumps({flag[2:]: float(value)}))
+            rc = main(["evaluate", "--config", str(cfgfile)])
+            assert rc == 2, (flag, value)
+            assert flag in capsys.readouterr().err, (flag, value)
+
+
 def test_features_cmd_shapedna_k_beyond_patch_fails(cli_workspace, tmp_path, capsys):
     out = tmp_path / "dna"
     rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from facespectra.classify import AU_SET, EXPRESSIONS
+from facespectra.classify import (
+    AU_SET,
+    EXPRESSIONS,
+    flda_predict,
+    flda_train,
+    identity_disjoint_folds,
+    svm_train_binary,
+)
 from facespectra.experiments import (
     ClassifierConfig,
     au_report_section,
@@ -165,6 +172,78 @@ def test_au_flda_single_sample_class_fold_skipped_with_reason():
     assert all("31 positive and 1 negative" in s["reason"] for s in by_au[4])
     assert 2 not in by_au
     assert next(r for r in res.rows if r["au"] == 2)["f1"] >= 0.8
+
+
+def reference_evaluate_aus(X, au_sets, subjects, classifier, folds, seed):
+    """AU evaluation written out per (AU, fold): every pair standardizes its
+    fold and trains from scratch."""
+    splits = identity_disjoint_folds(subjects, folds, seed)
+    rows, skipped = [], []
+    for au in AU_SET:
+        ybin = np.array([1.0 if au in s else -1.0 for s in au_sets])
+        tp = fp = fn = 0
+        for f, (train, test) in enumerate(splits):
+            pos = int((ybin[train] > 0).sum())
+            neg = len(train) - pos
+            if not pos:
+                skipped.append({"au": au, "fold": f})
+                continue
+            if classifier.kind == "flda" and 1 in (pos, neg):
+                skipped.append({"au": au, "fold": f,
+                                "reason": f"flda needs 2 training samples per class, "
+                                          f"got {pos} positive and {neg} negative"})
+                continue
+            mu = X[train].mean(axis=0)
+            sigma = X[train].std(axis=0)
+            sigma = np.where(sigma < 1e-12, 1.0, sigma)
+            Xtr, Xte = (X[train] - mu) / sigma, (X[test] - mu) / sigma
+            if not neg:
+                pred = np.ones(len(test))
+            elif classifier.kind == "svm":
+                machine = svm_train_binary(Xtr, ybin[train], kernel=classifier.kernel,
+                                           C=classifier.C, gamma=classifier.gamma)
+                pred = np.where(machine.decision(Xte) > 0, 1.0, -1.0)
+            else:
+                model = flda_train(Xtr, np.where(ybin[train] > 0, "pos", "neg"),
+                                   reg=classifier.reg)
+                pred = np.where(np.asarray(flda_predict(model, Xte)) == "pos", 1.0, -1.0)
+            truth = ybin[test]
+            tp += int(((pred > 0) & (truth > 0)).sum())
+            fp += int(((pred > 0) & (truth < 0)).sum())
+            fn += int(((pred < 0) & (truth > 0)).sum())
+        precision = tp / (tp + fp) if (tp + fp) else 0.0
+        recall = tp / (tp + fn) if (tp + fn) else 0.0
+        f1 = (2 * precision * recall / (precision + recall)) if (precision + recall) else 0.0
+        rows.append({"au": au, "positives": int((ybin > 0).sum()),
+                     "precision": round(precision, 6), "recall": round(recall, 6),
+                     "f1": round(f1, 6)})
+    weights = np.array([r["positives"] for r in rows], dtype=np.float64)
+    f1s = np.array([r["f1"] for r in rows], dtype=np.float64)
+    return rows, skipped, float((weights * f1s).sum() / weights.sum())
+
+
+@pytest.mark.parametrize("classifier", [FLDA, ClassifierConfig(kind="svm"),
+                                        ClassifierConfig(kind="svm", kernel="linear")],
+                         ids=["flda", "svm-rbf", "svm-linear"])
+@pytest.mark.parametrize("d", [6, 50])
+def test_au_evaluation_matches_per_pair_loop(classifier, d):
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(40, d))
+    subjects = [f"S{i // 4}" for i in range(40)]
+    # AU1 on sample 0 only (0 or 1 training positives), AU4 on every sample,
+    # AU5 on subject S0 only (0 training positives in its fold), AU6 on all
+    # but sample 0 (one training negative), AU2 a learnable split
+    aus = [((1,) if i == 0 else (6,)) + (4,) + ((5,) if i < 4 else ())
+           + ((2,) if X[i, 0] > 0 else ()) for i in range(40)]
+    res = evaluate_aus(X, aus, subjects, classifier=classifier, folds=5, seed=0)
+    rows, skipped, weighted = reference_evaluate_aus(X, aus, subjects, classifier, 5, 0)
+    assert res.rows == rows
+    assert res.skipped == skipped
+    assert res.weighted_f1 == weighted
+    reasons = {(s["au"], "reason" in s) for s in skipped}
+    assert {(1, False), (5, False)} <= reasons
+    assert ((1, True) in reasons) == ((6, True) in reasons) == (classifier.kind == "flda")
+    assert not any(s["au"] in (2, 4) for s in skipped)
 
 
 def test_au_weighted_average_uses_positive_counts():

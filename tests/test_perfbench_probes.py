@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from facespectra import spectral
+from facespectra import classify, experiments, spectral
 from facespectra.synth import rectangular_grid
 
 
@@ -33,3 +33,27 @@ def test_shape_dna_reaches_each_spectral_probe_once(monkeypatch):
     xy, faces = rectangular_grid(5, 5, x_extent=4.0, y_extent=4.0)
     spectral.shape_dna(np.column_stack([xy, 0.1 * xy[:, 0] ** 2]), faces, 5)
     assert calls == dict.fromkeys(stages, 1)
+
+
+def test_au_flda_reaches_fit_probes_once_per_fit_and_fold(monkeypatch):
+    """``evaluate_aus`` shares one standardization per fold across its AUs
+    but still fits each (AU, fold) through ``classify.flda_train``, so the
+    traced run's per-layer FLDA and standardization metrics stay meaningful."""
+    calls = {}
+    for owner, name in ((classify, "flda_train"), (experiments, "standardize_fit")):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 40))
+    subjects = [f"S{i // 3}" for i in range(30)]
+    aus = [tuple(a for a in (1, 2, 4) if rng.random() < 0.5) for _ in range(30)]
+    splits = classify.identity_disjoint_folds(subjects, 5, seed=0)
+    fits = sum(
+        1 for au in (1, 2, 4) for train, _ in splits
+        if 2 <= sum(au in aus[i] for i in train) <= len(train) - 2)
+    flda = experiments.ClassifierConfig(kind="flda")
+    result = experiments.evaluate_aus(X, aus, subjects, flda, folds=5, seed=0, aus=(1, 2, 4))
+    assert result.skipped == [] and fits == 15
+    assert calls == {"flda_train": fits, "standardize_fit": 5}
