@@ -30,7 +30,6 @@ from .patches import (
     PatchConfig,
     build_patch,
     canonical_connectivity,
-    extract_level_curve,
     extract_patches,
     load_patch_archive,
     resample_uniform,

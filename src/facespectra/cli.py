@@ -107,6 +107,14 @@ def _positive(kind):
     return parse
 
 
+def _fold_count(text: str) -> int:
+    """``--folds`` type: an integer of at least 2."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 folds, got {text!r}")
+    return value
+
+
 def _patch_config(args) -> PatchConfig:
     try:
         return PatchConfig(lambda_min=args.lambda_min, lambda_max=args.lambda_max,
@@ -181,6 +189,10 @@ def cmd_evaluate(args) -> int:
                            gamma=args.gamma, reg=args.reg)
     folds, seed = args.folds, args.seed
     table = load_feature_table(args.features)
+    n_subjects = len(set(table.subjects))
+    if folds > n_subjects:
+        raise UsageError(f"--folds {folds} exceeds the {n_subjects} distinct subjects "
+                         f"in {args.features}")
     run_config = _settings(args)
     run_config["classifier_config"] = clf.to_dict()
     run_config["feature_meta"] = {
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_positive(float), default=1.0)
     p.add_argument("--gamma", type=_positive(float))
     p.add_argument("--reg", type=_positive(float), default=1e-3)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_fold_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", help="comma-separated eigenvalue counts")
     p.add_argument("--compare-features", dest="compare_features",

@@ -46,6 +46,7 @@ class TriangleMesh:
         f = _readonly(np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
+        object.__setattr__(self, "_neighbourhoods", {})  # radius -> _Neighbourhood
         if f.size:
             if f.min() < 0 or f.max() >= v.shape[0]:
                 bad = int(np.nonzero(((f < 0) | (f >= v.shape[0])).any(axis=1))[0][0])
@@ -69,6 +70,101 @@ class TriangleMesh:
 
     def edges(self) -> np.ndarray:
         return unique_edges(self.faces)
+
+    def faces_within(self, r, radius: float) -> np.ndarray:
+        """Ascending ids of the faces whose smallest corner value of
+        :func:`distance_field` at ``r`` is below ``radius``: the faces with
+        a corner closer than ``radius`` and no NaN corner.  The index that
+        answers this is built on the first call for each radius and kept."""
+        index = self._neighbourhoods.get(radius)
+        if index is None:
+            index = self._neighbourhoods[radius] = _Neighbourhood(self, radius)
+        return index.faces_within(r)
+
+    def submesh(self, face_ids) -> "TriangleMesh":
+        """The mesh of the faces ``face_ids`` and the vertices they use,
+        numbered in their order in this mesh: the renumbering is monotonic,
+        so sorting by vertex id, or taking the lowest id of tied vertices,
+        picks the same vertices in both meshes."""
+        f = self.faces[face_ids]
+        used = np.zeros(self.n_vertices, dtype=bool)
+        used[f] = True
+        ids = np.flatnonzero(used)
+        new_id = np.empty(self.n_vertices, dtype=np.int64)
+        new_id[ids] = np.arange(ids.size)
+        return TriangleMesh(self.vertices[ids], new_id[f])
+
+
+class _Neighbourhood:
+    """Faces near any point of one mesh, for one radius.
+
+    Holds the vertex->face incidence in CSR form, the faces that have a
+    NaN corner, and a uniform grid of the finite vertices in cells of
+    side ``radius`` (wider for a mesh more than 64 radii across).  A query
+    visits only the cells that the box ``r +- radius`` meets, so its cost
+    grows with the surface near ``r``, not with the mesh.
+    """
+
+    _MAX_CELLS = 64  # per axis, before the cell side grows
+
+    def __init__(self, mesh: TriangleMesh, radius: float):
+        v, f = mesh.vertices, mesh.faces
+        self.vertices, self.n_faces, self.radius = v, f.shape[0], float(radius)
+        self.incident = np.argsort(f.ravel(), kind="stable")
+        self.incident //= 3
+        self.first = np.concatenate(
+            [[0], np.cumsum(np.bincount(f.ravel(), minlength=v.shape[0]))])
+        # a NaN corner makes the face's smallest corner distance NaN
+        self.nan_faces = np.flatnonzero(np.isnan(v).any(axis=1)[f].any(axis=1))
+        # cells on each axis are split at `bounds`; only finite vertices can
+        # be closer than `radius`, and a cell is found by a search, not a
+        # division, so it grows monotonically with the coordinate
+        ids = np.flatnonzero(np.isfinite(v).all(axis=1))
+        pts = v[ids]
+        lo = pts.min(axis=0) if ids.size else np.zeros(3)
+        hi = pts.max(axis=0) if ids.size else np.zeros(3)
+        side = max(self.radius, float((hi - lo).max()) / self._MAX_CELLS)
+        self.bounds = []
+        for a in range(3):
+            b = lo[a] + side * np.arange(1, self._MAX_CELLS + 1)
+            self.bounds.append(b[b <= hi[a]])
+        self.shape = [b.size + 1 for b in self.bounds]
+        cell = np.ravel_multi_index(
+            [np.searchsorted(b, pts[:, a], side="right") for a, b in enumerate(self.bounds)],
+            self.shape)
+        self.by_cell = ids[np.argsort(cell, kind="stable")]
+        self.cell_first = np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=int(np.prod(self.shape))))])
+
+    def faces_within(self, r) -> np.ndarray:
+        r = np.asarray(r, dtype=np.float64).reshape(3)
+        # a vertex whose computed distance is below `radius` lies within
+        # `reach` of r on every axis, so inside the cells of r -+ reach (a
+        # NaN or infinite r finds end cells and no distance below `radius`)
+        reach = self.radius * (1.0 + 1e-9)
+        (x0, x1), (y0, y1), (z0, z1) = [
+            np.searchsorted(b, [r[a] - reach, r[a] + reach], side="right").tolist()
+            for a, b in enumerate(self.bounds)]
+        ny, nz = self.shape[1], self.shape[2]
+        cand = np.concatenate([
+            self.by_cell[self.cell_first[(x * ny + y) * nz + z0]:
+                         self.cell_first[(x * ny + y) * nz + z1 + 1]]
+            for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
+        near = cand[_distances(self.vertices[cand], r) < self.radius]
+        # the incident faces of `near`, one CSR run per vertex
+        start, stop = self.first[near], self.first[near + 1]
+        count = stop - start
+        run = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+        hit = np.zeros(self.n_faces, dtype=bool)
+        hit[self.incident[run]] = True
+        hit[self.nan_faces] = False
+        return np.flatnonzero(hit)
+
+
+def _distances(points: np.ndarray, r) -> np.ndarray:
+    """Euclidean distance of each row of ``points`` to ``r``; a row's value
+    does not depend on the other rows."""
+    return np.linalg.norm(points - r, axis=1)
 
 
 def unique_edges(faces: np.ndarray) -> np.ndarray:
@@ -128,8 +224,7 @@ def apply_transform(mesh: TriangleMesh, t: RigidTransform) -> TriangleMesh:
 
 def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
     """Per-vertex Euclidean distance (mm) to the point ``r``."""
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    return np.linalg.norm(mesh.vertices - r, axis=1)
+    return _distances(mesh.vertices, np.asarray(r, dtype=np.float64).reshape(3))
 
 
 def nearest_vertex(points: np.ndarray, r) -> int:
@@ -245,8 +340,53 @@ def save_landmarks(path, landmarks: LandmarkSet) -> None:
 # OBJ
 
 def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
-    """Parse a Wavefront OBJ file (``v`` and ``f`` records, triangles only)."""
+    """Parse a Wavefront OBJ file (``v`` and ``f`` records, triangles only).
+
+    A file of plain ``v x y z`` and ``f i j k`` records is parsed in blocks;
+    anything else, malformed or merely unusual, is read line by line, which
+    names the line and the fault of a malformed record."""
     path = Path(path)
+    verts, faces = _obj_blocks(path) or _obj_lines(path)
+    return _parsed_mesh(path, verts, faces, rescale)
+
+
+def _obj_blocks(path):
+    """``(vertices, faces)`` of an OBJ file read in blocks of about 32 KiB,
+    or None unless every ``v`` and ``f`` record is a line starting ``v `` or
+    ``f `` with exactly 3 numeric tokens after it, every face index is at
+    least 1, every line is UTF-8 and there is a vertex.  A None hands the
+    file to :func:`_obj_lines`, so errors are always named by that reader."""
+    verts, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            while lines := fh.readlines(1 << 15):
+                v = [l for l in lines if l[:2] == "v "]
+                f = [l for l in lines if l[:2] == "f "]
+                # any other line is ignored only if it is no v or f record
+                if len(v) + len(f) < len(lines) and any(
+                        l.split(None, 1)[:1] in (["v"], ["f"]) for l in lines
+                        if l[:2] not in ("v ", "f ")):
+                    return None
+                for rows, out in ((v, verts), (f, faces)):
+                    tok = " ".join(rows).split()
+                    # with 4 tokens per record on average, a record of another
+                    # length moves some tag off every 4th token, and a tag
+                    # left among the numbers fails the conversion
+                    if len(tok) != 4 * len(rows):
+                        return None
+                    del tok[::4]
+                    out.append(np.array(tok, dtype=out[0].dtype))
+    except (ValueError, OverflowError):  # not UTF-8, non-numeric, too large
+        return None
+    verts, faces = np.concatenate(verts), np.concatenate(faces)
+    if not verts.size or (faces.size and faces.min() < 1):
+        return None
+    return verts.reshape(-1, 3), faces.reshape(-1, 3) - 1
+
+
+def _obj_lines(path):
+    """``(vertices, faces)`` of an OBJ file read line by line; a malformed
+    record raises :class:`MeshFormatError` naming its line."""
     verts: list = []
     faces: list = []
     for ln, raw in enumerate(_text_lines(path), start=1):
@@ -284,8 +424,7 @@ def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
         # all other record types (vn, vt, g, ...) are ignored
     if not verts:
         raise MeshFormatError(f"{path}: no vertices found")
-    return _parsed_mesh(path, np.array(verts, dtype=np.float64),
-                        np.array(faces, dtype=np.int64).reshape(-1, 3), rescale)
+    return np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
 def save_obj(path, mesh: TriangleMesh) -> None:

@@ -312,39 +312,21 @@ def _level_curves(mesh: TriangleMesh, center, levels, label):
     """The apex normal at ``center`` and an iterator over the enclosing loop
     around it at each of ``levels``, oriented counterclockwise about that
     normal.  Only a face with a corner closer than the largest level can
-    cross a level, so the normal and every loop are taken from those faces;
-    the distance field is computed once for all levels."""
+    cross a level, so the normal and every loop are taken from the submesh
+    of those faces, found from the mesh's neighbourhood index; the distance
+    field is computed once on it for all levels."""
     context = f" (landmark {label!r})" if label else ""
-    field = distance_field(mesh, center)
-    fv = field[mesh.faces]
-    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    near = face_min < max(levels)
-    if not near.any():
+    near = mesh.faces_within(center, max(levels))
+    if not near.size:
         raise CurveExtractionError(f"iso-level {float(levels[0])} has no crossings{context}")
-    # compress: several times faster than a boolean index on a large mesh
-    crop = TriangleMesh(mesh.vertices, mesh.faces.compress(near, axis=0))
-    normal = apex_normal(crop, center)
-    fv = fv.compress(near, axis=0)
+    crop = mesh.submesh(near)
+    field = distance_field(crop, center)
+    fv = field[crop.faces]
+    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
     face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    return normal, _enclosing_loops(crop, field, face_min.compress(near), face_max, center,
+    normal = apex_normal(crop, center)
+    return normal, _enclosing_loops(crop, field, face_min, face_max, center,
                                     levels, _plane_basis(normal), context)
-
-
-def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") -> np.ndarray:
-    """Extract the closed iso-contour of the Euclidean distance field around
-    ``r`` at radius ``level``, as a ``(P, 3)`` polyline of edge-crossing
-    points (P >= 3, closing segment implied) ordered counterclockwise about
-    the outward apex normal.
-
-    Crossed edges are found from the sign structure of the per-vertex
-    field (marching triangles); the crossing position on each edge solves
-    the exact distance equation, so every returned point is at distance
-    ``level`` up to floating-point error.
-    """
-    if level <= 0:
-        raise ValueError(f"level must be positive, got {level}")
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    return next(_level_curves(mesh, r, [level], label)[1])
 
 
 # ---------------------------------------------------------------------------

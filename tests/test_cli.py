@@ -282,6 +282,29 @@ def test_out_of_range_classifier_settings_rejected(tmp_path, capsys):
             assert flag in capsys.readouterr().err, (flag, value)
 
 
+def test_fold_count_below_two_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for value in ("1", "0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--features", "t", "--folds", value])
+        assert exc.value.code == 2, value
+        assert "argument --folds" in capsys.readouterr().err, value
+        cfgfile.write_text(json.dumps({"folds": int(value)}))
+        rc = main(["evaluate", "--config", str(cfgfile)])
+        assert rc == 2, value
+        assert "--folds" in capsys.readouterr().err, value
+
+
+def test_more_folds_than_subjects_is_usage_error(cli_workspace, tmp_path, capsys):
+    report_path = tmp_path / "folds.json"
+    for task in ("expressions", "aus"):
+        rc = main(["evaluate", "--features", str(cli_workspace["glf"]), "--task", task,
+                   "--classifier", "flda", "--folds", "3", "--out", str(report_path)])
+        assert rc == 2, task
+        err = capsys.readouterr().err
+        assert "--folds 3" in err and "2 distinct subjects" in err, task
+        assert not report_path.exists()
+
 def test_features_cmd_shapedna_k_beyond_patch_fails(cli_workspace, tmp_path, capsys):
     out = tmp_path / "dna"
     rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),

@@ -1,7 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from facespectra import mesh as mesh_module
 
 from facespectra.mesh import (
     LandmarkSet,
@@ -85,6 +89,100 @@ def test_obj_slashed_face_indices(tmp_path):
     p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nvt 0 0\nf 1/1 2/1 3/1\n")
     mesh = load_obj(p)
     assert np.array_equal(mesh.faces, [[0, 1, 2]])
+
+
+def _obj_outcome(path):
+    """Arrays of ``load_obj(path)``, or the type and text of what it raised."""
+    try:
+        mesh = load_obj(path)
+    except (MeshFormatError, MeshStructureError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return mesh.vertices.tobytes(), mesh.faces.tobytes(), mesh.vertices.shape, mesh.faces.shape
+
+
+def _line_reader_outcome(path):
+    with mock.patch.object(mesh_module, "_obj_blocks", lambda path: None):
+        return _obj_outcome(path)
+
+
+# a plain vertex/face prefix long enough that later lines fall in the
+# second 32 KiB block
+_PAD_VERTS = 1600
+_PAD = "".join("v %.6f %.6f %.6f\n" % (i, 0.5 * i, -0.25 * i) for i in range(_PAD_VERTS)) \
+    + "".join("f %d %d %d\n" % (i + 1, i + 2, i + 3) for i in range(_PAD_VERTS - 2))
+
+_NUMBERS = ("0", "1", "-2.5", "3.25e1", "+3", "1_0", "nan", "-inf", "inf", ".5", "7.",
+            "1e400", "x", "1,5", "0x10", "٣")
+_INDICES = ("1", "2", "3", "4", "+2", "1_0", "0", "-1", "-3", "9999", "2.0", "x",
+            "1/1/1", "2//3", "3/1", "99999999999999999999999")
+_RECORDS = ("# comment", "#v 1 2 3", "vn 0 0 1", "vt 0.5 0.5", "g group", "o object",
+            "s off", "usemtl skin", "", "   ", "v", "f")
+
+
+@st.composite
+def obj_lines(draw):
+    kind = draw(st.sampled_from(("v", "v", "f", "f", "record", "lead")))
+    if kind == "v":
+        n = draw(st.sampled_from((3, 3, 3, 2, 4)))  # 4: a w coordinate
+        body = "v " + " ".join(draw(st.sampled_from(_NUMBERS)) for _ in range(n))
+    elif kind == "f":
+        n = draw(st.sampled_from((3, 3, 3, 2, 4)))  # 4: a quad
+        body = "f " + " ".join(draw(st.sampled_from(_INDICES)) for _ in range(n))
+    elif kind == "record":
+        body = draw(st.sampled_from(_RECORDS))
+    else:
+        body = draw(st.sampled_from((" v 1 2 3", "\tf 1 2 3", "v\t1 2 3", "f\t1 2 3",
+                                     "v 1  2\t3", "f 1 2 3 ", "  # v 1")))
+    return body + draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pad=st.booleans(), lines=st.lists(obj_lines(), max_size=12),
+       cut=st.none() | st.integers(0, 400), junk=st.none() | st.sampled_from(
+           (b"\xff", b"\xc3", b"\xe2\x82", b"\x00", "é".encode())),
+       junk_at=st.integers(0, 400))
+def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, lines, cut, junk,
+                                              junk_at):
+    """Every file gives the arrays, or the error type and text, of the line
+    reader: comments, other records, leading whitespace, tabs, CRLF and lone
+    CR, w coordinates, short records, slashed and non-positive indices,
+    quads, special and non-numeric tokens, bad bytes and truncation, in the
+    first block or after a 32 KiB prefix."""
+    body = "".join(lines).encode()
+    if junk is not None:
+        at = min(junk_at, len(body))
+        body = body[:at] + junk + body[at:]
+    if cut is not None:
+        body = body[:cut]
+    path = tmp_path_factory.getbasetemp() / "fuzz.obj"
+    path.write_bytes((_PAD.encode() if pad else b"") + body)
+    assert _obj_outcome(path) == _line_reader_outcome(path)
+
+
+def test_obj_block_reader_reads_plain_files_and_defers_the_rest(tmp_path):
+    """Plain files take the block reader, over several blocks; each unusual
+    file is handed to the line reader and read as before."""
+    mesh = make_grid_mesh(60, 60)
+    p = tmp_path / "grid.obj"
+    save_obj(p, mesh)
+    assert p.stat().st_size > 3 * (1 << 15)
+    verts, faces = mesh_module._obj_blocks(p)
+    assert np.array_equal(faces, mesh.faces) and verts.shape == mesh.vertices.shape
+    assert _obj_outcome(p) == _line_reader_outcome(p)
+    plain = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 4 3\n"
+    for text in ("v 0 0 0 1\nv 1 0\nv 0 1 0\nf 1 2 3\n",   # 4 + 2 tokens
+                 " v 5 5 5\n" + plain, "v\t5 5 5\n" + plain, "f\t1 2 4\n" + plain,
+                 plain + "f 1/1 2/2 3/3\n", plain + "f 1 2 3 4\n", plain + "f 0 1 2\n",
+                 plain + "f -1 2 3\n", plain + "v 1 2 zz\n", "# only a comment\n", ""):
+        p.write_text(text, newline="")
+        assert mesh_module._obj_blocks(p) is None, text
+        assert _obj_outcome(p) == _line_reader_outcome(p), text
+    p.write_bytes(plain.encode() + b"# \xff\n")
+    assert mesh_module._obj_blocks(p) is None
+    assert _obj_outcome(p) == _line_reader_outcome(p)
+    p.write_text("# header\r\nvn 0 0 1\r\n" + plain.replace("\n", "\r") + "g x", newline="")
+    assert mesh_module._obj_blocks(p) is not None
+    assert _obj_outcome(p) == _line_reader_outcome(p)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from facespectra.mesh import RigidTransform, TriangleMesh, apply_transform, vertex_degrees
+from facespectra import patches as patches_module
 from facespectra.patches import (
     CurveAmbiguityError,
     CurveExtractionError,
@@ -12,7 +13,6 @@ from facespectra.patches import (
     apex_normal,
     build_patch,
     canonical_connectivity,
-    extract_level_curve,
     extract_patches,
     load_patch_archive,
     resample_uniform,
@@ -21,6 +21,7 @@ from facespectra.patches import (
 from facespectra.synth import SynthConfig, generate_scan
 
 from conftest import make_grid_mesh, make_uv_sphere
+from patch_oracles import extract_level_curve, whole_mesh_crop, whole_mesh_level_curves
 
 
 def polygon_circle(radius, n, z=0.0):
@@ -427,3 +428,90 @@ def test_build_patch_rigid_motion_on_random_height_fields(seed):
     base = build_patch(mesh, ("C", pos), cfg, align="normal")
     patch_t = build_patch(moved, ("C", t.apply(pos)), cfg, reference_axis=axis, align="normal")
     assert np.abs(patch_t - base).max() < 1e-9
+
+
+
+def _curves_outcome(level_curves, mesh, center, levels):
+    """Normal and loops of a ``_level_curves``-like function as bytes, up to
+    and including the type and text of the first error."""
+    out = []
+    try:
+        normal, loops = level_curves(mesh, center, levels, "L")
+        out.append(normal.tobytes())
+        for loop in loops:
+            out.append(loop.tobytes())
+    except CurveExtractionError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       radius=st.sampled_from((0.1, 0.75, 1.0, 1.5, 2.5, 4.0, 100.0)))
+def test_neighbourhood_crop_equals_whole_mesh_crop(seed, radius):
+    """The neighbourhood index returns the faces of the whole-mesh crop
+    (smallest corner distance below the radius), in the same order, and the
+    traced normal and loops, or the error text, are bit-identical: on height
+    fields with shuffled vertices, unreferenced and non-finite vertices, for
+    landmarks inside, outside the bounding box, on a grid-cell boundary,
+    exactly the radius from a vertex, and with NaN or inf coordinates."""
+    rng = np.random.default_rng(seed)
+    nx, ny = rng.integers(3, 13, size=2)
+    spacing = float(rng.choice([0.25, 0.5, 1.0]))
+    grid = make_grid_mesh(nx, ny, spacing=spacing)
+    # heights on a 1/64 grid keep sums of coordinates and radii exact
+    verts = grid.vertices + np.column_stack(
+        [np.zeros((grid.n_vertices, 2)), rng.integers(-64, 65, grid.n_vertices) / 64])
+    perm = rng.permutation(grid.n_vertices)
+    shuffled = np.empty_like(verts)
+    shuffled[perm] = verts
+    faces = perm[grid.faces]
+    extra = rng.uniform(-2.0, 2.0 + spacing * max(nx, ny), size=(rng.integers(0, 6), 3))
+    if rng.random() < 0.3:
+        extra = np.vstack([extra, [[np.nan, 0.0, 0.0], [np.inf, 1.0, 1.0]]])
+    if rng.random() < 0.3:
+        shuffled[rng.integers(grid.n_vertices), 2] = rng.choice([np.nan, np.inf])
+    mesh = TriangleMesh(np.vstack([shuffled, extra]), faces)
+    finite = mesh.vertices[np.isfinite(mesh.vertices).all(axis=1)]
+    lo, hi = finite.min(axis=0), finite.max(axis=0)
+    inside = verts[rng.integers(grid.n_vertices)]
+    centers = [
+        inside + rng.normal(scale=0.3 * spacing, size=3),
+        inside + [radius, 0.0, 0.0],
+        lo - [0.0, 3.0 * radius, 0.0],
+        hi + rng.uniform(0.0, 50.0, size=3),
+        lo + radius * rng.integers(0, 4, size=3),
+        np.array([np.nan, inside[1], inside[2]]),
+        np.array([inside[0], -np.inf, inside[2]]),
+    ]
+    levels = np.linspace(radius / 3, radius, 3)
+    for center in centers:
+        assert np.array_equal(mesh.faces_within(center, radius),
+                              whole_mesh_crop(mesh, center, radius)), center
+        with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN vertices
+            assert (_curves_outcome(patches_module._level_curves, mesh, center, levels)
+                    == _curves_outcome(whole_mesh_level_curves, mesh, center, levels)), center
+
+
+def test_non_finite_landmark_has_no_crossings():
+    mesh = make_grid_mesh(11, 11)
+    cfg = PatchConfig(1.0, 3.0, 2, 6)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(CurveExtractionError) as exc:
+            build_patch(mesh, ("L", [5.0, bad, 0.0]), cfg)
+        assert str(exc.value) == "iso-level 1.0 has no crossings (landmark 'L')"
+
+
+def test_extract_patches_equal_on_whole_mesh_crop(monkeypatch):
+    """Patches, missing flags and errors of a synthetic scan are
+    bit-identical to tracing on the whole-mesh crop."""
+    mesh, lmk, _ = generate_scan(
+        SynthConfig(subjects=1, seed=2, amplitude=1.2, subject_amplitude=3.5, jitter=0.4),
+        0, "SU", 2)
+    cfg = PatchConfig(5.0, 20.0, 6, 16)
+    new = [extract_patches(mesh, lmk, cfg, align=a) for a in ("none", "normal")]
+    monkeypatch.setattr(patches_module, "_level_curves", whole_mesh_level_curves)
+    old = [extract_patches(mesh, lmk, cfg, align=a) for a in ("none", "normal")]
+    for (p, m, e), (po, mo, eo) in zip(new, old):
+        assert p.tobytes() == po.tobytes()
+        assert np.array_equal(m, mo) and e == eo
