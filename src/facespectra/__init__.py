@@ -13,16 +13,12 @@ from .mesh import (
     LandmarkSet,
     MeshFormatError,
     MeshStructureError,
-    RigidTransform,
     TriangleMesh,
-    apply_transform,
     distance_field,
     load_landmarks,
     load_mesh,
     save_landmarks,
     save_obj,
-    snap_landmarks,
-    vertex_degrees,
 )
 from .patches import (
     CurveAmbiguityError,
@@ -52,7 +48,6 @@ from .features import (
     FeatureTable,
     glf_norms,
     glf_project,
-    glf_reconstruct,
     load_feature_table,
     save_feature_csv,
     save_feature_table,
@@ -79,7 +74,6 @@ from .experiments import (
     evaluate_aus,
     evaluate_expressions,
     save_report,
-    shuffle_within_subjects,
     validate_report,
 )
 from .data import DatasetManifest, ManifestError, ManifestRecord, load_manifest, save_manifest

@@ -14,6 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .spectral import fix_signs
+
 EXPRESSIONS = ("AN", "DI", "FE", "HA", "SA", "SU")
 AU_SET = (1, 2, 4, 5, 6, 7, 9, 10, 12, 15, 16, 17, 20, 23, 24, 25, 26)
 
@@ -159,11 +161,7 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel
     U = v[:, order]
     W = np.linalg.solve(R.T, U)              # (r, C-1)
     W /= np.linalg.norm(W, axis=0, keepdims=True)
-    # deterministic sign: largest-magnitude entry positive
-    idx = np.argmax(np.abs(W), axis=0)
-    signs = np.sign(W[idx, np.arange(W.shape[1])])
-    signs[signs == 0] = 1.0
-    W = W * signs[None, :]
+    W = fix_signs(W)  # deterministic sign
     W_full = W if Q is None else Q @ W
     means_x, _ = _class_stats(X, y, classes)
     class_means = means_x @ W_full
@@ -189,13 +187,13 @@ def flda_predict(model: FLDAModel, X: np.ndarray):
 # SVM (SMO dual solver)
 
 def kernel_matrix(X: np.ndarray, Z: np.ndarray, kernel: str, gamma: float | None):
+    """Gram matrix of the rows of X against the rows of Z; ``gamma`` is the
+    RBF width, which the caller always supplies (None for linear)."""
     X = np.asarray(X, dtype=np.float64)
     Z = np.asarray(Z, dtype=np.float64)
     if kernel == "linear":
         return X @ Z.T
     if kernel == "rbf":
-        if gamma is None:
-            gamma = 1.0 / X.shape[1]
         xx = np.einsum("ij,ij->i", X, X)
         zz = np.einsum("ij,ij->i", Z, Z)
         d2 = xx[:, None] + zz[None, :] - 2.0 * (X @ Z.T)

@@ -52,9 +52,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.records)
 
-    def subjects(self) -> list:
-        return sorted({r.subject for r in self.records})
-
 
 def _parse_aus(token: str):
     token = token.strip()

@@ -95,13 +95,11 @@ class ExpressionResult:
     confusion: ConfusionMatrix
     n_samples: int
     folds: int
-    seed: int
 
 
 def evaluate_expressions(X: np.ndarray, expressions, subjects,
                          classifier: ClassifierConfig | None = None,
-                         folds: int = 10, seed: int = 0,
-                         fold_splits=None) -> ExpressionResult:
+                         folds: int = 10, seed: int = 0) -> ExpressionResult:
     """Identity-disjoint k-fold evaluation of the 6-class expression task.
 
     Confusion percentages are computed per fold and averaged row-wise
@@ -111,8 +109,7 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray([str(e) for e in expressions])
     classes = sorted(set(y.tolist()))
-    splits = fold_splits if fold_splits is not None else identity_disjoint_folds(
-        subjects, folds, seed)
+    splits = identity_disjoint_folds(subjects, folds, seed)
     accs = []
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     pct_sum = np.zeros((len(classes), len(classes)), dtype=np.float64)
@@ -142,7 +139,6 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
         confusion=confusion,
         n_samples=X.shape[0],
         folds=len(splits),
-        seed=seed,
     )
 
 
@@ -155,13 +151,11 @@ class AUResult:
     weighted_f1: float
     skipped: list                # dicts: au, fold[, reason] (untrainable folds)
     fold_count: int
-    seed: int
 
 
 def evaluate_aus(X: np.ndarray, au_sets, subjects,
                  classifier: ClassifierConfig | None = None,
-                 folds: int = 10, seed: int = 0, aus=AU_SET,
-                 fold_splits=None) -> AUResult:
+                 folds: int = 10, seed: int = 0, aus=AU_SET) -> AUResult:
     """One independent binary classifier per AU; F1 per AU over the pooled
     test folds, averaged with per-AU positive counts as weights.
 
@@ -176,8 +170,7 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
     present = [set(int(a) for a in s) for s in au_sets]
-    splits = fold_splits if fold_splits is not None else identity_disjoint_folds(
-        subjects, folds, seed)
+    splits = identity_disjoint_folds(subjects, folds, seed)
     ybins = [np.array([1.0 if au in s else -1.0 for s in present]) for au in aus]
     counts = [np.zeros(3, dtype=np.int64) for _ in aus]     # tp, fp, fn
     skipped = [[] for _ in aus]
@@ -236,27 +229,7 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     weighted = float((weights * f1s).sum() / weights.sum()) if weights.sum() else 0.0
     return AUResult(rows=rows, weighted_f1=weighted,
                     skipped=[entry for entries in skipped for entry in entries],
-                    fold_count=len(splits), seed=seed)
-
-
-def shuffle_within_subjects(labels, subjects, seed: int):
-    """Permutation null for identity-disjoint designs: shuffle each
-    subject's labels among that subject's own samples.
-
-    A global permutation leaves subject-level label imbalances that,
-    combined with per-subject prediction correlation, give the chance
-    control a subject-count-limited variance; permuting within subjects
-    preserves each subject's label multiset, so the control concentrates
-    at the true chance level.
-    """
-    labels = np.asarray(list(labels), dtype=object)
-    subjects = np.asarray([str(s) for s in subjects])
-    out = labels.copy()
-    rng = np.random.default_rng(seed)
-    for s in sorted(set(subjects.tolist())):
-        idx = np.nonzero(subjects == s)[0]
-        out[idx] = labels[idx][rng.permutation(idx.size)]
-    return out.tolist()
+                    fold_count=len(splits))
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +243,18 @@ class SweepResult:
 
 def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | None = None,
                 folds: int = 10, seed: int = 0) -> SweepResult:
-    """Expression evaluation at several eigenvalue counts, reusing both the
-    extraction (column slicing) and the fold assignment across k."""
+    """Expression evaluation at several eigenvalue counts, reusing the
+    extraction (column slicing); the folds depend only on the subjects,
+    ``folds`` and ``seed``, so every k gets the same ones."""
     k_values = [int(k) for k in k_values]
     for k in k_values:
         if k < 1:
             raise ValueError(f"k={k} must be >= 1")
         if k > table.k:
             raise ValueError(f"k={k} exceeds the table's component count {table.k}")
-    splits = identity_disjoint_folds(table.subjects, folds, seed)
-    per_k = {}
-    for k in k_values:
-        sub = table.sliced(k)
-        per_k[k] = evaluate_expressions(
-            sub.X, sub.expressions, sub.subjects, classifier=classifier,
-            folds=folds, seed=seed, fold_splits=splits,
-        )
+    per_k = {k: evaluate_expressions(table.sliced(k).X, table.expressions, table.subjects,
+                                     classifier=classifier, folds=folds, seed=seed)
+             for k in k_values}
     return SweepResult(k_values=k_values, per_k=per_k)
 
 

@@ -40,14 +40,6 @@ def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
     return basis.eigenvectors[:, :k].T @ coords
 
 
-def glf_reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Invert :func:`glf_project`: rebuild (n, 3) coordinates from the
-    leading coefficients (exact when all n coefficients are used)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    k = coeffs.shape[0]
-    return basis.eigenvectors[:, :k] @ coeffs
-
-
 def glf_norms(coeffs: np.ndarray) -> np.ndarray:
     """Euclidean norm of each coefficient row across the three channels
     (rotation-invariant variant of the projection features)."""

@@ -1,4 +1,4 @@
-"""Triangle meshes, landmark sets, and rigid transforms.
+"""Triangle meshes, landmark sets, and their OBJ/PLY/CSV loaders.
 
 Vertices are in millimetres throughout; the level-curve radii used
 downstream (5..20 mm) only make sense at face scale.  Loaders accept an
@@ -67,9 +67,6 @@ class TriangleMesh:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
-
-    def edges(self) -> np.ndarray:
-        return unique_edges(self.faces)
 
     def faces_within(self, r, radius: float) -> np.ndarray:
         """Ascending ids of the faces whose smallest corner value of
@@ -176,52 +173,6 @@ def unique_edges(faces: np.ndarray) -> np.ndarray:
     return np.unique(e, axis=0) if e.size else e
 
 
-@dataclass(frozen=True)
-class RigidTransform:
-    """Similarity transform: p -> scale * rotation @ p + translation."""
-
-    rotation: np.ndarray      # (3, 3), orthonormal, det +1
-    translation: np.ndarray   # (3,), mm
-    scale: float = 1.0
-
-    def __post_init__(self):
-        r = _readonly(np.asarray(self.rotation, dtype=np.float64).reshape(3, 3))
-        t = _readonly(np.asarray(self.translation, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-        object.__setattr__(self, "scale", float(self.scale))
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if np.abs(r @ r.T - np.eye(3)).max() > 1e-9:
-            raise ValueError("rotation matrix is not orthonormal within 1e-9")
-        if np.linalg.det(r) < 0:
-            raise ValueError("rotation matrix must have determinant +1")
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return self.scale * pts @ self.rotation.T + self.translation
-
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3), 1.0)
-
-    @staticmethod
-    def random(rng: np.random.Generator, scale: float = 1.0,
-               max_translation: float = 0.0) -> "RigidTransform":
-        """Uniform-ish random rotation (QR of a Gaussian matrix, det fixed)."""
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-        q = q * np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        t = rng.uniform(-max_translation, max_translation, size=3)
-        return RigidTransform(q, t, scale)
-
-
-def apply_transform(mesh: TriangleMesh, t: RigidTransform) -> TriangleMesh:
-    """Return a new mesh with transformed vertices; connectivity unchanged."""
-    return TriangleMesh(t.apply(mesh.vertices), mesh.faces)
-
-
 def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
     """Per-vertex Euclidean distance (mm) to the point ``r``."""
     return _distances(mesh.vertices, np.asarray(r, dtype=np.float64).reshape(3))
@@ -234,11 +185,6 @@ def nearest_vertex(points: np.ndarray, r) -> int:
     return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
-def vertex_degrees(mesh: TriangleMesh) -> np.ndarray:
-    """Number of distinct undirected edges incident to each vertex."""
-    return np.bincount(mesh.edges().ravel(), minlength=mesh.n_vertices)
-
-
 def _text_lines(path):
     """Lines of a UTF-8 text file; a decoding error names the file."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -249,14 +195,21 @@ def _text_lines(path):
 
 
 def _parsed_mesh(path, vertices, faces, rescale: float) -> TriangleMesh:
-    """The mesh parsed from ``path``, rescaled; a structural error names
-    the file."""
+    """The mesh parsed from ``path``, rescaled; a structural error, or a
+    face with a non-finite corner, names the file."""
     if rescale != 1.0:
         vertices = vertices * float(rescale)
     try:
-        return TriangleMesh(vertices, faces)
+        mesh = TriangleMesh(vertices, faces)
     except MeshStructureError as exc:
         raise MeshStructureError(f"{path}: {exc}") from None
+    bad = ~np.isfinite(mesh.vertices).all(axis=1)[mesh.faces]
+    if bad.any():
+        face = int(np.flatnonzero(bad.any(axis=1))[0])
+        vertex = int(mesh.faces[face][bad[face]][0])
+        raise MeshStructureError(
+            f"{path}: face {face} references vertex {vertex}, whose coordinates are not finite")
+    return mesh
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +239,6 @@ class LandmarkSet:
 
     def items(self):
         return list(zip(self.labels, self.positions))
-
-
-def snap_landmarks(mesh: TriangleMesh, landmarks: LandmarkSet) -> LandmarkSet:
-    """Replace each landmark position by the nearest mesh vertex.
-
-    Datasets sometimes annotate points slightly off the surface; snapping
-    is optional and never applied implicitly.
-    """
-    nearest = [nearest_vertex(mesh.vertices, p) for p in landmarks.positions]
-    return LandmarkSet(landmarks.labels, mesh.vertices[nearest])
 
 
 def load_landmarks(path, rescale: float = 1.0) -> LandmarkSet:
@@ -419,6 +362,8 @@ def _obj_lines(path):
                     raise MeshFormatError(
                         f"{path}: line {ln}: face indices must be positive (1-based), got {i}"
                     )
+                if i >= 2**63:
+                    raise MeshFormatError(f"{path}: line {ln}: face index {i} exceeds int64")
                 idx.append(i - 1)
             faces.append(idx)
         # all other record types (vn, vt, g, ...) are ignored
@@ -550,6 +495,8 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
                     rows = np.array(tokens[pos:pos + 4 * count], dtype=np.int64)
                 except ValueError:
                     raise MeshFormatError(f"{path}: non-numeric face data") from None
+                except OverflowError:
+                    raise MeshFormatError(f"{path}: face index exceeds int64") from None
                 faces = _triangle_rows(rows[:rows.size // 4 * 4].reshape(-1, 4), count, path)
                 pos += 4 * count
             else:

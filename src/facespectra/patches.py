@@ -222,8 +222,9 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     tris = mesh.vertices[f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]]
     n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).sum(axis=0)
     norm = np.linalg.norm(n)
-    if norm < 1e-15:
-        raise CurveExtractionError("degenerate apex normal (zero area-weighted sum)")
+    if not norm >= 1e-15:  # NaN from a non-finite corner is degenerate too
+        raise CurveExtractionError(
+            "degenerate apex normal (zero or non-finite area-weighted sum)")
     return n / norm
 
 

@@ -56,10 +56,6 @@ class SpectralBasis:
     def k(self) -> int:
         return self.eigenvalues.shape[0]
 
-    def orthonormality_error(self) -> float:
-        g = self.eigenvectors.T @ self.eigenvectors
-        return float(np.abs(g - np.eye(self.k)).max())
-
     def residual(self, operator: np.ndarray) -> float:
         r = operator @ self.eigenvectors - self.eigenvectors * self.eigenvalues[None, :]
         return float(np.abs(r).max())
@@ -168,7 +164,8 @@ def symmetrize(S: np.ndarray, mass: np.ndarray) -> np.ndarray:
     return S * (s[:, None] * s[None, :])
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+def fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with each column's largest-magnitude entry made positive."""
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
@@ -197,7 +194,7 @@ def eig_sym(A: np.ndarray, k: int, config_hash: int | None = None) -> SpectralBa
         w, v = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    basis = SpectralBasis(w[:k], _fix_signs(v[:, :k]), config_hash=config_hash)
+    basis = SpectralBasis(w[:k], fix_signs(v[:, :k]), config_hash=config_hash)
     res = basis.residual(A)
     tol = 1e-7 * max(1.0, float(np.abs(w).max()))
     if res > tol:

@@ -55,18 +55,6 @@ class SynthConfig:
         if any(int(l) < 1 for l in self.levels):
             raise ValueError("intensity levels must be positive integers")
 
-    def to_dict(self) -> dict:
-        return {
-            "subjects": self.subjects,
-            "expressions": list(self.expressions),
-            "levels": [int(l) for l in self.levels],
-            "resolution": self.resolution,
-            "amplitude": self.amplitude,
-            "subject_amplitude": self.subject_amplitude,
-            "jitter": self.jitter,
-            "seed": self.seed,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Landmark layout (face coordinates in mm, x lateral, y vertical)

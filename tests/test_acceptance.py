@@ -9,6 +9,7 @@ scoped and charged to the first criterion that uses them.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -28,12 +29,10 @@ from facespectra.experiments import (
     evaluate_expressions,
     expression_report_section,
     format_sweep_result,
-    shuffle_within_subjects,
     sweep_report_section,
     validate_report,
 )
-from facespectra.features import glf_norms, glf_project, glf_reconstruct
-from facespectra.mesh import RigidTransform
+from facespectra.features import glf_norms, glf_project
 from facespectra.patches import PatchConfig, build_patch, canonical_connectivity
 from facespectra.pipeline import compute_basis, compute_feature_tables
 from facespectra.spectral import (
@@ -45,6 +44,8 @@ from facespectra.spectral import (
 )
 from facespectra.synth import SynthConfig, generate_scan, synth_generate
 
+from experiment_oracles import shuffle_within_subjects
+from geometry_oracles import RigidTransform, glf_reconstruct
 from smo_oracles import brute_force_dual_optimum, svm_dual_objective
 
 # Experiment-scale configuration: 15 curves over [5, 20] mm as in the
@@ -250,7 +251,7 @@ def test_criterion_6_end_to_end_synthetic(acc_tables, tmp_path):
                                    classifier=SVM, folds=10, seed=0)
     report = build_report(
         "expressions",
-        {"dataset": ACC_SYNTH.to_dict(), "patch_config": ACC_PATCH.to_dict(),
+        {"dataset": asdict(ACC_SYNTH), "patch_config": ACC_PATCH.to_dict(),
          "method": "glf", "k": 50, "classifier": SVM.to_dict(),
          "control_accuracy": control.mean_accuracy},
         expression_report_section(res),

@@ -52,7 +52,7 @@ def test_full_grid_manifest_row_count(tmp_path):
     p.write_text("\n".join(rows) + "\n")
     manifest = load_manifest(p, check_paths=False)
     assert len(manifest) == 1200
-    assert len(manifest.subjects()) == 100
+    assert len({r.subject for r in manifest.records}) == 100
 
 
 def test_duplicate_record_rejected(tmp_path):

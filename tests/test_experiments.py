@@ -80,7 +80,7 @@ def test_chance_level_with_shuffled_labels():
 def test_shuffle_within_subjects_preserves_multisets():
     from collections import Counter
 
-    from facespectra.experiments import shuffle_within_subjects
+    from experiment_oracles import shuffle_within_subjects
 
     subjects = ["A"] * 6 + ["B"] * 6
     labels = ["AN", "AN", "DI", "DI", "HA", "HA"] * 2
@@ -293,6 +293,20 @@ def test_sweep_reuses_folds_and_orders_ks():
     # row 0/1 carry no signal: k=1 is chance-ish, k=10 separates
     assert res.per_k[10].mean_accuracy > res.per_k[1].mean_accuracy
     assert res.per_k[10].mean_accuracy >= 0.9
+
+
+@pytest.mark.parametrize("classifier", [FLDA, ClassifierConfig(kind="svm")],
+                         ids=["flda", "svm"])
+def test_sweep_equals_evaluation_of_each_sliced_table(classifier):
+    table = sweep_table(np.random.default_rng(12))
+    res = eigen_sweep(table, [1, 3, 7, 10], classifier=classifier, folds=4, seed=3)
+    for k, got in res.per_k.items():
+        sub = table.sliced(k)
+        want = evaluate_expressions(sub.X, sub.expressions, sub.subjects,
+                                    classifier=classifier, folds=4, seed=3)
+        assert got.fold_accuracies == want.fold_accuracies
+        assert got.confusion.counts.tobytes() == want.confusion.counts.tobytes()
+        assert got.confusion.percent.tobytes() == want.confusion.percent.tobytes()
 
 
 def test_sweep_saturation_beyond_signal():

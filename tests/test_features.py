@@ -7,15 +7,15 @@ from facespectra.features import (
     feature_names,
     glf_norms,
     glf_project,
-    glf_reconstruct,
     load_feature_table,
     save_feature_csv,
     save_feature_table,
     truncation_columns,
 )
-from facespectra.mesh import RigidTransform
 from facespectra.patches import PatchConfig
 from facespectra.pipeline import compute_basis
+
+from geometry_oracles import RigidTransform, glf_reconstruct
 
 
 CFG = PatchConfig(5, 20, 3, 8)   # n = 25

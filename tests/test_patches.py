@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facespectra.mesh import RigidTransform, TriangleMesh, apply_transform, vertex_degrees
+from facespectra.mesh import TriangleMesh
 from facespectra import patches as patches_module
 from facespectra.patches import (
     CurveAmbiguityError,
@@ -21,6 +21,7 @@ from facespectra.patches import (
 from facespectra.synth import SynthConfig, generate_scan
 
 from conftest import make_grid_mesh, make_uv_sphere
+from geometry_oracles import RigidTransform, apply_transform, vertex_degrees
 from patch_oracles import extract_level_curve, whole_mesh_crop, whole_mesh_level_curves
 
 
@@ -119,6 +120,21 @@ def test_curve_ccw_orientation_about_apex_normal():
     apex = mesh.vertices[10 * 21 + 10]
     curve = extract_level_curve(mesh, apex, 3.0)
     assert turning_angle(curve[:, :2]) > 0
+
+
+def test_non_finite_corner_makes_apex_normal_degenerate():
+    # the loaders refuse such a mesh; one built in memory must still fail
+    # with the apex normal named, not with a misleading tracing error
+    grid = make_grid_mesh(21, 21)
+    verts = grid.vertices.copy()
+    verts[10 * 21 + 11, 2] = np.inf  # the vertex next to the landmark
+    mesh = TriangleMesh(verts, grid.faces)
+    apex = mesh.vertices[10 * 21 + 10]
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(CurveExtractionError, match="degenerate apex normal"):
+            apex_normal(mesh, apex)
+        with pytest.raises(CurveExtractionError, match="degenerate apex normal"):
+            build_patch(mesh, ("P", apex), PatchConfig(1.0, 5.0, 5, 8))
 
 
 def test_missing_level_raises_with_context():

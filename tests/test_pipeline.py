@@ -177,20 +177,25 @@ def test_descriptor_failure_names_landmark(tiny_manifest, monkeypatch):
 def test_unreadable_inputs_skip_scan_naming_file(tiny_dataset_dir, tiny_basis, tmp_path):
     shutil.copytree(tiny_dataset_dir, tmp_path / "data")
     manifest = load_manifest(tmp_path / "data" / "manifest.csv")
-    manifest = DatasetManifest(manifest.records[:4], manifest.root)
-    mesh0, lmk1, mesh2 = (manifest.records[0].mesh_path, manifest.records[1].landmarks_path,
-                          manifest.records[2].mesh_path)
+    manifest = DatasetManifest(manifest.records[:5], manifest.root)
+    mesh0, lmk1, mesh2, mesh3 = (manifest.records[0].mesh_path,
+                                 manifest.records[1].landmarks_path,
+                                 manifest.records[2].mesh_path, manifest.records[3].mesh_path)
     mesh0.write_bytes(b"\xff\xfe" + mesh0.read_bytes())           # not UTF-8
     header, first, *rest = lmk1.read_text().splitlines()
     lmk1.write_text("\n".join([header, first, first] + rest) + "\n")  # duplicate label
     with open(mesh2, "a") as fh:
         fh.write("f 1 2 99999\n")                                  # index past the end
+    with open(mesh3, "a") as fh:
+        fh.write("f 1 2 99999999999999999999999\n")                # index beyond int64
     (table,), errors = compute_feature_tables(manifest, TINY_PATCH_CFG,
                                               [("glf", "coords", 5)], basis=tiny_basis)
-    assert table.subjects == [manifest.records[3].subject]
-    assert [e["scan"] for e in errors] == [str(r.mesh_path) for r in manifest.records[:3]]
-    for e, bad in zip(errors, (mesh0, lmk1, mesh2)):
+    assert table.subjects == [manifest.records[4].subject]
+    assert [e["scan"] for e in errors] == [str(r.mesh_path) for r in manifest.records[:4]]
+    for e, bad in zip(errors, (mesh0, lmk1, mesh2, mesh3)):
         assert str(bad) in e["error"], e
+    last_line = len(mesh3.read_text().splitlines())
+    assert f"line {last_line}: face index" in errors[3]["error"]
 
 
 def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
