@@ -91,20 +91,17 @@ def _class_stats(X, y, classes):
 
 def flda_span(X: np.ndarray):
     """Span reduction of a training matrix, shared by every labelling of
-    its rows: ``(Q, Z)`` with ``Q`` an orthonormal basis (d, r) of the
-    centered rows' span and ``Z = Xc @ Q``.  When d <= n there is nothing
-    to reduce: ``Q`` is None and ``Z`` is the centered data."""
+    its rows: ``(Q, Z, t)`` with ``Q`` an orthonormal basis (d, r) of the
+    centered rows' span, ``Z = Xc @ Q`` and ``t`` the squared singular
+    values, so that ``Z.T @ Z = diag(t)``."""
     X = np.asarray(X, dtype=np.float64)
-    n, d = X.shape
     Xc = X - X.mean(axis=0)
-    if d <= n:
-        return None, Xc
     _, s, vt = np.linalg.svd(Xc, full_matrices=False)
     rank = int((s > s[0] * 1e-12).sum()) if s.size else 0
     if rank == 0:
         raise np.linalg.LinAlgError("training data has zero variance")
     Q = vt[:rank].T                          # (d, r)
-    return Q, Xc @ Q                         # Z: (n, r)
+    return Q, Xc @ Q, s[:rank] ** 2          # Z: (n, r)
 
 
 def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel:
@@ -113,9 +110,17 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel
 
     The within-class scatter is regularized with eps*I,
     eps = reg * trace(S_w) / d, since d typically far exceeds the sample
-    count and raw S_w is singular.  When d > n the problem is solved in
-    the span of the centered data, which is exactly equivalent.  ``span``
-    is :func:`flda_span` of ``X``, computed here when not given.
+    count and raw S_w is singular.  The problem is solved in the span of
+    the centered data, which is exactly equivalent.  ``span`` is
+    :func:`flda_span` of ``X``, computed here when not given.
+
+    In the span the total scatter is diag(t); with U the (C, r) matrix of
+    rows sqrt(n_c) (m_c - m), S_b = U'U and S_w + eps*I = D - U'U for
+    D = diag(t + eps).  Maximizing w'S_b w / w'(S_w + eps*I) w is then
+    maximizing c = w'U'Uw / w'Dw, solved by w = D^-1 U'a for the top
+    eigenvectors a of the (C, C) matrix U D^-1 U'.  Directions with no
+    between-class spread (c at rounding level) carry no discriminant and
+    are left out.
     """
     if not 0 < reg < np.inf:
         raise ValueError(f"reg must be positive and finite, got {reg!r}")
@@ -128,49 +133,33 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel
         if (y == c).sum() < 2:
             raise ValueError(f"class {c!r} has fewer than 2 samples")
     d = X.shape[1]
-    Q, Z = flda_span(X) if span is None else span
+    Q, Z, t = flda_span(X) if span is None else span
 
     means_z, counts = _class_stats(Z, y, classes)
-    grand = Z.mean(axis=0)
-    r = Z.shape[1]
-    Sw = np.zeros((r, r))
-    Sb = np.zeros((r, r))
-    for i, c in enumerate(classes):
-        Zc = Z[y == c] - means_z[i]
-        Sw += Zc.T @ Zc
-        diff = (means_z[i] - grand)[:, None]
-        Sb += counts[i] * (diff @ diff.T)
+    U = np.sqrt(counts)[:, None] * (means_z - Z.mean(axis=0))     # (C, r)
+    within = Z - means_z[np.searchsorted(classes, y)]
     # trace(S_w) is invariant under the span reduction; eps uses the
     # ambient feature dimension d
-    eps = reg * np.trace(Sw) / d
+    eps = reg * np.einsum("ij,ij->", within, within) / d
     if eps <= 0:
         eps = reg
-    Sw_reg = Sw + eps * np.eye(r)
-    try:
-        R = np.linalg.cholesky(Sw_reg)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"within-class scatter singular after regularization: {exc}"
-        ) from exc
-    Rinv_Sb = np.linalg.solve(R, Sb)
-    M = np.linalg.solve(R, Rinv_Sb.T).T      # R^-1 Sb R^-T
-    M = 0.5 * (M + M.T)
-    w, v = np.linalg.eigh(M)
-    take = min(len(classes) - 1, r)
-    order = np.argsort(w)[::-1][:take]
-    U = v[:, order]
-    W = np.linalg.solve(R.T, U)              # (r, C-1)
-    W /= np.linalg.norm(W, axis=0, keepdims=True)
-    W = fix_signs(W)  # deterministic sign
-    W_full = W if Q is None else Q @ W
+    UD = U / (t + eps)                       # U D^-1
+    M = UD @ U.T
+    c, a = np.linalg.eigh(0.5 * (M + M.T))
+    order = np.argsort(c)[::-1][:len(classes) - 1]
+    order = order[c[order] > 1e-12 * c[order[0]]]
+    W = UD.T @ a[:, order]                   # (r, C-1)
+    W = fix_signs(W / np.linalg.norm(W, axis=0, keepdims=True))  # deterministic sign
+    W_full = Q @ W
     means_x, _ = _class_stats(X, y, classes)
-    class_means = means_x @ W_full
     return FLDAModel(
         projection=W_full,
         classes=classes,
-        class_means=class_means,
+        class_means=means_x @ W_full,
         priors=counts / counts.sum(),
-        eigenvalues=w[order],
+        # w'S_b w / w'(S_w + eps*I) w for unit w: c / (1 - c), without
+        # the cancellation in 1 - c when c is near 1
+        eigenvalues=((U @ W) ** 2).sum(axis=0) / (((within @ W) ** 2).sum(axis=0) + eps),
     )
 
 
@@ -202,9 +191,18 @@ def kernel_matrix(X: np.ndarray, Z: np.ndarray, kernel: str, gamma: float | None
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def kernel_gamma(kernel: str, gamma: float | None, d: int) -> float | None:
+    """The RBF width for ``d`` feature columns: ``gamma``, or 1/d when it
+    is None."""
+    if gamma is None and kernel == "rbf":
+        return 1.0 / d
+    return gamma
+
+
 @dataclass
 class BinarySVM:
     support_vectors: np.ndarray   # (S, d)
+    support: np.ndarray           # (S,) their row indices in the training X
     dual_coef: np.ndarray         # (S,)  alpha_i * y_i
     bias: float
     kernel: str
@@ -220,11 +218,14 @@ class BinarySVM:
 
 def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
                      C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-                     max_iter: int = 100_000) -> BinarySVM:
+                     max_iter: int = 100_000, gram: np.ndarray | None = None) -> BinarySVM:
     """Solve the soft-margin dual with SMO, selecting the maximal-violating
     pair each step.  Deterministic: ties in the working-set selection
     break to the lowest index.  Raises :class:`ConvergenceError` if the
     KKT violation is still above ``tol`` after ``max_iter`` pair updates.
+
+    ``gram`` is ``kernel_matrix(X, X, kernel, kernel_gamma(...))`` when
+    the caller already has it (a slice of a larger Gram matrix serves).
 
     The loop keeps m = -y*G, G the gradient of 0.5 a'Qa - sum(a) with
     Q = yy'K.  Since y is +-1, a step of t along y_i e_i - y_j e_j moves m
@@ -239,9 +240,13 @@ def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise ValueError("labels must contain both +1 and -1")
-    if gamma is None and kernel == "rbf":
-        gamma = 1.0 / X.shape[1]
-    K = kernel_matrix(X, X, kernel, gamma)
+    gamma = kernel_gamma(kernel, gamma, X.shape[1])
+    if gram is None:
+        K = kernel_matrix(X, X, kernel, gamma)
+    elif gram.shape != (X.shape[0],) * 2:
+        raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
+    else:
+        K = gram
     columns = np.ascontiguousarray(K.T)  # columns[i] is K[:, i]
     eps = 1e-12 * max(1.0, C)
     top = C - eps
@@ -293,10 +298,11 @@ def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
         hi = m[up].max() if up.any() else 0.0
         lo = m[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
-    sv = alpha > eps
+    support = np.flatnonzero(alpha > eps)
     return BinarySVM(
-        support_vectors=X[sv],
-        dual_coef=(alpha * y)[sv],
+        support_vectors=X[support],
+        support=support,
+        dual_coef=(alpha * y)[support],
         bias=bias,
         kernel=kernel,
         gamma=gamma,
@@ -318,32 +324,45 @@ class SVMModel:
 def svm_train(X: np.ndarray, labels, kernel: str = "rbf", C: float = 1.0,
               gamma: float | None = None, tol: float = 1e-3,
               max_iter: int = 100_000) -> SVMModel:
-    """One-vs-one multiclass training over all class pairs."""
+    """One-vs-one multiclass training over all class pairs.  The Gram
+    matrix of X is built once and each pair trains on its slice; each
+    machine's ``support`` indexes the rows of X."""
+    X = np.asarray(X, dtype=np.float64)
     y = np.asarray([str(l) for l in labels])
     classes = sorted(set(y.tolist()))
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
+    gamma = kernel_gamma(kernel, gamma, X.shape[1])
+    K = kernel_matrix(X, X, kernel, gamma)
     model = SVMModel(classes=classes, kernel=kernel, gamma=gamma, C=C)
     for a, b in combinations(classes, 2):
-        mask = (y == a) | (y == b)
-        yy = np.where(y[mask] == a, 1.0, -1.0)
-        model.machines[(a, b)] = svm_train_binary(
-            X[mask], yy, kernel=kernel, C=C, gamma=gamma, tol=tol, max_iter=max_iter
-        )
+        rows = np.flatnonzero((y == a) | (y == b))
+        yy = np.where(y[rows] == a, 1.0, -1.0)
+        machine = svm_train_binary(X[rows], yy, kernel=kernel, C=C, gamma=gamma, tol=tol,
+                                   max_iter=max_iter, gram=K[np.ix_(rows, rows)])
+        machine.support = rows[machine.support]
+        model.machines[(a, b)] = machine
     return model
 
 
 def svm_predict(model: SVMModel, X: np.ndarray):
     """Majority vote over the one-vs-one machines; ties break by summed
-    decision values, then by class order."""
+    decision values, then by class order.  One kernel of X against the
+    union of the machines' support vectors serves every machine."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     classes = model.classes
+    machines = model.machines.values()
+    rows = np.unique(np.concatenate([m.support for m in machines]))
+    vectors = np.empty((rows.size, X.shape[1]))
+    for m in machines:
+        vectors[np.searchsorted(rows, m.support)] = m.support_vectors
+    K = kernel_matrix(X, vectors, model.kernel, model.gamma)
     votes = np.zeros((n, len(classes)), dtype=np.int64)
     scores = np.zeros((n, len(classes)), dtype=np.float64)
     index = {c: i for i, c in enumerate(classes)}
     for (a, b), machine in model.machines.items():
-        d = machine.decision(X)
+        d = K[:, np.searchsorted(rows, machine.support)] @ machine.dual_coef + machine.bias
         ia, ib = index[a], index[b]
         pos = d > 0
         votes[pos, ia] += 1

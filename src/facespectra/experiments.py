@@ -90,11 +90,22 @@ def _row_percent(counts):
 @dataclass
 class ExpressionResult:
     classes: list
-    fold_accuracies: list
+    fold_accuracies: list        # trained folds only
     mean_accuracy: float
     confusion: ConfusionMatrix
     n_samples: int
     folds: int
+    skipped: list                # dicts: fold, reason (untrainable folds)
+
+
+def _flda_short_class(y_train):
+    """Why FLDA cannot fit these training labels although they hold two
+    classes (one class has a single sample), or None."""
+    classes, counts = np.unique(y_train, return_counts=True)
+    if len(classes) > 1 and counts.min() < 2:
+        return (f"flda needs 2 training samples per class, class "
+                f"{str(classes[counts.argmin()])!r} has 1")
+    return None
 
 
 def evaluate_expressions(X: np.ndarray, expressions, subjects,
@@ -104,6 +115,11 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
 
     Confusion percentages are computed per fold and averaged row-wise
     over the folds in which the row's class occurs; counts are pooled.
+
+    Under FLDA a fold with a single-sample training class is skipped and
+    recorded with its reason; accuracies and the confusion matrix cover
+    the other folds.  Any other training failure, such as a fold with one
+    training class, raises naming the fold.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -114,7 +130,12 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     pct_sum = np.zeros((len(classes), len(classes)), dtype=np.float64)
     pct_n = np.zeros(len(classes), dtype=np.int64)
+    skipped = []
     for f, (train, test) in enumerate(splits):
+        reason = _flda_short_class(y[train]) if classifier.kind == "flda" else None
+        if reason:
+            skipped.append({"fold": int(f), "reason": reason})
+            continue
         try:
             mu, sigma = standardize_fit(X[train])
             Xtr = standardize_apply(X[train], mu, sigma)
@@ -129,6 +150,8 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
         pct, has_rows = _row_percent(counts)
         pct_sum[has_rows] += pct[has_rows]
         pct_n += has_rows.astype(np.int64)
+    if not accs:
+        raise RuntimeError(f"no fold could be trained: {skipped[0]['reason']} in fold 0")
     with np.errstate(invalid="ignore", divide="ignore"):
         percent = pct_sum / np.maximum(pct_n, 1)[:, None]
     confusion = ConfusionMatrix(classes, pooled, percent)
@@ -139,6 +162,7 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
         confusion=confusion,
         n_samples=X.shape[0],
         folds=len(splits),
+        skipped=skipped,
     )
 
 
@@ -165,7 +189,8 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     skipped too, recorded with the counts as its reason.
 
     Each fold is standardized once for all its AUs and, under FLDA,
-    reduced to the span of its training rows once.
+    reduced to the span of its training rows once; under SVM its
+    train-by-train and test-by-train kernels are built once.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -190,16 +215,22 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
         mu, sigma = standardize_fit(X[train])
         Xtr = standardize_apply(X[train], mu, sigma)
         Xte = standardize_apply(X[test], mu, sigma)
-        span = None
+        span = gram = None
         for a in trained:
             y_train = ybins[a][train]
             if (y_train > 0).all():
                 # an AU present in every training sample: constant predictor
                 pred = np.ones(len(test))
             elif classifier.kind == "svm":
+                if gram is None:
+                    gamma = classify.kernel_gamma(classifier.kernel, classifier.gamma,
+                                                  Xtr.shape[1])
+                    gram = classify.kernel_matrix(Xtr, Xtr, classifier.kernel, gamma)
+                    gram_test = classify.kernel_matrix(Xte, Xtr, classifier.kernel, gamma)
                 machine = classify.svm_train_binary(Xtr, y_train, kernel=classifier.kernel,
-                                                    C=classifier.C, gamma=classifier.gamma)
-                pred = np.where(machine.decision(Xte) > 0, 1.0, -1.0)
+                                                    C=classifier.C, gamma=gamma, gram=gram)
+                decision = gram_test[:, machine.support] @ machine.dual_coef + machine.bias
+                pred = np.where(decision > 0, 1.0, -1.0)
             elif classifier.kind == "flda":
                 span = span or classify.flda_span(Xtr)
                 model = classify.flda_train(Xtr, np.where(y_train > 0, "pos", "neg"),
@@ -266,6 +297,10 @@ def compare_methods(results: dict) -> dict:
     if len(names) != 2:
         raise ValueError("comparison needs exactly two methods")
     a, b = names
+    skipped = {n: [s["fold"] for s in results[n].skipped] for n in names}
+    if skipped[a] != skipped[b]:
+        raise ValueError(f"methods skipped different folds: {a} {skipped[a]}, "
+                         f"{b} {skipped[b]}")
     fa = np.array(results[a].fold_accuracies)
     fb = np.array(results[b].fold_accuracies)
     if fa.shape != fb.shape:
@@ -296,7 +331,7 @@ def environment_fingerprint() -> dict:
 
 
 def expression_report_section(result: ExpressionResult) -> dict:
-    return {
+    section = {
         "classes": list(result.classes),
         "fold_accuracies": [round(float(a), 6) for a in result.fold_accuracies],
         "mean_accuracy": round(float(result.mean_accuracy), 6),
@@ -304,6 +339,9 @@ def expression_report_section(result: ExpressionResult) -> dict:
         "n_samples": int(result.n_samples),
         "folds": int(result.folds),
     }
+    if result.skipped:
+        section["skipped"] = result.skipped
+    return section
 
 
 def au_report_section(result: AUResult) -> dict:
@@ -382,6 +420,8 @@ def format_expression_result(result: ExpressionResult) -> str:
         "confusion (row-averaged %):",
         format_confusion(result.confusion),
     ]
+    if result.skipped:
+        lines.append(f"skipped folds: {[s['fold'] for s in result.skipped]}")
     return "\n".join(lines)
 
 

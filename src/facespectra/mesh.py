@@ -422,7 +422,11 @@ def _parse_ply_header(data: bytes, path):
                     raise MeshFormatError(f"{path}: line {ln}: unsupported format {tok[1]!r}")
                 fmt = tok[1]
             elif tok[0] == "element":
-                elements.append((tok[1], int(tok[2]), []))
+                count = int(tok[2])
+                if count < 0:
+                    raise MeshFormatError(
+                        f"{path}: line {ln}: negative count {count} for element {tok[1]!r}")
+                elements.append((tok[1], count, []))
             elif tok[0] == "property":
                 if not elements:
                     raise MeshFormatError(f"{path}: line {ln}: property before any element")

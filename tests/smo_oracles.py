@@ -119,6 +119,7 @@ def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_
     sv = alpha > eps
     machine = BinarySVM(
         support_vectors=X[sv],
+        support=np.flatnonzero(sv),
         dual_coef=(alpha * y)[sv],
         bias=bias,
         kernel=kernel,

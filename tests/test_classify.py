@@ -18,6 +18,7 @@ from facespectra.classify import (
     svm_train,
     svm_train_binary,
 )
+from flda_oracles import reference_flda
 from smo_oracles import brute_force_dual_optimum, reference_smo, svm_dual_objective
 
 
@@ -125,6 +126,7 @@ def test_svm_matches_reference_smo_exactly(problem, kernel, C, gamma, tol, max_i
         return
     assert np.array_equal(got.dual_coef, want.dual_coef)
     assert np.array_equal(got.support_vectors, want.support_vectors)
+    assert np.array_equal(got.support, want.support)
     assert (got.bias, got.n_iter, got.final_violation) == (
         want.bias, want.n_iter, want.final_violation)
     assert (got.gamma, got.C, got.kernel) == (want.gamma, want.C, want.kernel)
@@ -166,9 +168,9 @@ def test_svm_multiclass_unanimous_and_deterministic():
     assert svm_predict(model, X[:10]) == svm_predict(model, X[:10])
 
 
-def _machine(w, b):
-    # linear machine with decision(x) = w . x + b
-    return BinarySVM(support_vectors=np.array([w], dtype=float),
+def _machine(w, b, row):
+    # linear machine with decision(x) = w . x + b, w being training row ``row``
+    return BinarySVM(support_vectors=np.array([w], dtype=float), support=np.array([row]),
                      dual_coef=np.array([1.0]), bias=b, kernel="linear",
                      gamma=None, C=1.0, n_iter=0, final_violation=0.0)
 
@@ -177,15 +179,49 @@ def test_svm_vote_tie_breaks_by_score_then_class_order():
     x0 = np.array([[1.0, 0.0]])
     model = SVMModel(classes=["A", "B", "C"], kernel="linear")
     # cyclic preferences: (A,B)->A, (B,C)->B, (A,C)->C; votes tie 1:1:1
-    model.machines[("A", "B")] = _machine([0.5, 0.0], 0.0)    # d=+0.5 -> A
-    model.machines[("B", "C")] = _machine([0.5, 0.0], 0.0)    # d=+0.5 -> B
-    model.machines[("A", "C")] = _machine([-0.5, 0.0], 0.0)   # d=-0.5 -> C
+    model.machines[("A", "B")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> A
+    model.machines[("B", "C")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> B
+    model.machines[("A", "C")] = _machine([-0.5, 0.0], 0.0, 1)   # d=-0.5 -> C
     # summed scores all zero -> falls through to class order
     assert svm_predict(model, x0) == ["A"]
     # bias the (A,C) machine: C picks up score, wins the tie
-    model.machines[("A", "C")] = _machine([-0.5, 0.0], -0.4)
+    model.machines[("A", "C")] = _machine([-0.5, 0.0], -0.4, 1)
     assert svm_predict(model, x0) == ["C"]
     assert svm_predict(model, x0) == svm_predict(model, x0)
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_svm_fold_gram_matches_per_pair_training(kernel):
+    """``svm_train`` slices one Gram matrix per pair and ``svm_predict``
+    reads one kernel against the union of support rows; each pair must
+    behave as a machine trained on its own rows from scratch.  A slice
+    can differ from the pair's own kernel in the last bit, which may
+    change the SMO path, so both solve to a tight tolerance."""
+    rng = np.random.default_rng(14)
+    classes = ["A", "B", "C", "D"]
+    X = np.vstack([rng.normal(size=(15, 6)) + 1.5 * rng.normal(size=6) for _ in classes])
+    labels = np.repeat(classes, 15)
+    test = rng.normal(size=(40, 6)) * 1.5
+    model = svm_train(X, labels, kernel=kernel, C=2.0, tol=1e-9)
+    votes = np.zeros((len(test), len(classes)))
+    scores = np.zeros((len(test), len(classes)))
+    for (a, b), machine in model.machines.items():
+        rows = np.flatnonzero((labels == a) | (labels == b))
+        yy = np.where(labels[rows] == a, 1.0, -1.0)
+        alone = svm_train_binary(X[rows], yy, kernel=kernel, C=2.0, tol=1e-9)
+        assert np.array_equal(machine.support_vectors, X[machine.support])
+        assert set(machine.support) <= set(rows)
+        assert svm_dual_objective(machine, X[rows], yy) == pytest.approx(
+            svm_dual_objective(alone, X[rows], yy), abs=1e-9)
+        d = alone.decision(test)
+        ia, ib = classes.index(a), classes.index(b)
+        votes[:, ia] += d > 0
+        votes[:, ib] += d <= 0
+        scores[:, ia] += d
+        scores[:, ib] -= d
+    # most votes, then the highest summed decision value
+    best = np.where(votes == votes.max(axis=1, keepdims=True), scores, -np.inf).argmax(axis=1)
+    assert svm_predict(model, test) == [classes[i] for i in best]
 
 
 # ---------------------------------------------------------------------------
@@ -322,17 +358,62 @@ def test_flda_rejects_out_of_range_reg():
 
 @pytest.mark.parametrize("d", [500, 8])
 def test_flda_given_span_equals_computed_span(d):
-    # d > n reduces to the span of the rows, d <= n keeps the centered data
     rng = np.random.default_rng(13)
     X = rng.normal(size=(40, d))
     y = ["P" if i % 3 else "Q" for i in range(40)]
     span = flda_span(X)
-    assert (span[0] is None) == (d <= 40)
+    _, Z, t = span
+    assert np.abs(Z.T @ Z - np.diag(t)).max() <= 1e-12 * t.max()
     a = flda_train(X, y, reg=1e-3)
     b = flda_train(X, y, reg=1e-3, span=span)
     for field in ("projection", "class_means", "priors", "eigenvalues"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.classes == b.classes
+
+
+def _flda_problem(rng, n_classes, n, d, rank):
+    """``n`` rows in ``n_classes`` classes: a rank-``rank`` matrix plus a
+    shift per class, so X has rank at most ``rank + n_classes``."""
+    y = np.array([f"C{i % n_classes}" for i in range(n)])
+    X = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, d))
+    for i in range(n_classes):
+        X[y == f"C{i}"] += rng.normal(size=d) * 0.8
+    return X, y
+
+
+def _largest_principal_angle(A, B):
+    Qa, Qb = np.linalg.qr(A)[0], np.linalg.qr(B)[0]
+    return math.asin(min(1.0, np.linalg.norm(Qb - Qa @ (Qa.T @ Qb), 2)))
+
+
+@pytest.mark.parametrize("n_classes", [2, 6])
+@pytest.mark.parametrize("n, d, rank", [(60, 12, 12), (40, 300, 40), (60, 30, 18),
+                                        (40, 300, 25)],
+                         ids=["d<n", "d>n", "d<n-rank-deficient", "d>n-rank-deficient"])
+def test_flda_matches_reference_fit(n_classes, n, d, rank):
+    """The (C, C) solve after the span's SVD finds the discriminants of the
+    r x r Cholesky solve.  Every X here has rank at least C - 1, so both
+    keep C - 1 directions."""
+    rng = np.random.default_rng(n_classes * 1000 + d + rank)
+    for _ in range(3):
+        X, y = _flda_problem(rng, n_classes, n, d, rank)
+        test = rng.normal(size=(50, d)) * X.std(axis=0)
+        got, want = flda_train(X, y), reference_flda(X, y)
+        assert got.projection.shape == want.projection.shape == (d, n_classes - 1)
+        assert _largest_principal_angle(got.projection, want.projection) < 1e-9
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-9, atol=0)
+        assert flda_predict(got, test) == flda_predict(want, test)
+        assert flda_predict(got, X) == flda_predict(want, X)
+
+
+def test_flda_leaves_out_directions_without_class_spread():
+    # three classes with collinear means: one discriminant, and no
+    # rounding-noise second direction that would move the class means
+    X = np.array([[0, 0], [0, 1], [2, 0], [2, 1], [4, 0], [4, 1.0]])
+    model = flda_train(X, list("AABBCC"))
+    assert model.projection.shape == (2, 1)
+    assert np.allclose(np.abs(model.projection[:, 0]), [1.0, 0.0])
+    assert flda_predict(model, X + [0.0, 7.0]) == list("AABBCC")
 
 
 # ---------------------------------------------------------------------------

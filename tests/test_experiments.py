@@ -100,6 +100,44 @@ def test_fold_failure_reports_fold_index():
         evaluate_expressions(X, labels, subjects, classifier=FLDA, folds=2, seed=0)
 
 
+def _one_sample_class_problem():
+    """40 samples of 10 subjects, labels alternating HA/SA, with samples 0
+    and 5 relabelled SU: a fold that tests one of them trains SU on one
+    sample."""
+    rng = np.random.default_rng(15)
+    X = rng.normal(size=(40, 6))
+    subjects = [f"S{i // 4}" for i in range(40)]
+    labels = ["HA" if i % 2 else "SA" for i in range(40)]
+    labels[0] = labels[5] = "SU"
+    X[np.asarray(labels) == "HA", 0] += 3.0
+    return X, labels, subjects
+
+
+def test_flda_one_sample_class_fold_skipped_with_reason():
+    X, labels, subjects = _one_sample_class_problem()
+    res = evaluate_expressions(X, labels, subjects, classifier=FLDA, folds=5, seed=0)
+    splits = identity_disjoint_folds(subjects, 5, seed=0)
+    short = [f for f, (train, _) in enumerate(splits)
+             if sum(labels[i] == "SU" for i in train) == 1]
+    assert short and res.skipped == [
+        {"fold": f, "reason": "flda needs 2 training samples per class, class 'SU' has 1"}
+        for f in short]
+    assert res.folds == 5 and len(res.fold_accuracies) == 5 - len(short)
+    tested = sum(len(test) for f, (_, test) in enumerate(splits) if f not in short)
+    assert res.confusion.counts.sum() == tested
+    assert res.mean_accuracy == pytest.approx(np.mean(res.fold_accuracies))
+    section = expression_report_section(res)
+    assert section["skipped"] == res.skipped
+    validate_report(build_report("expressions", {}, section))
+    assert "skipped folds" in format_expression_result(res)
+    # SVM trains every fold of the same problem; the two cannot be paired
+    svm = evaluate_expressions(X, labels, subjects, folds=5, seed=0)
+    assert svm.skipped == [] and len(svm.fold_accuracies) == 5
+    with pytest.raises(ValueError, match="skipped different folds"):
+        compare_methods({"flda": res, "svm": svm})
+    assert compare_methods({"a": res, "b": res})["paired_differences"] == [0.0] * (5 - len(short))
+
+
 # ---------------------------------------------------------------------------
 # AU evaluation
 
@@ -353,6 +391,8 @@ def test_reports_validate_and_save(tmp_path):
     res = evaluate_expressions(X, labels, subjects, classifier=FLDA, folds=4, seed=0)
     report = build_report("expressions", {"seed": 0}, expression_report_section(res))
     validate_report(report)
+    # nothing skipped: the optional key stays out, as in older reports
+    assert "skipped" not in report["results"]
     p = tmp_path / "r.json"
     save_report(p, report)
     back = json.loads(p.read_text())

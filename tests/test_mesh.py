@@ -277,11 +277,16 @@ def _ply_binary(faces, cut=0):
     (PLY_ASCII.replace("end_header", "element edge 0\nproperty list uchar int v\nend_header"),
      "element 'edge'"),
     (PLY_ASCII.replace("3 0 2 3", "3 0 1 99999999999999999999999"), "face index exceeds int64"),
+    (PLY_ASCII.replace("element face 2", "element face -1"),
+     "line 7: negative count -1 for element 'face'"),
+    (_ply_binary([[0, 1, 2]]).replace(b"element vertex 4", b"element vertex -1"),
+     "line 3: negative count -1 for element 'vertex'"),
 ], ids=["ascii-truncated-face", "ascii-vertex-word", "ascii-face-word",
         "header-count-word", "header-format-empty", "header-list-type",
         "binary-truncated-face", "binary-quad", "ascii-face-extra-property",
         "binary-face-extra-property", "ascii-vertex-list", "binary-vertex-no-z",
-        "ascii-other-list", "ascii-face-index-beyond-int64"])
+        "ascii-other-list", "ascii-face-index-beyond-int64", "ascii-negative-face-count",
+        "binary-negative-vertex-count"])
 def test_ply_malformed_input_raises_named_error(tmp_path, content, match):
     p = tmp_path / "bad.ply"
     if isinstance(content, str):

@@ -57,3 +57,24 @@ def test_au_flda_reaches_fit_probes_once_per_fit_and_fold(monkeypatch):
     result = experiments.evaluate_aus(X, aus, subjects, flda, folds=5, seed=0, aus=(1, 2, 4))
     assert result.skipped == [] and fits == 15
     assert calls == {"flda_train": fits, "standardize_fit": 5}
+
+
+def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
+    """Under SVM, ``evaluate_aus`` builds one train-by-train and one
+    test-by-train kernel per fold for all its AUs, still through
+    ``classify.kernel_matrix``, and fits each (AU, fold) through
+    ``classify.svm_train_binary``."""
+    calls = {}
+    for name in ("kernel_matrix", "svm_train_binary"):
+        def counted(*args, _name=name, _original=getattr(classify, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(classify, name, counted)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 40))
+    subjects = [f"S{i // 3}" for i in range(30)]
+    aus = [tuple(a for a in (1, 2, 4) if rng.random() < 0.5) for _ in range(30)]
+    svm = experiments.ClassifierConfig(kind="svm")
+    result = experiments.evaluate_aus(X, aus, subjects, svm, folds=5, seed=0, aus=(1, 2, 4))
+    assert result.skipped == []
+    assert calls == {"kernel_matrix": 2 * 5, "svm_train_binary": 3 * 5}
