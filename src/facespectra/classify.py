@@ -2,9 +2,10 @@
 
 The SVM is a from-scratch SMO dual solver (max-violating-pair working
 set) so the whole pipeline stays dependency-free and the solver can be
-checked against a brute-force QP oracle.  FLDA works in the span of the
-training data, which keeps it tractable when the feature dimension far
-exceeds the sample count.
+checked against a brute-force QP oracle; the multiclass SVM takes its
+kernels from the caller.  FLDA works in the span of the training data,
+which keeps it tractable when the feature dimension far exceeds the
+sample count.
 """
 
 from __future__ import annotations
@@ -316,68 +317,51 @@ def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
 class SVMModel:
     classes: list
     machines: dict = field(default_factory=dict)   # (a, b) -> BinarySVM
-    kernel: str = "rbf"
-    gamma: float | None = None
-    C: float = 1.0
 
 
-def svm_train(X: np.ndarray, labels, kernel: str = "rbf", C: float = 1.0,
-              gamma: float | None = None, tol: float = 1e-3,
+def svm_train(X: np.ndarray, labels, gram: np.ndarray, kernel: str = "rbf",
+              C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
               max_iter: int = 100_000) -> SVMModel:
-    """One-vs-one multiclass training over all class pairs.  The Gram
-    matrix of X is built once and each pair trains on its slice; each
-    machine's ``support`` indexes the rows of X."""
+    """One-vs-one multiclass training over all class pairs.  ``gram`` is
+    the kernel of X against itself; each pair trains on its slice, and
+    each machine's ``support`` indexes the rows of X."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray([str(l) for l in labels])
     classes = sorted(set(y.tolist()))
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    gamma = kernel_gamma(kernel, gamma, X.shape[1])
-    K = kernel_matrix(X, X, kernel, gamma)
-    model = SVMModel(classes=classes, kernel=kernel, gamma=gamma, C=C)
+    if gram.shape != (X.shape[0],) * 2:
+        raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
+    model = SVMModel(classes=classes)
     for a, b in combinations(classes, 2):
         rows = np.flatnonzero((y == a) | (y == b))
         yy = np.where(y[rows] == a, 1.0, -1.0)
         machine = svm_train_binary(X[rows], yy, kernel=kernel, C=C, gamma=gamma, tol=tol,
-                                   max_iter=max_iter, gram=K[np.ix_(rows, rows)])
+                                   max_iter=max_iter, gram=gram[np.ix_(rows, rows)])
         machine.support = rows[machine.support]
         model.machines[(a, b)] = machine
     return model
 
 
-def svm_predict(model: SVMModel, X: np.ndarray):
+def svm_predict(model: SVMModel, gram: np.ndarray):
     """Majority vote over the one-vs-one machines; ties break by summed
-    decision values, then by class order.  One kernel of X against the
-    union of the machines' support vectors serves every machine."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n = X.shape[0]
+    decision values, then by class order.  ``gram`` is the kernel of the
+    test rows against every training row, and each machine reads the
+    columns of its support."""
+    n = gram.shape[0]
     classes = model.classes
-    machines = model.machines.values()
-    rows = np.unique(np.concatenate([m.support for m in machines]))
-    vectors = np.empty((rows.size, X.shape[1]))
-    for m in machines:
-        vectors[np.searchsorted(rows, m.support)] = m.support_vectors
-    K = kernel_matrix(X, vectors, model.kernel, model.gamma)
     votes = np.zeros((n, len(classes)), dtype=np.int64)
     scores = np.zeros((n, len(classes)), dtype=np.float64)
     index = {c: i for i, c in enumerate(classes)}
     for (a, b), machine in model.machines.items():
-        d = K[:, np.searchsorted(rows, machine.support)] @ machine.dual_coef + machine.bias
+        d = gram[:, machine.support] @ machine.dual_coef + machine.bias
         ia, ib = index[a], index[b]
         pos = d > 0
         votes[pos, ia] += 1
         votes[~pos, ib] += 1
         scores[:, ia] += d
         scores[:, ib] -= d
-    out = []
-    for r in range(n):
-        best = np.max(votes[r])
-        tied = np.nonzero(votes[r] == best)[0]
-        if tied.size > 1:
-            sub = tied[np.argmax(scores[r, tied])]
-            # argmax returns the first maximum, preserving class order on
-            # exact score ties
-            out.append(classes[sub])
-        else:
-            out.append(classes[tied[0]])
-    return out
+    # the most votes, then the highest summed decision; argmax takes the
+    # first maximum, so exact score ties go by class order
+    best = np.where(votes == votes.max(axis=1, keepdims=True), scores, -np.inf).argmax(axis=1)
+    return [classes[i] for i in best]

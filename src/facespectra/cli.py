@@ -238,7 +238,13 @@ def cmd_evaluate(args) -> int:
             other_result = evaluate_expressions(
                 other.X, other.expressions, other.subjects,
                 classifier=clf, folds=folds, seed=seed)
-            comparison = compare_methods({table.method: result, other.method: other_result})
+            names = [table.method, other.method]
+            if names[0] == names[1]:    # two tables of one method: use the file stems
+                names = [Path(p).stem for p in (args.features, args.compare_features)]
+            if names[0] == names[1]:
+                raise UsageError(f"--compare-features: both tables are {table.method} "
+                                 f"tables named {names[0]!r}")
+            comparison = compare_methods(dict(zip(names, (result, other_result))))
         report = build_report("expressions", run_config,
                               expression_report_section(result), comparison=comparison)
         save_report(args.out, report)
@@ -310,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--basis", help="basis file (required for glf)")
     p.add_argument("--method", choices=("glf", "shapedna"), default="glf")
     p.add_argument("--mode", choices=("coords", "norms"), default="coords")
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=_positive(int), default=50)
     add_patch_args(p)
     p.add_argument("--align", choices=("none", "normal"), default="none")
     p.add_argument("--missing", choices=("zero", "drop"), default="zero",

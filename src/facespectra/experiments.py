@@ -1,7 +1,8 @@
 """Cross-validated expression and Action-Unit experiments.
 
 Per fold: standardize features with training statistics, train the
-requested classifier, predict the held-out subjects.  Expression results
+requested classifier, predict the held-out subjects, through one fold
+predictor for every labelling of the fold.  Expression results
 report per-fold accuracies and a row-averaged confusion matrix; AU
 results report per-AU precision/recall/F1 over the pooled test folds
 plus the positives-weighted average.  Reports serialize to JSON and are
@@ -40,15 +41,43 @@ class ClassifierConfig:
         return asdict(self)
 
 
-def _train_predict(cfg: ClassifierConfig, X_train, y_train, X_test):
-    if cfg.kind == "svm":
-        model = classify.svm_train(X_train, y_train, kernel=cfg.kernel,
-                                   C=cfg.C, gamma=cfg.gamma)
-        return classify.svm_predict(model, X_test)
-    if cfg.kind == "flda":
-        model = classify.flda_train(X_train, y_train, reg=cfg.reg)
-        return classify.flda_predict(model, X_test)
-    raise ValueError(f"unknown classifier {cfg.kind!r}")
+def _fold_predictor(cfg: ClassifierConfig, X, train, test):
+    """``predict(labels, skipped, entry)``: the ``test`` rows' labels under
+    ``cfg``'s classifier trained on the ``train`` rows with ``labels``,
+    standardized with training statistics.  Gamma and the train-by-train
+    and test-by-train kernels (SVM) or the span (FLDA) are built on the
+    first call and reused.  If SMO does not converge, ``entry`` and the
+    reason go to ``skipped`` and the result is None; any other failure
+    raises naming the fold and, for an AU, the AU."""
+    mu, sigma = standardize_fit(X[train])
+    Xtr = standardize_apply(X[train], mu, sigma)
+    Xte = standardize_apply(X[test], mu, sigma)
+    shared = []
+
+    def predict(labels, skipped: list, entry: dict):
+        try:
+            if cfg.kind == "svm":
+                if not shared:
+                    gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, Xtr.shape[1])
+                    shared.extend((gamma, classify.kernel_matrix(Xtr, Xtr, cfg.kernel, gamma),
+                                   classify.kernel_matrix(Xte, Xtr, cfg.kernel, gamma)))
+                gamma, gram, gram_test = shared
+                model = classify.svm_train(Xtr, labels, gram, kernel=cfg.kernel, C=cfg.C,
+                                           gamma=gamma)
+                return np.asarray(classify.svm_predict(model, gram_test))
+            if cfg.kind == "flda":
+                shared[:] = shared or [classify.flda_span(Xtr)]
+                model = classify.flda_train(Xtr, labels, reg=cfg.reg, span=shared[0])
+                return np.asarray(classify.flda_predict(model, Xte))
+            raise ValueError(f"unknown classifier {cfg.kind!r}")
+        except classify.ConvergenceError as exc:
+            skipped.append({**entry, "reason": str(exc)})
+        except Exception as exc:
+            au = f" for AU {entry['au']}" if "au" in entry else ""
+            raise RuntimeError(f"training failed in fold {entry['fold']}{au}: {exc}") from exc
+        return None
+
+    return predict
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +103,6 @@ def _fold_confusion(labels, y_true, y_pred):
     for t, p in zip(y_true, y_pred):
         counts[index[t], index[p]] += 1
     return counts
-
-
-def _row_percent(counts):
-    counts = counts.astype(np.float64)
-    sums = counts.sum(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pct = 100.0 * counts / sums
-    return pct, sums.reshape(-1) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +137,10 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
     Confusion percentages are computed per fold and averaged row-wise
     over the folds in which the row's class occurs; counts are pooled.
 
-    Under FLDA a fold with a single-sample training class is skipped and
-    recorded with its reason; accuracies and the confusion matrix cover
-    the other folds.  Any other training failure, such as a fold with one
+    A fold is skipped and recorded with its reason under FLDA when a
+    training class has a single sample, and under SVM when an SMO solve
+    does not converge; accuracies and the confusion matrix cover the
+    other folds.  Any other training failure, such as a fold with one
     training class, raises naming the fold.
     """
     classifier = classifier or ClassifierConfig()
@@ -136,25 +158,20 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
         if reason:
             skipped.append({"fold": int(f), "reason": reason})
             continue
-        try:
-            mu, sigma = standardize_fit(X[train])
-            Xtr = standardize_apply(X[train], mu, sigma)
-            Xte = standardize_apply(X[test], mu, sigma)
-            pred = _train_predict(classifier, Xtr, y[train], Xte)
-        except Exception as exc:
-            raise RuntimeError(f"training failed in fold {f}: {exc}") from exc
-        pred = np.asarray(pred)
+        predict = _fold_predictor(classifier, X, train, test)
+        pred = predict(y[train], skipped, {"fold": int(f)})
+        if pred is None:
+            continue
         accs.append(float((pred == y[test]).mean()))
         counts = _fold_confusion(classes, y[test], pred)
         pooled += counts
-        pct, has_rows = _row_percent(counts)
-        pct_sum[has_rows] += pct[has_rows]
-        pct_n += has_rows.astype(np.int64)
+        sums = counts.sum(axis=1)
+        has_rows = sums > 0
+        pct_sum[has_rows] += 100.0 * counts[has_rows] / sums[has_rows, None]
+        pct_n += has_rows
     if not accs:
         raise RuntimeError(f"no fold could be trained: {skipped[0]['reason']} in fold 0")
-    with np.errstate(invalid="ignore", divide="ignore"):
-        percent = pct_sum / np.maximum(pct_n, 1)[:, None]
-    confusion = ConfusionMatrix(classes, pooled, percent)
+    confusion = ConfusionMatrix(classes, pooled, pct_sum / np.maximum(pct_n, 1)[:, None])
     return ExpressionResult(
         classes=classes,
         fold_accuracies=accs,
@@ -186,11 +203,12 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     An AU with zero positive training samples in a fold is skipped for
     that fold and recorded.  FLDA needs two training samples per class,
     so under FLDA a fold with exactly one positive or one negative is
-    skipped too, recorded with the counts as its reason.
+    skipped too, recorded with the counts as its reason, and so is an
+    (AU, fold) whose SMO solve does not converge.
 
-    Each fold is standardized once for all its AUs and, under FLDA,
-    reduced to the span of its training rows once; under SVM its
-    train-by-train and test-by-train kernels are built once.
+    Each AU is a "pos"/"neg" labelling of one fold predictor, so a fold
+    is standardized once for all its AUs, and its kernels or span are
+    built once, or not at all when every AU is skipped or constant.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -200,48 +218,27 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     counts = [np.zeros(3, dtype=np.int64) for _ in aus]     # tp, fp, fn
     skipped = [[] for _ in aus]
     for f, (train, test) in enumerate(splits):
-        trained = []
+        predict = _fold_predictor(classifier, X, train, test)
         for a, au in enumerate(aus):
-            pos = int((ybins[a][train] > 0).sum())
+            entry = {"au": int(au), "fold": int(f)}
+            y_train = ybins[a][train]
+            pos = int((y_train > 0).sum())
             neg = len(train) - pos
             if not pos:
-                skipped[a].append({"au": int(au), "fold": int(f)})
-            elif classifier.kind == "flda" and 1 in (pos, neg):
-                skipped[a].append({"au": int(au), "fold": int(f),
-                                   "reason": f"flda needs 2 training samples per class, "
-                                             f"got {pos} positive and {neg} negative"})
-            else:
-                trained.append(a)
-        mu, sigma = standardize_fit(X[train])
-        Xtr = standardize_apply(X[train], mu, sigma)
-        Xte = standardize_apply(X[test], mu, sigma)
-        span = gram = None
-        for a in trained:
-            y_train = ybins[a][train]
-            if (y_train > 0).all():
-                # an AU present in every training sample: constant predictor
-                pred = np.ones(len(test))
-            elif classifier.kind == "svm":
-                if gram is None:
-                    gamma = classify.kernel_gamma(classifier.kernel, classifier.gamma,
-                                                  Xtr.shape[1])
-                    gram = classify.kernel_matrix(Xtr, Xtr, classifier.kernel, gamma)
-                    gram_test = classify.kernel_matrix(Xte, Xtr, classifier.kernel, gamma)
-                machine = classify.svm_train_binary(Xtr, y_train, kernel=classifier.kernel,
-                                                    C=classifier.C, gamma=gamma, gram=gram)
-                decision = gram_test[:, machine.support] @ machine.dual_coef + machine.bias
-                pred = np.where(decision > 0, 1.0, -1.0)
-            elif classifier.kind == "flda":
-                span = span or classify.flda_span(Xtr)
-                model = classify.flda_train(Xtr, np.where(y_train > 0, "pos", "neg"),
-                                            reg=classifier.reg, span=span)
-                pred = np.where(np.asarray(classify.flda_predict(model, Xte)) == "pos",
-                                1.0, -1.0)
-            else:
-                raise ValueError(f"unknown classifier {classifier.kind!r}")
-            truth = ybins[a][test]
-            counts[a] += [((pred > 0) & (truth > 0)).sum(), ((pred > 0) & (truth < 0)).sum(),
-                          ((pred < 0) & (truth > 0)).sum()]
+                skipped[a].append(entry)
+                continue
+            if classifier.kind == "flda" and 1 in (pos, neg):
+                reason = (f"flda needs 2 training samples per class, "
+                          f"got {pos} positive and {neg} negative")
+                skipped[a].append({**entry, "reason": reason})
+                continue
+            # an AU present in every training sample has a constant predictor
+            pred = (predict(np.where(y_train > 0, "pos", "neg"), skipped[a], entry) if neg
+                    else np.full(len(test), "pos"))
+            if pred is None:
+                continue
+            hit, truth = pred == "pos", ybins[a][test] > 0
+            counts[a] += [(hit & truth).sum(), (hit & ~truth).sum(), (~hit & truth).sum()]
     rows = []
     for a, au in enumerate(aus):
         tp, fp, fn = counts[a].tolist()

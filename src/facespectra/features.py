@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .patches import npy_json_paths
+from .patches import npy_json_paths, read_npy_json
 from .spectral import SpectralBasis
 
 METHOD_GLF = "glf"
@@ -138,9 +138,7 @@ def save_feature_table(path, table: FeatureTable) -> None:
 
 
 def load_feature_table(path) -> FeatureTable:
-    npy, sidecar = npy_json_paths(path)
-    X = np.load(npy)
-    meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    npy, X, meta = read_npy_json(path)
     table = FeatureTable(
         X=X,
         subjects=[str(s) for s in meta["subjects"]],

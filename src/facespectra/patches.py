@@ -453,6 +453,20 @@ def npy_json_paths(path) -> tuple[Path, Path]:
     return Path(f"{base}.npy"), Path(f"{base}.json")
 
 
+def read_npy_json(path):
+    """``(npy path, array, sidecar dict)`` of a :func:`npy_json_paths`
+    pair; a file that does not parse raises ValueError naming it."""
+    npy, sidecar = npy_json_paths(path)
+    reading = npy
+    try:
+        arr = np.load(npy)
+        reading = sidecar
+        meta = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{reading}: {exc}") from exc
+    return npy, arr, meta
+
+
 def save_patch_archive(path, patches: np.ndarray, labels, missing, cfg: PatchConfig) -> None:
     """Write per-scan patches as ``<path>.npy`` plus ``<path>.json`` sidecar
     recording the patch configuration, landmark labels and missing flags."""
@@ -472,9 +486,7 @@ def save_patch_archive(path, patches: np.ndarray, labels, missing, cfg: PatchCon
 
 def load_patch_archive(path):
     """Read a patch archive; returns (patches, labels, missing, cfg)."""
-    npy, sidecar_path = npy_json_paths(path)
-    arr = np.load(npy)
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+    npy, arr, sidecar = read_npy_json(path)
     cfg = PatchConfig.from_dict(sidecar["config"])
     labels = [str(x) for x in sidecar["labels"]]
     missing = np.array(sidecar["missing"], dtype=bool)

@@ -52,6 +52,8 @@ class SynthConfig:
         bad = [e for e in self.expressions if e not in EXPRESSIONS]
         if bad:
             raise ValueError(f"unknown expression tokens {bad}")
+        if not self.levels:
+            raise ValueError("levels is empty: need at least one intensity level")
         if any(int(l) < 1 for l in self.levels):
             raise ValueError("intensity levels must be positive integers")
 

@@ -162,10 +162,12 @@ def test_svm_multiclass_unanimous_and_deterministic():
         X.append(rng.normal(size=(20, 2)) * 0.4 + c)
         labels += [lab] * 20
     X = np.vstack(X)
-    model = svm_train(X, labels, kernel="linear", C=1.0)
-    pred = svm_predict(model, np.array([[0.1, -0.1], [8.2, 0.3], [-0.4, 8.1]]))
+    model = svm_train(X, labels, kernel_matrix(X, X, "linear", None), kernel="linear", C=1.0)
+    test = np.array([[0.1, -0.1], [8.2, 0.3], [-0.4, 8.1]])
+    pred = svm_predict(model, kernel_matrix(test, X, "linear", None))
     assert pred == ["A", "B", "C"]
-    assert svm_predict(model, X[:10]) == svm_predict(model, X[:10])
+    gram = kernel_matrix(X[:10], X, "linear", None)
+    assert svm_predict(model, gram) == svm_predict(model, gram)
 
 
 def _machine(w, b, row):
@@ -176,8 +178,10 @@ def _machine(w, b, row):
 
 
 def test_svm_vote_tie_breaks_by_score_then_class_order():
-    x0 = np.array([[1.0, 0.0]])
-    model = SVMModel(classes=["A", "B", "C"], kernel="linear")
+    # the machines' support vectors are the training rows [0.5, 0], [-0.5, 0]
+    x0 = kernel_matrix(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0], [-0.5, 0.0]]),
+                       "linear", None)
+    model = SVMModel(classes=["A", "B", "C"])
     # cyclic preferences: (A,B)->A, (B,C)->B, (A,C)->C; votes tie 1:1:1
     model.machines[("A", "B")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> A
     model.machines[("B", "C")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> B
@@ -192,17 +196,20 @@ def test_svm_vote_tie_breaks_by_score_then_class_order():
 
 @pytest.mark.parametrize("kernel", ["rbf", "linear"])
 def test_svm_fold_gram_matches_per_pair_training(kernel):
-    """``svm_train`` slices one Gram matrix per pair and ``svm_predict``
-    reads one kernel against the union of support rows; each pair must
-    behave as a machine trained on its own rows from scratch.  A slice
-    can differ from the pair's own kernel in the last bit, which may
-    change the SMO path, so both solve to a tight tolerance."""
+    """``svm_train`` slices the passed Gram matrix per pair and
+    ``svm_predict`` reads each machine's support columns of the passed
+    test-by-train kernel; each pair must behave as a machine trained on
+    its own rows from scratch.  A slice can differ from the pair's own
+    kernel in the last bit, which may change the SMO path, so both solve
+    to a tight tolerance."""
     rng = np.random.default_rng(14)
     classes = ["A", "B", "C", "D"]
     X = np.vstack([rng.normal(size=(15, 6)) + 1.5 * rng.normal(size=6) for _ in classes])
     labels = np.repeat(classes, 15)
     test = rng.normal(size=(40, 6)) * 1.5
-    model = svm_train(X, labels, kernel=kernel, C=2.0, tol=1e-9)
+    gamma = 1.0 / X.shape[1] if kernel == "rbf" else None
+    model = svm_train(X, labels, kernel_matrix(X, X, kernel, gamma), kernel=kernel, C=2.0,
+                      tol=1e-9)
     votes = np.zeros((len(test), len(classes)))
     scores = np.zeros((len(test), len(classes)))
     for (a, b), machine in model.machines.items():
@@ -221,7 +228,58 @@ def test_svm_fold_gram_matches_per_pair_training(kernel):
         scores[:, ib] -= d
     # most votes, then the highest summed decision value
     best = np.where(votes == votes.max(axis=1, keepdims=True), scores, -np.inf).argmax(axis=1)
-    assert svm_predict(model, test) == [classes[i] for i in best]
+    assert svm_predict(model, kernel_matrix(test, X, kernel, gamma)) == [
+        classes[i] for i in best]
+
+
+@settings(max_examples=200, deadline=None)
+@given(smo_problems(), st.sampled_from(["rbf", "linear"]), st.sampled_from([0.05, 1.0, 100.0]),
+       st.sampled_from([1e-3, 1e-6]), st.sampled_from([2, 5000]))
+def test_svm_mirrored_labels_negate_the_solution(problem, kernel, C, tol, max_iter):
+    """Training on -y walks the same SMO path with the roles of the up
+    and low sets swapped: the same support and iteration count, exactly
+    negated dual coefficients and bias.  A two-class ``svm_train`` whose
+    first class in sort order is the negative one (AU labels "neg" <
+    "pos") relies on this."""
+    X, y = problem
+    kw = dict(kernel=kernel, C=C, tol=tol, max_iter=max_iter)
+    got = _smo_outcome(svm_train_binary, X, -y, **kw)
+    want = _smo_outcome(svm_train_binary, X, y, **kw)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert np.array_equal(got.support, want.support)
+    assert np.array_equal(got.dual_coef, -want.dual_coef)
+    assert (got.bias, got.n_iter, got.final_violation) == (
+        -want.bias, want.n_iter, want.final_violation)
+
+
+@pytest.mark.parametrize("kernel", ["rbf", "linear"])
+def test_svm_predict_reads_only_support_columns(kernel):
+    """Two well-separated clusters: the machine's support is a strict
+    subset of the training rows, ``svm_predict`` reads only those columns
+    of the passed kernel, and its labels follow the machine's own
+    decision on the test rows."""
+    rng = np.random.default_rng(21)
+    X = np.vstack([rng.normal(size=(25, 3)) - 3.0, rng.normal(size=(25, 3)) + 3.0])
+    labels = ["neg"] * 25 + ["pos"] * 25
+    test = rng.normal(size=(30, 3)) * 3.0
+    gamma = 0.2 if kernel == "rbf" else None
+    model = svm_train(X, labels, kernel_matrix(X, X, kernel, gamma), kernel=kernel,
+                      C=1.0, gamma=gamma)
+    machine = model.machines[("neg", "pos")]
+    assert 0 < machine.support.size < len(X)
+    gram = kernel_matrix(test, X, kernel, gamma)
+    gram[:, np.setdiff1d(np.arange(len(X)), machine.support)] = np.nan
+    want = ["neg" if d > 0 else "pos" for d in machine.decision(test)]
+    assert svm_predict(model, gram) == want
+    assert "neg" in want and "pos" in want
+
+
+def test_svm_train_rejects_gram_of_wrong_shape():
+    X = np.array([[0.0], [1.0], [2.0]])
+    with pytest.raises(ValueError, match="gram has shape"):
+        svm_train(X, ["a", "b", "b"], np.eye(4))
 
 
 # ---------------------------------------------------------------------------

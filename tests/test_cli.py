@@ -173,6 +173,24 @@ def test_evaluate_cmd_compare_features(cli_workspace, tmp_path, capsys):
     assert "comparison" in capsys.readouterr().out
 
 
+def test_evaluate_cmd_compare_features_same_method(cli_workspace, tmp_path, capsys):
+    """Two GLF tables are told apart by their file stems."""
+    norms = tmp_path / "glf_norms"
+    rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+               "--basis", str(cli_workspace["basis"]), "--method", "glf",
+               "--mode", "norms", "--k", "12", "--out", str(norms)] + PATCH_FLAGS)
+    assert rc == 0
+    report_path = tmp_path / "cmp.json"
+    rc = main(["evaluate", "--features", str(cli_workspace["glf"]),
+               "--classifier", "flda", "--folds", "2",
+               "--compare-features", str(norms), "--out", str(report_path)])
+    assert rc == 0, capsys.readouterr().err
+    comparison = json.loads(report_path.read_text())["comparison"]
+    assert comparison["methods"] == ["glf", "glf_norms"]
+    assert set(comparison["mean_accuracy"]) == {"glf", "glf_norms"}
+    assert "glf" in capsys.readouterr().out
+
+
 def test_evaluate_cmd_bad_sweep_or_comparison_is_usage_error(cli_workspace, tmp_path,
                                                              capsys):
     glf = str(cli_workspace["glf"])
@@ -318,3 +336,24 @@ def test_invalid_synth_amplitude_usage_error(tmp_path, capsys):
     rc = main(["synth", "--out", str(tmp_path / "d"), "--amplitude", "-2"])
     assert rc == 2
     assert "amplitude" in capsys.readouterr().err
+
+
+def test_empty_levels_and_zero_k_are_usage_errors(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for command, key, value, named in (("synth", "levels", 0, "levels is empty"),
+                                       ("synth", "levels", -1, "levels is empty"),
+                                       ("features", "k", 0, "--k"),
+                                       ("features", "k", -3, "--k")):
+        argv = [command, "--out", str(tmp_path / "out")]
+        flag = [f"--{key}", str(value)]
+        if command == "synth":
+            assert main(argv + flag) == 2, (key, value)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + flag)
+            assert exc.value.code == 2, (key, value)
+        assert named in capsys.readouterr().err, (key, value)
+        cfgfile.write_text(json.dumps({key: value}))
+        assert main([command, "--config", str(cfgfile), *argv[1:]]) == 2, (key, value)
+        assert named in capsys.readouterr().err, (key, value)
+    assert not (tmp_path / "out").exists()

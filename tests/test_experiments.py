@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from facespectra import classify
 from facespectra.classify import (
     AU_SET,
     EXPRESSIONS,
@@ -136,6 +137,60 @@ def test_flda_one_sample_class_fold_skipped_with_reason():
     with pytest.raises(ValueError, match="skipped different folds"):
         compare_methods({"flda": res, "svm": svm})
     assert compare_methods({"a": res, "b": res})["paired_differences"] == [0.0] * (5 - len(short))
+
+
+def _fail_on_call(monkeypatch, n, exc):
+    """Make call ``n`` (counted from 0) of ``classify.svm_train_binary``
+    raise ``exc``."""
+    original = classify.svm_train_binary
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == n + 1:
+            raise exc
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "svm_train_binary", failing)
+
+
+def test_svm_nonconverged_fold_skipped_with_reason(monkeypatch):
+    """A ConvergenceError in one fold's SMO solve skips that fold with the
+    solver's message; the other folds are evaluated as before."""
+    X, labels, subjects = grouped_dataset(np.random.default_rng(4), spread=4.0, sep=2.0)
+    full = evaluate_expressions(X, labels, subjects, folds=4, seed=0)
+    message = "SMO did not converge in 3 iterations (max KKT violation 1.000e+00)"
+    # 6 classes: 15 one-vs-one machines per fold, so call 15 opens fold 1
+    _fail_on_call(monkeypatch, 15, classify.ConvergenceError(message))
+    res = evaluate_expressions(X, labels, subjects, folds=4, seed=0)
+    assert res.skipped == [{"fold": 1, "reason": message}]
+    assert res.fold_accuracies == full.fold_accuracies[:1] + full.fold_accuracies[2:]
+    validate_report(build_report("expressions", {}, expression_report_section(res)))
+
+
+def _three_au_problem():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 40))
+    subjects = [f"S{i // 3}" for i in range(30)]
+    aus = [tuple(a for a in (1, 2, 4) if rng.random() < 0.5) for _ in range(30)]
+    return X, aus, subjects
+
+
+def test_au_svm_nonconverged_fold_skipped_with_reason(monkeypatch):
+    X, aus, subjects = _three_au_problem()
+    assert evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4)).skipped == []
+    # one machine per (fold, AU), fold by fold: call 4 is AU 2 in fold 1
+    _fail_on_call(monkeypatch, 4, classify.ConvergenceError("no convergence"))
+    res = evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4))
+    assert res.skipped == [{"au": 2, "fold": 1, "reason": "no convergence"}]
+    validate_report(build_report("aus", {}, au_report_section(res)))
+
+
+def test_other_au_training_errors_name_the_fold_and_au(monkeypatch):
+    X, aus, subjects = _three_au_problem()
+    _fail_on_call(monkeypatch, 4, ValueError("boom"))
+    with pytest.raises(RuntimeError, match="training failed in fold 1 for AU 2: boom"):
+        evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4))
 
 
 # ---------------------------------------------------------------------------

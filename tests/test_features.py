@@ -140,6 +140,22 @@ def test_feature_table_roundtrip(tmp_path):
     assert back.k == table.k and back.method == "glf"
 
 
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 40])
+
+
+@pytest.mark.parametrize("spoil, name", [(_truncate, "t.npy"),
+                                         (lambda p: p.write_text("{not json"), "t.json")],
+                         ids=["truncated-npy", "non-json-sidecar"])
+def test_feature_table_unreadable_file_named(tmp_path, spoil, name):
+    save_feature_table(tmp_path / "t", make_table())
+    spoil(tmp_path / name)
+    with pytest.raises(ValueError) as exc:
+        load_feature_table(tmp_path / "t")
+    assert str(exc.value).startswith(f"{tmp_path / name}: ")
+
+
 def test_truncation_columns_match_direct_slice():
     table = make_table(k=6)
     cols = truncation_columns(3, "glf", "coords", 6, 2)

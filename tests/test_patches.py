@@ -366,6 +366,18 @@ def test_patch_archive_roundtrip(tmp_path):
     assert cfg2 == cfg
 
 
+@pytest.mark.parametrize("suffix", [".npy", ".json"])
+def test_patch_archive_unreadable_file_named(tmp_path, suffix):
+    cfg = PatchConfig(2.0, 6.0, 3, 8)
+    save_patch_archive(tmp_path / "scan01", np.zeros((2, cfg.n_vertices, 3)), ["A", "B"],
+                       [False, False], cfg)
+    spoiled = tmp_path / f"scan01{suffix}"
+    spoiled.write_bytes(spoiled.read_bytes()[:-40])     # truncated array, broken JSON
+    with pytest.raises(ValueError) as exc:
+        load_patch_archive(tmp_path / "scan01")
+    assert str(exc.value).startswith(f"{spoiled}: ")
+
+
 def test_patch_archive_shape_mismatch(tmp_path):
     cfg = PatchConfig(2.0, 6.0, 3, 8)
     with pytest.raises(ValueError, match="shape"):
