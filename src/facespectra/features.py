@@ -138,18 +138,46 @@ def save_feature_table(path, table: FeatureTable) -> None:
 
 
 def load_feature_table(path) -> FeatureTable:
+    """Read a feature table.  A sidecar field that is absent, does not
+    convert, or lacks one row per sample raises ValueError naming the
+    ``.json`` file and the field."""
     npy, X, meta = read_npy_json(path)
+    sidecar = npy_json_paths(path)[1]
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sidecar}: not a JSON object")
+
+    def entry(name, convert, rows=None):
+        if name not in meta:
+            raise ValueError(f"{sidecar}: field {name!r} is missing")
+        try:
+            value = convert(meta[name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{sidecar}: field {name!r}: {exc}") from None
+        if rows is not None and len(value) != rows:
+            raise ValueError(f"{sidecar}: field {name!r} has {len(value)} rows "
+                             f"for {rows} samples")
+        return value
+
+    n = X.shape[0]
+    labels = entry("landmark_labels", lambda v: [str(x) for x in v])
+
+    def flags(v):
+        rows = [[bool(x) for x in row] for row in v]
+        if any(len(row) != len(labels) for row in rows):
+            raise ValueError(f"a row does not hold one flag per landmark ({len(labels)})")
+        return np.array(rows, dtype=bool).reshape(len(rows), len(labels))
+
     table = FeatureTable(
         X=X,
-        subjects=[str(s) for s in meta["subjects"]],
-        expressions=[str(e) for e in meta["expressions"]],
-        intensities=[int(i) for i in meta["intensities"]],
-        aus=[tuple(int(x) for x in a) for a in meta["aus"]],
-        missing=np.array(meta["missing"], dtype=bool).reshape(X.shape[0], -1),
-        landmark_labels=[str(x) for x in meta["landmark_labels"]],
-        method=str(meta["method"]),
-        mode=str(meta["mode"]),
-        k=int(meta["k"]),
+        subjects=entry("subjects", lambda v: [str(s) for s in v], n),
+        expressions=entry("expressions", lambda v: [str(e) for e in v], n),
+        intensities=entry("intensities", lambda v: [int(i) for i in v], n),
+        aus=entry("aus", lambda v: [tuple(int(x) for x in a) for a in v], n),
+        missing=entry("missing", flags, n),
+        landmark_labels=labels,
+        method=entry("method", str),
+        mode=entry("mode", str),
+        k=entry("k", int),
         config=dict(meta.get("config") or {}),
         config_hash=meta.get("config_hash"),
     )

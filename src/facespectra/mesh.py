@@ -402,7 +402,9 @@ def _parse_ply_header(data: bytes, path):
     end = data.find(b"end_header")
     if end < 0:
         raise MeshFormatError(f"{path}: missing end_header")
-    body_start = data.index(b"\n", end) + 1
+    body_start = data.find(b"\n", end) + 1
+    if not body_start:
+        raise MeshFormatError(f"{path}: no line break after end_header")
     try:
         header = data[:body_start].decode("ascii")
     except UnicodeDecodeError:
@@ -437,6 +439,9 @@ def _parse_ply_header(data: bytes, path):
                 for t in types:
                     if t not in _PLY_SCALAR:
                         raise MeshFormatError(f"{path}: line {ln}: unknown type {t!r}")
+                if prop[-1] in {p[-1] for p in elements[-1][2]}:
+                    raise MeshFormatError(f"{path}: line {ln}: property {prop[-1]!r} "
+                                          f"repeated in element {elements[-1][0]!r}")
                 elements[-1][2].append(prop)
             elif tok[0] == "end_header":
                 break

@@ -5,6 +5,26 @@ fixed number of concentric level curves (points at equal Euclidean
 distance from the landmark), each resampled to a fixed point count.  All
 patches therefore share one vertex layout and one implied connectivity,
 which is what makes a single shared spectral basis possible.
+
+All levels of a landmark are traced together, in a few array passes:
+
+- Marching triangles on the distance field give each level's crossing
+  points (one per crossed edge) and segments (one per crossed face).
+- Loops are walked on directed half-edges ``p -> q`` between crossing
+  points; the successor of ``p -> q`` leaves ``q`` by its other neighbour.
+  Pointer doubling finds every closed loop with its lowest point and each
+  point's place in it, so a loop starts at its lowest point and steps first
+  to that point's first neighbour, whatever the face orientation.  Chains
+  that reach the mesh boundary are dropped.
+- Each level keeps the loop with the largest absolute winding number about
+  the landmark in the plane orthogonal to the apex normal (at least 1/2),
+  then the one whose centroid lies farthest from the landmark, then the
+  first; it is reversed to run counterclockwise.
+- Every ring starts at the point that projects most onto the reference
+  axis and is resampled by arclength.  The best circular shift of ring k
+  against ring k-1 does not depend on where ring k-1 starts, so all
+  relative shifts come from one batch of distance matrices and each ring's
+  shift is their running sum.
 """
 
 from __future__ import annotations
@@ -135,53 +155,6 @@ def _edge_crossing_points(vertices, edge_pairs, center, level):
     return a + t[:, None] * d
 
 
-def _neighbours(segments, n_points):
-    """``(first, second, deg)``: for each point, the point joined to it by
-    the first and by the second of ``segments`` that contain it (-1 for
-    none), and its degree.  Every point must lie on some segment."""
-    ends = segments.ravel()
-    other = segments[:, ::-1].ravel()
-    order = np.argsort(ends, kind="stable")
-    deg = np.bincount(ends, minlength=n_points)
-    start = np.cumsum(deg) - deg
-    first = other[order[start]]
-    second = np.full(n_points, -1, dtype=np.int64)
-    two = deg > 1
-    second[two] = other[order[start[two] + 1]]
-    return first, second, deg
-
-
-def _trace_loops(first, second, lo, hi):
-    """Closed loops of the points ``lo..hi-1``, walked along the neighbour
-    lists ``first``/``second`` (-1 for none; no neighbour lies outside the
-    range); a walk that does not close (an open chain ending at the mesh
-    boundary) is dropped.
-
-    Each crossing point lies on one mesh edge, shared by at most two
-    crossed triangles, so point degrees are <= 2 on manifold regions.
-    """
-    visited = bytearray(hi)
-    loops = []
-    for start in range(lo, hi):
-        if visited[start]:
-            continue
-        path = [start]
-        visited[start] = 1
-        prev, cur = -1, start
-        while True:
-            nxt = first[cur]
-            if nxt == prev:
-                nxt = second[cur]
-            if nxt == -1 or visited[nxt]:
-                break
-            visited[nxt] = 1
-            path.append(nxt)
-            prev, cur = cur, nxt
-        if nxt == start:
-            loops.append(path)
-    return loops
-
-
 def _plane_basis(normal):
     """Right-handed orthonormal frame with rows ``(e1, e2, n)``: ``e1, e2``
     span the plane orthogonal to ``normal`` and ``e1 x e2 = n``.  Computed
@@ -193,18 +166,6 @@ def _plane_basis(normal):
     e1 = e1 / np.sqrt(e1 @ e1)
     e2 = np.cross(n, e1)
     return np.array([e1, e2, n])
-
-
-def _winding(points, center, frame):
-    """Signed number of turns of ``points`` around ``center`` projected on
-    the plane of ``frame = (e1, e2, n)`` (positive = counterclockwise
-    about n)."""
-    e1, e2, _ = frame
-    d = points - center
-    theta = np.arctan2(d @ e2, d @ e1)
-    dt = np.diff(np.concatenate([theta, theta[:1]]))
-    dt = (dt + np.pi) % (2.0 * np.pi) - np.pi
-    return float(dt.sum() / (2.0 * np.pi))
 
 
 def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
@@ -228,12 +189,81 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     return n / norm
 
 
+def _closed_loops(nbr, longest):
+    """The closed loops of the crossing graph in which point ``p`` is joined
+    to ``nbr[p, 0]`` and ``nbr[p, 1]`` (-1 for none) and no component has
+    more than ``longest`` points, as ``(walk, size)``:
+    the points of every loop in walk order, loop after loop, and the number
+    of points of each.  Loops are ordered by their lowest point; each
+    starts there and steps first to ``nbr[start, 0]``.  A chain that ends
+    at a point of degree one is open and yields no loop.
+
+    The walk runs on directed half-edges: state ``2p + j`` steps from ``p``
+    to ``nbr[p, j]``, and its successor leaves that point by its other
+    neighbour (by ``nbr[q, 1]`` when ``nbr[q, 0]`` is where it came from).
+    Pointer doubling gives every state the lowest state on its path and the
+    number of steps to it, or a negative key when the path ends.  A loop is
+    the cycle through its lowest state ``2 * start``, and a state's place in
+    the loop counts back from there (Wyllie's list ranking).  Two faces that
+    share both crossed edges make a loop of two points whose second point is
+    not on the cycle of ``2 * start``: that loop keeps its start alone, and
+    like every loop of fewer than 3 points it is never a candidate.  Where
+    a point has more than two neighbours the paths are not loops or chains;
+    the result for that component is meaningless but stays within it."""
+    n_states = 2 * nbr.shape[0]
+    target = nbr.ravel()
+    states = np.arange(n_states)
+    to = np.maximum(target, 0)
+    succ = 2 * to + (nbr[to, 0] == states >> 1)
+    end = target < 0
+    succ[end] = states[end]
+    rounds = int(longest).bit_length()  # 2**rounds > longest: every path seen
+    scale = 1 << rounds                  # step counts stay below it
+    key = states * scale    # lowest state seen * scale + steps to it
+    key[end] = -scale
+    for r in range(rounds):
+        key = np.minimum(key, key[succ] + (1 << r))
+        succ = succ[succ]
+    low, steps = np.divmod(key, scale)
+    # a state whose lowest state is even lies on the cycle through it
+    member = np.flatnonzero((low >= 0) & (low % 2 == 0))
+    start = low[member] >> 1
+    size = np.bincount(start, minlength=nbr.shape[0])
+    offset = np.cumsum(size) - size
+    walk = np.zeros(member.size, dtype=np.int64)
+    walk[offset[start] + -steps[member] % size[start]] = member >> 1
+    return walk, size[size > 0]
+
+
+def _take_along_rings(a, idx):
+    """``a[k, idx[k, j]]`` for ``a`` of shape ``(K, W, ...)`` and ``idx``
+    of shape ``(K, J)``, as one flat gather."""
+    K, width = a.shape[:2]
+    return np.take(a.reshape(K * width, *a.shape[2:]), idx + width * np.arange(K)[:, None],
+                   axis=0)
+
+
+def _next_index(width, counts):
+    """``(K, width)`` index of the next point of each closed ring
+    ``k`` of ``counts[k]`` points: 0 follows ``counts[k] - 1``."""
+    j = np.arange(width)
+    return np.where(j + 1 < counts[:, None], j + 1, 0)
+
+
 def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, context):
-    """Yield, for each of ``levels`` in turn, the closed iso-contour of
-    ``field`` that winds around ``center``, as a ``(P, 3)`` array of
-    edge-crossing points ordered counterclockwise about the frame normal
-    (P >= 3).  The crossed edges of all levels are found, numbered and
-    solved in one pass; a level that fails raises when its turn comes."""
+    """The closed iso-contour of ``field`` that winds around ``center`` at
+    each of ``levels``, as ``(curves, counts)``: level k's loop is
+    ``curves[k, :counts[k]]``, edge-crossing points ordered
+    counterclockwise about the frame normal (``counts[k] >= 3``; the rest
+    of the row is padding).  All levels are traced together in one array
+    pass.  When levels fail, the first failing level raises the first of
+    its checks that fails: crossings, three crossed edges, degree at most
+    two, a closed loop, a loop around the landmark, three distinct points.
+
+    A level may hold several closed loops.  The one kept is the one with
+    the largest absolute winding number about ``center`` in the frame's
+    plane (at least 1/2), then the one whose centroid is farthest from
+    ``center``, then the first.  It is reversed when it winds clockwise."""
     levels = np.asarray(levels, dtype=np.float64)
     n_verts = mesh.n_vertices
     span = n_verts * n_verts
@@ -256,66 +286,99 @@ def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, con
     # an edge key within a level, tagged with the level index
     keys = lev[:, None] * span + np.minimum(fr, v) * n_verts + np.maximum(fr, v)
     uniq, inverse = np.unique(keys[xmask], return_inverse=True)
-    bounds = np.searchsorted(uniq, np.arange(levels.size + 1) * span).tolist()
+    point_level = uniq // span
     edges = uniq % span
     pts = _edge_crossing_points(mesh.vertices,
                                 np.stack([edges // n_verts, edges % n_verts], axis=1),
-                                center, levels[uniq // span])
-    first, second, deg = _neighbours(inverse.reshape(-1, 2), uniq.size)
-    first, second = first.tolist(), second.tolist()
-    for i, level in enumerate(levels.tolist()):
-        if n_mixed[i] == 0:
-            raise CurveExtractionError(
-                f"iso-level {level} has no crossings{context}"
-            )
-        lo, hi = bounds[i], bounds[i + 1]
-        if hi - lo < 3:
-            raise CurveExtractionError(
-                f"iso-level {level} crosses fewer than 3 mesh edges{context}"
-            )
-        if deg[lo:hi].max() > 2:
-            raise CurveExtractionError(
-                "non-manifold iso-contour (a crossing point has degree > 2)"
-            )
-        loops = _trace_loops(first, second, lo, hi)
-        if not loops:
-            raise CurveExtractionError(
-                f"iso-level {level} is not closed (reaches the mesh boundary){context}"
-            )
-        candidates = []
-        for path in loops:
-            if len(path) < 3:
-                continue
-            loop_pts = pts[path]
-            w = _winding(loop_pts, center, frame)
-            if abs(w) >= 0.5:
-                centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
-                candidates.append((abs(w), -centroid_d, loop_pts, w))
-        if not candidates:
+                                center, levels[point_level])
+    # each point's neighbours: the other ends of the first and the second
+    # segment (crossed face) that contain it
+    ends = inverse.ravel()
+    other = inverse.reshape(-1, 2)[:, ::-1].ravel()
+    order = np.argsort(ends, kind="stable")
+    deg = np.bincount(ends, minlength=uniq.size)
+    first = np.cumsum(deg) - deg
+    nbr = np.full((uniq.size, 2), -1, dtype=np.int64)
+    nbr[:, 0] = other[order[first]]
+    two = deg > 1
+    nbr[two, 1] = other[order[first[two] + 1]]
+    per_level = np.diff(np.searchsorted(uniq, np.arange(levels.size + 1) * span))
+    walk, size = _closed_loops(nbr, per_level.max(initial=0))
+    start = np.cumsum(size) - size
+    loop_level = point_level[walk[start]]
+    loop_pts = np.take(pts, walk, axis=0)
+    # winding number: the wrapped turns of the angle about the normal, each
+    # loop summed pairwise like np.sum, as rows of a padded array
+    e1, e2, _ = frame
+    d = loop_pts - center
+    theta = np.arctan2(d @ e2, d @ e1)
+    nxt = np.arange(1, walk.size + 1)
+    nxt[start + size - 1] = start
+    dt = theta[nxt] - theta
+    dt = (dt + np.pi) % (2.0 * np.pi) - np.pi
+    inside = np.arange(size.max(initial=0)) < size[:, None]
+    turns = np.zeros(inside.shape)
+    turns[inside] = dt
+    w = np.add.reduce(turns, axis=1, where=inside) / (2.0 * np.pi)
+    loop = np.repeat(np.arange(size.size), size)
+    centroid = np.stack([np.bincount(loop, weights=loop_pts[:, c], minlength=size.size)
+                         for c in range(3)], axis=1) / size[:, None] - center
+    centroid_d = np.sqrt((centroid[:, None, :] @ centroid[:, :, None])[:, 0, 0])
+    cand = np.flatnonzero((size >= 3) & (np.abs(w) >= 0.5))
+    cand = cand[np.lexsort((-centroid_d[cand], -np.abs(w[cand]), loop_level[cand]))]
+    best = np.ones(cand.size, dtype=bool)
+    best[1:] = loop_level[cand[1:]] != loop_level[cand[:-1]]
+    chosen = np.zeros(levels.size, dtype=np.int64)
+    chosen[loop_level[cand[best]]] = cand[best]
+    curves, counts = np.zeros((levels.size, 1, 3)), np.full(levels.size, 3)
+    if cand.size:
+        # orient counterclockwise, then drop consecutive duplicates
+        # (crossings exactly at a shared vertex)
+        n = size[chosen][:, None]
+        j = np.arange(n.max())
+        col = np.minimum(j, n - 1)
+        col = np.where(w[chosen][:, None] < 0, n - 1 - col, col)
+        curves = np.take(loop_pts, start[chosen][:, None] + col, axis=0)
+        step = _take_along_rings(curves, _next_index(j.size, n[:, 0])) - curves
+        keep = (np.linalg.norm(step, axis=2) > 1e-12 * levels[:, None]) & (j < n)
+        counts = np.count_nonzero(keep, axis=1)
+        if (counts < n[:, 0]).any():
+            curves = _take_along_rings(curves, np.argsort(~keep, axis=1, kind="stable"))
+    failed = np.array([
+        n_mixed == 0,
+        per_level < 3,
+        np.bincount(point_level[deg > 2], minlength=levels.size) > 0,
+        np.bincount(loop_level, minlength=levels.size) == 0,
+        np.bincount(loop_level[cand], minlength=levels.size) == 0,
+        counts < 3,
+    ])
+    if failed.any():
+        i = int(np.argmax(failed.any(axis=0)))
+        check = int(np.argmax(failed[:, i]))
+        level = levels[i].item()
+        if check == 4:
             raise CurveAmbiguityError(
-                f"iso-level {level}: {len(loops)} closed component(s), none encloses the landmark{context}"
-            )
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        loop_pts, w = candidates[0][2], candidates[0][3]
-        if w < 0:
-            loop_pts = loop_pts[::-1]
-        # drop consecutive duplicates (crossing exactly at a shared vertex)
-        seg = np.linalg.norm(np.diff(np.vstack([loop_pts, loop_pts[:1]]), axis=0), axis=1)
-        keep = seg > 1e-12 * level
-        if not keep.all():
-            loop_pts = loop_pts[keep]
-            if loop_pts.shape[0] < 3:
-                raise CurveExtractionError(f"iso-level {level} degenerates to <3 points{context}")
-        yield loop_pts
+                f"iso-level {level}: {np.count_nonzero(loop_level == i)} closed component(s), "
+                f"none encloses the landmark{context}")
+        raise CurveExtractionError((
+            f"iso-level {level} has no crossings{context}",
+            f"iso-level {level} crosses fewer than 3 mesh edges{context}",
+            "non-manifold iso-contour (a crossing point has degree > 2)",
+            f"iso-level {level} is not closed (reaches the mesh boundary){context}",
+            None,
+            f"iso-level {level} degenerates to <3 points{context}",
+        )[check])
+    return curves, counts
 
 
 def _level_curves(mesh: TriangleMesh, center, levels, label):
-    """The apex normal at ``center`` and an iterator over the enclosing loop
-    around it at each of ``levels``, oriented counterclockwise about that
-    normal.  Only a face with a corner closer than the largest level can
-    cross a level, so the normal and every loop are taken from the submesh
-    of those faces, found from the mesh's neighbourhood index; the distance
-    field is computed once on it for all levels."""
+    """The apex normal at ``center`` and the enclosing loops around it at
+    ``levels``, oriented counterclockwise about that normal, as
+    :func:`_enclosing_loops` returns them.  Only a face with a corner
+    closer than the largest level can cross a level, so the normal and
+    every loop are taken from the submesh of those faces, found from the
+    mesh's neighbourhood index; the distance field is computed once on it
+    for all levels."""
     context = f" (landmark {label!r})" if label else ""
     near = mesh.faces_within(center, max(levels))
     if not near.size:
@@ -333,50 +396,71 @@ def _level_curves(mesh: TriangleMesh, center, levels, label):
 # ---------------------------------------------------------------------------
 # Resampling and patch assembly
 
+def _resample_rings(curves, counts, m):
+    """``(K, m, 3)``: ``m`` points at equal arclength spacing along each
+    closed polyline ``curves[k, :counts[k]]``, starting at its first point.
+    Zero-length segments are dropped with their start points.  Each ring
+    gets the arithmetic it would get alone, so it comes out bit for bit
+    the same as resampled on its own."""
+    K, width = curves.shape[:2]
+    j = np.arange(width)
+    seg = _take_along_rings(curves, _next_index(width, counts)) - curves
+    flat = seg.reshape(-1, 3)
+    lens = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(K, width)
+    keep = (j < counts[:, None]) & (lens > 0)
+    n = np.count_nonzero(keep, axis=1)
+    if (n < counts).any():
+        order = np.argsort(~keep, axis=1, kind="stable")
+        curves, seg, lens = (_take_along_rings(a, order) for a in (curves, seg, lens))
+        keep = j < n[:, None]
+    total = np.add.reduce(lens, axis=1, where=keep)
+    if not (total > 0).all():
+        raise ValueError("cannot resample a curve with zero arclength")
+    rows = np.arange(K)[:, None]
+    targets = np.arange(m) * (total / m)[:, None]
+    # searchsorted(cum[k], targets[k], side="right") for all rings in one
+    # call: complex numbers sort by real part first, so a ring number in
+    # the real part keeps each search within its ring
+    cum = np.zeros((K, width + 1), dtype=np.complex128)
+    cum.real = rows
+    cum.imag[:, 1:] = np.where(keep, np.cumsum(lens, axis=1), np.inf)
+    key = np.empty((K, m), dtype=np.complex128)
+    key.real = rows
+    key.imag = targets
+    idx = np.searchsorted(cum.ravel(), key.ravel(), side="right").reshape(K, m)
+    idx = np.minimum(np.maximum(idx - 1 - rows * (width + 1), 0), n[:, None] - 1)
+    frac = (targets - _take_along_rings(cum.imag, idx)) / _take_along_rings(lens, idx)
+    return _take_along_rings(curves, idx) + frac[..., None] * _take_along_rings(seg, idx)
+
+
 def resample_uniform(curve, m: int) -> np.ndarray:
     """Resample a closed polyline to ``m`` points at equal arclength spacing,
     starting at the polyline's first point."""
     pts = np.asarray(curve, dtype=np.float64)
     if m < 1:
         raise ValueError(f"sample count must be >= 1, got {m}")
-    seg = np.empty_like(pts)
-    seg[:-1] = pts[1:] - pts[:-1]
-    seg[-1] = pts[0] - pts[-1]
-    lens = np.sqrt(np.einsum("ij,ij->i", seg, seg))
-    keep = lens > 0
-    if not keep.all():
-        pts = pts[keep]
-        seg = seg[keep]
-        lens = lens[keep]
-    total = lens.sum()
-    if not total > 0:
-        raise ValueError("cannot resample a curve with zero arclength")
-    cum = np.concatenate([[0.0], np.cumsum(lens)])
-    targets = np.arange(m) * (total / m)
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(lens) - 1)
-    frac = (targets - cum[idx]) / lens[idx]
-    return pts[idx] + frac[:, None] * seg[idx]
+    return _resample_rings(pts[None], np.array([pts.shape[0]]), m)[0]
 
 
-def _canonical_start(points, center, axis):
-    """Index of the point whose direction from the apex projects most onto
-    the reference axis (deterministic argmax on ties)."""
-    proj = (points - center) @ np.asarray(axis, dtype=np.float64)
-    return int(np.argmax(proj))
-
-
-def _align_to_previous(samples, previous):
-    """Circular shift of ``samples`` minimizing the summed distance to the
-    previous curve's samples (keeps consecutive rings rotationally aligned)."""
-    m = samples.shape[0]
-    ss = np.einsum("ij,ij->i", samples, samples)
-    pp = np.einsum("ij,ij->i", previous, previous)
-    d2 = ss[:, None] + pp[None, :] - 2.0 * (samples @ previous.T)
-    d = np.sqrt(np.maximum(d2, 0.0))
-    rows = (np.arange(m)[:, None] + np.arange(m)[None, :]) % m
-    cost = d[rows, np.arange(m)[None, :]].sum(axis=1)
-    s = int(np.argmin(cost))
-    return np.roll(samples, -s, axis=0)
+def _ring_shifts(rings):
+    """Circular shift of each of the ``(K, m, 3)`` rings that minimizes the
+    summed distance between its samples and those of the ring before it,
+    itself shifted (ring 0 keeps its start).  The best shift of ring k
+    relative to ring k-1 does not depend on ring k-1's own shift, so all
+    K-1 cost rows come from one batch of distance matrices and the absolute
+    shifts are the running sum of the relative ones, modulo m.  A cost
+    adds the same distances as aligning ring k to the shifted ring k-1,
+    from another first term, so the two can only differ where two shifts'
+    costs agree to rounding."""
+    K, m = rings.shape[:2]
+    flat = rings.reshape(-1, 3)
+    sq = np.einsum("ij,ij->i", flat, flat).reshape(K, m)
+    d2 = sq[1:, :, None] + sq[:-1, None, :] - 2.0 * (rings[1:] @ rings[:-1].transpose(0, 2, 1))
+    d = np.sqrt(np.maximum(d2, 0.0)).reshape(K - 1, m * m)
+    j = np.arange(m)
+    # cost[k, r]: sum over j of the distance from sample r + j to sample j
+    cost = np.take(d, (j[:, None] + j) % m * m + j, axis=1).sum(axis=2)
+    return np.concatenate([[0], np.cumsum(np.argmin(cost, axis=1)) % m])
 
 
 def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
@@ -390,25 +474,26 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     ``landmark`` is a (label, position) pair.  Curves are oriented
     counterclockwise about the outward apex normal; each curve starts at
     the crossing point with the largest projection of its apex direction
-    onto ``reference_axis`` and consecutive curves are circularly shifted
-    into rotational alignment.  With ``align="normal"`` the patch is also
-    rotated so the apex normal maps to +z and the direction to the first
-    curve's start point fixes the in-plane rotation.
+    onto ``reference_axis`` (the first on ties) and consecutive curves are
+    circularly shifted into rotational alignment.  With ``align="normal"``
+    the patch is also rotated so the apex normal maps to +z and the
+    direction to the first curve's start point fixes the in-plane rotation.
     """
     if align not in ("none", "normal"):
         raise ValueError(f"unknown align mode {align!r}")
     label, center = landmark
     center = np.asarray(center, dtype=np.float64).reshape(3)
     axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
-    normal, curves = _level_curves(mesh, center, cfg.levels(), label)
-    rings = []
-    for curve in curves:
-        curve = np.roll(curve, -_canonical_start(curve, center, axis), axis=0)
-        samples = resample_uniform(curve, cfg.samples_per_curve)
-        if rings:
-            samples = _align_to_previous(samples, rings[-1])
-        rings.append(samples)
-    verts = np.vstack([center[None, :]] + rings) - center
+    normal, (curves, counts) = _level_curves(mesh, center, cfg.levels(), label)
+    K, width = curves.shape[:2]
+    m = cfg.samples_per_curve
+    j = np.arange(width)
+    proj = ((curves - center).reshape(-1, 3) @ axis).reshape(K, width)
+    start = np.argmax(np.where(j < counts[:, None], proj, -np.inf), axis=1)
+    roll = (j + start[:, None]) % counts[:, None]
+    samples = _resample_rings(_take_along_rings(curves, roll), counts, m)
+    rings = _take_along_rings(samples, (np.arange(m) + _ring_shifts(samples)[:, None]) % m)
+    verts = np.concatenate([center[None, :], rings.reshape(-1, 3)]) - center
     if align == "normal":
         verts = verts @ _plane_basis(normal).T
         start_dir = verts[1].copy()

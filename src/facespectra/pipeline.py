@@ -171,7 +171,8 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
                drop_constant, rescale, patches_dir)
     if jobs > 1 and len(manifest.records) > 1:
         with multiprocessing.Pool(jobs, initializer=_set_job, initargs=(job,)) as pool:
-            results = list(pool.imap(_featurize_record, manifest.records, chunksize=4))
+            # map's chunks of ceil(records / (4 * jobs)) keep every worker busy
+            results = pool.map(_featurize_record, manifest.records)
     else:
         _set_job(job)
         results = [_featurize_record(rec) for rec in manifest.records]

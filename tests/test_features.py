@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,33 @@ def test_feature_table_unreadable_file_named(tmp_path, spoil, name):
     with pytest.raises(ValueError) as exc:
         load_feature_table(tmp_path / "t")
     assert str(exc.value).startswith(f"{tmp_path / name}: ")
+
+
+
+def _edit_sidecar(path, edit):
+    meta = json.loads(path.read_text())
+    edit(meta)
+    path.write_text(json.dumps(meta))
+
+
+@pytest.mark.parametrize("edit, field, message", [
+    (lambda m: m.pop("subjects"), "subjects", "is missing"),
+    (lambda m: m["missing"].pop(), "missing", "has 4 rows for 5 samples"),
+    (lambda m: m["missing"][0].pop(), "missing", "one flag per landmark (3)"),
+    (lambda m: m["aus"].append([1]), "aus", "has 6 rows for 5 samples"),
+    (lambda m: m.update(k="five"), "k", "invalid literal"),
+    (lambda m: m.update(intensities=None), "intensities", "not iterable"),
+], ids=["no-subjects", "missing-row-short", "missing-column-short", "aus-row-extra",
+        "k-word", "intensities-null"])
+def test_feature_table_bad_sidecar_field_named(tmp_path, edit, field, message):
+    """A sidecar that parses but lacks a field, holds one that does not
+    convert, or has the wrong number of rows names the file and the field."""
+    save_feature_table(tmp_path / "t", make_table())
+    _edit_sidecar(tmp_path / "t.json", edit)
+    with pytest.raises(ValueError) as exc:
+        load_feature_table(tmp_path / "t")
+    assert str(exc.value).startswith(f"{tmp_path / 't.json'}: field {field!r}")
+    assert message in str(exc.value)
 
 
 def test_truncation_columns_match_direct_slice():

@@ -281,12 +281,18 @@ def _ply_binary(faces, cut=0):
      "line 7: negative count -1 for element 'face'"),
     (_ply_binary([[0, 1, 2]]).replace(b"element vertex 4", b"element vertex -1"),
      "line 3: negative count -1 for element 'vertex'"),
+    (_ply_binary([[0, 1, 2]]).replace(b"property float z\n",
+                                      b"property float z\nproperty float x\n"),
+     "line 7: property 'x' repeated in element 'vertex'"),
+    (PLY_ASCII[:PLY_ASCII.index("end_header") + len("end_header")],
+     "no line break after end_header"),
 ], ids=["ascii-truncated-face", "ascii-vertex-word", "ascii-face-word",
         "header-count-word", "header-format-empty", "header-list-type",
         "binary-truncated-face", "binary-quad", "ascii-face-extra-property",
         "binary-face-extra-property", "ascii-vertex-list", "binary-vertex-no-z",
         "ascii-other-list", "ascii-face-index-beyond-int64", "ascii-negative-face-count",
-        "binary-negative-vertex-count"])
+        "binary-negative-vertex-count", "binary-repeated-property",
+        "header-unterminated"])
 def test_ply_malformed_input_raises_named_error(tmp_path, content, match):
     p = tmp_path / "bad.ply"
     if isinstance(content, str):
@@ -296,6 +302,63 @@ def test_ply_malformed_input_raises_named_error(tmp_path, content, match):
     with pytest.raises(MeshFormatError, match=match) as exc:
         load_ply(p)
     assert str(p) in str(exc.value)
+
+
+
+_PLY_VERTS = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+
+
+def _ply_bytes(binary, faces, vertex_type="float", list_types=("uchar", "int")):
+    """A PLY of the unit square's 4 vertices with the given face lists, in
+    ASCII or binary little-endian."""
+    header = (
+        f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+        f"element vertex 4\nproperty {vertex_type} x\nproperty {vertex_type} y\n"
+        f"property {vertex_type} z\nelement face {len(faces)}\n"
+        f"property list {list_types[0]} {list_types[1]} vertex_indices\nend_header\n"
+    ).encode("ascii")
+    if not binary:
+        body = "".join(" ".join(map(str, v)) + "\n" for v in _PLY_VERTS)
+        body += "".join(" ".join(map(str, [len(f)] + list(f))) + "\n" for f in faces)
+        return header + body.encode("ascii")
+    scalar = {"float": "<f4", "double": "<f8", "uchar": "<u1", "int": "<i4", "uint": "<u4",
+              "short": "<i2"}
+    body = _PLY_VERTS.astype(scalar[vertex_type]).tobytes()
+    for f in faces:
+        body += np.array(len(f), dtype=scalar[list_types[0]]).tobytes()
+        body += np.array(f).astype(scalar[list_types[1]]).tobytes()  # -1 wraps if unsigned
+    return header + body
+
+
+@settings(max_examples=400, deadline=None)
+@given(binary=st.booleans(),
+       faces=st.lists(st.lists(st.sampled_from((0, 1, 2, 3, 3, 4, 99, -1)), min_size=3,
+                               max_size=4), max_size=4),
+       vertex_type=st.sampled_from(("float", "double")),
+       list_types=st.sampled_from((("uchar", "int"), ("uchar", "uint"), ("int", "int"),
+                                   ("uchar", "short"))),
+       cut=st.none() | st.integers(0, 400),
+       flips=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=3))
+def test_ply_corrupted_input_loads_or_raises_named_error(tmp_path_factory, binary, faces,
+                                                         vertex_type, list_types, cut, flips):
+    """A valid ASCII or binary PLY with quads and out-of-range indices among
+    its faces, then truncated and with bytes overwritten anywhere (header,
+    vertex or face data), loads or raises a mesh error naming the file,
+    never any other exception."""
+    data = bytearray(_ply_bytes(binary, faces, vertex_type, list_types))
+    for at, byte in flips:
+        data[at % len(data)] = byte
+    if cut is not None:
+        data = data[:cut]
+    path = tmp_path_factory.getbasetemp() / "fuzz.ply"
+    path.write_bytes(bytes(data))
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            mesh = load_ply(path)
+    except (MeshFormatError, MeshStructureError) as exc:
+        assert str(path) in str(exc)
+    else:
+        assert mesh.vertices.shape[1] == 3 and mesh.faces.shape[1] == 3
 
 
 def test_face_on_non_finite_vertex_raises_named_error(tmp_path):

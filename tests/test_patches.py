@@ -22,7 +22,8 @@ from facespectra.synth import SynthConfig, generate_scan
 
 from conftest import make_grid_mesh, make_uv_sphere
 from geometry_oracles import RigidTransform, apply_transform, vertex_degrees
-from patch_oracles import extract_level_curve, whole_mesh_crop, whole_mesh_level_curves
+from patch_oracles import (extract_level_curve, reference_build_patch, reference_level_curves,
+                           reference_resample_uniform, whole_mesh_crop, whole_mesh_level_curves)
 
 
 def polygon_circle(radius, n, z=0.0):
@@ -460,17 +461,16 @@ def test_build_patch_rigid_motion_on_random_height_fields(seed):
 
 
 def _curves_outcome(level_curves, mesh, center, levels):
-    """Normal and loops of a ``_level_curves``-like function as bytes, up to
-    and including the type and text of the first error."""
-    out = []
+    """Normal and loops of a ``_level_curves``-like function as bytes, or
+    the type and text of its error.  The loops come as ``(curves, counts)``,
+    or from the reference tracer as an iterator."""
     try:
         normal, loops = level_curves(mesh, center, levels, "L")
-        out.append(normal.tobytes())
-        for loop in loops:
-            out.append(loop.tobytes())
+        if isinstance(loops, tuple):
+            loops = [curve[:count] for curve, count in zip(*loops)]
+        return [normal.tobytes()] + [loop.tobytes() for loop in loops]
     except CurveExtractionError as exc:
-        out.append((type(exc), str(exc)))
-    return out
+        return type(exc), str(exc)
 
 
 @settings(max_examples=60, deadline=None)
@@ -543,3 +543,175 @@ def test_extract_patches_equal_on_whole_mesh_crop(monkeypatch):
     for (p, m, e), (po, mo, eo) in zip(new, old):
         assert p.tobytes() == po.tobytes()
         assert np.array_equal(m, mo) and e == eo
+
+
+# ---------------------------------------------------------------------------
+# The array pass against the per-level reference tracer
+
+def _reindexed(mesh, rng, flip=0.3):
+    """``mesh`` with its vertices renumbered, its faces shuffled, their
+    corners rotated and about ``flip`` of them reversed."""
+    perm = rng.permutation(mesh.n_vertices)
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    faces = perm[mesh.faces][rng.permutation(mesh.n_faces)]
+    turn = (np.arange(3)[None, :] + rng.integers(0, 3, size=(len(faces), 1))) % 3
+    faces = np.take_along_axis(faces, turn, axis=1)
+    flipped = rng.random(len(faces)) < flip
+    faces[flipped] = faces[flipped][:, ::-1]
+    return TriangleMesh(verts, faces)
+
+
+def _patch_outcome(build, mesh, center, cfg, axis):
+    """Both alignments of a ``build_patch``-like function as bytes, or the
+    type and text of the error."""
+    out = []
+    for align in ("none", "normal"):
+        try:
+            out.append(build(mesh, ("L", center), cfg, reference_axis=axis,
+                             align=align).tobytes())
+        except CurveExtractionError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _assert_matches_reference(mesh, center, cfg, axis=(1.0, 0.0, 0.0)):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        traced = _curves_outcome(patches_module._level_curves, mesh, center, cfg.levels())
+        assert traced == _curves_outcome(reference_level_curves, mesh, center, cfg.levels())
+        patch = _patch_outcome(build_patch, mesh, center, cfg, axis)
+        assert patch == _patch_outcome(reference_build_patch, mesh, center, cfg, axis)
+    return patch[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_array_pass_matches_reference_tracer(seed):
+    """On random height fields, re-indexed with shuffled faces, rotated
+    corners and about 30% of faces flipped, the loops and patches of the
+    array pass are bit-identical to the per-level reference tracer's, or
+    fail with the same error class and message: landmarks anywhere on the
+    grid (open contours near the border), random reference axes, a
+    non-finite vertex now and then, and flat grids whose levels cross edges
+    exactly at vertices (duplicate crossing points)."""
+    rng = np.random.default_rng(seed)
+    # a grid vertex within 1.5 of the middle, or (one time in four) anywhere
+    i, j = rng.integers(7, 14, size=2) if rng.random() < 0.75 else rng.integers(0, 21, size=2)
+    if rng.random() < 0.3:
+        mesh = make_grid_mesh(21, 21, spacing=0.5)
+        center = mesh.vertices[21 * i + j]
+        n_curves = int(rng.integers(2, 5))
+        lam = 0.5 * rng.integers(1, 4)
+        cfg = PatchConfig(lam, lam + 0.5 * rng.integers(1, 3) * (n_curves - 1), n_curves,
+                          int(rng.integers(3, 25)))
+    else:
+        mesh = random_height_field(rng)
+        center = mesh.vertices[21 * i + j] + rng.normal(scale=0.1, size=3)
+        lam = rng.uniform(0.3, 2.0)
+        cfg = PatchConfig(lam, lam + rng.uniform(0.5, 2.0), int(rng.integers(2, 7)),
+                          int(rng.integers(3, 25)))
+    mesh = _reindexed(mesh, rng)
+    if rng.random() < 0.2:
+        verts = mesh.vertices.copy()
+        verts[rng.integers(mesh.n_vertices), rng.integers(3)] = rng.choice([np.nan, np.inf])
+        mesh = TriangleMesh(verts, mesh.faces)
+    axis = (1.0, 0.0, 0.0) if rng.random() < 0.5 else rng.normal(size=3)
+    _assert_matches_reference(mesh, center, cfg, axis)
+
+
+def _grid_at(nx, spacing, offset=(0.0, 0.0, 0.0), plane="xy"):
+    """A flat ``nx`` x ``nx`` grid centred on ``offset``, in the xy plane or,
+    with ``plane="yz"``, standing upright across the x axis."""
+    grid = make_grid_mesh(nx, nx, spacing=spacing)
+    u, v, _ = grid.vertices.T
+    xyz = np.column_stack([u, v, np.zeros_like(u)] if plane == "xy" else
+                          [np.zeros_like(u), u, v])
+    return xyz + offset, grid.faces
+
+
+def _union(*parts):
+    verts, faces, n = [], [], 0
+    for v, f in parts:
+        verts.append(v)
+        faces.append(f + n)
+        n += len(v)
+    return TriangleMesh(np.vstack(verts), np.vstack(faces))
+
+
+def _hand_built_cases():
+    """``(name, mesh, landmark, cfg, expected error text or None)``."""
+    grid = make_grid_mesh(11, 11)
+    yield "open contour", grid, grid.vertices[0], PatchConfig(1.0, 3.0, 3, 8), "not closed"
+    island = _grid_at(5, 1.0)
+    wall = _grid_at(31, 1.0, offset=(30.0, 0.0, 0.0), plane="yz")
+    yield ("non-enclosing component", _union(island, wall), np.zeros(3),
+           PatchConfig(30.5, 31.0, 2, 8), "1 closed component(s), none encloses")
+    # a closed ball beside the plane: one loop on each at every level, and
+    # only the plane's winds around the landmark
+    ball = make_uv_sphere(1.5, n_theta=12, n_phi=24)
+    yield ("two loops, one encloses",
+           _union(_grid_at(41, 0.5), (ball.vertices + [5.0, 0.0, 0.5], ball.faces)),
+           np.zeros(3), PatchConfig(4.5, 6.0, 4, 12), None)
+    # two parallel planes: both loops wind once around the landmark
+    yield ("two loops, both enclose",
+           _union(_grid_at(41, 0.5), _grid_at(41, 0.5, offset=(0.1, -0.2, 3.0))),
+           np.array([0.05, 0.02, 0.0]), PatchConfig(3.5, 6.0, 3, 10), None)
+    # a fin on the grid edge from (2, 0) to (2.5, 0): three faces share it,
+    # so the crossing on it at level 2.2 has degree 3
+    plane = _grid_at(21, 0.5)
+    a, b = (int(np.flatnonzero(np.all(plane[0] == [x, 0.0, 0.0], axis=1))[0])
+            for x in (2.0, 2.5))
+    fin = (np.vstack([plane[0], [[2.25, 0.0, 1.0]]]),
+           np.vstack([plane[1], [[a, b, len(plane[0])]]]))
+    yield ("degree-3 crossing", _union(fin), np.zeros(3), PatchConfig(1.0, 2.2, 3, 8),
+           "non-manifold")
+    # a tetrahedron with two corners exactly on the last level, on opposite
+    # sides of the landmark: its loop winds once through four crossings
+    # that coincide in pairs
+    tet = (np.array([[0.0, 0.3, 0.1], [0.0, -0.3, -0.1], [2.0, 0.0, 0.0], [-2.0, 0.0, 0.0]]),
+           np.array([[0, 2, 3], [1, 3, 2], [0, 1, 2], [1, 0, 3]]))
+    yield ("degenerate loop", _union(tet), np.zeros(3), PatchConfig(1.0, 2.0, 2, 6),
+           "iso-level 2.0 degenerates to <3 points")
+    # a lone triangle and its reversed copy: their two crossings make a
+    # closed loop of two points
+    tri = np.array([[0.0, 30.0, 0.0], [0.0, 31.0, 0.0], [1.0, 30.0, 0.0]])
+    yield ("two-point loop", _union(island, wall, (tri, np.array([[0, 1, 2], [0, 2, 1]]))),
+           np.zeros(3), PatchConfig(30.5, 31.0, 2, 8), "2 closed component(s), none encloses")
+
+
+@pytest.mark.parametrize("case", list(_hand_built_cases()), ids=lambda c: c[0])
+def test_array_pass_matches_reference_on_hand_built_meshes(case):
+    """Open contours, a component that does not enclose the landmark, two
+    loops at one level (one or both enclosing), a degree-3 crossing, a loop
+    left with two points once duplicates go, and a two-point loop: the
+    array pass matches the reference tracer on the mesh, where the case
+    ends as named, and on re-indexed copies of it (whose flipped faces may
+    change the apex normal)."""
+    _, mesh, center, cfg, expected = case
+    outcome = _assert_matches_reference(mesh, center, cfg)
+    if expected is None:
+        assert isinstance(outcome, bytes)
+    else:
+        assert expected in outcome[1]
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        _assert_matches_reference(_reindexed(mesh, rng), center, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_resample_matches_reference(seed):
+    """``resample_uniform`` (the one-ring case of the batched resampler)
+    is bit-identical to the reference on random closed polylines with
+    repeated points (zero-length segments), or fails the same way."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=rng.uniform(0.1, 20.0), size=(int(rng.integers(1, 40)), 3))
+    pts = pts[np.sort(rng.integers(0, len(pts), size=int(rng.integers(1, 2 * len(pts) + 1))))]
+    m = int(rng.integers(1, 60))
+    outcomes = []
+    for resample in (resample_uniform, reference_resample_uniform):
+        try:
+            outcomes.append(resample(pts, m).tobytes())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -1,6 +1,8 @@
 import dataclasses
 import multiprocessing
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,32 @@ def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis, tmp_path, monkeyp
         assert np.array_equal(a.X, b.X) and np.array_equal(a.missing, b.missing)
         assert a.subjects == b.subjects
     assert len(serial_arch) == 12 and serial_arch == parallel_arch
+
+
+
+_featurize_record = pipeline._featurize_record
+
+
+def _featurize_noting_worker(rec):
+    """``pipeline._featurize_record`` that first leaves a file named after
+    its process id in the directory ``$FACESPECTRA_TEST_PIDS``."""
+    (Path(os.environ["FACESPECTRA_TEST_PIDS"]) / str(os.getpid())).touch()
+    return _featurize_record(rec)
+
+
+def test_four_scans_on_two_jobs_use_both_workers(tiny_manifest, tiny_basis, tmp_path,
+                                                 monkeypatch):
+    """With ``jobs=2`` a 4-scan manifest is split across both workers, and
+    the table rows keep the manifest order."""
+    manifest = DatasetManifest(tiny_manifest.records[:4], tiny_manifest.root)
+    monkeypatch.setenv("FACESPECTRA_TEST_PIDS", str(tmp_path))
+    monkeypatch.setattr(pipeline, "_featurize_record", _featurize_noting_worker)
+    (table,), errors = compute_feature_tables(
+        manifest, TINY_PATCH_CFG, [("glf", "coords", 8)], basis=tiny_basis, jobs=2)
+    workers = {p.name for p in tmp_path.iterdir()}
+    assert len(workers) == 2 and str(os.getpid()) not in workers
+    assert errors == [] and table.subjects == [r.subject for r in manifest.records]
+    assert table.expressions == [r.expression for r in manifest.records]
 
 
 def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_path):
