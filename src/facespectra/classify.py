@@ -2,8 +2,9 @@
 
 The SVM is a from-scratch SMO dual solver (max-violating-pair working
 set) so the whole pipeline stays dependency-free and the solver can be
-checked against a brute-force QP oracle; the multiclass SVM takes its
-kernels from the caller.  FLDA works in the span of the training data,
+checked against a brute-force QP oracle.  It solves many binary problems
+in one lockstep loop, so the one-vs-one pairs of several folds train in
+one call; the multiclass SVM takes its kernels from the caller.  FLDA works in the span of the training data,
 which keeps it tractable when the feature dimension far exceeds the
 sample count.
 """
@@ -202,8 +203,7 @@ def kernel_gamma(kernel: str, gamma: float | None, d: int) -> float | None:
 
 @dataclass
 class BinarySVM:
-    support_vectors: np.ndarray   # (S, d)
-    support: np.ndarray           # (S,) their row indices in the training X
+    support: np.ndarray           # (S,) row indices in the training X
     dual_coef: np.ndarray         # (S,)  alpha_i * y_i
     bias: float
     kernel: str
@@ -211,32 +211,169 @@ class BinarySVM:
     C: float
     n_iter: int
     final_violation: float
+    # the training X itself, not a copy: set by svm_train and svm_train_binary,
+    # None on the machines of svm_train_folds, which never see X
+    train_X: np.ndarray | None = None
+
+    @property
+    def support_vectors(self) -> np.ndarray:
+        """The support rows, read from ``train_X`` on demand."""
+        return self.train_X[self.support]
 
     def decision(self, X: np.ndarray) -> np.ndarray:
         K = kernel_matrix(np.atleast_2d(X), self.support_vectors, self.kernel, self.gamma)
         return K @ self.dual_coef + self.bias
 
 
-def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
-                     C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-                     max_iter: int = 100_000, gram: np.ndarray | None = None) -> BinarySVM:
-    """Solve the soft-margin dual with SMO, selecting the maximal-violating
-    pair each step.  Deterministic: ties in the working-set selection
-    break to the lowest index.  Raises :class:`ConvergenceError` if the
-    KKT violation is still above ``tol`` after ``max_iter`` pair updates.
-
-    ``gram`` is ``kernel_matrix(X, X, kernel, kernel_gamma(...))`` when
-    the caller already has it (a slice of a larger Gram matrix serves).
-
-    The loop keeps m = -y*G, G the gradient of 0.5 a'Qa - sum(a) with
-    Q = yy'K.  Since y is +-1, a step of t along y_i e_i - y_j e_j moves m
-    by -t (K[:, i] - K[:, j]), and only alpha_i and alpha_j can change
-    their membership of the up/low index sets.
-    """
+def _check_svm_settings(C: float, gamma: float | None) -> None:
     if not 0 < C < np.inf:
         raise ValueError(f"C must be positive and finite, got {C!r}")
     if gamma is not None and not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+
+
+def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float = 1.0,
+                    tol: float = 1e-3, max_iter: int = 100_000) -> list:
+    """Solve many soft-margin duals with SMO in one lockstep loop.
+
+    ``problems`` holds ``(g, y)`` pairs: ``grams[g]`` is the problem's
+    Gram matrix and ``y`` holds +-1 on the rows the problem trains on and
+    0 on the rows it leaves out, so the one-vs-one problems of a fold all
+    read that fold's Gram matrix.  Returns, per problem, a
+    :class:`BinarySVM` whose ``support`` indexes the rows of its Gram
+    matrix (``kernel``, ``gamma`` and ``C`` are recorded on it), or a
+    :class:`ConvergenceError` if the KKT violation is still above ``tol``
+    after ``max_iter`` pair updates.
+
+    Each step selects the maximal-violating pair; ties break to the
+    lowest index.  The loop keeps m = -y*G, G the gradient of
+    0.5 a'Qa - sum(a) with Q = yy'K.  Since y is +-1, a step of t along
+    y_i e_i - y_j e_j moves m by -t (K[:, i] - K[:, j]), and only alpha_i
+    and alpha_j can change their membership of the up/low index sets.
+
+    The state of the problems still running is held as (A, n) arrays, n
+    the largest Gram size, and one step advances all of them.  A problem
+    retires when it has no up or no low index, when its violation is at
+    most ``tol`` or when its step is not positive, and the state is then
+    compacted to the rows still running.  Every problem does the
+    arithmetic of a lone solve in the same order, eta reading K[i, j] as
+    row i of column j, so its path does not depend on the batch.
+    """
+    if not problems:
+        return []
+    sizes = [K.shape[0] for K in grams]
+    n = max(sizes)
+    # row offset[g] + i of the bank is column i of grams[g], zero-padded to n
+    offset = np.cumsum([0, *sizes])
+    bank = np.zeros((int(offset[-1]), n))
+    for g, K in enumerate(grams):
+        bank[offset[g]:offset[g + 1], :sizes[g]] = K.T
+    P = len(problems)
+    y = np.zeros((P, n))
+    start = np.empty((P, 1), dtype=np.int64)   # bank row of each problem's column 0
+    for p, (g, labels) in enumerate(problems):
+        y[p, :sizes[g]] = labels
+        start[p] = offset[g]
+    eps = 1e-12 * max(1.0, C)
+    top = C - eps
+    alpha = np.zeros((P, n))
+    # sets[:, 0] is the up set and sets[:, 1] the low set
+    sets = np.stack((((y > 0) & (alpha < top)) | ((y < 0) & (alpha > eps)),
+                     ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < top))), axis=1)
+    m = y.copy()                              # -y*G at alpha = 0, where G = -1
+    # a pair (i, j) steps along y_i e_i - y_j e_j: the signs of i and j in
+    # the step, and the signs that turn argmin over low into argmax
+    step_sign = np.array([1.0, -1.0])
+    select_sign = step_sign[:, None]
+
+    def solved(r, n_iter):
+        # the machine of state row r, which has finished
+        a, m_r, (up, low) = alpha[r], m[r], sets[r]
+        free = (a > eps) & (a < top)
+        if free.any():
+            bias = float(np.mean(m_r[free]))
+        else:
+            hi = m_r[up].max() if up.any() else 0.0
+            lo = m_r[low].min() if low.any() else 0.0
+            bias = float((hi + lo) / 2.0)
+        support = np.flatnonzero(a > eps)
+        return BinarySVM(support=support, dual_coef=(a * y[r])[support], bias=bias,
+                         kernel=kernel, gamma=gamma, C=C, n_iter=n_iter,
+                         final_violation=float(max(violation[r], 0.0)))
+
+    def flat_views():
+        # flat views of the state, and the flat offset of each row in m and sets
+        row = np.arange(active.size)[:, None]
+        return (m.reshape(-1), alpha.reshape(-1), y.reshape(-1), sets.reshape(-1),
+                row * n, row * (2 * n))
+
+    results = [None] * P
+    active = np.arange(P)                     # problem of each state row
+    violation = np.full(P, np.inf)
+    flat_m, flat_alpha, flat_y, flat_sets, cell0, set0 = flat_views()
+    for it in range(1, max_iter + 1):
+        # ij[:, 0] = i, the argmax of m over up; ij[:, 1] = j, its argmin over low
+        ij = np.where(sets, m[:, None, :] * select_sign, -np.inf).argmax(axis=2)
+        cells = cell0 + ij
+        m_ij = flat_m[cells]
+        violation = m_ij[:, 0] - m_ij[:, 1]
+        empty = ~sets.any(axis=2).all(axis=1)
+        violation[empty] = 0.0
+        column = bank[start + ij]                 # (A, 2, n): K[:, i] and K[:, j]
+        flat_column = column.reshape(-1)
+        set_cells = set0 + ij                     # i and j in the up half; + n: low half
+        k_ii = flat_column[set_cells[:, 0]]
+        k_ij, k_jj = flat_column[set_cells + n].T  # K[i, j] is row i of column j
+        # eta <= 1e-12 becomes 1e-12; np.maximum keeps a nan, as that test does
+        eta = np.maximum(k_ii + k_jj - 2.0 * k_ij, 1e-12)
+        t = violation / eta
+        a_ij, y_ij = flat_alpha[cells], flat_y[cells]
+        sign = y_ij * step_sign                   # (y_i, -y_j)
+        # box limits along the step, taken in the order min(t, t_max_i,
+        # t_max_j) takes them
+        t_max = np.where(sign > 0, C - a_ij, a_ij)
+        t = np.where(t_max[:, 0] < t, t_max[:, 0], t)
+        t = np.where(t_max[:, 1] < t, t_max[:, 1], t)
+        done = empty | (violation <= tol) | (t <= 0)
+        if done.any():
+            for r in np.flatnonzero(done):
+                results[active[r]] = solved(r, it)
+            keep = ~done
+            active = active[keep]
+            if not active.size:
+                break
+            alpha, m, y, sets, start = (a[keep] for a in (alpha, m, y, sets, start))
+            ij, column, t, a_ij, y_ij, sign = (
+                a[keep] for a in (ij, column, t, a_ij, y_ij, sign))
+            violation = violation[keep]
+            flat_m, flat_alpha, flat_y, flat_sets, cell0, set0 = flat_views()
+            cells, set_cells = cell0 + ij, set0 + ij
+        # alpha_i + y_i t and alpha_j - y_j t
+        a_ij = a_ij + sign * t[:, None]
+        flat_alpha[cells] = a_ij
+        m -= t[:, None] * (column[:, 0] - column[:, 1])
+        inside, below, pos = a_ij > eps, a_ij < top, y_ij > 0
+        flat_sets[set_cells] = np.where(pos, below, inside)
+        flat_sets[set_cells + n] = np.where(pos, inside, below)
+    for r, p in enumerate(active):
+        results[p] = ConvergenceError(
+            f"SMO did not converge in {max_iter} iterations "
+            f"(max KKT violation {violation[r]:.3e})")
+    return results
+
+
+def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
+                     C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
+                     max_iter: int = 100_000, gram: np.ndarray | None = None) -> BinarySVM:
+    """One machine on the rows of X: the one-problem call of
+    :func:`svm_solve_batch`, so ``support`` indexes the rows of X, which
+    the machine keeps as ``train_X``.  Raises :class:`ConvergenceError`
+    if the solve does not converge in ``max_iter`` pair updates.
+
+    ``gram`` is ``kernel_matrix(X, X, kernel, kernel_gamma(...))`` when
+    the caller already has it (a slice of a larger Gram matrix serves).
+    """
+    _check_svm_settings(C, gamma)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if set(np.unique(y)) != {-1.0, 1.0}:
@@ -248,69 +385,12 @@ def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
         raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
     else:
         K = gram
-    columns = np.ascontiguousarray(K.T)  # columns[i] is K[:, i]
-    eps = 1e-12 * max(1.0, C)
-    top = C - eps
-    alpha = np.zeros(X.shape[0])
-    up = ((y > 0) & (alpha < top)) | ((y < 0) & (alpha > eps))
-    low = ((y > 0) & (alpha > eps)) | ((y < 0) & (alpha < top))
-    alpha = alpha.tolist()
-    labels = y.tolist()
-    m = y.copy()                          # -y*G at alpha = 0, where G = -1
-
-    violation = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        if not up.any() or not low.any():
-            violation = 0.0
-            break
-        i = int(np.where(up, m, -np.inf).argmax())
-        j = int(np.where(low, m, np.inf).argmin())
-        violation = m.item(i) - m.item(j)
-        if violation <= tol:
-            break
-        eta = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
-        if eta <= 1e-12:
-            eta = 1e-12
-        t = violation / eta
-        # box limits along the direction (y_i e_i - y_j e_j)
-        t_max_i = (C - alpha[i]) if labels[i] > 0 else alpha[i]
-        t_max_j = alpha[j] if labels[j] > 0 else (C - alpha[j])
-        t = min(t, t_max_i, t_max_j)
-        if t <= 0:
-            break
-        alpha[i] += labels[i] * t
-        alpha[j] -= labels[j] * t
-        m -= t * (columns[i] - columns[j])
-        for k in (i, j):
-            inside, below = alpha[k] > eps, alpha[k] < top
-            up[k], low[k] = (below, inside) if labels[k] > 0 else (inside, below)
-    else:
-        raise ConvergenceError(
-            f"SMO did not converge in {max_iter} iterations "
-            f"(max KKT violation {violation:.3e})"
-        )
-
-    alpha = np.array(alpha)
-    free = (alpha > eps) & (alpha < top)
-    if free.any():
-        bias = float(np.mean(m[free]))
-    else:
-        hi = m[up].max() if up.any() else 0.0
-        lo = m[low].min() if low.any() else 0.0
-        bias = float((hi + lo) / 2.0)
-    support = np.flatnonzero(alpha > eps)
-    return BinarySVM(
-        support_vectors=X[support],
-        support=support,
-        dual_coef=(alpha * y)[support],
-        bias=bias,
-        kernel=kernel,
-        gamma=gamma,
-        C=C,
-        n_iter=it,
-        final_violation=float(max(violation, 0.0)),
-    )
+    (machine,) = svm_solve_batch([K], [(0, y)], kernel, gamma, C=C, tol=tol,
+                                 max_iter=max_iter)
+    if isinstance(machine, Exception):
+        raise machine
+    machine.train_X = X
+    return machine
 
 
 @dataclass
@@ -319,27 +399,71 @@ class SVMModel:
     machines: dict = field(default_factory=dict)   # (a, b) -> BinarySVM
 
 
+def svm_train_folds(folds, kernel: str = "rbf", C: float = 1.0, gamma: float | None = None,
+                    tol: float = 1e-3, max_iter: int = 100_000) -> list:
+    """One-vs-one multiclass training of several folds in one
+    :func:`svm_solve_batch` call.
+
+    ``folds`` holds ``(labels, gram)`` pairs, ``gram`` the kernel of the
+    fold's training rows against themselves; labellings that share one
+    Gram matrix object share its columns in the solver.  ``gamma`` is
+    recorded on the machines as given.  Returns, per fold, an
+    :class:`SVMModel` whose machines' ``support`` indexes the fold's
+    rows, or the error of the fold: a ``ValueError`` for fewer than two
+    classes or a Gram matrix of the wrong shape, else the error of its
+    first failing pair in class-pair order.  With more than two classes a
+    :class:`ConvergenceError` names that pair.
+    """
+    _check_svm_settings(C, gamma)
+    grams, gram_index = [], {}
+    problems, owners, outcome = [], [], []
+    for f, (labels, gram) in enumerate(folds):
+        y = np.asarray([str(l) for l in labels])
+        classes = sorted(set(y.tolist()))
+        if len(classes) < 2:
+            outcome.append(ValueError("need at least 2 classes"))
+            continue
+        if gram.shape != (len(y),) * 2:
+            outcome.append(ValueError(f"gram has shape {gram.shape}, expected {(len(y),) * 2}"))
+            continue
+        g = gram_index.setdefault(id(gram), len(grams))
+        if g == len(grams):
+            grams.append(gram)
+        outcome.append(SVMModel(classes=classes))
+        for a, b in combinations(classes, 2):
+            problems.append((g, np.where(y == a, 1.0, np.where(y == b, -1.0, 0.0))))
+            owners.append((f, (a, b)))
+    solved = svm_solve_batch(grams, problems, kernel, gamma, C=C, tol=tol, max_iter=max_iter)
+    for (f, (a, b)), machine in zip(owners, solved):
+        model = outcome[f]
+        if isinstance(model, Exception):
+            continue                                # an earlier pair failed
+        if isinstance(machine, Exception):
+            if isinstance(machine, ConvergenceError) and len(model.classes) > 2:
+                machine = ConvergenceError(f"{a} vs {b}: {machine}")
+            outcome[f] = machine
+        else:
+            model.machines[(a, b)] = machine
+    return outcome
+
+
 def svm_train(X: np.ndarray, labels, gram: np.ndarray, kernel: str = "rbf",
               C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
               max_iter: int = 100_000) -> SVMModel:
-    """One-vs-one multiclass training over all class pairs.  ``gram`` is
-    the kernel of X against itself; each pair trains on its slice, and
-    each machine's ``support`` indexes the rows of X."""
+    """One-vs-one multiclass training of one fold through
+    :func:`svm_train_folds`, raising its error.  ``gram`` is the kernel
+    of X against itself; each machine's ``support`` indexes the rows of
+    X, which the machines share as ``train_X`` without copying them."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray([str(l) for l in labels])
-    classes = sorted(set(y.tolist()))
-    if len(classes) < 2:
-        raise ValueError("need at least 2 classes")
     if gram.shape != (X.shape[0],) * 2:
         raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
-    model = SVMModel(classes=classes)
-    for a, b in combinations(classes, 2):
-        rows = np.flatnonzero((y == a) | (y == b))
-        yy = np.where(y[rows] == a, 1.0, -1.0)
-        machine = svm_train_binary(X[rows], yy, kernel=kernel, C=C, gamma=gamma, tol=tol,
-                                   max_iter=max_iter, gram=gram[np.ix_(rows, rows)])
-        machine.support = rows[machine.support]
-        model.machines[(a, b)] = machine
+    (model,) = svm_train_folds([(labels, gram)], kernel=kernel, C=C,
+                               gamma=kernel_gamma(kernel, gamma, X.shape[1]), tol=tol,
+                               max_iter=max_iter)
+    if isinstance(model, Exception):
+        raise model
+    for machine in model.machines.values():
+        machine.train_X = X
     return model
 
 

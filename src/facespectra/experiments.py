@@ -1,8 +1,10 @@
 """Cross-validated expression and Action-Unit experiments.
 
 Per fold: standardize features with training statistics, train the
-requested classifier, predict the held-out subjects, through one fold
-predictor for every labelling of the fold.  Expression results
+requested classifier, predict the held-out subjects.  What does not
+depend on the labels is built once per fold for all its labellings, and
+under SVM every labelling of one evaluation trains in one batched SMO
+call.  Expression results
 report per-fold accuracies and a row-averaged confusion matrix; AU
 results report per-AU precision/recall/F1 over the pooled test folds
 plus the positives-weighted average.  Reports serialize to JSON and are
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
 import platform
 import sys
 from dataclasses import asdict, dataclass
@@ -41,43 +44,75 @@ class ClassifierConfig:
         return asdict(self)
 
 
-def _fold_predictor(cfg: ClassifierConfig, X, train, test):
-    """``predict(labels, skipped, entry)``: the ``test`` rows' labels under
-    ``cfg``'s classifier trained on the ``train`` rows with ``labels``,
-    standardized with training statistics.  Gamma and the train-by-train
-    and test-by-train kernels (SVM) or the span (FLDA) are built on the
-    first call and reused.  If SMO does not converge, ``entry`` and the
-    reason go to ``skipped`` and the result is None; any other failure
-    raises naming the fold and, for an AU, the AU."""
-    mu, sigma = standardize_fit(X[train])
-    Xtr = standardize_apply(X[train], mu, sigma)
+def _fold_inputs(cfg: ClassifierConfig, X, train, test):
+    """What every labelling of one fold shares: its rows standardized
+    with training statistics, then the train-by-train and test-by-train
+    kernels (SVM) or the standardized rows and the training span (FLDA)."""
+    Xtr = X[train]
+    mu, sigma = standardize_fit(Xtr)
+    Xtr = standardize_apply(Xtr, mu, sigma)
     Xte = standardize_apply(X[test], mu, sigma)
-    shared = []
+    if cfg.kind == "svm":
+        gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, Xtr.shape[1])
+        return (classify.kernel_matrix(Xtr, Xtr, cfg.kernel, gamma),
+                classify.kernel_matrix(Xte, Xtr, cfg.kernel, gamma))
+    if cfg.kind == "flda":
+        return Xtr, Xte, classify.flda_span(Xtr)
+    raise ValueError(f"unknown classifier {cfg.kind!r}")
 
-    def predict(labels, skipped: list, entry: dict):
+
+def _training_failed(entry: dict, exc: Exception) -> RuntimeError:
+    au = f" for AU {entry['au']}" if "au" in entry else ""
+    return RuntimeError(f"training failed in fold {entry['fold']}{au}: {exc}")
+
+
+def _predictions(cfg: ClassifierConfig, X, splits, jobs):
+    """For each job ``(fold, training labels, entry)`` in order, yield the
+    fold's test-row labels under ``cfg``'s classifier trained on the
+    fold's training rows, or, when its SMO solve did not converge, the
+    reason as a string.  Any other failure raises naming the fold and,
+    for an AU, the AU.
+
+    Each fold's inputs (:func:`_fold_inputs`) are built once, for its
+    first job.  Under SVM every job trains in one batched SMO call
+    before the first label is yielded; FLDA fits each job as it is
+    reached and holds one fold's inputs at a time.
+    """
+    inputs = {}
+
+    def fold_inputs(f):
+        if f not in inputs:
+            if cfg.kind != "svm":
+                inputs.clear()
+            inputs[f] = _fold_inputs(cfg, X, *splits[f])
+        return inputs[f]
+
+    if cfg.kind == "svm":
+        folds = []
+        for f, labels, entry in jobs:
+            try:
+                folds.append((labels, fold_inputs(f)[0]))
+            except Exception as exc:
+                raise _training_failed(entry, exc) from exc
+        models = classify.svm_train_folds(
+            folds, kernel=cfg.kernel, C=cfg.C,
+            gamma=classify.kernel_gamma(cfg.kernel, cfg.gamma, X.shape[1]))
+    for n, (f, labels, entry) in enumerate(jobs):
         try:
             if cfg.kind == "svm":
-                if not shared:
-                    gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, Xtr.shape[1])
-                    shared.extend((gamma, classify.kernel_matrix(Xtr, Xtr, cfg.kernel, gamma),
-                                   classify.kernel_matrix(Xte, Xtr, cfg.kernel, gamma)))
-                gamma, gram, gram_test = shared
-                model = classify.svm_train(Xtr, labels, gram, kernel=cfg.kernel, C=cfg.C,
-                                           gamma=gamma)
-                return np.asarray(classify.svm_predict(model, gram_test))
-            if cfg.kind == "flda":
-                shared[:] = shared or [classify.flda_span(Xtr)]
-                model = classify.flda_train(Xtr, labels, reg=cfg.reg, span=shared[0])
-                return np.asarray(classify.flda_predict(model, Xte))
-            raise ValueError(f"unknown classifier {cfg.kind!r}")
+                if isinstance(models[n], Exception):
+                    raise models[n]
+                pred = classify.svm_predict(models[n], inputs[f][1])
+            else:
+                Xtr, Xte, span = fold_inputs(f)
+                pred = classify.flda_predict(
+                    classify.flda_train(Xtr, labels, reg=cfg.reg, span=span), Xte)
         except classify.ConvergenceError as exc:
-            skipped.append({**entry, "reason": str(exc)})
+            yield str(exc)
+            continue
         except Exception as exc:
-            au = f" for AU {entry['au']}" if "au" in entry else ""
-            raise RuntimeError(f"training failed in fold {entry['fold']}{au}: {exc}") from exc
-        return None
-
-    return predict
+            raise _training_failed(entry, exc) from exc
+        yield np.asarray(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +174,10 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
 
     A fold is skipped and recorded with its reason under FLDA when a
     training class has a single sample, and under SVM when an SMO solve
-    does not converge; accuracies and the confusion matrix cover the
-    other folds.  Any other training failure, such as a fold with one
-    training class, raises naming the fold.
+    does not converge, with a reason that names the failing class pair;
+    accuracies and the confusion matrix cover the other folds.  Any other
+    training failure, such as a fold with one training class, raises
+    naming the fold.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -153,14 +189,17 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
     pct_sum = np.zeros((len(classes), len(classes)), dtype=np.float64)
     pct_n = np.zeros(len(classes), dtype=np.int64)
     skipped = []
-    for f, (train, test) in enumerate(splits):
-        reason = _flda_short_class(y[train]) if classifier.kind == "flda" else None
-        if reason:
-            skipped.append({"fold": int(f), "reason": reason})
+    short = [_flda_short_class(y[train]) if classifier.kind == "flda" else None
+             for train, _ in splits]
+    preds = _predictions(classifier, X, splits, [
+        (f, y[train], {"fold": f}) for f, (train, _) in enumerate(splits) if not short[f]])
+    for f, (_, test) in enumerate(splits):
+        if short[f]:
+            skipped.append({"fold": f, "reason": short[f]})
             continue
-        predict = _fold_predictor(classifier, X, train, test)
-        pred = predict(y[train], skipped, {"fold": int(f)})
-        if pred is None:
+        pred = next(preds)
+        if isinstance(pred, str):
+            skipped.append({"fold": f, "reason": pred})
             continue
         accs.append(float((pred == y[test]).mean()))
         counts = _fold_confusion(classes, y[test], pred)
@@ -206,9 +245,10 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     skipped too, recorded with the counts as its reason, and so is an
     (AU, fold) whose SMO solve does not converge.
 
-    Each AU is a "pos"/"neg" labelling of one fold predictor, so a fold
-    is standardized once for all its AUs, and its kernels or span are
-    built once, or not at all when every AU is skipped or constant.
+    Each AU is a "pos"/"neg" labelling of its fold, so a fold is
+    standardized once for all its AUs, and its kernels or span are built
+    once, or not at all when every AU is skipped or constant.  Under SVM
+    every (AU, fold) trains in one batched SMO call.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
@@ -217,28 +257,38 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     ybins = [np.array([1.0 if au in s else -1.0 for s in present]) for au in aus]
     counts = [np.zeros(3, dtype=np.int64) for _ in aus]     # tp, fp, fn
     skipped = [[] for _ in aus]
-    for f, (train, test) in enumerate(splits):
-        predict = _fold_predictor(classifier, X, train, test)
+    # per (fold, AU), fold by fold: the entry, and what to do with it
+    plan, jobs = [], []
+    for f, (train, _) in enumerate(splits):
         for a, au in enumerate(aus):
-            entry = {"au": int(au), "fold": int(f)}
+            entry = {"au": int(au), "fold": f}
             y_train = ybins[a][train]
             pos = int((y_train > 0).sum())
             neg = len(train) - pos
             if not pos:
-                skipped[a].append(entry)
-                continue
-            if classifier.kind == "flda" and 1 in (pos, neg):
+                plan.append((a, f, entry, "skip"))
+            elif classifier.kind == "flda" and 1 in (pos, neg):
                 reason = (f"flda needs 2 training samples per class, "
                           f"got {pos} positive and {neg} negative")
-                skipped[a].append({**entry, "reason": reason})
-                continue
-            # an AU present in every training sample has a constant predictor
-            pred = (predict(np.where(y_train > 0, "pos", "neg"), skipped[a], entry) if neg
-                    else np.full(len(test), "pos"))
-            if pred is None:
-                continue
-            hit, truth = pred == "pos", ybins[a][test] > 0
-            counts[a] += [(hit & truth).sum(), (hit & ~truth).sum(), (~hit & truth).sum()]
+                plan.append((a, f, {**entry, "reason": reason}, "skip"))
+            elif not neg:
+                # an AU present in every training sample has a constant predictor
+                plan.append((a, f, entry, "constant"))
+            else:
+                plan.append((a, f, entry, "train"))
+                jobs.append((f, np.where(y_train > 0, "pos", "neg"), entry))
+    preds = _predictions(classifier, X, splits, jobs)
+    for a, f, entry, action in plan:
+        test = splits[f][1]
+        if action == "skip":
+            skipped[a].append(entry)
+            continue
+        pred = np.full(len(test), "pos") if action == "constant" else next(preds)
+        if isinstance(pred, str):
+            skipped[a].append({**entry, "reason": pred})
+            continue
+        hit, truth = pred == "pos", ybins[a][test] > 0
+        counts[a] += [(hit & truth).sum(), (hit & ~truth).sum(), (~hit & truth).sum()]
     rows = []
     for a, au in enumerate(aus):
         tp, fp, fn = counts[a].tolist()
@@ -316,7 +366,12 @@ def compare_methods(results: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Reports
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def environment_fingerprint() -> dict:
+    """Versions, platform, CPU count and the BLAS thread settings the
+    process runs under (each variable's value, or None when unset)."""
     from . import __version__
 
     return {
@@ -324,6 +379,8 @@ def environment_fingerprint() -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "package_version": __version__,
+        "cpu_count": os.cpu_count(),
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
 
 

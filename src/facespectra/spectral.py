@@ -100,7 +100,7 @@ def _corner_cotangents(vertices: np.ndarray, faces: np.ndarray):
     return cots, double_area, sq
 
 
-def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray, corners=None) -> np.ndarray:
     """Cotangent-weight stiffness matrix.
 
     Off-diagonals are -(cot a + cot b) over the angles opposite each edge;
@@ -108,12 +108,13 @@ def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     Diagonals are the negated row sums, so every row sums to zero.
     Negative weights from obtuse triangles are kept as-is.  The matrix is
     exactly symmetric: entries (i, j) and (j, i) receive the same
-    cotangents in the same order.
+    cotangents in the same order.  ``corners`` is
+    ``_corner_cotangents(vertices, faces)`` when the caller has it.
     """
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
-    cots, _, _ = _corner_cotangents(vertices, faces)
+    cots, _, _ = _corner_cotangents(vertices, faces) if corners is None else corners
     # corner c faces the edge joining the other two corners; each face
     # lists its three half-edges and then their reverses
     rows = faces[:, [1, 2, 0, 2, 0, 1]]
@@ -124,17 +125,20 @@ def cotan_stiffness(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return S
 
 
-def voronoi_mass(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
+def voronoi_mass(vertices: np.ndarray, faces: np.ndarray, corners=None) -> np.ndarray:
     """Diagonal mass entries (mm^2) per vertex: mixed Voronoi areas.
 
     Circumcentric Voronoi areas for non-obtuse triangles; a triangle with
     an angle >= 90 deg instead contributes area/2 at that corner and
     area/4 at the others.  The entries sum to the total surface area.
+    ``corners`` is ``_corner_cotangents(vertices, faces)`` when the caller
+    has it.
     """
     vertices = np.asarray(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     n = vertices.shape[0]
-    cots, double_area, sq = _corner_cotangents(vertices, faces)
+    cots, double_area, sq = (_corner_cotangents(vertices, faces) if corners is None
+                             else corners)
     area = 0.5 * double_area
     # circumcentric contribution at corner c: (|e_a|^2 cot_a + |e_b|^2 cot_b)/8
     contrib = np.empty((faces.shape[0], 3), dtype=np.float64)
@@ -241,7 +245,10 @@ def shape_dna(vertices, faces: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n - n_zero:
         raise ValueError(f"k must be in [1, {n - n_zero}] after dropping "
                          f"{n_zero} zero mode(s), got {k}")
-    O = symmetrize(cotan_stiffness(vertices, faces), voronoi_mass(vertices, faces))
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    corners = _corner_cotangents(vertices, faces)
+    O = symmetrize(cotan_stiffness(vertices, faces, corners),
+                   voronoi_mass(vertices, faces, corners))
     try:
         w = np.linalg.eigvalsh(O)
     except np.linalg.LinAlgError as exc:

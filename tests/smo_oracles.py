@@ -1,6 +1,6 @@
 """Test oracles for the SMO solver: the brute-force dual optimum, the dual
 objective of a trained machine, and the straightforward SMO loop that
-``classify.svm_train_binary`` must reproduce exactly."""
+every problem of ``classify.svm_solve_batch`` must reproduce exactly."""
 
 import itertools
 
@@ -56,17 +56,19 @@ def svm_dual_objective(machine: BinarySVM, X: np.ndarray, y: np.ndarray) -> floa
     return float(alpha_sum - 0.5 * coef @ Ksv @ coef)
 
 
-def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_000):
+def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_000,
+                  gram=None):
     """SMO with the maximal-violating pair, written out in full each
     iteration: gradient G of 0.5 a'Qa - sum(a) over Q = yy'K, and the
-    up/low sets recomputed from all of alpha.  Returns the machine and
-    the dual objective after every pair update."""
+    up/low sets recomputed from all of alpha.  ``gram`` is K when given
+    (K[i, j] is read as given, so it need not be symmetric).  Returns the
+    machine and the dual objective after every pair update."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.shape[0]
     if gamma is None and kernel == "rbf":
         gamma = 1.0 / X.shape[1]
-    K = kernel_matrix(X, X, kernel, gamma)
+    K = kernel_matrix(X, X, kernel, gamma) if gram is None else gram
     Q = (y[:, None] * y[None, :]) * K
     alpha = np.zeros(n)
     G = -np.ones(n)
@@ -118,7 +120,6 @@ def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_
         bias = float((hi + lo) / 2.0)
     sv = alpha > eps
     machine = BinarySVM(
-        support_vectors=X[sv],
         support=np.flatnonzero(sv),
         dual_coef=(alpha * y)[sv],
         bias=bias,
@@ -127,5 +128,6 @@ def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_
         C=C,
         n_iter=it,
         final_violation=float(max(violation, 0.0)),
+        train_X=X,
     )
     return machine, np.array(history)

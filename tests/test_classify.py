@@ -15,8 +15,10 @@ from facespectra.classify import (
     identity_disjoint_folds,
     kernel_matrix,
     svm_predict,
+    svm_solve_batch,
     svm_train,
     svm_train_binary,
+    svm_train_folds,
 )
 from flda_oracles import reference_flda
 from smo_oracles import brute_force_dual_optimum, reference_smo, svm_dual_objective
@@ -172,9 +174,11 @@ def test_svm_multiclass_unanimous_and_deterministic():
 
 def _machine(w, b, row):
     # linear machine with decision(x) = w . x + b, w being training row ``row``
-    return BinarySVM(support_vectors=np.array([w], dtype=float), support=np.array([row]),
-                     dual_coef=np.array([1.0]), bias=b, kernel="linear",
-                     gamma=None, C=1.0, n_iter=0, final_violation=0.0)
+    X = np.zeros((row + 1, len(w)))
+    X[row] = w
+    return BinarySVM(support=np.array([row]), dual_coef=np.array([1.0]), bias=b,
+                     kernel="linear", gamma=None, C=1.0, n_iter=0, final_violation=0.0,
+                     train_X=X)
 
 
 def test_svm_vote_tie_breaks_by_score_then_class_order():
@@ -280,6 +284,135 @@ def test_svm_train_rejects_gram_of_wrong_shape():
     X = np.array([[0.0], [1.0], [2.0]])
     with pytest.raises(ValueError, match="gram has shape"):
         svm_train(X, ["a", "b", "b"], np.eye(4))
+
+
+@st.composite
+def smo_batches(draw):
+    """One batch of binary problems over 1-3 Gram matrices of different
+    sizes: each Gram serves 1-3 problems on random subsets of its rows
+    (the other rows masked out), and one Gram has an entry moved by one
+    ulp, so that it is not exactly symmetric."""
+    kernel = draw(st.sampled_from(["rbf", "linear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grams, data, problems = [], [], []
+    for g in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 14))
+        d = draw(st.integers(1, 3))
+        X = (rng.integers(-2, 3, size=(n, d)).astype(float) if draw(st.booleans())
+             else rng.normal(size=(n, d)))
+        for k in range(draw(st.integers(0, n // 3))):
+            X[n - 1 - k] = X[k]                     # duplicate points
+        K = kernel_matrix(X, X, kernel, 1.0 / d if kernel == "rbf" else None)
+        grams.append(K)
+        data.append(X)
+        for _ in range(draw(st.integers(1, 3))):
+            y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+            y[rng.random(n) < 0.3] = 0.0            # rows left out
+            a, b = rng.choice(n, size=2, replace=False)
+            y[a], y[b] = 1.0, -1.0
+            problems.append((g, y))
+    K = grams[draw(st.integers(0, len(grams) - 1))]
+    if K.shape[0] > 1:
+        a, b = rng.choice(K.shape[0], size=2, replace=False)
+        K[a, b] = np.nextafter(K[a, b], np.inf)
+    return kernel, grams, data, problems
+
+
+def _batch_matches_reference(kernel, grams, data, problems, C, tol, max_iter):
+    """Solve the batch and compare each problem with ``reference_smo`` on
+    its own rows and its slice of the Gram; returns the outcome kinds."""
+    got = svm_solve_batch(grams, problems, kernel, None, C=C, tol=tol, max_iter=max_iter)
+    kinds = set()
+    for (g, y), machine in zip(problems, got):
+        rows = np.flatnonzero(y)
+        want = _smo_outcome(lambda *a, **k: reference_smo(*a, **k)[0], data[g][rows], y[rows],
+                            kernel=kernel, C=C, tol=tol, max_iter=max_iter,
+                            gram=grams[g][np.ix_(rows, rows)])
+        if isinstance(want, str):
+            assert isinstance(machine, ConvergenceError) and str(machine) == want
+            kinds.add("capped")
+            continue
+        assert np.array_equal(machine.support, rows[want.support])
+        assert np.array_equal(machine.dual_coef, want.dual_coef)
+        assert (machine.bias, machine.n_iter, machine.final_violation) == (
+            want.bias, want.n_iter, want.final_violation)
+        kinds.add("solved")
+    return kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(smo_batches(), st.sampled_from([0.05, 1.0, 100.0]), st.sampled_from([1e-3, 1e-6]),
+       st.sampled_from([3, 12, 5000]))
+def test_svm_batch_matches_reference_smo_per_problem(batch, C, tol, max_iter):
+    """Every problem of one lockstep batch walks the path of the plain SMO
+    loop solved alone on its own rows, also when it shares its Gram with
+    other problems, when that Gram is not exactly symmetric, and when it
+    stops at the iteration cap while others run on."""
+    _batch_matches_reference(*batch, C, tol, max_iter)
+
+
+def test_svm_batch_mixes_solved_and_capped_problems():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    K = kernel_matrix(X, X, "rbf", 0.5)
+    problems = [(0, np.where(rng.random(30) > 0.5, 1.0, -1.0) * (rng.random(30) < f))
+                for f in (0.15, 0.3, 1.0, 1.0)]
+    for _, y in problems:
+        y[:2] = 1.0, -1.0
+    # the problems take 22, 188, 248 and 559 steps
+    kinds = _batch_matches_reference("rbf", [K], [X], problems, C=10.0, tol=1e-6,
+                                     max_iter=200)
+    assert kinds == {"solved", "capped"}
+
+
+def test_svm_train_folds_matches_each_fold_alone():
+    """Folds trained in one batch get the machines, or the error, that
+    each gets alone; a fold with one class gets a ValueError, and a fold
+    whose pair hits the cap names that pair."""
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(24, 4))
+    K = kernel_matrix(X, X, "rbf", 0.25)
+    labels = np.array(list("abc") * 8)
+    folds = [(labels, K), (labels[:12], K[:12, :12]), (["a"] * 24, K),
+             (labels[labels != "c"], K[np.ix_(labels != "c", labels != "c")])]
+    for max_iter in (5, 60):
+        got = svm_train_folds(folds, kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
+                              max_iter=max_iter)
+        assert isinstance(got[2], ValueError) and str(got[2]) == "need at least 2 classes"
+        for (fold_labels, gram), model in zip(folds[:2] + folds[3:], got[:2] + got[3:]):
+            fold_X = np.zeros((len(fold_labels), 1))
+            try:
+                alone = svm_train(fold_X, fold_labels, gram, kernel="rbf", C=10.0,
+                                  gamma=0.25, tol=1e-6, max_iter=max_iter)
+            except ConvergenceError as exc:
+                assert isinstance(model, ConvergenceError) and str(model) == str(exc)
+                continue
+            assert model.machines.keys() == alone.machines.keys()
+            for pair, machine in model.machines.items():
+                other = alone.machines[pair]
+                assert np.array_equal(machine.support, other.support)
+                assert np.array_equal(machine.dual_coef, other.dual_coef)
+                assert machine.bias == other.bias and machine.train_X is None
+    capped = svm_train_folds(folds[:1], kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
+                             max_iter=2)[0]
+    assert str(capped).startswith("a vs b: SMO did not converge in 2 iterations")
+    two_class = svm_train_folds(folds[3:], kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
+                                max_iter=2)[0]
+    assert str(two_class).startswith("SMO did not converge in 2 iterations")
+
+
+def test_svm_train_machines_hold_no_copy_of_training_rows():
+    """A machine keeps the indices of its support rows, not the rows: the
+    one (S, d) array it can give is read from the shared training X."""
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(36, 50))
+    labels = np.repeat(["a", "b", "c"], 12)
+    model = svm_train(X, labels, kernel_matrix(X, X, "rbf", 0.02), kernel="rbf")
+    for machine in model.machines.values():
+        assert machine.train_X is X
+        held = [v for v in vars(machine).values() if isinstance(v, np.ndarray) and v is not X]
+        assert held and all(v.ndim == 1 for v in held)
+        assert np.array_equal(machine.support_vectors, X[machine.support])
 
 
 # ---------------------------------------------------------------------------

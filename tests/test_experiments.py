@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -139,31 +140,34 @@ def test_flda_one_sample_class_fold_skipped_with_reason():
     assert compare_methods({"a": res, "b": res})["paired_differences"] == [0.0] * (5 - len(short))
 
 
-def _fail_on_call(monkeypatch, n, exc):
-    """Make call ``n`` (counted from 0) of ``classify.svm_train_binary``
-    raise ``exc``."""
-    original = classify.svm_train_binary
-    calls = []
+def _fail_on_problem(monkeypatch, n, exc):
+    """Make problem ``n`` (counted from 0 over the calls) of the batched
+    SMO solver ``classify.svm_solve_batch`` come out as ``exc``."""
+    original = classify.svm_solve_batch
+    seen = []
 
     def failing(*args, **kwargs):
-        calls.append(None)
-        if len(calls) == n + 1:
-            raise exc
-        return original(*args, **kwargs)
+        results = original(*args, **kwargs)
+        if len(seen) <= n < len(seen) + len(results):
+            results[n - len(seen)] = exc
+        seen.extend(results)
+        return results
 
-    monkeypatch.setattr(classify, "svm_train_binary", failing)
+    monkeypatch.setattr(classify, "svm_solve_batch", failing)
 
 
 def test_svm_nonconverged_fold_skipped_with_reason(monkeypatch):
     """A ConvergenceError in one fold's SMO solve skips that fold with the
-    solver's message; the other folds are evaluated as before."""
+    solver's message behind the failing pair; the other folds are
+    evaluated as before."""
     X, labels, subjects = grouped_dataset(np.random.default_rng(4), spread=4.0, sep=2.0)
     full = evaluate_expressions(X, labels, subjects, folds=4, seed=0)
     message = "SMO did not converge in 3 iterations (max KKT violation 1.000e+00)"
-    # 6 classes: 15 one-vs-one machines per fold, so call 15 opens fold 1
-    _fail_on_call(monkeypatch, 15, classify.ConvergenceError(message))
+    # 6 classes: 15 one-vs-one problems per fold, fold by fold in one
+    # batch, so problem 15 is fold 1's first pair
+    _fail_on_problem(monkeypatch, 15, classify.ConvergenceError(message))
     res = evaluate_expressions(X, labels, subjects, folds=4, seed=0)
-    assert res.skipped == [{"fold": 1, "reason": message}]
+    assert res.skipped == [{"fold": 1, "reason": f"K0 vs K1: {message}"}]
     assert res.fold_accuracies == full.fold_accuracies[:1] + full.fold_accuracies[2:]
     validate_report(build_report("expressions", {}, expression_report_section(res)))
 
@@ -179,8 +183,9 @@ def _three_au_problem():
 def test_au_svm_nonconverged_fold_skipped_with_reason(monkeypatch):
     X, aus, subjects = _three_au_problem()
     assert evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4)).skipped == []
-    # one machine per (fold, AU), fold by fold: call 4 is AU 2 in fold 1
-    _fail_on_call(monkeypatch, 4, classify.ConvergenceError("no convergence"))
+    # one problem per (fold, AU), fold by fold in one batch: problem 4 is
+    # AU 2 in fold 1; a two-class fold's reason is the solver's message alone
+    _fail_on_problem(monkeypatch, 4, classify.ConvergenceError("no convergence"))
     res = evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4))
     assert res.skipped == [{"au": 2, "fold": 1, "reason": "no convergence"}]
     validate_report(build_report("aus", {}, au_report_section(res)))
@@ -188,7 +193,7 @@ def test_au_svm_nonconverged_fold_skipped_with_reason(monkeypatch):
 
 def test_other_au_training_errors_name_the_fold_and_au(monkeypatch):
     X, aus, subjects = _three_au_problem()
-    _fail_on_call(monkeypatch, 4, ValueError("boom"))
+    _fail_on_problem(monkeypatch, 4, ValueError("boom"))
     with pytest.raises(RuntimeError, match="training failed in fold 1 for AU 2: boom"):
         evaluate_aus(X, aus, subjects, folds=5, seed=0, aus=(1, 2, 4))
 
@@ -461,6 +466,32 @@ def test_reports_validate_and_save(tmp_path):
     table = sweep_table(rng)
     res_sw = eigen_sweep(table, [1, 10], classifier=FLDA, folds=4, seed=0)
     validate_report(build_report("sweep", {}, sweep_report_section(res_sw)))
+
+
+def _small_expression_section():
+    X, labels, subjects = grouped_dataset(np.random.default_rng(16), n_subjects=4)
+    return expression_report_section(
+        evaluate_expressions(X, labels, subjects, classifier=FLDA, folds=2, seed=0))
+
+
+def test_environment_records_cpu_count_and_blas_threads(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    report = build_report("expressions", {}, _small_expression_section())
+    env = report["environment"]
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2",
+                                   "MKL_NUM_THREADS": None}
+
+
+def test_report_without_cpu_and_thread_fields_validates():
+    """Reports written before the environment recorded CPU count and BLAS
+    threads still validate."""
+    report = build_report("expressions", {}, _small_expression_section())
+    for key in ("cpu_count", "blas_threads"):
+        del report["environment"][key]
+    validate_report(report)
 
 
 def test_invalid_report_rejected():

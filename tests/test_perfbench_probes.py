@@ -62,13 +62,17 @@ def test_au_flda_reaches_fit_probes_once_per_fit_and_fold(monkeypatch):
 def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
     """Under SVM, ``evaluate_aus`` builds one train-by-train and one
     test-by-train kernel per fold for all its AUs, still through
-    ``classify.kernel_matrix``, and fits each (AU, fold) through
-    ``classify.svm_train_binary``."""
+    ``classify.kernel_matrix``, and fits every (AU, fold) in one call of
+    the batched solver ``classify.svm_solve_batch``."""
     calls = {}
-    for name in ("kernel_matrix", "svm_train_binary"):
+    problems = []
+    for name in ("kernel_matrix", "svm_solve_batch"):
         def counted(*args, _name=name, _original=getattr(classify, name), **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if _name == "svm_solve_batch":
+                problems.extend(result)
+            return result
         monkeypatch.setattr(classify, name, counted)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(30, 40))
@@ -77,4 +81,5 @@ def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
     svm = experiments.ClassifierConfig(kind="svm")
     result = experiments.evaluate_aus(X, aus, subjects, svm, folds=5, seed=0, aus=(1, 2, 4))
     assert result.skipped == []
-    assert calls == {"kernel_matrix": 2 * 5, "svm_train_binary": 3 * 5}
+    assert calls == {"kernel_matrix": 2 * 5, "svm_solve_batch": 1}
+    assert len(problems) == 3 * 5

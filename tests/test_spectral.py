@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from facespectra import spectral
 from facespectra.patches import PatchConfig, canonical_connectivity
 from facespectra.spectral import (
     DegenerateGeometryError,
@@ -295,6 +296,26 @@ def test_shape_dna_distinguishes_flat_from_bump():
     w_flat = shape_dna(flat, faces, 10)
     w_bump = shape_dna(bump, faces, 10)
     assert np.abs(w_bump - w_flat).max() > 1e-3 * np.abs(w_flat).max()
+
+
+def test_shape_dna_computes_corner_cotangents_once(monkeypatch):
+    """``shape_dna`` hands one corner computation to both operators, and
+    its eigenvalues equal those of the operators built on their own."""
+    verts, faces = bumpy_grid_patch(seed=5)
+    want = np.linalg.eigvalsh(symmetrize(cotan_stiffness(verts, faces),
+                                         voronoi_mass(verts, faces)))
+    calls = []
+    original = spectral._corner_cotangents
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(spectral, "_corner_cotangents", counted)
+    n_zero = connected_components(faces, len(verts))
+    got = shape_dna(verts, faces, len(verts) - n_zero)
+    assert len(calls) == 1
+    assert got.tobytes() == want[n_zero:].tobytes()
 
 
 def test_shape_dna_k_validation():
