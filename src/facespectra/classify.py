@@ -36,7 +36,11 @@ def standardize_fit(X: np.ndarray):
 
 
 def standardize_apply(X: np.ndarray, mu, sigma) -> np.ndarray:
-    return (X - mu) / sigma
+    """Standardize the float array X in place (the same values as
+    ``(X - mu) / sigma``) and return it."""
+    X -= mu
+    X /= sigma
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +290,31 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
     step_sign = np.array([1.0, -1.0])
     select_sign = step_sign[:, None]
 
-    def solved(r, n_iter):
-        # the machine of state row r, which has finished
-        a, m_r, (up, low) = alpha[r], m[r], sets[r]
-        free = (a > eps) & (a < top)
-        if free.any():
-            bias = float(np.mean(m_r[free]))
-        else:
-            hi = m_r[up].max() if up.any() else 0.0
-            lo = m_r[low].min() if low.any() else 0.0
-            bias = float((hi + lo) / 2.0)
-        support = np.flatnonzero(a > eps)
-        return BinarySVM(support=support, dual_coef=(a * y[r])[support], bias=bias,
-                         kernel=kernel, gamma=gamma, C=C, n_iter=n_iter,
-                         final_violation=float(max(violation[r], 0.0)))
+    def retire(rows, n_iter):
+        # the machines of the state rows that have finished, from one
+        # gather of their free m values and support: the bias is the mean
+        # of m over the free alphas (one pairwise sum per problem, as
+        # np.mean takes it), or else the midpoint of max m over up and min
+        # m over low (0 for an empty set)
+        a, m_r = alpha[rows], m[rows]
+        free, support = (a > eps) & (a < top), a > eps
+        free_m, n_free = m_r[free], free.sum(axis=1).tolist()
+        sv, coef = np.nonzero(support)[1], (a * y[rows])[support]
+        n_sv = support.sum(axis=1).tolist()
+        f0 = s0 = 0
+        for r, (row, p) in enumerate(zip(rows.tolist(), active[rows].tolist())):
+            f1, s1 = f0 + n_free[r], s0 + n_sv[r]
+            if f1 > f0:
+                bias = float(free_m[f0:f1].sum() / (f1 - f0))
+            else:
+                up, low = sets[row]
+                hi = m_r[r][up].max() if up.any() else 0.0
+                lo = m_r[r][low].min() if low.any() else 0.0
+                bias = float((hi + lo) / 2.0)
+            results[p] = BinarySVM(support=sv[s0:s1], dual_coef=coef[s0:s1], bias=bias,
+                                   kernel=kernel, gamma=gamma, C=C, n_iter=n_iter,
+                                   final_violation=float(max(violation[row], 0.0)))
+            f0, s0 = f1, s1
 
     def flat_views():
         # flat views of the state, and the flat offset of each row in m and sets
@@ -335,26 +350,25 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
         t = np.where(t_max[:, 0] < t, t_max[:, 0], t)
         t = np.where(t_max[:, 1] < t, t_max[:, 1], t)
         done = empty | (violation <= tol) | (t <= 0)
-        if done.any():
-            for r in np.flatnonzero(done):
-                results[active[r]] = solved(r, it)
-            keep = ~done
-            active = active[keep]
-            if not active.size:
+        finished = np.flatnonzero(done)
+        if finished.size:
+            retire(finished, it)
+            if finished.size == active.size:
+                active = finished[:0]
                 break
-            alpha, m, y, sets, start = (a[keep] for a in (alpha, m, y, sets, start))
-            ij, column, t, a_ij, y_ij, sign = (
-                a[keep] for a in (ij, column, t, a_ij, y_ij, sign))
-            violation = violation[keep]
-            flat_m, flat_alpha, flat_y, flat_sets, cell0, set0 = flat_views()
-            cells, set_cells = cell0 + ij, set0 + ij
-        # alpha_i + y_i t and alpha_j - y_j t
+        # alpha_i + y_i t and alpha_j - y_j t; the finished rows step too,
+        # and are dropped below
         a_ij = a_ij + sign * t[:, None]
         flat_alpha[cells] = a_ij
         m -= t[:, None] * (column[:, 0] - column[:, 1])
         inside, below, pos = a_ij > eps, a_ij < top, y_ij > 0
         flat_sets[set_cells] = np.where(pos, below, inside)
         flat_sets[set_cells + n] = np.where(pos, inside, below)
+        if finished.size:
+            keep = np.flatnonzero(~done)
+            active, alpha, m, y, sets, start, violation = (
+                a[keep] for a in (active, alpha, m, y, sets, start, violation))
+            flat_m, flat_alpha, flat_y, flat_sets, cell0, set0 = flat_views()
     for r, p in enumerate(active):
         results[p] = ConvergenceError(
             f"SMO did not converge in {max_iter} iterations "

@@ -229,7 +229,8 @@ def cmd_evaluate(args) -> int:
 
     if args.task == "expressions":
         result = evaluate_expressions(table.X, table.expressions, table.subjects,
-                                      classifier=clf, folds=folds, seed=seed)
+                                      classifier=clf, folds=folds, seed=seed,
+                                      missing=table.missing)
         comparison = None
         if args.compare_features:
             other = load_feature_table(args.compare_features)
@@ -237,7 +238,7 @@ def cmd_evaluate(args) -> int:
                 raise UsageError("--compare-features table has different samples")
             other_result = evaluate_expressions(
                 other.X, other.expressions, other.subjects,
-                classifier=clf, folds=folds, seed=seed)
+                classifier=clf, folds=folds, seed=seed, missing=other.missing)
             names = [table.method, other.method]
             if names[0] == names[1]:    # two tables of one method: use the file stems
                 names = [Path(p).stem for p in (args.features, args.compare_features)]
@@ -256,7 +257,7 @@ def cmd_evaluate(args) -> int:
         return 0
 
     result = evaluate_aus(table.X, table.aus, table.subjects,
-                          classifier=clf, folds=folds, seed=seed)
+                          classifier=clf, folds=folds, seed=seed, missing=table.missing)
     report = build_report("aus", run_config, au_report_section(result))
     save_report(args.out, report)
     print(format_au_result(result))

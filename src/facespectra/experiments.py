@@ -2,9 +2,9 @@
 
 Per fold: standardize features with training statistics, train the
 requested classifier, predict the held-out subjects.  What does not
-depend on the labels is built once per fold for all its labellings, and
-under SVM every labelling of one evaluation trains in one batched SMO
-call.  Expression results
+depend on the labels is built once per fold for all its labellings (and
+for all the eigenvalue counts of a sweep), and under SVM every labelling
+of one evaluation trains in one batched SMO call.  Expression results
 report per-fold accuracies and a row-averaged confusion matrix; AU
 results report per-AU precision/recall/F1 over the pooled test folds
 plus the positives-weighted average.  Reports serialize to JSON and are
@@ -13,6 +13,7 @@ validated against the schema shipped with the package.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import os
@@ -29,7 +30,7 @@ from .classify import (
     standardize_apply,
     standardize_fit,
 )
-from .features import FeatureTable
+from .features import FeatureTable, truncation_columns
 
 
 @dataclass
@@ -44,21 +45,39 @@ class ClassifierConfig:
         return asdict(self)
 
 
-def _fold_inputs(cfg: ClassifierConfig, X, train, test):
-    """What every labelling of one fold shares: its rows standardized
-    with training statistics, then the train-by-train and test-by-train
-    kernels (SVM) or the standardized rows and the training span (FLDA)."""
-    Xtr = X[train]
+def _fold_rows(X, missing, train, test):
+    """A fold's training and test rows, standardized in place with the
+    training rows' statistics.  ``missing`` is None or the (S, N) flags
+    of the N equal landmark blocks of X's columns: each missing block is
+    first filled with the mean of that block over the training rows where
+    the landmark is present (a landmark missing from every training row
+    keeps its values)."""
+    Xtr, Xte = X[train], X[test]
+    if missing is not None:
+        miss_tr, miss_te = missing[train], missing[test]
+        width = X.shape[1] // missing.shape[1]
+        for l in np.flatnonzero(miss_tr.any(axis=0) | miss_te.any(axis=0)):
+            present = ~miss_tr[:, l]
+            if present.any():
+                block = slice(l * width, (l + 1) * width)
+                fill = Xtr[present, block].mean(axis=0)
+                Xtr[miss_tr[:, l], block] = fill
+                Xte[miss_te[:, l], block] = fill
     mu, sigma = standardize_fit(Xtr)
-    Xtr = standardize_apply(Xtr, mu, sigma)
-    Xte = standardize_apply(X[test], mu, sigma)
-    if cfg.kind == "svm":
-        gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, Xtr.shape[1])
-        return (classify.kernel_matrix(Xtr, Xtr, cfg.kernel, gamma),
-                classify.kernel_matrix(Xte, Xtr, cfg.kernel, gamma))
-    if cfg.kind == "flda":
-        return Xtr, Xte, classify.flda_span(Xtr)
-    raise ValueError(f"unknown classifier {cfg.kind!r}")
+    return standardize_apply(Xtr, mu, sigma), standardize_apply(Xte, mu, sigma)
+
+
+def _missing_blocks(X, missing):
+    """The (S, N) missing flags as a bool array, checked against X, or
+    None when nothing is missing."""
+    if missing is None:
+        return None
+    missing = np.asarray(missing, dtype=bool)
+    if missing.ndim != 2 or missing.shape[0] != X.shape[0] or not missing.shape[1] or (
+            X.shape[1] % missing.shape[1]):
+        raise ValueError(f"missing flags of shape {missing.shape} do not split the "
+                         f"{X.shape} feature matrix into landmark blocks")
+    return missing if missing.any() else None
 
 
 def _training_failed(entry: dict, exc: Exception) -> RuntimeError:
@@ -66,53 +85,92 @@ def _training_failed(entry: dict, exc: Exception) -> RuntimeError:
     return RuntimeError(f"training failed in fold {entry['fold']}{au}: {exc}")
 
 
-def _predictions(cfg: ClassifierConfig, X, splits, jobs):
-    """For each job ``(fold, training labels, entry)`` in order, yield the
-    fold's test-row labels under ``cfg``'s classifier trained on the
-    fold's training rows, or, when its SMO solve did not converge, the
-    reason as a string.  Any other failure raises naming the fold and,
-    for an AU, the AU.
+def _outcome(entry: dict, predict):
+    """``predict()`` as an array, the reason when its SMO solve did not
+    converge, or a ``RuntimeError`` naming the fold (and AU) of ``entry``."""
+    try:
+        return np.asarray(predict())
+    except classify.ConvergenceError as exc:
+        return str(exc)
+    except Exception as exc:
+        raise _training_failed(entry, exc) from exc
 
-    Each fold's inputs (:func:`_fold_inputs`) are built once, for its
-    first job.  Under SVM every job trains in one batched SMO call
-    before the first label is yielded; FLDA fits each job as it is
-    reached and holds one fold's inputs at a time.
+
+def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(None,)):
+    """For each column set (an index array into X's columns, or None for
+    all of them) a list holding, for each job ``(fold, training labels,
+    entry)``, the fold's test-row labels under ``cfg``'s classifier
+    trained on the fold's training rows, or, when its SMO solve did not
+    converge, the reason as a string.  Any other failure raises naming
+    the fold and, for an AU, the AU.
+
+    A fold is standardized once (:func:`_fold_rows`) for all its jobs and
+    column sets, and not at all when it has no job.  Under SVM each
+    column set's train-by-train and test-by-train kernels (gamma from its
+    column count) are built from it, and each column set trains all its
+    jobs in one batched SMO call; FLDA fits every job of a column set on
+    its span as the fold is reached, and holds one fold's rows at a time.
     """
-    inputs = {}
-
-    def fold_inputs(f):
-        if f not in inputs:
-            if cfg.kind != "svm":
-                inputs.clear()
-            inputs[f] = _fold_inputs(cfg, X, *splits[f])
-        return inputs[f]
-
+    if cfg.kind not in ("svm", "flda"):
+        raise ValueError(f"unknown classifier {cfg.kind!r}")
+    fold_jobs = {}
+    for n, (f, _, _) in enumerate(jobs):
+        fold_jobs.setdefault(f, []).append(n)
+    out = [[None] * len(jobs) for _ in column_sets]
+    kernels = [{} for _ in column_sets]     # SVM: fold -> (train, test) kernels
     if cfg.kind == "svm":
-        folds = []
-        for f, labels, entry in jobs:
-            try:
-                folds.append((labels, fold_inputs(f)[0]))
-            except Exception as exc:
-                raise _training_failed(entry, exc) from exc
-        models = classify.svm_train_folds(
-            folds, kernel=cfg.kernel, C=cfg.C,
-            gamma=classify.kernel_gamma(cfg.kernel, cfg.gamma, X.shape[1]))
-    for n, (f, labels, entry) in enumerate(jobs):
+        # every kernel of the call lives in one block: kernels allocated one
+        # by one between each fold's large rows leave a fragmented heap that
+        # stays resident after the call
+        sizes = [(f, len(splits[f][0]), len(splits[f][1])) for f in fold_jobs]
+        block = np.empty(len(column_sets) * sum(a * (a + b) for _, a, b in sizes))
+        offset = 0
+        for fold_kernels in kernels:
+            for f, a, b in sizes:
+                fold_kernels[f] = (block[offset:offset + a * a].reshape(a, a),
+                                   block[offset + a * a:offset + a * (a + b)].reshape(b, a))
+                offset += a * (a + b)
+    for f, members in fold_jobs.items():
+        first = jobs[members[0]][2]
         try:
-            if cfg.kind == "svm":
-                if isinstance(models[n], Exception):
-                    raise models[n]
-                pred = classify.svm_predict(models[n], inputs[f][1])
-            else:
-                Xtr, Xte, span = fold_inputs(f)
-                pred = classify.flda_predict(
-                    classify.flda_train(Xtr, labels, reg=cfg.reg, span=span), Xte)
-        except classify.ConvergenceError as exc:
-            yield str(exc)
-            continue
+            Xtr, Xte = _fold_rows(X, missing, *splits[f])
         except Exception as exc:
-            raise _training_failed(entry, exc) from exc
-        yield np.asarray(pred)
+            raise _training_failed(first, exc) from exc
+        for c, cols in enumerate(column_sets):
+            tr, te = (Xtr, Xte) if cols is None else (Xtr[:, cols], Xte[:, cols])
+            try:
+                if cfg.kind == "svm":
+                    gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, tr.shape[1])
+                    train_kernel, test_kernel = kernels[c][f]
+                    train_kernel[...] = classify.kernel_matrix(tr, tr, cfg.kernel, gamma)
+                    test_kernel[...] = classify.kernel_matrix(te, tr, cfg.kernel, gamma)
+                    continue
+                span = classify.flda_span(tr)
+            except Exception as exc:
+                raise _training_failed(first, exc) from exc
+            for n in members:
+                _, labels, entry = jobs[n]
+                out[c][n] = _outcome(entry, lambda: classify.flda_predict(
+                    classify.flda_train(tr, labels, reg=cfg.reg, span=span), te))
+        # let this fold's rows go before the next fold's are gathered
+        Xtr = Xte = tr = te = span = None
+    if cfg.kind == "svm":
+        for c, cols in enumerate(column_sets):
+            d = X.shape[1] if cols is None else len(cols)
+            models = classify.svm_train_folds(
+                [(labels, kernels[c][f][0]) for f, labels, _ in jobs],
+                kernel=cfg.kernel, C=cfg.C,
+                gamma=classify.kernel_gamma(cfg.kernel, cfg.gamma, d))
+            for n, (f, _, entry) in enumerate(jobs):
+                out[c][n] = _outcome(entry, lambda: classify.svm_predict(
+                    _raised(models[n]), kernels[c][f][1]))
+    return out
+
+
+def _raised(model):
+    if isinstance(model, Exception):
+        raise model
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +224,16 @@ def _flda_short_class(y_train):
 
 def evaluate_expressions(X: np.ndarray, expressions, subjects,
                          classifier: ClassifierConfig | None = None,
-                         folds: int = 10, seed: int = 0) -> ExpressionResult:
+                         folds: int = 10, seed: int = 0,
+                         missing=None) -> ExpressionResult:
     """Identity-disjoint k-fold evaluation of the 6-class expression task.
 
     Confusion percentages are computed per fold and averaged row-wise
     over the folds in which the row's class occurs; counts are pooled.
+
+    ``missing`` is the table's (S, N) missing-patch flags, or None: each
+    missing landmark block is filled with its training-fold mean over the
+    rows where the landmark is present before the fold is standardized.
 
     A fold is skipped and recorded with its reason under FLDA when a
     training class has a single sample, and under SVM when an SMO solve
@@ -179,25 +242,39 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
     training failure, such as a fold with one training class, raises
     naming the fold.
     """
+    (result,) = _expression_results(X, expressions, subjects, classifier, folds, seed,
+                                    missing, (None,))
+    return result
+
+
+def _expression_results(X, expressions, subjects, classifier, folds, seed, missing,
+                        column_sets):
+    """:func:`evaluate_expressions` of X restricted to each column set
+    (None: all columns), on one set of folds standardized once each."""
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
+    missing = _missing_blocks(X, missing)
     y = np.asarray([str(e) for e in expressions])
     classes = sorted(set(y.tolist()))
     splits = identity_disjoint_folds(subjects, folds, seed)
+    short = [_flda_short_class(y[train]) if classifier.kind == "flda" else None
+             for train, _ in splits]
+    jobs = [(f, y[train], {"fold": f}) for f, (train, _) in enumerate(splits) if not short[f]]
+    return [_expression_result(classes, y, splits, short, iter(preds))
+            for preds in _predictions(classifier, X, missing, splits, jobs, column_sets)]
+
+
+def _expression_result(classes, y, splits, short, preds) -> ExpressionResult:
+    """Accuracies and confusion over the folds: ``short`` holds each
+    fold's FLDA reason or None, and ``preds`` yields the labels or reason
+    of each fold that is not short."""
     accs = []
     pooled = np.zeros((len(classes), len(classes)), dtype=np.int64)
     pct_sum = np.zeros((len(classes), len(classes)), dtype=np.float64)
     pct_n = np.zeros(len(classes), dtype=np.int64)
     skipped = []
-    short = [_flda_short_class(y[train]) if classifier.kind == "flda" else None
-             for train, _ in splits]
-    preds = _predictions(classifier, X, splits, [
-        (f, y[train], {"fold": f}) for f, (train, _) in enumerate(splits) if not short[f]])
     for f, (_, test) in enumerate(splits):
-        if short[f]:
-            skipped.append({"fold": f, "reason": short[f]})
-            continue
-        pred = next(preds)
+        pred = short[f] or next(preds)
         if isinstance(pred, str):
             skipped.append({"fold": f, "reason": pred})
             continue
@@ -216,7 +293,7 @@ def evaluate_expressions(X: np.ndarray, expressions, subjects,
         fold_accuracies=accs,
         mean_accuracy=float(np.mean(accs)),
         confusion=confusion,
-        n_samples=X.shape[0],
+        n_samples=len(y),
         folds=len(splits),
         skipped=skipped,
     )
@@ -235,7 +312,7 @@ class AUResult:
 
 def evaluate_aus(X: np.ndarray, au_sets, subjects,
                  classifier: ClassifierConfig | None = None,
-                 folds: int = 10, seed: int = 0, aus=AU_SET) -> AUResult:
+                 folds: int = 10, seed: int = 0, aus=AU_SET, missing=None) -> AUResult:
     """One independent binary classifier per AU; F1 per AU over the pooled
     test folds, averaged with per-AU positive counts as weights.
 
@@ -248,10 +325,12 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     Each AU is a "pos"/"neg" labelling of its fold, so a fold is
     standardized once for all its AUs, and its kernels or span are built
     once, or not at all when every AU is skipped or constant.  Under SVM
-    every (AU, fold) trains in one batched SMO call.
+    every (AU, fold) trains in one batched SMO call.  ``missing`` fills
+    missing landmark blocks as in :func:`evaluate_expressions`.
     """
     classifier = classifier or ClassifierConfig()
     X = np.asarray(X, dtype=np.float64)
+    missing = _missing_blocks(X, missing)
     present = [set(int(a) for a in s) for s in au_sets]
     splits = identity_disjoint_folds(subjects, folds, seed)
     ybins = [np.array([1.0 if au in s else -1.0 for s in present]) for au in aus]
@@ -277,7 +356,8 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
             else:
                 plan.append((a, f, entry, "train"))
                 jobs.append((f, np.where(y_train > 0, "pos", "neg"), entry))
-    preds = _predictions(classifier, X, splits, jobs)
+    (preds,) = _predictions(classifier, X, missing, splits, jobs)
+    preds = iter(preds)
     for a, f, entry, action in plan:
         test = splits[f][1]
         if action == "skip":
@@ -321,19 +401,24 @@ class SweepResult:
 
 def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | None = None,
                 folds: int = 10, seed: int = 0) -> SweepResult:
-    """Expression evaluation at several eigenvalue counts, reusing the
-    extraction (column slicing); the folds depend only on the subjects,
-    ``folds`` and ``seed``, so every k gets the same ones."""
+    """Expression evaluation at several eigenvalue counts from one
+    extraction: each fold is standardized once on the table's columns
+    (per-column statistics do not depend on the other columns, and the
+    table's missing blocks are filled as in :func:`evaluate_expressions`),
+    and each k reads its leading components from it.  The folds depend
+    only on the subjects, ``folds`` and ``seed``, so every k gets the same
+    ones; under SVM each k trains in its own batched SMO call."""
     k_values = [int(k) for k in k_values]
     for k in k_values:
         if k < 1:
             raise ValueError(f"k={k} must be >= 1")
         if k > table.k:
             raise ValueError(f"k={k} exceeds the table's component count {table.k}")
-    per_k = {k: evaluate_expressions(table.sliced(k).X, table.expressions, table.subjects,
-                                     classifier=classifier, folds=folds, seed=seed)
-             for k in k_values}
-    return SweepResult(k_values=k_values, per_k=per_k)
+    columns = [None if k == table.k else truncation_columns(
+        len(table.landmark_labels), table.method, table.mode, table.k, k) for k in k_values]
+    results = _expression_results(table.X, table.expressions, table.subjects, classifier,
+                                  folds, seed, table.missing, columns)
+    return SweepResult(k_values=k_values, per_k=dict(zip(k_values, results)))
 
 
 def compare_methods(results: dict) -> dict:
@@ -439,10 +524,24 @@ def report_schema() -> dict:
     return json.loads(text)
 
 
-def validate_report(report: dict) -> None:
-    import jsonschema
+@functools.cache
+def _report_validator():
+    """The validator of the shipped schema, built once per process.  The
+    schema itself is checked against its metaschema by the test suite."""
+    from jsonschema.validators import validator_for
 
-    jsonschema.validate(report, report_schema())
+    schema = report_schema()
+    return validator_for(schema)(schema)
+
+
+def validate_report(report: dict) -> None:
+    """Raise the ``jsonschema.ValidationError`` that ``jsonschema.validate``
+    would raise for ``report`` against the shipped schema, if any."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def save_report(path, report: dict) -> None:

@@ -168,10 +168,52 @@ def _plane_basis(normal):
     return np.array([e1, e2, n])
 
 
+def _fan_flips(fan, apex) -> list:
+    """Which faces of the one-ring ``fan`` (faces that all hold vertex
+    ``apex``) to flip, as row indices, so that every spoke two faces share
+    is crossed in opposite directions by them, walking the ring from its
+    lowest-numbered face (from the lowest unreached face, for each part of
+    the ring that shares no spoke with the rest).  A one-ring has a few
+    faces, so this works on Python lists."""
+    apex = int(apex)
+    after, before = [], []
+    for face in fan.tolist():
+        i = face.index(apex)
+        after.append(face[(i + 1) % 3])
+        before.append(face[i - 1])
+    if len(set(after)) == len(after) == len(set(before)):
+        return []         # no spoke is crossed twice the same way: consistent
+    flip = [False] * len(after)
+    seen = [False] * len(after)
+    for first in range(len(after)):
+        if seen[first]:
+            continue
+        seen[first] = True
+        stack = [first]
+        while stack:
+            i = stack.pop()
+            a, b = (before[i], after[i]) if flip[i] else (after[i], before[i])
+            for j in range(len(after)):
+                if seen[j]:
+                    continue
+                if a in (after[j], before[j]):
+                    flip[j] = after[j] == a     # j must follow a, not lead to it
+                elif b in (after[j], before[j]):
+                    flip[j] = before[j] == b
+                else:
+                    continue
+                seen[j] = True
+                stack.append(j)
+    return [j for j in range(len(flip)) if flip[j]]
+
+
 def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     """Outward surface normal near ``r``: area-weighted average of the face
     normals incident to the nearest vertex that some face references
-    (vertices no face uses are ignored)."""
+    (vertices no face uses are ignored).  Faces are summed as oriented by
+    the lowest-numbered incident face (:func:`_fan_flips`), so a mesh whose
+    faces are not consistently oriented gets the normal of its consistent
+    orientation; a consistent fan is summed as stored."""
     r = np.asarray(r, dtype=np.float64).reshape(3)
     f = mesh.faces
     if f.size == 0:
@@ -180,8 +222,13 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     used[f] = True
     used = np.flatnonzero(used)
     nearest = used[nearest_vertex(mesh.vertices[used], r)]
-    tris = mesh.vertices[f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]]
-    n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).sum(axis=0)
+    fan = f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]
+    tris = mesh.vertices[fan]
+    normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    flip = _fan_flips(fan, nearest)
+    if flip:
+        normals[flip] *= -1.0
+    n = normals.sum(axis=0)
     norm = np.linalg.norm(n)
     if not norm >= 1e-15:  # NaN from a non-finite corner is degenerate too
         raise CurveExtractionError(

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from facespectra.cli import main
 from facespectra.data import load_manifest
 from facespectra.experiments import validate_report
-from facespectra.features import load_feature_table
+from facespectra.features import load_feature_table, save_feature_table
 
 PATCH_FLAGS = ["--lambda-min", "6", "--lambda-max", "12", "--curves", "3",
                "--samples", "8"]
@@ -189,6 +190,38 @@ def test_evaluate_cmd_compare_features_same_method(cli_workspace, tmp_path, caps
     assert comparison["methods"] == ["glf", "glf_norms"]
     assert set(comparison["mean_accuracy"]) == {"glf", "glf_norms"}
     assert "glf" in capsys.readouterr().out
+
+
+def test_evaluate_cmd_passes_missing_flags(cli_workspace, tmp_path, capsys):
+    """``evaluate`` hands each table's missing-patch flags to the
+    evaluation, also for the ``--compare-features`` table: a copy whose
+    missing blocks hold garbage instead of zeros gives the same results."""
+    table = load_feature_table(cli_workspace["glf"])
+    rng = np.random.default_rng(0)
+    flags = rng.random(table.missing.shape) < 0.15
+    width = table.X.shape[1] // flags.shape[1]
+    paths = []
+    for name, fill in (("zeros", 0.0), ("garbage", 1e4)):
+        X = table.X.copy()
+        X[flags.repeat(width, axis=1)] = fill
+        path = tmp_path / name
+        save_feature_table(path, replace(table, X=X, missing=flags))
+        paths.append(str(path))
+    results = {}
+    for name, features, other in zip(("zeros", "garbage"), paths, paths[::-1]):
+        for task, extra in (("expressions", ["--compare-features", other]),
+                            ("aus", []), ("sweep", ["--sweep", "2,12"])):
+            out = tmp_path / f"{name}-{task}.json"
+            argv = ["evaluate", "--features", features, "--classifier", "flda",
+                    "--folds", "2", "--out", str(out), *extra]
+            argv += ["--task", "aus"] if task == "aus" else []
+            assert main(argv) == 0, capsys.readouterr().err
+            results[name, task] = json.loads(out.read_text())["results"]
+    for task in ("expressions", "aus", "sweep"):
+        assert results["zeros", task] == results["garbage", task]
+    for name in ("zeros", "garbage"):
+        report = json.loads((tmp_path / f"{name}-expressions.json").read_text())
+        assert report["comparison"]["paired_differences"] == [0.0, 0.0]
 
 
 def test_evaluate_cmd_bad_sweep_or_comparison_is_usage_error(cli_workspace, tmp_path,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from facespectra import classify
+from facespectra import classify, experiments
 from facespectra.classify import (
     AU_SET,
     EXPRESSIONS,
@@ -25,6 +25,7 @@ from facespectra.experiments import (
     format_au_result,
     format_expression_result,
     format_sweep_result,
+    report_schema,
     save_report,
     sweep_report_section,
     validate_report,
@@ -393,18 +394,43 @@ def test_sweep_reuses_folds_and_orders_ks():
     assert res.per_k[10].mean_accuracy >= 0.9
 
 
-@pytest.mark.parametrize("classifier", [FLDA, ClassifierConfig(kind="svm")],
-                         ids=["flda", "svm"])
+SWEEP_CLASSIFIERS = [FLDA, ClassifierConfig(kind="svm"),
+                     ClassifierConfig(kind="svm", kernel="linear")]
+
+
+@pytest.mark.parametrize("classifier", SWEEP_CLASSIFIERS, ids=["flda", "svm", "svm-linear"])
 def test_sweep_equals_evaluation_of_each_sliced_table(classifier):
+    """The sweep standardizes each fold once on the whole table and reads
+    each k's columns from it; every k's report section equals that of an
+    evaluation of the table sliced to k."""
     table = sweep_table(np.random.default_rng(12))
     res = eigen_sweep(table, [1, 3, 7, 10], classifier=classifier, folds=4, seed=3)
+    section = sweep_report_section(res)
     for k, got in res.per_k.items():
         sub = table.sliced(k)
         want = evaluate_expressions(sub.X, sub.expressions, sub.subjects,
                                     classifier=classifier, folds=4, seed=3)
+        assert section["per_k"][str(k)] == expression_report_section(want)
         assert got.fold_accuracies == want.fold_accuracies
         assert got.confusion.counts.tobytes() == want.confusion.counts.tobytes()
         assert got.confusion.percent.tobytes() == want.confusion.percent.tobytes()
+
+
+def test_sweep_standardizes_each_fold_once(monkeypatch):
+    calls = []
+    original = experiments.standardize_fit
+
+    def counted(X):
+        calls.append(X.shape)
+        return original(X)
+
+    monkeypatch.setattr(experiments, "standardize_fit", counted)
+    table = sweep_table(np.random.default_rng(12))
+    for classifier in SWEEP_CLASSIFIERS[:2]:
+        calls.clear()
+        eigen_sweep(table, [1, 3, 7, 10], classifier=classifier, folds=4, seed=3)
+        assert len(calls) == 4
+        assert {shape[1] for shape in calls} == {table.X.shape[1]}
 
 
 def test_sweep_saturation_beyond_signal():
@@ -426,6 +452,82 @@ def test_sweep_rejects_k_below_one():
     for k in (0, -2):
         with pytest.raises(ValueError, match=">= 1"):
             eigen_sweep(table, [k, 5], classifier=FLDA)
+
+
+# ---------------------------------------------------------------------------
+# missing patches
+
+def test_missing_blocks_filled_with_training_fold_means():
+    """A missing landmark block takes the mean of the training rows where
+    the landmark is present, in training and test rows, before the fold
+    is standardized; a landmark missing from every training row keeps its
+    values."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(10, 6)) + 5.0         # 3 landmarks of 2 columns
+    missing = np.zeros((10, 3), dtype=bool)
+    missing[[1, 4, 8], 0] = True               # rows 1, 4 train, 8 test
+    missing[:8, 2] = True                      # all training rows
+    X[missing.repeat(2, axis=1)] = 0.0
+    train, test = np.arange(8), np.arange(8, 10)
+    Xtr, Xte = experiments._fold_rows(X, missing, train, test)
+    present = X[[0, 2, 3, 5, 6, 7], :2].mean(axis=0)
+    want = X.copy()
+    want[[1, 4, 8], :2] = present
+    mu, sigma = classify.standardize_fit(want[train])
+    assert np.array_equal(Xtr, (want[train] - mu) / sigma)
+    assert np.array_equal(Xte, (want[test] - mu) / sigma)
+    assert np.abs(Xtr[[1, 4], :2]).max() < 1e-12
+    assert np.array_equal(experiments._fold_rows(X, None, train, test)[1][:, 2:],
+                          Xte[:, 2:])
+
+
+def _with_missing_blocks(X, n_landmarks, rng, fill):
+    """X with about 10% of its landmark blocks flagged missing and set to
+    ``fill``, and the flags."""
+    missing = rng.random((X.shape[0], n_landmarks)) < 0.1
+    X = X.copy()
+    X[missing.repeat(X.shape[1] // n_landmarks, axis=1)] = fill
+    return X, missing
+
+
+@pytest.mark.parametrize("classifier", SWEEP_CLASSIFIERS, ids=["flda", "svm", "svm-linear"])
+def test_values_stored_in_missing_blocks_do_not_matter(classifier):
+    """Zero-filled and garbage-filled missing blocks give the same results
+    once the flags are passed: for expressions, AUs and the sweep."""
+    X, labels, subjects = grouped_dataset(np.random.default_rng(3), d=20)
+    runs = []
+    for fill in (0.0, 1e3):
+        Xm, missing = _with_missing_blocks(X, 5, np.random.default_rng(4), fill)
+        runs.append((Xm, missing))
+    (X0, missing), (X1, _) = runs
+    assert missing.any() and not np.array_equal(X0, X1)
+    got = [evaluate_expressions(Xm, labels, subjects, classifier, folds=4, seed=0,
+                                missing=missing) for Xm in (X0, X1)]
+    assert expression_report_section(got[0]) == expression_report_section(got[1])
+    # without the flags the stored values are features, and they matter
+    plain = [evaluate_expressions(Xm, labels, subjects, classifier, folds=4, seed=0)
+             for Xm in (X0, X1)]
+    assert expression_report_section(plain[0]) != expression_report_section(plain[1])
+    aus = [tuple(a for a in (1, 2) if (i + a) % 3) for i in range(len(labels))]
+    got = [evaluate_aus(Xm, aus, subjects, classifier, folds=4, seed=0, aus=(1, 2),
+                        missing=missing) for Xm in (X0, X1)]
+    assert au_report_section(got[0]) == au_report_section(got[1])
+    table = sweep_table(np.random.default_rng(5))
+    sections = []
+    for fill in (0.0, 1e3):
+        Xm, flags = _with_missing_blocks(table.X, 4, np.random.default_rng(6), fill)
+        table.X, table.missing = Xm, flags
+        sections.append(sweep_report_section(
+            eigen_sweep(table, [2, 10], classifier=classifier, folds=4, seed=0)))
+    assert sections[0] == sections[1]
+
+
+def test_missing_flags_must_split_the_columns():
+    X, labels, subjects = grouped_dataset(np.random.default_rng(3), d=20)
+    for flags in (np.zeros((len(labels), 3), bool), np.zeros((5, 4), bool),
+                  np.zeros(len(labels), bool)):
+        with pytest.raises(ValueError, match="landmark blocks"):
+            evaluate_expressions(X, labels, subjects, FLDA, folds=4, missing=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +602,51 @@ def test_invalid_report_rejected():
     with pytest.raises(jsonschema.ValidationError):
         validate_report({"schema_version": 1, "task": "nope", "config": {},
                          "environment": {}, "results": {}})
+
+
+def test_report_schema_passes_its_metaschema():
+    from jsonschema.validators import validator_for
+
+    schema = report_schema()
+    validator_for(schema).check_schema(schema)
+
+
+def test_validate_report_raises_what_jsonschema_validate_raises():
+    import jsonschema
+
+    good = build_report("expressions", {}, _small_expression_section())
+    bad_reports = [
+        {"schema_version": 1, "task": "nope", "config": {}, "environment": {},
+         "results": {}},
+        {**good, "schema_version": 2},
+        {**good, "environment": {**good["environment"], "cpu_count": 0}},
+        {k: v for k, v in good.items() if k != "results"},
+    ]
+    for bad in bad_reports:
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(bad, report_schema())
+        with pytest.raises(jsonschema.ValidationError) as got:
+            validate_report(bad)
+        assert (got.value.message, list(got.value.path), list(got.value.schema_path)) == (
+            want.value.message, list(want.value.path), list(want.value.schema_path))
+
+
+def test_report_validation_checks_the_schema_at_most_once(monkeypatch):
+    """The validator is built once per process: validating reports never
+    re-checks the schema against its metaschema, and never skips a report."""
+    import jsonschema
+    from jsonschema.validators import validator_for
+
+    checks = []
+    cls = validator_for(report_schema())
+    monkeypatch.setattr(cls, "check_schema",
+                        classmethod(lambda c, schema, **kw: checks.append(schema)))
+    report = build_report("expressions", {}, _small_expression_section())
+    for _ in range(3):
+        validate_report(report)
+    assert len(checks) <= 1
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report({**report, "task": "nope"})
 
 
 def test_ascii_tables_render():

@@ -138,6 +138,52 @@ def test_non_finite_corner_makes_apex_normal_degenerate():
             build_patch(mesh, ("P", apex), PatchConfig(1.0, 5.0, 5, 8))
 
 
+def _fan(mesh, vertex):
+    return np.flatnonzero((mesh.faces == vertex).any(axis=1))
+
+
+def test_apex_normal_orients_a_flipped_fan_consistently():
+    """Incident faces stored with mixed orientation no longer cancel: the
+    fan is summed as the lowest-numbered incident face orients it, so the
+    normal equals that of the consistently oriented mesh, and flipping the
+    lowest face too flips the normal."""
+    rng = np.random.default_rng(3)
+    for mesh in (make_grid_mesh(11, 11), random_height_field(rng)):
+        apex_vertex = 5 * 11 + 5 if mesh.n_vertices == 121 else 10 * 21 + 10
+        apex = mesh.vertices[apex_vertex]
+        want = apex_normal(mesh, apex)
+        fan = _fan(mesh, apex_vertex)
+        assert len(fan) == 6
+        for flipped in (fan[1::2], fan[1:4], fan[1:]):
+            faces = mesh.faces.copy()
+            faces[flipped] = faces[flipped][:, ::-1]
+            got = apex_normal(TriangleMesh(mesh.vertices, faces), apex)
+            assert np.abs(got - want).max() <= 1e-12
+        faces = mesh.faces.copy()
+        faces[fan[0]] = faces[fan[0]][::-1]
+        got = apex_normal(TriangleMesh(mesh.vertices, faces), apex)
+        assert np.abs(got + want).max() <= 1e-12
+    # half the fan flipped cancelled the stored sum exactly on a flat grid
+    grid = make_grid_mesh(11, 11)
+    faces = grid.faces.copy()
+    fan = _fan(grid, 60)
+    faces[fan[1::2]] = faces[fan[1::2]][:, ::-1]
+    assert np.abs(apex_normal(TriangleMesh(grid.vertices, faces), grid.vertices[60])
+                  - [0.0, 0.0, 1.0]).max() <= 1e-12
+
+
+def test_apex_normal_sums_a_consistent_fan_as_stored():
+    """On a consistently oriented fan (faces re-indexed and rotated, none
+    flipped) the normal is the plain normalized sum, bit for bit."""
+    rng = np.random.default_rng(5)
+    mesh = _reindexed(random_height_field(rng), rng, flip=0.0)
+    for vertex in rng.integers(0, mesh.n_vertices, size=20):
+        tris = mesh.vertices[mesh.faces[_fan(mesh, vertex)]]
+        n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).sum(axis=0)
+        got = apex_normal(mesh, mesh.vertices[vertex])
+        assert got.tobytes() == (n / np.linalg.norm(n)).tobytes()
+
+
 def test_missing_level_raises_with_context():
     mesh = make_grid_mesh(6, 6)
     apex = mesh.vertices[14]
