@@ -62,7 +62,6 @@ from .classify import (
     flda_train,
     identity_disjoint_folds,
     svm_predict,
-    svm_train,
     svm_train_binary,
 )
 from .experiments import (

@@ -4,9 +4,10 @@ The SVM is a from-scratch SMO dual solver (max-violating-pair working
 set) so the whole pipeline stays dependency-free and the solver can be
 checked against a brute-force QP oracle.  It solves many binary problems
 in one lockstep loop, so the one-vs-one pairs of several folds train in
-one call; the multiclass SVM takes its kernels from the caller.  FLDA works in the span of the training data,
-which keeps it tractable when the feature dimension far exceeds the
-sample count.
+one call; the multiclass SVM takes its kernels from the caller, and a
+trained machine decides on a kernel the caller built.  FLDA works in the
+span of the training data, which keeps it tractable when the feature
+dimension far exceeds the sample count.
 """
 
 from __future__ import annotations
@@ -85,14 +86,7 @@ class FLDAModel:
     projection: np.ndarray       # (d, C-1)
     classes: list
     class_means: np.ndarray      # (C, C-1), in discriminant space
-    priors: np.ndarray           # (C,)
     eigenvalues: np.ndarray      # (C-1,) generalized Rayleigh quotients
-
-
-def _class_stats(X, y, classes):
-    means = np.stack([X[y == c].mean(axis=0) for c in classes])
-    counts = np.array([(y == c).sum() for c in classes], dtype=np.int64)
-    return means, counts
 
 
 def flda_span(X: np.ndarray):
@@ -131,19 +125,20 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel
     if not 0 < reg < np.inf:
         raise ValueError(f"reg must be positive and finite, got {reg!r}")
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray([str(l) for l in labels])
-    classes = sorted(set(y.tolist()))
+    classes, index, counts = np.unique(np.asarray(labels).astype(str, copy=False),
+                                       return_inverse=True, return_counts=True)
+    classes = classes.tolist()
     if len(classes) < 2:
         raise ValueError("FLDA needs at least 2 classes")
-    for c in classes:
-        if (y == c).sum() < 2:
-            raise ValueError(f"class {c!r} has fewer than 2 samples")
+    if counts.min() < 2:
+        raise ValueError(f"class {classes[counts.argmin()]!r} has fewer than 2 samples")
     d = X.shape[1]
     Q, Z, t = flda_span(X) if span is None else span
 
-    means_z, counts = _class_stats(Z, y, classes)
+    masks = [index == c for c in range(len(classes))]
+    means_z = np.stack([Z[m].mean(axis=0) for m in masks])
     U = np.sqrt(counts)[:, None] * (means_z - Z.mean(axis=0))     # (C, r)
-    within = Z - means_z[np.searchsorted(classes, y)]
+    within = Z - means_z[index]
     # trace(S_w) is invariant under the span reduction; eps uses the
     # ambient feature dimension d
     eps = reg * np.einsum("ij,ij->", within, within) / d
@@ -157,12 +152,10 @@ def flda_train(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAModel
     W = UD.T @ a[:, order]                   # (r, C-1)
     W = fix_signs(W / np.linalg.norm(W, axis=0, keepdims=True))  # deterministic sign
     W_full = Q @ W
-    means_x, _ = _class_stats(X, y, classes)
     return FLDAModel(
         projection=W_full,
         classes=classes,
-        class_means=means_x @ W_full,
-        priors=counts / counts.sum(),
+        class_means=np.stack([X[m].mean(axis=0) for m in masks]) @ W_full,
         # w'S_b w / w'(S_w + eps*I) w for unit w: c / (1 - c), without
         # the cancellation in 1 - c when c is near 1
         eigenvalues=((U @ W) ** 2).sum(axis=0) / (((within @ W) ** 2).sum(axis=0) + eps),
@@ -200,6 +193,8 @@ def kernel_matrix(X: np.ndarray, Z: np.ndarray, kernel: str, gamma: float | None
 def kernel_gamma(kernel: str, gamma: float | None, d: int) -> float | None:
     """The RBF width for ``d`` feature columns: ``gamma``, or 1/d when it
     is None."""
+    if gamma is not None and not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if gamma is None and kernel == "rbf":
         return 1.0 / d
     return gamma
@@ -207,37 +202,20 @@ def kernel_gamma(kernel: str, gamma: float | None, d: int) -> float | None:
 
 @dataclass
 class BinarySVM:
-    support: np.ndarray           # (S,) row indices in the training X
+    support: np.ndarray           # (S,) row indices in the machine's Gram matrix
     dual_coef: np.ndarray         # (S,)  alpha_i * y_i
     bias: float
-    kernel: str
-    gamma: float | None
-    C: float
     n_iter: int
     final_violation: float
-    # the training X itself, not a copy: set by svm_train and svm_train_binary,
-    # None on the machines of svm_train_folds, which never see X
-    train_X: np.ndarray | None = None
 
-    @property
-    def support_vectors(self) -> np.ndarray:
-        """The support rows, read from ``train_X`` on demand."""
-        return self.train_X[self.support]
-
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        K = kernel_matrix(np.atleast_2d(X), self.support_vectors, self.kernel, self.gamma)
-        return K @ self.dual_coef + self.bias
+    def decision(self, gram: np.ndarray) -> np.ndarray:
+        """Decision values of the rows of ``gram``, the kernel of those
+        rows against the rows the machine trained on."""
+        return gram[:, self.support] @ self.dual_coef + self.bias
 
 
-def _check_svm_settings(C: float, gamma: float | None) -> None:
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be positive and finite, got {C!r}")
-    if gamma is not None and not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
-
-
-def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float = 1.0,
-                    tol: float = 1e-3, max_iter: int = 100_000) -> list:
+def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
+                    max_iter: int = 100_000) -> list:
     """Solve many soft-margin duals with SMO in one lockstep loop.
 
     ``problems`` holds ``(g, y)`` pairs: ``grams[g]`` is the problem's
@@ -245,9 +223,8 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
     0 on the rows it leaves out, so the one-vs-one problems of a fold all
     read that fold's Gram matrix.  Returns, per problem, a
     :class:`BinarySVM` whose ``support`` indexes the rows of its Gram
-    matrix (``kernel``, ``gamma`` and ``C`` are recorded on it), or a
-    :class:`ConvergenceError` if the KKT violation is still above ``tol``
-    after ``max_iter`` pair updates.
+    matrix, or a :class:`ConvergenceError` if the KKT violation is still
+    above ``tol`` after ``max_iter`` pair updates.
 
     Each step selects the maximal-violating pair; ties break to the
     lowest index.  The loop keeps m = -y*G, G the gradient of
@@ -263,6 +240,8 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
     arithmetic of a lone solve in the same order, eta reading K[i, j] as
     row i of column j, so its path does not depend on the batch.
     """
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be positive and finite, got {C!r}")
     if not problems:
         return []
     sizes = [K.shape[0] for K in grams]
@@ -312,8 +291,7 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
                 lo = m_r[r][low].min() if low.any() else 0.0
                 bias = float((hi + lo) / 2.0)
             results[p] = BinarySVM(support=sv[s0:s1], dual_coef=coef[s0:s1], bias=bias,
-                                   kernel=kernel, gamma=gamma, C=C, n_iter=n_iter,
-                                   final_violation=float(max(violation[row], 0.0)))
+                                   n_iter=n_iter, final_violation=float(max(violation[row], 0.0)))
             f0, s0 = f1, s1
 
     def flat_views():
@@ -378,32 +356,19 @@ def svm_solve_batch(grams, problems, kernel: str, gamma: float | None, C: float 
 
 def svm_train_binary(X: np.ndarray, y: np.ndarray, kernel: str = "rbf",
                      C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-                     max_iter: int = 100_000, gram: np.ndarray | None = None) -> BinarySVM:
+                     max_iter: int = 100_000) -> BinarySVM:
     """One machine on the rows of X: the one-problem call of
-    :func:`svm_solve_batch`, so ``support`` indexes the rows of X, which
-    the machine keeps as ``train_X``.  Raises :class:`ConvergenceError`
-    if the solve does not converge in ``max_iter`` pair updates.
-
-    ``gram`` is ``kernel_matrix(X, X, kernel, kernel_gamma(...))`` when
-    the caller already has it (a slice of a larger Gram matrix serves).
-    """
-    _check_svm_settings(C, gamma)
+    :func:`svm_solve_batch` on X's kernel, so ``support`` indexes the rows
+    of X.  Raises :class:`ConvergenceError` if the solve does not
+    converge in ``max_iter`` pair updates."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if set(np.unique(y)) != {-1.0, 1.0}:
         raise ValueError("labels must contain both +1 and -1")
-    gamma = kernel_gamma(kernel, gamma, X.shape[1])
-    if gram is None:
-        K = kernel_matrix(X, X, kernel, gamma)
-    elif gram.shape != (X.shape[0],) * 2:
-        raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
-    else:
-        K = gram
-    (machine,) = svm_solve_batch([K], [(0, y)], kernel, gamma, C=C, tol=tol,
-                                 max_iter=max_iter)
+    K = kernel_matrix(X, X, kernel, kernel_gamma(kernel, gamma, X.shape[1]))
+    (machine,) = svm_solve_batch([K], [(0, y)], C=C, tol=tol, max_iter=max_iter)
     if isinstance(machine, Exception):
         raise machine
-    machine.train_X = X
     return machine
 
 
@@ -413,22 +378,19 @@ class SVMModel:
     machines: dict = field(default_factory=dict)   # (a, b) -> BinarySVM
 
 
-def svm_train_folds(folds, kernel: str = "rbf", C: float = 1.0, gamma: float | None = None,
-                    tol: float = 1e-3, max_iter: int = 100_000) -> list:
+def svm_train_folds(folds, C: float = 1.0, tol: float = 1e-3, max_iter: int = 100_000) -> list:
     """One-vs-one multiclass training of several folds in one
     :func:`svm_solve_batch` call.
 
     ``folds`` holds ``(labels, gram)`` pairs, ``gram`` the kernel of the
     fold's training rows against themselves; labellings that share one
-    Gram matrix object share its columns in the solver.  ``gamma`` is
-    recorded on the machines as given.  Returns, per fold, an
-    :class:`SVMModel` whose machines' ``support`` indexes the fold's
-    rows, or the error of the fold: a ``ValueError`` for fewer than two
-    classes or a Gram matrix of the wrong shape, else the error of its
-    first failing pair in class-pair order.  With more than two classes a
-    :class:`ConvergenceError` names that pair.
+    Gram matrix object share its columns in the solver.  Returns, per
+    fold, an :class:`SVMModel` whose machines' ``support`` indexes the
+    fold's rows, or the error of the fold: a ``ValueError`` for fewer
+    than two classes or a Gram matrix of the wrong shape, else the error
+    of its first failing pair in class-pair order.  With more than two
+    classes a :class:`ConvergenceError` names that pair.
     """
-    _check_svm_settings(C, gamma)
     grams, gram_index = [], {}
     problems, owners, outcome = [], [], []
     for f, (labels, gram) in enumerate(folds):
@@ -447,7 +409,7 @@ def svm_train_folds(folds, kernel: str = "rbf", C: float = 1.0, gamma: float | N
         for a, b in combinations(classes, 2):
             problems.append((g, np.where(y == a, 1.0, np.where(y == b, -1.0, 0.0))))
             owners.append((f, (a, b)))
-    solved = svm_solve_batch(grams, problems, kernel, gamma, C=C, tol=tol, max_iter=max_iter)
+    solved = svm_solve_batch(grams, problems, C=C, tol=tol, max_iter=max_iter)
     for (f, (a, b)), machine in zip(owners, solved):
         model = outcome[f]
         if isinstance(model, Exception):
@@ -461,38 +423,18 @@ def svm_train_folds(folds, kernel: str = "rbf", C: float = 1.0, gamma: float | N
     return outcome
 
 
-def svm_train(X: np.ndarray, labels, gram: np.ndarray, kernel: str = "rbf",
-              C: float = 1.0, gamma: float | None = None, tol: float = 1e-3,
-              max_iter: int = 100_000) -> SVMModel:
-    """One-vs-one multiclass training of one fold through
-    :func:`svm_train_folds`, raising its error.  ``gram`` is the kernel
-    of X against itself; each machine's ``support`` indexes the rows of
-    X, which the machines share as ``train_X`` without copying them."""
-    X = np.asarray(X, dtype=np.float64)
-    if gram.shape != (X.shape[0],) * 2:
-        raise ValueError(f"gram has shape {gram.shape}, expected {(X.shape[0],) * 2}")
-    (model,) = svm_train_folds([(labels, gram)], kernel=kernel, C=C,
-                               gamma=kernel_gamma(kernel, gamma, X.shape[1]), tol=tol,
-                               max_iter=max_iter)
-    if isinstance(model, Exception):
-        raise model
-    for machine in model.machines.values():
-        machine.train_X = X
-    return model
-
-
 def svm_predict(model: SVMModel, gram: np.ndarray):
     """Majority vote over the one-vs-one machines; ties break by summed
     decision values, then by class order.  ``gram`` is the kernel of the
-    test rows against every training row, and each machine reads the
-    columns of its support."""
+    test rows against every training row, and each machine's
+    :meth:`BinarySVM.decision` reads the columns of its support."""
     n = gram.shape[0]
     classes = model.classes
     votes = np.zeros((n, len(classes)), dtype=np.int64)
     scores = np.zeros((n, len(classes)), dtype=np.float64)
     index = {c: i for i, c in enumerate(classes)}
     for (a, b), machine in model.machines.items():
-        d = gram[:, machine.support] @ machine.dual_coef + machine.bias
+        d = machine.decision(gram)
         ia, ib = index[a], index[b]
         pos = d > 0
         votes[pos, ia] += 1

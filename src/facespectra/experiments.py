@@ -41,6 +41,18 @@ class ClassifierConfig:
     gamma: float | None = None   # None -> 1/d
     reg: float = 1e-3            # flda regularization factor
 
+    def __post_init__(self):
+        if self.kind not in ("svm", "flda"):
+            raise ValueError(f"kind must be 'svm' or 'flda', got {self.kind!r}")
+        if self.kernel not in ("rbf", "linear"):
+            raise ValueError(f"kernel must be 'rbf' or 'linear', got {self.kernel!r}")
+        for name in ("C", "gamma", "reg"):
+            value = getattr(self, name)
+            if name == "gamma" and value is None:
+                continue                 # 1/d
+            if value is None or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -111,8 +123,6 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
     jobs in one batched SMO call; FLDA fits every job of a column set on
     its span as the fold is reached, and holds one fold's rows at a time.
     """
-    if cfg.kind not in ("svm", "flda"):
-        raise ValueError(f"unknown classifier {cfg.kind!r}")
     fold_jobs = {}
     for n, (f, _, _) in enumerate(jobs):
         fold_jobs.setdefault(f, []).append(n)
@@ -155,15 +165,12 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
         # let this fold's rows go before the next fold's are gathered
         Xtr = Xte = tr = te = span = None
     if cfg.kind == "svm":
-        for c, cols in enumerate(column_sets):
-            d = X.shape[1] if cols is None else len(cols)
+        for c, fold_kernels in enumerate(kernels):
             models = classify.svm_train_folds(
-                [(labels, kernels[c][f][0]) for f, labels, _ in jobs],
-                kernel=cfg.kernel, C=cfg.C,
-                gamma=classify.kernel_gamma(cfg.kernel, cfg.gamma, d))
+                [(labels, fold_kernels[f][0]) for f, labels, _ in jobs], C=cfg.C)
             for n, (f, _, entry) in enumerate(jobs):
                 out[c][n] = _outcome(entry, lambda: classify.svm_predict(
-                    _raised(models[n]), kernels[c][f][1]))
+                    _raised(models[n]), fold_kernels[f][1]))
     return out
 
 

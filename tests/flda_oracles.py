@@ -6,8 +6,14 @@ agree with it."""
 
 import numpy as np
 
-from facespectra.classify import FLDAModel, _class_stats
+from facespectra.classify import FLDAModel
 from facespectra.spectral import fix_signs
+
+
+def _class_stats(X, y, classes):
+    means = np.stack([X[y == c].mean(axis=0) for c in classes])
+    counts = np.array([(y == c).sum() for c in classes], dtype=np.int64)
+    return means, counts
 
 
 def reference_flda_span(X: np.ndarray):
@@ -90,6 +96,5 @@ def reference_flda(X: np.ndarray, labels, reg: float = 1e-3, span=None) -> FLDAM
         projection=W_full,
         classes=classes,
         class_means=class_means,
-        priors=counts / counts.sum(),
         eigenvalues=w[order],
     )

@@ -46,12 +46,11 @@ def brute_force_dual_optimum(K, y, C):
     return best
 
 
-def svm_dual_objective(machine: BinarySVM, X: np.ndarray, y: np.ndarray) -> float:
+def svm_dual_objective(machine: BinarySVM, K: np.ndarray) -> float:
     """Dual objective sum(a) - 0.5 a'Qa of a trained machine, recomputed
-    from its support set."""
+    from its support set; ``K`` is the Gram matrix its ``support`` indexes."""
     coef = machine.dual_coef
-    Ksv = kernel_matrix(machine.support_vectors, machine.support_vectors,
-                        machine.kernel, machine.gamma)
+    Ksv = K[np.ix_(machine.support, machine.support)]
     alpha_sum = np.abs(coef).sum()
     return float(alpha_sum - 0.5 * coef @ Ksv @ coef)
 
@@ -123,11 +122,7 @@ def reference_smo(X, y, kernel="rbf", C=1.0, gamma=None, tol=1e-3, max_iter=100_
         support=np.flatnonzero(sv),
         dual_coef=(alpha * y)[sv],
         bias=bias,
-        kernel=kernel,
-        gamma=gamma,
-        C=C,
         n_iter=it,
         final_violation=float(max(violation, 0.0)),
-        train_X=X,
     )
     return machine, np.array(history)

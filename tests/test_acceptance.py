@@ -204,7 +204,7 @@ def test_criterion_5_solver_oracles():
             machine = svm_train_binary(X, y, kernel=kernel, C=C, gamma=gamma, tol=1e-6)
             K = kernel_matrix(X, X, kernel, gamma)
             oracle = brute_force_dual_optimum(K, y, C)
-            assert svm_dual_objective(machine, X, y) == pytest.approx(oracle, abs=1e-3)
+            assert svm_dual_objective(machine, K) == pytest.approx(oracle, abs=1e-3)
     # FLDA projection vs a dense generalized-eigen oracle on random 10-D data
     import scipy.linalg
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from facespectra.classify import (
     kernel_matrix,
     svm_predict,
     svm_solve_batch,
-    svm_train,
     svm_train_binary,
     svm_train_folds,
 )
@@ -38,7 +38,7 @@ def test_svm_matches_bruteforce_qp_oracle():
             machine = svm_train_binary(X, y, kernel=kernel, C=C,
                                        gamma=0.5 if kernel == "rbf" else None,
                                        tol=1e-6)
-            got = svm_dual_objective(machine, X, y)
+            got = svm_dual_objective(machine, K)
             oracle = brute_force_dual_optimum(K, y, C)
             assert got == pytest.approx(oracle, abs=1e-3)
 
@@ -49,7 +49,8 @@ def test_svm_two_point_line():
     machine = svm_train_binary(X, y, kernel="linear", C=10.0, tol=1e-6)
     # decision function f(x) = x
     xs = np.array([[-2.0], [0.0], [0.5], [3.0]])
-    assert np.abs(machine.decision(xs) - xs.ravel()).max() < 1e-3
+    decision = machine.decision(kernel_matrix(xs, X, "linear", None))
+    assert np.abs(decision - xs.ravel()).max() < 1e-3
     assert machine.bias == pytest.approx(0.0, abs=1e-3)
 
 
@@ -59,7 +60,7 @@ def test_svm_conflicting_duplicates_saturate_at_C():
     C = 2.5
     machine = svm_train_binary(X, y, kernel="linear", C=C, tol=1e-6)
     assert np.allclose(np.abs(machine.dual_coef), C, atol=1e-9)
-    obj = svm_dual_objective(machine, X, y)
+    obj = svm_dual_objective(machine, kernel_matrix(X, X, "linear", None))
     assert np.isfinite(obj)
 
 
@@ -127,11 +128,9 @@ def test_svm_matches_reference_smo_exactly(problem, kernel, C, gamma, tol, max_i
         assert got == want
         return
     assert np.array_equal(got.dual_coef, want.dual_coef)
-    assert np.array_equal(got.support_vectors, want.support_vectors)
     assert np.array_equal(got.support, want.support)
     assert (got.bias, got.n_iter, got.final_violation) == (
         want.bias, want.n_iter, want.final_violation)
-    assert (got.gamma, got.C, got.kernel) == (want.gamma, want.C, want.kernel)
 
 
 def test_svm_iteration_cap_message_matches_reference():
@@ -154,6 +153,8 @@ def test_svm_rejects_out_of_range_C_and_gamma():
             svm_train_binary(X, y, C=bad)
         with pytest.raises(ValueError, match="gamma must be positive"):
             svm_train_binary(X, y, gamma=bad)
+        with pytest.raises(ValueError, match="C must be positive"):
+            svm_train_folds([], C=bad)
 
 
 def test_svm_multiclass_unanimous_and_deterministic():
@@ -164,7 +165,7 @@ def test_svm_multiclass_unanimous_and_deterministic():
         X.append(rng.normal(size=(20, 2)) * 0.4 + c)
         labels += [lab] * 20
     X = np.vstack(X)
-    model = svm_train(X, labels, kernel_matrix(X, X, "linear", None), kernel="linear", C=1.0)
+    (model,) = svm_train_folds([(labels, kernel_matrix(X, X, "linear", None))], C=1.0)
     test = np.array([[0.1, -0.1], [8.2, 0.3], [-0.4, 8.1]])
     pred = svm_predict(model, kernel_matrix(test, X, "linear", None))
     assert pred == ["A", "B", "C"]
@@ -172,35 +173,32 @@ def test_svm_multiclass_unanimous_and_deterministic():
     assert svm_predict(model, gram) == svm_predict(model, gram)
 
 
-def _machine(w, b, row):
+def _machine(b, row):
     # linear machine with decision(x) = w . x + b, w being training row ``row``
-    X = np.zeros((row + 1, len(w)))
-    X[row] = w
     return BinarySVM(support=np.array([row]), dual_coef=np.array([1.0]), bias=b,
-                     kernel="linear", gamma=None, C=1.0, n_iter=0, final_violation=0.0,
-                     train_X=X)
+                     n_iter=0, final_violation=0.0)
 
 
 def test_svm_vote_tie_breaks_by_score_then_class_order():
-    # the machines' support vectors are the training rows [0.5, 0], [-0.5, 0]
+    # the training rows are [0.5, 0] and [-0.5, 0]
     x0 = kernel_matrix(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0], [-0.5, 0.0]]),
                        "linear", None)
     model = SVMModel(classes=["A", "B", "C"])
     # cyclic preferences: (A,B)->A, (B,C)->B, (A,C)->C; votes tie 1:1:1
-    model.machines[("A", "B")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> A
-    model.machines[("B", "C")] = _machine([0.5, 0.0], 0.0, 0)    # d=+0.5 -> B
-    model.machines[("A", "C")] = _machine([-0.5, 0.0], 0.0, 1)   # d=-0.5 -> C
+    model.machines[("A", "B")] = _machine(0.0, 0)    # d=+0.5 -> A
+    model.machines[("B", "C")] = _machine(0.0, 0)    # d=+0.5 -> B
+    model.machines[("A", "C")] = _machine(0.0, 1)    # d=-0.5 -> C
     # summed scores all zero -> falls through to class order
     assert svm_predict(model, x0) == ["A"]
     # bias the (A,C) machine: C picks up score, wins the tie
-    model.machines[("A", "C")] = _machine([-0.5, 0.0], -0.4, 1)
+    model.machines[("A", "C")] = _machine(-0.4, 1)
     assert svm_predict(model, x0) == ["C"]
     assert svm_predict(model, x0) == svm_predict(model, x0)
 
 
 @pytest.mark.parametrize("kernel", ["rbf", "linear"])
 def test_svm_fold_gram_matches_per_pair_training(kernel):
-    """``svm_train`` slices the passed Gram matrix per pair and
+    """``svm_train_folds`` reads the passed Gram matrix per pair and
     ``svm_predict`` reads each machine's support columns of the passed
     test-by-train kernel; each pair must behave as a machine trained on
     its own rows from scratch.  A slice can differ from the pair's own
@@ -212,19 +210,19 @@ def test_svm_fold_gram_matches_per_pair_training(kernel):
     labels = np.repeat(classes, 15)
     test = rng.normal(size=(40, 6)) * 1.5
     gamma = 1.0 / X.shape[1] if kernel == "rbf" else None
-    model = svm_train(X, labels, kernel_matrix(X, X, kernel, gamma), kernel=kernel, C=2.0,
-                      tol=1e-9)
+    K = kernel_matrix(X, X, kernel, gamma)
+    (model,) = svm_train_folds([(labels, K)], C=2.0, tol=1e-9)
     votes = np.zeros((len(test), len(classes)))
     scores = np.zeros((len(test), len(classes)))
     for (a, b), machine in model.machines.items():
         rows = np.flatnonzero((labels == a) | (labels == b))
         yy = np.where(labels[rows] == a, 1.0, -1.0)
         alone = svm_train_binary(X[rows], yy, kernel=kernel, C=2.0, tol=1e-9)
-        assert np.array_equal(machine.support_vectors, X[machine.support])
         assert set(machine.support) <= set(rows)
-        assert svm_dual_objective(machine, X[rows], yy) == pytest.approx(
-            svm_dual_objective(alone, X[rows], yy), abs=1e-9)
-        d = alone.decision(test)
+        assert svm_dual_objective(machine, K) == pytest.approx(
+            svm_dual_objective(alone, kernel_matrix(X[rows], X[rows], kernel, gamma)),
+            abs=1e-9)
+        d = alone.decision(kernel_matrix(test, X[rows], kernel, gamma))
         ia, ib = classes.index(a), classes.index(b)
         votes[:, ia] += d > 0
         votes[:, ib] += d <= 0
@@ -242,7 +240,7 @@ def test_svm_fold_gram_matches_per_pair_training(kernel):
 def test_svm_mirrored_labels_negate_the_solution(problem, kernel, C, tol, max_iter):
     """Training on -y walks the same SMO path with the roles of the up
     and low sets swapped: the same support and iteration count, exactly
-    negated dual coefficients and bias.  A two-class ``svm_train`` whose
+    negated dual coefficients and bias.  A two-class ``svm_train_folds`` fold whose
     first class in sort order is the negative one (AU labels "neg" <
     "pos") relies on this."""
     X, y = problem
@@ -269,21 +267,19 @@ def test_svm_predict_reads_only_support_columns(kernel):
     labels = ["neg"] * 25 + ["pos"] * 25
     test = rng.normal(size=(30, 3)) * 3.0
     gamma = 0.2 if kernel == "rbf" else None
-    model = svm_train(X, labels, kernel_matrix(X, X, kernel, gamma), kernel=kernel,
-                      C=1.0, gamma=gamma)
+    (model,) = svm_train_folds([(labels, kernel_matrix(X, X, kernel, gamma))], C=1.0)
     machine = model.machines[("neg", "pos")]
     assert 0 < machine.support.size < len(X)
     gram = kernel_matrix(test, X, kernel, gamma)
+    want = ["neg" if d > 0 else "pos" for d in machine.decision(gram)]
     gram[:, np.setdiff1d(np.arange(len(X)), machine.support)] = np.nan
-    want = ["neg" if d > 0 else "pos" for d in machine.decision(test)]
     assert svm_predict(model, gram) == want
     assert "neg" in want and "pos" in want
 
 
 def test_svm_train_rejects_gram_of_wrong_shape():
-    X = np.array([[0.0], [1.0], [2.0]])
-    with pytest.raises(ValueError, match="gram has shape"):
-        svm_train(X, ["a", "b", "b"], np.eye(4))
+    (got,) = svm_train_folds([(["a", "b", "b"], np.eye(4))])
+    assert isinstance(got, ValueError) and str(got) == "gram has shape (4, 4), expected (3, 3)"
 
 
 @st.composite
@@ -321,7 +317,7 @@ def smo_batches(draw):
 def _batch_matches_reference(kernel, grams, data, problems, C, tol, max_iter):
     """Solve the batch and compare each problem with ``reference_smo`` on
     its own rows and its slice of the Gram; returns the outcome kinds."""
-    got = svm_solve_batch(grams, problems, kernel, None, C=C, tol=tol, max_iter=max_iter)
+    got = svm_solve_batch(grams, problems, C=C, tol=tol, max_iter=max_iter)
     kinds = set()
     for (g, y), machine in zip(problems, got):
         rows = np.flatnonzero(y)
@@ -376,43 +372,37 @@ def test_svm_train_folds_matches_each_fold_alone():
     folds = [(labels, K), (labels[:12], K[:12, :12]), (["a"] * 24, K),
              (labels[labels != "c"], K[np.ix_(labels != "c", labels != "c")])]
     for max_iter in (5, 60):
-        got = svm_train_folds(folds, kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
-                              max_iter=max_iter)
+        got = svm_train_folds(folds, C=10.0, tol=1e-6, max_iter=max_iter)
         assert isinstance(got[2], ValueError) and str(got[2]) == "need at least 2 classes"
-        for (fold_labels, gram), model in zip(folds[:2] + folds[3:], got[:2] + got[3:]):
-            fold_X = np.zeros((len(fold_labels), 1))
-            try:
-                alone = svm_train(fold_X, fold_labels, gram, kernel="rbf", C=10.0,
-                                  gamma=0.25, tol=1e-6, max_iter=max_iter)
-            except ConvergenceError as exc:
-                assert isinstance(model, ConvergenceError) and str(model) == str(exc)
+        for fold, model in zip(folds[:2] + folds[3:], got[:2] + got[3:]):
+            (alone,) = svm_train_folds([fold], C=10.0, tol=1e-6, max_iter=max_iter)
+            if isinstance(alone, ConvergenceError):
+                assert isinstance(model, ConvergenceError) and str(model) == str(alone)
                 continue
             assert model.machines.keys() == alone.machines.keys()
             for pair, machine in model.machines.items():
                 other = alone.machines[pair]
                 assert np.array_equal(machine.support, other.support)
                 assert np.array_equal(machine.dual_coef, other.dual_coef)
-                assert machine.bias == other.bias and machine.train_X is None
-    capped = svm_train_folds(folds[:1], kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
-                             max_iter=2)[0]
+                assert machine.bias == other.bias
+    capped = svm_train_folds(folds[:1], C=10.0, tol=1e-6, max_iter=2)[0]
     assert str(capped).startswith("a vs b: SMO did not converge in 2 iterations")
-    two_class = svm_train_folds(folds[3:], kernel="rbf", C=10.0, gamma=0.25, tol=1e-6,
-                                max_iter=2)[0]
+    two_class = svm_train_folds(folds[3:], C=10.0, tol=1e-6, max_iter=2)[0]
     assert str(two_class).startswith("SMO did not converge in 2 iterations")
 
 
 def test_svm_train_machines_hold_no_copy_of_training_rows():
-    """A machine keeps the indices of its support rows, not the rows: the
-    one (S, d) array it can give is read from the shared training X."""
+    """A machine keeps the indices of its support rows, not the rows, and
+    only what its decision reads."""
     rng = np.random.default_rng(7)
     X = rng.normal(size=(36, 50))
     labels = np.repeat(["a", "b", "c"], 12)
-    model = svm_train(X, labels, kernel_matrix(X, X, "rbf", 0.02), kernel="rbf")
+    (model,) = svm_train_folds([(labels, kernel_matrix(X, X, "rbf", 0.02))])
+    assert [f.name for f in fields(BinarySVM)] == [
+        "support", "dual_coef", "bias", "n_iter", "final_violation"]
     for machine in model.machines.values():
-        assert machine.train_X is X
-        held = [v for v in vars(machine).values() if isinstance(v, np.ndarray) and v is not X]
+        held = [v for v in vars(machine).values() if isinstance(v, np.ndarray)]
         assert held and all(v.ndim == 1 for v in held)
-        assert np.array_equal(machine.support_vectors, X[machine.support])
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +547,25 @@ def test_flda_given_span_equals_computed_span(d):
     assert np.abs(Z.T @ Z - np.diag(t)).max() <= 1e-12 * t.max()
     a = flda_train(X, y, reg=1e-3)
     b = flda_train(X, y, reg=1e-3, span=span)
-    for field in ("projection", "class_means", "priors", "eigenvalues"):
+    for field in ("projection", "class_means", "eigenvalues"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.classes == b.classes
+
+
+def test_flda_classes_are_sorted_strings_of_the_labels():
+    """Labels are compared as their strings: the classes are Python
+    ``str`` in string order, and a fit on int labels is bit for bit the fit
+    on their strings."""
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(12, 5))
+    labels = [2, 10, 1] * 4
+    X[np.asarray(labels) == 10] += 2.0
+    a = flda_train(X, labels)
+    b = flda_train(X, np.array([str(l) for l in labels]))
+    assert a.classes == b.classes == ["1", "10", "2"]
+    assert all(type(c) is str for c in a.classes)
+    for field in ("projection", "class_means", "eigenvalues"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
 
 def _flda_problem(rng, n_classes, n, d, rank):

@@ -103,6 +103,34 @@ def test_fold_failure_reports_fold_index():
         evaluate_expressions(X, labels, subjects, classifier=FLDA, folds=2, seed=0)
 
 
+@pytest.mark.parametrize("field, settings", [
+    ("kind", {"kind": "knn"}),
+    ("kernel", {"kernel": "poly"}),
+    ("C", {"C": -1.0}),
+    ("C", {"C": np.inf}),
+    ("gamma", {"gamma": np.inf}),
+    ("gamma", {"gamma": 0.0}),
+    ("reg", {"kind": "flda", "reg": -1.0}),
+    ("reg", {"kind": "flda", "reg": np.nan}),
+], ids=["kind", "kernel", "C-negative", "C-inf", "gamma-inf", "gamma-zero", "reg-negative",
+        "reg-nan"])
+def test_bad_classifier_config_raises_before_any_kernel(monkeypatch, field, settings):
+    """A setting outside its range is a ValueError naming the field, raised
+    when the config is built: no kernel is built and no fold is trained."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    original = classify.kernel_matrix
+    monkeypatch.setattr(classify, "kernel_matrix", counted)
+    X, labels, subjects = grouped_dataset(np.random.default_rng(2), n_subjects=10)
+    with pytest.raises(ValueError, match=f"^{field} "):
+        evaluate_expressions(X, labels, subjects, ClassifierConfig(**settings), folds=5)
+    assert calls == []
+
+
 def _one_sample_class_problem():
     """40 samples of 10 subjects, labels alternating HA/SA, with samples 0
     and 5 relabelled SU: a fold that tests one of them trains SU on one
@@ -301,7 +329,9 @@ def reference_evaluate_aus(X, au_sets, subjects, classifier, folds, seed):
             elif classifier.kind == "svm":
                 machine = svm_train_binary(Xtr, ybin[train], kernel=classifier.kernel,
                                            C=classifier.C, gamma=classifier.gamma)
-                pred = np.where(machine.decision(Xte) > 0, 1.0, -1.0)
+                gamma = classify.kernel_gamma(classifier.kernel, classifier.gamma, X.shape[1])
+                test_kernel = classify.kernel_matrix(Xte, Xtr, classifier.kernel, gamma)
+                pred = np.where(machine.decision(test_kernel) > 0, 1.0, -1.0)
             else:
                 model = flda_train(Xtr, np.where(ybin[train] > 0, "pos", "neg"),
                                    reg=classifier.reg)

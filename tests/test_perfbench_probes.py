@@ -83,3 +83,27 @@ def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
     assert result.skipped == []
     assert calls == {"kernel_matrix": 2 * 5, "svm_solve_batch": 1}
     assert len(problems) == 3 * 5
+
+
+def test_svm_predict_decides_through_binary_svm_decision(monkeypatch):
+    """``svm_predict`` takes each machine's decision values from
+    ``BinarySVM.decision``, the method the traced run rebinds, so the
+    per-layer metric ``classify.BinarySVM.decision.s`` stays meaningful:
+    3 AUs x 5 folds give 15 binary machines and 15 decisions."""
+    calls = []
+    original = classify.BinarySVM.decision
+
+    def counted(self, gram):
+        calls.append(gram.shape)
+        return original(self, gram)
+
+    monkeypatch.setattr(classify.BinarySVM, "decision", counted)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(30, 40))
+    subjects = [f"S{i // 3}" for i in range(30)]
+    aus = [tuple(a for a in (1, 2, 4) if rng.random() < 0.5) for _ in range(30)]
+    svm = experiments.ClassifierConfig(kind="svm")
+    result = experiments.evaluate_aus(X, aus, subjects, svm, folds=5, seed=0, aus=(1, 2, 4))
+    assert result.skipped == []
+    assert len(calls) == 3 * 5
+    assert all(shape[0] == 6 for shape in calls)       # 6 test rows per fold

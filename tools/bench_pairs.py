@@ -53,6 +53,8 @@ def main(argv=None) -> int:
     p.add_argument("--claim", action="append", default=[],
                    help="metric whose gain this change claims (repeatable)")
     args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error(f"--pairs must be at least 2 (quartiles need two runs a side), got {args.pairs}")
     seeds = [int(s) for s in args.seeds.split(",")]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": args.parent.resolve(), "change": ROOT}
