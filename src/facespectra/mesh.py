@@ -78,19 +78,6 @@ class TriangleMesh:
             index = self._neighbourhoods[radius] = _Neighbourhood(self, radius)
         return index.faces_within(r)
 
-    def submesh(self, face_ids) -> "TriangleMesh":
-        """The mesh of the faces ``face_ids`` and the vertices they use,
-        numbered in their order in this mesh: the renumbering is monotonic,
-        so sorting by vertex id, or taking the lowest id of tied vertices,
-        picks the same vertices in both meshes."""
-        f = self.faces[face_ids]
-        used = np.zeros(self.n_vertices, dtype=bool)
-        used[f] = True
-        ids = np.flatnonzero(used)
-        new_id = np.empty(self.n_vertices, dtype=np.int64)
-        new_id[ids] = np.arange(ids.size)
-        return TriangleMesh(self.vertices[ids], new_id[f])
-
 
 class _Neighbourhood:
     """Faces near any point of one mesh, for one radius.
@@ -147,7 +134,7 @@ class _Neighbourhood:
             self.by_cell[self.cell_first[(x * ny + y) * nz + z0]:
                          self.cell_first[(x * ny + y) * nz + z1 + 1]]
             for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
-        near = cand[_distances(self.vertices[cand], r) < self.radius]
+        near = cand[_distances(np.take(self.vertices, cand, axis=0), r) < self.radius]
         # the incident faces of `near`, one CSR run per vertex
         start, stop = self.first[near], self.first[near + 1]
         count = stop - start
@@ -160,8 +147,11 @@ class _Neighbourhood:
 
 def _distances(points: np.ndarray, r) -> np.ndarray:
     """Euclidean distance of each row of ``points`` to ``r``; a row's value
-    does not depend on the other rows."""
-    return np.linalg.norm(points - r, axis=1)
+    does not depend on the other rows.  The squares are summed in
+    ``np.linalg.norm``'s order, ``(x + y) + z``, as whole columns."""
+    d = points - r
+    d *= d
+    return np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
 
 def unique_edges(faces: np.ndarray) -> np.ndarray:
@@ -173,9 +163,21 @@ def unique_edges(faces: np.ndarray) -> np.ndarray:
     return np.unique(e, axis=0) if e.size else e
 
 
-def distance_field(mesh: TriangleMesh, r) -> np.ndarray:
-    """Per-vertex Euclidean distance (mm) to the point ``r``."""
-    return _distances(mesh.vertices, np.asarray(r, dtype=np.float64).reshape(3))
+def distance_field(mesh: TriangleMesh, r, at=None) -> np.ndarray:
+    """Per-vertex Euclidean distance (mm) to the point ``r``, or, given
+    vertex ids ``at`` (an index array of any shape, such as faces), the
+    distances of those vertices: the per-vertex values, bit for bit,
+    without computing them at the vertices ``at`` does not name."""
+    r = np.asarray(r, dtype=np.float64).reshape(3)
+    if at is None:
+        return _distances(mesh.vertices, r)
+    out = np.zeros(np.shape(at))
+    for axis in range(3):  # the sums of _distances, in its order
+        d = np.take(mesh.vertices[:, axis], at)
+        d -= r[axis]
+        d *= d
+        out += d
+    return np.sqrt(out, out=out)
 
 
 def nearest_vertex(points: np.ndarray, r) -> int:

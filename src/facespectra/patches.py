@@ -6,9 +6,13 @@ distance from the landmark), each resampled to a fixed point count.  All
 patches therefore share one vertex layout and one implied connectivity,
 which is what makes a single shared spectral basis possible.
 
-All levels of a landmark are traced together, in a few array passes:
+All levels of all landmarks of a scan are traced together, in a few array
+passes over (landmark, level) rows.  Each landmark keeps its own crop of
+the mesh (the faces near it, with the mesh's vertex ids), its own apex
+normal and its own error; no row depends on another, so a landmark gets
+the same patch, bit for bit, alone or among others:
 
-- Marching triangles on the distance field give each level's crossing
+- Marching triangles on the distance field give each row's crossing
   points (one per crossed edge) and segments (one per crossed face).
 - Loops are walked on directed half-edges ``p -> q`` between crossing
   points; the successor of ``p -> q`` leaves ``q`` by its other neighbour.
@@ -23,7 +27,7 @@ All levels of a landmark are traced together, in a few array passes:
 - Every ring starts at the point that projects most onto the reference
   axis and is resampled by arclength.  The best circular shift of ring k
   against ring k-1 does not depend on where ring k-1 starts, so all
-  relative shifts come from one batch of distance matrices and each ring's
+  relative shifts come from batches of distance matrices and each ring's
   shift is their running sum.
 """
 
@@ -137,11 +141,11 @@ def canonical_connectivity(cfg: PatchConfig) -> np.ndarray:
 
 def _edge_crossing_points(vertices, edge_pairs, center, level):
     """Points on the given edges at exact Euclidean distance ``level`` (one
-    value, or one per edge) from ``center``.  The crossed edges are
-    selected from the sign structure of the per-vertex field, which
-    guarantees exactly one root in [0, 1]."""
-    a = vertices[edge_pairs[:, 0]]
-    d = vertices[edge_pairs[:, 1]] - a
+    value, or one per edge) from ``center`` (one point, or one per edge).
+    The crossed edges are selected from the sign structure of the
+    per-vertex field, which guarantees exactly one root in [0, 1]."""
+    a = np.take(vertices, edge_pairs[:, 0], axis=0)
+    d = np.take(vertices, edge_pairs[:, 1], axis=0) - a
     m0 = a - center
     qa = np.einsum("ij,ij->i", d, d)
     qb = 2.0 * np.einsum("ij,ij->i", m0, d)
@@ -155,17 +159,24 @@ def _edge_crossing_points(vertices, edge_pairs, center, level):
     return a + t[:, None] * d
 
 
-def _plane_basis(normal):
-    """Right-handed orthonormal frame with rows ``(e1, e2, n)``: ``e1, e2``
-    span the plane orthogonal to ``normal`` and ``e1 x e2 = n``.  Computed
-    once per landmark since every level shares the apex normal."""
-    n = np.asarray(normal, dtype=np.float64)
-    n = n / np.sqrt(n @ n)
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+def _dot_rows(a, b):
+    """The dot product of each row of ``a`` with the same row of ``b``, as
+    a stack of 1-by-n times n-by-1 products, so each row gets the
+    arithmetic of the 1-D product ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _plane_basis(normals):
+    """Right-handed orthonormal frames ``(L, 3, 3)``, one per row of
+    ``normals``, with rows ``(e1, e2, n)``: ``e1, e2`` span the plane
+    orthogonal to ``n`` and ``e1 x e2 = n``.  Every level of a landmark
+    shares its apex normal, so its frame is computed once."""
+    n = np.asarray(normals, dtype=np.float64)
+    n = n / np.sqrt(_dot_rows(n, n))[:, None]
+    ref = np.where((np.abs(n[:, 0]) < 0.9)[:, None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     e1 = np.cross(n, ref)
-    e1 = e1 / np.sqrt(e1 @ e1)
-    e2 = np.cross(n, e1)
-    return np.array([e1, e2, n])
+    e1 = e1 / np.sqrt(_dot_rows(e1, e1))[:, None]
+    return np.stack([e1, np.cross(n, e1), n], axis=1)
 
 
 def _fan_flips(fan, apex) -> list:
@@ -221,7 +232,7 @@ def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
     used = np.zeros(mesh.n_vertices, dtype=bool)
     used[f] = True
     used = np.flatnonzero(used)
-    nearest = used[nearest_vertex(mesh.vertices[used], r)]
+    nearest = used[nearest_vertex(np.take(mesh.vertices, used, axis=0), r)]
     fan = f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]
     tris = mesh.vertices[fan]
     normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
@@ -261,19 +272,23 @@ def _closed_loops(nbr, longest):
     target = nbr.ravel()
     states = np.arange(n_states)
     to = np.maximum(target, 0)
-    succ = 2 * to + (nbr[to, 0] == states >> 1)
+    succ = 2 * to + (np.take(nbr[:, 0], to) == states >> 1)
     end = target < 0
     succ[end] = states[end]
     rounds = int(longest).bit_length()  # 2**rounds > longest: every path seen
     scale = 1 << rounds                  # step counts stay below it
     key = states * scale    # lowest state seen * scale + steps to it
     key[end] = -scale
+    ahead, jump = np.empty_like(key), np.empty_like(succ)
     for r in range(rounds):
-        key = np.minimum(key, key[succ] + (1 << r))
-        succ = succ[succ]
-    low, steps = np.divmod(key, scale)
+        np.take(key, succ, out=ahead, mode="clip")
+        ahead += 1 << r
+        np.minimum(key, ahead, out=key)
+        np.take(succ, succ, out=jump, mode="clip")
+        succ, jump = jump, succ
+    low, steps = key >> rounds, key & (scale - 1)
     # a state whose lowest state is even lies on the cycle through it
-    member = np.flatnonzero((low >= 0) & (low % 2 == 0))
+    member = np.flatnonzero((low >= 0) & (low & 1 == 0))
     start = low[member] >> 1
     size = np.bincount(start, minlength=nbr.shape[0])
     offset = np.cumsum(size) - size
@@ -297,68 +312,129 @@ def _next_index(width, counts):
     return np.where(j + 1 < counts[:, None], j + 1, 0)
 
 
-def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, context):
-    """The closed iso-contour of ``field`` that winds around ``center`` at
-    each of ``levels``, as ``(curves, counts)``: level k's loop is
-    ``curves[k, :counts[k]]``, edge-crossing points ordered
-    counterclockwise about the frame normal (``counts[k] >= 3``; the rest
-    of the row is padding).  All levels are traced together in one array
-    pass.  When levels fail, the first failing level raises the first of
-    its checks that fails: crossings, three crossed edges, degree at most
-    two, a closed loop, a loop around the landmark, three distinct points.
+def _crossed_edges(faces, face_owner, fv, levels, contexts, errors):
+    """The segments of every (landmark, level) row: a face crossed by a
+    level (its corner distances ``fv`` straddle it) adds one segment
+    between its two crossed edges.  Returns ``(n_mixed, row, lo, hi)``:
+    the number of segments of each row and, for the two crossed edges of
+    every segment (segments level by level, in face order), the row and
+    the edge's end vertices, ``lo < hi``.  A landmark whose crossed faces
+    do not cross exactly two edges each gets that error in ``errors`` and
+    no segments."""
+    n_lev = levels.size
+    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
+    face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
+    # (level, face) of every crossed face, level-major and in face order
+    crossed = np.flatnonzero((face_min < levels[:, None]) & (face_max >= levels[:, None]))
+    lev = crossed // face_min.size
+    fi = crossed - lev * face_min.size
+    owner = face_owner[fi]
+    ir = np.take(fv, fi, axis=0) < levels[lev, None]
+    # edge slot s joins face corners s and s+1 and is crossed iff their
+    # inside flags differ.  Around a face the flags change an even number
+    # of times, so a mixed face has exactly two crossed slots: all but the
+    # one whose flags agree
+    same = [ir[:, s] == ir[:, (s + 1) % 3] for s in range(3)]
+    bad = same[0] & same[1]
+    if bad.any():
+        for i in np.unique(owner[bad]).tolist():
+            errors[i] = CurveExtractionError(
+                f"iso-level {levels[lev[bad & (owner == i)][0]]}: "
+                f"inconsistent crossing structure{contexts[i]}")
+        kept = ~np.isin(owner, owner[bad])
+        lev, fi, owner, same = lev[kept], fi[kept], owner[kept], [x[kept] for x in same]
+    row = owner * n_lev + lev
+    f0, f1, f2 = np.take(faces, fi, axis=0).T
+    # the first crossed slot is 0 unless slot 0 agrees, the second 2
+    # unless slot 2 agrees; each edge as corner pairs in slot order
+    lo, hi = np.empty((2, 2 * row.size), dtype=np.int64)
+    for k, (a, b) in enumerate([(np.where(same[0], f1, f0), np.where(same[0], f2, f1)),
+                                (np.where(same[2], f1, f2), np.where(same[2], f2, f0))]):
+        np.minimum(a, b, out=lo[k::2])
+        np.maximum(a, b, out=hi[k::2])
+    return np.bincount(row, minlength=len(errors) * n_lev), np.repeat(row, 2), lo, hi
+
+
+def _crossing_graph(vertices, row, lo, hi, centers, levels):
+    """The crossing points of the edges of :func:`_crossed_edges`, one per
+    distinct (row, lo, hi) and numbered in that order, as ``(point_row,
+    pts, nbr, deg)``: each point's row (ascending), position (on its edge,
+    at its level's distance from its landmark), neighbours (the other ends
+    of the first and the second segment that contain it, -1 for none) and
+    degree."""
+    n_verts, n_lev = vertices.shape[0], levels.size
+    # :func:`_landmark_groups` keeps these keys in int64; the stable sort
+    # also lists each point's segments in their order
+    keys = (row * n_verts + lo) * n_verts + hi
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    new = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
+    first = np.flatnonzero(new)
+    slot = order[first]
+    point_row = row[slot]
+    land = np.repeat(np.arange(len(centers)), np.diff(
+        np.searchsorted(point_row, np.arange(0, n_lev * len(centers) + 1, n_lev))))
+    pts = _edge_crossing_points(vertices, np.stack([lo[slot], hi[slot]], axis=1),
+                                np.take(centers, land, axis=0), levels[point_row - land * n_lev])
+    # a segment's two edges are slots 2k and 2k + 1, so the other end of
+    # the segment through slot t is the point of slot t ^ 1
+    point = np.empty(keys.size, dtype=np.int64)
+    point[order] = np.cumsum(new) - 1
+    deg = np.diff(np.append(first, keys.size))
+    nbr = np.full((first.size, 2), -1, dtype=np.int64)
+    nbr[:, 0] = point[slot ^ 1]
+    two = deg > 1
+    nbr[two, 1] = point[order[first[two] + 1] ^ 1]
+    return point_row, pts, nbr, deg
+
+
+def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, contexts):
+    """The closed iso-contour of the distance field that winds around each
+    of ``centers`` at each of ``levels``, for every landmark at once:
+    landmark ``i`` owns the ``faces`` (ids into ``vertices``) where
+    ``face_owner`` is ``i``, and ``fv`` holds the distances of their
+    corners to its center.  Returns ``(curves, counts, errors)``.  The loop
+    of landmark ``i`` at level ``k`` is row ``r = i * K + k``,
+    ``curves[r, :counts[r]]``: edge-crossing points ordered
+    counterclockwise about the normal of ``frames[i]`` (``counts[r] >= 3``;
+    the rest of the row is padding).  ``errors[i]`` is the error of a
+    landmark whose trace fails, or None; the rows of a failed landmark are
+    meaningless.  The first failing level of a landmark fails with the
+    first of its checks that fails: crossings, three crossed edges, degree
+    at most two, a closed loop, a loop around the landmark, three distinct
+    points.  All (landmark, level) rows are traced together in one array
+    pass, and no row depends on another.
 
     A level may hold several closed loops.  The one kept is the one with
-    the largest absolute winding number about ``center`` in the frame's
-    plane (at least 1/2), then the one whose centroid is farthest from
-    ``center``, then the first.  It is reversed when it winds clockwise."""
+    the largest absolute winding number about the landmark in its frame's
+    plane (at least 1/2), then the one whose centroid is farthest from the
+    landmark, then the first.  It is reversed when it winds clockwise."""
     levels = np.asarray(levels, dtype=np.float64)
-    n_verts = mesh.n_vertices
-    span = n_verts * n_verts
-    # (level, face) of every crossed face, level-major and in face order: a
-    # face is crossed iff its vertex values straddle the level
-    crossed = np.flatnonzero((face_min < levels[:, None]) & (face_max >= levels[:, None]))
-    lev, fi = np.divmod(crossed, face_min.size)
-    n_mixed = np.bincount(lev, minlength=levels.size)
-    fr = mesh.faces[fi]
-    ir = field[fr] < levels[lev, None]
-    # edge slot s joins face corners s and s+1; a slot is crossed iff the
-    # inside flags differ, so every mixed face has exactly two crossed slots
-    xmask = ir != ir[:, [1, 2, 0]]
-    bad = np.count_nonzero(xmask, axis=1) != 2
-    if bad.any():
-        raise CurveExtractionError(
-            f"iso-level {levels[lev[bad][0]]}: inconsistent crossing structure{context}"
-        )
-    v = fr[:, [1, 2, 0]]
-    # an edge key within a level, tagged with the level index
-    keys = lev[:, None] * span + np.minimum(fr, v) * n_verts + np.maximum(fr, v)
-    uniq, inverse = np.unique(keys[xmask], return_inverse=True)
-    point_level = uniq // span
-    edges = uniq % span
-    pts = _edge_crossing_points(mesh.vertices,
-                                np.stack([edges // n_verts, edges % n_verts], axis=1),
-                                center, levels[point_level])
-    # each point's neighbours: the other ends of the first and the second
-    # segment (crossed face) that contain it
-    ends = inverse.ravel()
-    other = inverse.reshape(-1, 2)[:, ::-1].ravel()
-    order = np.argsort(ends, kind="stable")
-    deg = np.bincount(ends, minlength=uniq.size)
-    first = np.cumsum(deg) - deg
-    nbr = np.full((uniq.size, 2), -1, dtype=np.int64)
-    nbr[:, 0] = other[order[first]]
-    two = deg > 1
-    nbr[two, 1] = other[order[first[two] + 1]]
-    per_level = np.diff(np.searchsorted(uniq, np.arange(levels.size + 1) * span))
-    walk, size = _closed_loops(nbr, per_level.max(initial=0))
+    n_land, n_lev = len(centers), levels.size
+    n_rows = n_land * n_lev
+    errors = [None] * n_land
+    n_mixed, *edges = _crossed_edges(faces, face_owner, fv, levels, contexts, errors)
+    point_row, pts, nbr, deg = _crossing_graph(vertices, *edges, centers, levels)
+    per_row = np.bincount(point_row, minlength=n_rows)
+    walk, size = _closed_loops(nbr, per_row.max(initial=0))
     start = np.cumsum(size) - size
-    loop_level = point_level[walk[start]]
+    loop_row = point_row[walk[start]]
+    loop_land = loop_row // n_lev
     loop_pts = np.take(pts, walk, axis=0)
     # winding number: the wrapped turns of the angle about the normal, each
-    # loop summed pairwise like np.sum, as rows of a padded array
-    e1, e2, _ = frame
-    d = loop_pts - center
-    theta = np.arctan2(d @ e2, d @ e1)
+    # loop summed pairwise like np.sum, as rows of a padded array.  Points
+    # are numbered landmark by landmark, so each landmark's loops are one
+    # run of the walk, projected on its frame by the matrix-vector products
+    # a lone trace makes
+    walk_land = np.repeat(loop_land, size)
+    d = loop_pts - np.take(centers, walk_land, axis=0)
+    x, y = np.empty(walk.size), np.empty(walk.size)
+    bounds = np.searchsorted(walk_land, np.arange(n_land + 1)).tolist()
+    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        x[a:b] = d[a:b] @ frames[i, 0]
+        y[a:b] = d[a:b] @ frames[i, 1]
+    theta = np.arctan2(y, x)
     nxt = np.arange(1, walk.size + 1)
     nxt[start + size - 1] = start
     dt = theta[nxt] - theta
@@ -369,15 +445,15 @@ def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, con
     w = np.add.reduce(turns, axis=1, where=inside) / (2.0 * np.pi)
     loop = np.repeat(np.arange(size.size), size)
     centroid = np.stack([np.bincount(loop, weights=loop_pts[:, c], minlength=size.size)
-                         for c in range(3)], axis=1) / size[:, None] - center
-    centroid_d = np.sqrt((centroid[:, None, :] @ centroid[:, :, None])[:, 0, 0])
+                         for c in range(3)], axis=1) / size[:, None] - centers[loop_land]
+    centroid_d = np.sqrt(_dot_rows(centroid, centroid))
     cand = np.flatnonzero((size >= 3) & (np.abs(w) >= 0.5))
-    cand = cand[np.lexsort((-centroid_d[cand], -np.abs(w[cand]), loop_level[cand]))]
+    cand = cand[np.lexsort((-centroid_d[cand], -np.abs(w[cand]), loop_row[cand]))]
     best = np.ones(cand.size, dtype=bool)
-    best[1:] = loop_level[cand[1:]] != loop_level[cand[:-1]]
-    chosen = np.zeros(levels.size, dtype=np.int64)
-    chosen[loop_level[cand[best]]] = cand[best]
-    curves, counts = np.zeros((levels.size, 1, 3)), np.full(levels.size, 3)
+    best[1:] = loop_row[cand[1:]] != loop_row[cand[:-1]]
+    chosen = np.zeros(n_rows, dtype=np.int64)
+    chosen[loop_row[cand[best]]] = cand[best]
+    curves, counts = np.zeros((n_rows, 1, 3)), np.full(n_rows, 3)
     if cand.size:
         # orient counterclockwise, then drop consecutive duplicates
         # (crossings exactly at a shared vertex)
@@ -387,27 +463,32 @@ def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, con
         col = np.where(w[chosen][:, None] < 0, n - 1 - col, col)
         curves = np.take(loop_pts, start[chosen][:, None] + col, axis=0)
         step = _take_along_rings(curves, _next_index(j.size, n[:, 0])) - curves
-        keep = (np.linalg.norm(step, axis=2) > 1e-12 * levels[:, None]) & (j < n)
+        step *= step
+        gap = np.sqrt(step[..., 0] + step[..., 1] + step[..., 2])  # np.linalg.norm's sum
+        keep = (gap > 1e-12 * np.tile(levels, n_land)[:, None]) & (j < n)
         counts = np.count_nonzero(keep, axis=1)
         if (counts < n[:, 0]).any():
             curves = _take_along_rings(curves, np.argsort(~keep, axis=1, kind="stable"))
     failed = np.array([
         n_mixed == 0,
-        per_level < 3,
-        np.bincount(point_level[deg > 2], minlength=levels.size) > 0,
-        np.bincount(loop_level, minlength=levels.size) == 0,
-        np.bincount(loop_level[cand], minlength=levels.size) == 0,
+        per_row < 3,
+        np.bincount(point_row[deg > 2], minlength=n_rows) > 0,
+        np.bincount(loop_row, minlength=n_rows) == 0,
+        np.bincount(loop_row[cand], minlength=n_rows) == 0,
         counts < 3,
-    ])
-    if failed.any():
-        i = int(np.argmax(failed.any(axis=0)))
-        check = int(np.argmax(failed[:, i]))
-        level = levels[i].item()
+    ]).reshape(6, n_land, n_lev)
+    for i in np.flatnonzero(failed.any(axis=(0, 2))).tolist():
+        if errors[i] is not None:
+            continue
+        k = int(np.argmax(failed[:, i].any(axis=0)))
+        check = int(np.argmax(failed[:, i, k]))
+        level, context = levels[k].item(), contexts[i]
         if check == 4:
-            raise CurveAmbiguityError(
-                f"iso-level {level}: {np.count_nonzero(loop_level == i)} closed component(s), "
-                f"none encloses the landmark{context}")
-        raise CurveExtractionError((
+            errors[i] = CurveAmbiguityError(
+                f"iso-level {level}: {np.count_nonzero(loop_row == i * n_lev + k)} closed "
+                f"component(s), none encloses the landmark{context}")
+            continue
+        errors[i] = CurveExtractionError((
             f"iso-level {level} has no crossings{context}",
             f"iso-level {level} crosses fewer than 3 mesh edges{context}",
             "non-manifold iso-contour (a crossing point has degree > 2)",
@@ -415,29 +496,38 @@ def _enclosing_loops(mesh, field, face_min, face_max, center, levels, frame, con
             None,
             f"iso-level {level} degenerates to <3 points{context}",
         )[check])
-    return curves, counts
+    return curves, counts, errors
 
 
-def _level_curves(mesh: TriangleMesh, center, levels, label):
-    """The apex normal at ``center`` and the enclosing loops around it at
-    ``levels``, oriented counterclockwise about that normal, as
-    :func:`_enclosing_loops` returns them.  Only a face with a corner
-    closer than the largest level can cross a level, so the normal and
-    every loop are taken from the submesh of those faces, found from the
-    mesh's neighbourhood index; the distance field is computed once on it
-    for all levels."""
-    context = f" (landmark {label!r})" if label else ""
-    near = mesh.faces_within(center, max(levels))
-    if not near.size:
-        raise CurveExtractionError(f"iso-level {float(levels[0])} has no crossings{context}")
-    crop = mesh.submesh(near)
-    field = distance_field(crop, center)
-    fv = field[crop.faces]
-    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    normal = apex_normal(crop, center)
-    return normal, _enclosing_loops(crop, field, face_min, face_max, center,
-                                    levels, _plane_basis(normal), context)
+def _level_curves(mesh: TriangleMesh, near, centers, labels, levels):
+    """The apex normals at ``centers`` and the enclosing loops around them
+    at ``levels``, as ``(normals, curves, counts, errors)`` with the last
+    three as :func:`_enclosing_loops` returns them.  Only a face with a
+    corner closer than the largest level can cross a level, so landmark
+    ``i`` is traced on the crop of the faces ``near[i]`` (from the mesh's
+    neighbourhood index), and its apex normal and distance field are taken
+    on that crop: the crops keep the mesh's vertex ids, and the field is
+    computed at the corners of the crop's faces.  A landmark with no face
+    near fails as having no crossings; one whose apex normal fails keeps
+    that error."""
+    contexts = [f" (landmark {label!r})" if label else "" for label in labels]
+    sizes = [ids.size for ids in near]
+    faces = np.take(mesh.faces, np.concatenate(near), axis=0)
+    face_owner = np.repeat(np.arange(len(near)), sizes)
+    fv = np.empty(faces.shape)
+    normals = np.tile([0.0, 0.0, 1.0], (len(near), 1))
+    apex_errors = [None] * len(near)
+    stop = np.cumsum(sizes)
+    for i, (a, b) in enumerate(zip(stop - sizes, stop)):
+        if a < b:
+            fv[a:b] = distance_field(mesh, centers[i], at=faces[a:b])
+            try:
+                normals[i] = apex_normal(TriangleMesh(mesh.vertices, faces[a:b]), centers[i])
+            except CurveExtractionError as exc:
+                apex_errors[i] = exc
+    curves, counts, errors = _enclosing_loops(mesh.vertices, faces, face_owner, fv, centers,
+                                              levels, _plane_basis(normals), contexts)
+    return normals, curves, counts, [a or e for a, e in zip(apex_errors, errors)]
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +579,132 @@ def resample_uniform(curve, m: int) -> np.ndarray:
     return _resample_rings(pts[None], np.array([pts.shape[0]]), m)[0]
 
 
+# distance-matrix entries per batch of _ring_shifts: one landmark of a 15x50
+# patch, or ten of a 15x20 one.  Batches 16 times as large raised the peak
+# RSS of extract_patches on a 9-landmark 15x50 scan by 7 MiB
+_SHIFT_BLOCK = 1 << 16
+
+
 def _ring_shifts(rings):
-    """Circular shift of each of the ``(K, m, 3)`` rings that minimizes the
-    summed distance between its samples and those of the ring before it,
-    itself shifted (ring 0 keeps its start).  The best shift of ring k
-    relative to ring k-1 does not depend on ring k-1's own shift, so all
-    K-1 cost rows come from one batch of distance matrices and the absolute
+    """Circular shift of each ring of the ``(L, K, m, 3)`` rings of ``L``
+    landmarks that minimizes the summed distance between its samples and
+    those of the ring before it, itself shifted (ring 0 keeps its start).
+    The best shift of ring k relative to ring k-1 does not depend on ring
+    k-1's own shift, so all cost rows come from batches of distance
+    matrices (of at most about ``_SHIFT_BLOCK`` entries) and the absolute
     shifts are the running sum of the relative ones, modulo m.  A cost
     adds the same distances as aligning ring k to the shifted ring k-1,
     from another first term, so the two can only differ where two shifts'
     costs agree to rounding."""
-    K, m = rings.shape[:2]
-    flat = rings.reshape(-1, 3)
-    sq = np.einsum("ij,ij->i", flat, flat).reshape(K, m)
-    d2 = sq[1:, :, None] + sq[:-1, None, :] - 2.0 * (rings[1:] @ rings[:-1].transpose(0, 2, 1))
-    d = np.sqrt(np.maximum(d2, 0.0)).reshape(K - 1, m * m)
+    L, K, m = rings.shape[:3]
     j = np.arange(m)
     # cost[k, r]: sum over j of the distance from sample r + j to sample j
-    cost = np.take(d, (j[:, None] + j) % m * m + j, axis=1).sum(axis=2)
-    return np.concatenate([[0], np.cumsum(np.argmin(cost, axis=1)) % m])
+    diagonals = (j[:, None] + j) % m * m + j
+    shifts = np.zeros((L, K), dtype=np.int64)
+    block = max(1, _SHIFT_BLOCK // (K * m * m))
+    for a in range(0, L, block):
+        r = rings[a:a + block]
+        flat = r.reshape(-1, 3)
+        sq = np.einsum("ij,ij->i", flat, flat).reshape(r.shape[:3])
+        d2 = (sq[:, 1:, :, None] + sq[:, :-1, None, :]
+              - 2.0 * (r[:, 1:] @ r[:, :-1].transpose(0, 1, 3, 2)))
+        d = np.sqrt(np.maximum(d2, 0.0)).reshape(len(r), K - 1, m * m)
+        cost = np.take(d, diagonals, axis=2).sum(axis=3)
+        shifts[a:a + block, 1:] = np.cumsum(np.argmin(cost, axis=2), axis=1) % m
+    return shifts
+
+
+def _assemble(curves, counts, centers, normals, axis, m: int, align: str) -> np.ndarray:
+    """The canonical patches ``(L, 1 + K*m, 3)`` of the ``L`` landmarks at
+    ``centers`` from their ``K`` loops each, rows as
+    :func:`_enclosing_loops` returns them: every ring starts at the point
+    that projects most onto ``axis``, is resampled to ``m`` points and
+    shifted into rotational alignment with the ring before it, all rows at
+    once (see :func:`build_patch`)."""
+    n_land = len(centers)
+    n_rows, width = curves.shape[:2]
+    j = np.arange(width)
+    rel = curves - np.repeat(centers, n_rows // n_land, axis=0)[:, None, :]
+    proj = (rel.reshape(-1, 3) @ axis).reshape(n_rows, width)
+    start = np.argmax(np.where(j < counts[:, None], proj, -np.inf), axis=1)
+    roll = (j + start[:, None]) % counts[:, None]
+    samples = _resample_rings(_take_along_rings(curves, roll), counts, m)
+    shifts = _ring_shifts(samples.reshape(n_land, -1, m, 3)).reshape(-1, 1)
+    rings = _take_along_rings(samples, (np.arange(m) + shifts) % m)
+    verts = (np.concatenate([centers[:, None], rings.reshape(n_land, -1, 3)], axis=1)
+             - centers[:, None])
+    if align == "normal":
+        verts = verts @ _plane_basis(normals).transpose(0, 2, 1)
+        start_dir = verts[:, 1].copy()
+        start_dir[:, 2] = 0.0
+        norm = np.sqrt(_dot_rows(start_dir, start_dir))
+        turn = np.flatnonzero(norm > 1e-12)
+        cos_a, sin_a = (start_dir[turn, :2] / norm[turn, None]).T
+        rot2 = np.zeros((turn.size, 3, 3))
+        rot2[:, 0, 0] = rot2[:, 1, 1] = cos_a
+        rot2[:, 0, 1] = sin_a
+        rot2[:, 1, 0] = -sin_a
+        rot2[:, 2, 2] = 1.0
+        verts[turn] = verts[turn] @ rot2.transpose(0, 2, 1)
+    return verts
+
+
+_KEY_LIMIT = 1 << 63  # the edge keys of _enclosing_loops are int64
+# (face, level) pairs traced in one batch: three landmarks of a resolution-160
+# scan at a 15-level patch.  There, batches of one landmark ran about 20%
+# slower, and batches twice as large no faster but with 4 MiB more peak RSS
+_BATCH_CELLS = 1 << 17
+
+
+def _landmark_groups(near, n_levels: int, n_vertices: int, key_limit: int = _KEY_LIMIT,
+                     cells: int = _BATCH_CELLS):
+    """Consecutive runs of the landmarks whose crops' face ids ``near``
+    yields, as lists of those arrays, each traced as one batch by
+    :func:`_enclosing_loops` on a mesh of ``n_vertices`` vertices.  A run
+    keeps the edge keys below ``key_limit`` (the keys of ``g`` landmarks
+    stay below ``g * n_levels * n_vertices**2``) and its working arrays
+    small: its crops hold at most ``cells`` (face, level) pairs.  A
+    landmark over either bound on its own runs alone.  ``near`` is read
+    one landmark at a time, so only one run's crops are held at once."""
+    per_key = n_levels * n_vertices * n_vertices
+    group, held = [], 0
+    for ids in near:
+        held += ids.size * n_levels
+        if group and ((len(group) + 1) * per_key > key_limit or held > cells):
+            yield group
+            group, held = [], ids.size * n_levels
+        group.append(ids)
+    if group:
+        yield group
+
+
+def _patches(mesh: TriangleMesh, labels, centers, cfg: PatchConfig,
+             reference_axis=(1.0, 0.0, 0.0), align: str = "none", key_limit: int = _KEY_LIMIT):
+    """Patches ``(L, 1+K*m, 3)`` of the landmarks ``labels`` at ``centers``
+    and, for each, the error its extraction raised or None (its patch is
+    then zero).  The neighbourhood query, the distance field and the apex
+    normal run per landmark; everything else runs once for all landmarks
+    of each run of :func:`_landmark_groups`, and a landmark's patch and
+    error do not depend on the other landmarks."""
+    if align not in ("none", "normal"):
+        raise ValueError(f"unknown align mode {align!r}")
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
+    levels = cfg.levels()
+    out = np.zeros((len(centers), cfg.n_vertices, 3), dtype=np.float64)
+    errors = []
+    near = (mesh.faces_within(center, max(levels)) for center in centers)
+    for group in _landmark_groups(near, levels.size, mesh.n_vertices, key_limit):
+        a, b = len(errors), len(errors) + len(group)
+        normals, curves, counts, group_errors = _level_curves(
+            mesh, group, centers[a:b], labels[a:b], levels)
+        ok = np.array([e is None for e in group_errors])
+        if ok.any():
+            rows = np.repeat(ok, levels.size)
+            out[a:b][ok] = _assemble(curves[rows], counts[rows], centers[a:b][ok], normals[ok],
+                                     axis, cfg.samples_per_curve, align)
+        errors += group_errors
+    return out, errors
 
 
 def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
@@ -516,7 +713,8 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     canonical patch (apex-centered at the origin) as a ``(1 + K*m, 3)``
     array: vertex 0 is the apex, then curve k sample j at index
     ``1 + k*m + j``.  Its connectivity is :func:`canonical_connectivity`,
-    identical for all patches.
+    identical for all patches.  This is :func:`extract_patches` for one
+    landmark; a failed extraction raises its error.
 
     ``landmark`` is a (label, position) pair.  Curves are oriented
     counterclockwise about the outward apex normal; each curve starts at
@@ -526,52 +724,27 @@ def build_patch(mesh: TriangleMesh, landmark, cfg: PatchConfig,
     the patch is also rotated so the apex normal maps to +z and the
     direction to the first curve's start point fixes the in-plane rotation.
     """
-    if align not in ("none", "normal"):
-        raise ValueError(f"unknown align mode {align!r}")
     label, center = landmark
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
-    normal, (curves, counts) = _level_curves(mesh, center, cfg.levels(), label)
-    K, width = curves.shape[:2]
-    m = cfg.samples_per_curve
-    j = np.arange(width)
-    proj = ((curves - center).reshape(-1, 3) @ axis).reshape(K, width)
-    start = np.argmax(np.where(j < counts[:, None], proj, -np.inf), axis=1)
-    roll = (j + start[:, None]) % counts[:, None]
-    samples = _resample_rings(_take_along_rings(curves, roll), counts, m)
-    rings = _take_along_rings(samples, (np.arange(m) + _ring_shifts(samples)[:, None]) % m)
-    verts = np.concatenate([center[None, :], rings.reshape(-1, 3)]) - center
-    if align == "normal":
-        verts = verts @ _plane_basis(normal).T
-        start_dir = verts[1].copy()
-        start_dir[2] = 0.0
-        norm = np.linalg.norm(start_dir)
-        if norm > 1e-12:
-            cos_a, sin_a = start_dir[0] / norm, start_dir[1] / norm
-            rot2 = np.array([[cos_a, sin_a, 0.0], [-sin_a, cos_a, 0.0], [0.0, 0.0, 1.0]])
-            verts = verts @ rot2.T
-    return verts
+    center = np.asarray(center, dtype=np.float64).reshape(1, 3)
+    patches, errors = _patches(mesh, [label], center, cfg, reference_axis, align)
+    if errors[0] is not None:
+        raise errors[0]
+    return patches[0]
 
 
 def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig,
                     align: str = "none"):
-    """Build patches for every landmark of a scan.
+    """Build patches for every landmark of a scan, all traced together.
 
     Returns ``(array (N, 1+K*m, 3), missing (N,) bool, errors dict)``.
     A landmark whose extraction fails is flagged missing (vertices zeroed),
-    never fabricated; the error message is kept for the report.
+    never fabricated; the error message is kept for the report.  Every
+    other landmark's patch is what :func:`build_patch` gives it alone.
     """
-    n = len(landmarks)
-    out = np.zeros((n, cfg.n_vertices, 3), dtype=np.float64)
-    missing = np.zeros(n, dtype=bool)
-    errors: dict = {}
-    for i, (label, pos) in enumerate(landmarks.items()):
-        try:
-            out[i] = build_patch(mesh, (label, pos), cfg, align=align)
-        except CurveExtractionError as exc:
-            missing[i] = True
-            errors[label] = str(exc)
-    return out, missing, errors
+    patches, errors = _patches(mesh, landmarks.labels, landmarks.positions, cfg, align=align)
+    missing = np.array([e is not None for e in errors])
+    return patches, missing, {label: str(e) for label, e in zip(landmarks.labels, errors)
+                              if e is not None}
 
 
 # ---------------------------------------------------------------------------

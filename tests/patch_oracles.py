@@ -1,14 +1,31 @@
-"""Test oracles for level-curve extraction: a single-level entry to the
-tracer, the whole-mesh crop and tracing set-up that the neighbourhood
-index of ``TriangleMesh`` must reproduce exactly, and the per-level
-reference tracer (a Python walk of each level's crossing graph, then
-winding, start, resampling and alignment one ring at a time) that the
-array pass of ``patches`` must reproduce bit for bit."""
+"""Test oracles for level-curve extraction: one-landmark entries to the
+batched tracer, the whole-mesh crop and tracing set-up that the
+neighbourhood index of ``TriangleMesh`` must reproduce exactly, and the
+per-level reference tracer (a Python walk of each level's crossing graph,
+on each landmark's own renumbered crop, then winding, start, resampling and
+alignment one ring at a time) that the array pass of ``patches`` must
+reproduce bit for bit."""
 
 import numpy as np
 
 from facespectra import patches
 from facespectra.mesh import TriangleMesh, distance_field
+
+
+def _raise_first(errors):
+    if errors[0] is not None:
+        raise errors[0]
+
+
+def level_curves(mesh: TriangleMesh, center, levels, label):
+    """``patches._level_curves`` for one landmark: ``(normal, (curves,
+    counts))``, or the landmark's error raised."""
+    center = np.asarray(center, dtype=np.float64).reshape(1, 3)
+    near = [mesh.faces_within(center[0], max(levels))]
+    normals, curves, counts, errors = patches._level_curves(mesh, near, center, [label],
+                                                            np.asarray(levels, dtype=float))
+    _raise_first(errors)
+    return normals[0], (curves, counts)
 
 
 def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") -> np.ndarray:
@@ -24,8 +41,7 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") ->
     """
     if level <= 0:
         raise ValueError(f"level must be positive, got {level}")
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    curves, counts = patches._level_curves(mesh, r, [level], label)[1]
+    curves, counts = level_curves(mesh, r, [level], label)[1]
     return curves[0, :counts[0]]
 
 
@@ -38,21 +54,42 @@ def whole_mesh_crop(mesh: TriangleMesh, r, radius: float) -> np.ndarray:
 
 
 def whole_mesh_level_curves(mesh: TriangleMesh, center, levels, label):
-    """``patches._level_curves`` on the whole-mesh crop: every vertex keeps
-    its id and the distance field covers the whole mesh."""
+    """:func:`level_curves` on the whole-mesh crop of one landmark: the
+    distance field covers the whole mesh and is read at the crop's
+    corners."""
     context = f" (landmark {label!r})" if label else ""
+    center = np.asarray(center, dtype=np.float64).reshape(3)
     near = whole_mesh_crop(mesh, center, max(levels))
     if not near.size:
         raise patches.CurveExtractionError(
             f"iso-level {float(levels[0])} has no crossings{context}")
     crop = TriangleMesh(mesh.vertices, mesh.faces[near])
-    field = distance_field(mesh, center)
-    fv = field[crop.faces]
-    face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
     normal = patches.apex_normal(crop, center)
-    return normal, patches._enclosing_loops(crop, field, face_min, face_max, center, levels,
-                                            patches._plane_basis(normal), context)
+    curves, counts, errors = patches._enclosing_loops(
+        mesh.vertices, crop.faces, np.zeros(near.size, dtype=np.int64),
+        distance_field(mesh, center)[crop.faces], center[None], levels,
+        patches._plane_basis(normal[None]), [context])
+    _raise_first(errors)
+    return normal, (curves, counts)
+
+
+def whole_mesh_extract_patches(mesh: TriangleMesh, landmarks, cfg: patches.PatchConfig,
+                               align: str = "none"):
+    """``patches.extract_patches`` with each landmark traced alone on its
+    whole-mesh crop (:func:`whole_mesh_level_curves`) and assembled alone."""
+    out = np.zeros((len(landmarks), cfg.n_vertices, 3))
+    missing = np.zeros(len(landmarks), dtype=bool)
+    errors = {}
+    for i, (label, pos) in enumerate(landmarks.items()):
+        try:
+            normal, (curves, counts) = whole_mesh_level_curves(mesh, pos, cfg.levels(), label)
+        except patches.CurveExtractionError as exc:
+            missing[i] = True
+            errors[label] = str(exc)
+            continue
+        out[i] = patches._assemble(curves, counts, pos[None], normal[None],
+                                   np.array([1.0, 0.0, 0.0]), cfg.samples_per_curve, align)[0]
+    return out, missing, errors
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +231,36 @@ def reference_enclosing_loops(mesh, field, face_min, face_max, center, levels, f
         yield loop_pts
 
 
+def _submesh(mesh: TriangleMesh, face_ids) -> TriangleMesh:
+    """The mesh of the faces ``face_ids`` and the vertices they use,
+    numbered in their order in ``mesh``."""
+    f = mesh.faces[face_ids]
+    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used[f] = True
+    ids = np.flatnonzero(used)
+    new_id = np.empty(mesh.n_vertices, dtype=np.int64)
+    new_id[ids] = np.arange(ids.size)
+    return TriangleMesh(mesh.vertices[ids], new_id[f])
+
+
 def reference_level_curves(mesh: TriangleMesh, center, levels, label):
-    """The neighbourhood crop of ``patches._level_curves``, traced by
-    :func:`reference_enclosing_loops`: ``(normal, iterator of loops)``."""
+    """The neighbourhood crop of ``patches._level_curves``, renumbered from
+    0 and traced by :func:`reference_enclosing_loops`: ``(normal, iterator
+    of loops)``."""
     context = f" (landmark {label!r})" if label else ""
     near = mesh.faces_within(center, max(levels))
     if not near.size:
         raise patches.CurveExtractionError(
             f"iso-level {float(levels[0])} has no crossings{context}")
-    crop = mesh.submesh(near)
+    crop = _submesh(mesh, near)
     field = distance_field(crop, center)
     fv = field[crop.faces]
     face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
     face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
     normal = patches.apex_normal(crop, center)
+    frame = patches._plane_basis(normal[None])[0]
     return normal, reference_enclosing_loops(crop, field, face_min, face_max, center,
-                                             levels, patches._plane_basis(normal), context)
+                                             levels, frame, context)
 
 
 def reference_resample_uniform(curve, m: int) -> np.ndarray:
@@ -271,7 +322,7 @@ def reference_build_patch(mesh: TriangleMesh, landmark, cfg: patches.PatchConfig
         rings.append(samples)
     verts = np.vstack([center[None, :]] + rings) - center
     if align == "normal":
-        verts = verts @ patches._plane_basis(normal).T
+        verts = verts @ patches._plane_basis(normal[None])[0].T
         start_dir = verts[1].copy()
         start_dir[2] = 0.0
         norm = np.linalg.norm(start_dir)

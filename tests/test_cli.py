@@ -390,3 +390,60 @@ def test_empty_levels_and_zero_k_are_usage_errors(tmp_path, capsys):
         assert main([command, "--config", str(cfgfile), *argv[1:]]) == 2, (key, value)
         assert named in capsys.readouterr().err, (key, value)
     assert not (tmp_path / "out").exists()
+
+
+def test_features_then_evaluate_name_every_injected_fault(cli_workspace, tmp_path, capsys,
+                                                          monkeypatch):
+    """Failure injection end to end: a landmark moved off the surface, a
+    mesh file cut short so that it does not parse, and an SMO fold that
+    cannot converge (every pair of fold 0 capped at one pair update) are
+    each named with their reason, in the stderr error block of
+    ``features`` or in the report of ``evaluate``, and the exit codes are
+    README's: 1 for the partial ``features`` run, 0 for an evaluation
+    that skips a fold and records why."""
+    import shutil
+
+    from facespectra import classify
+    from facespectra.mesh import LandmarkSet, load_landmarks, save_landmarks
+
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    records = load_manifest(data / "manifest.csv").records
+    moved, cut = records[1], records[2]
+    lmk = load_landmarks(moved.landmarks_path)
+    positions = lmk.positions.copy()
+    positions[5, 2] += 200.0
+    save_landmarks(moved.landmarks_path, LandmarkSet(lmk.labels, positions))
+    text = cut.mesh_path.read_text()
+    cut.mesh_path.write_text(text[:text.rstrip().rindex(" ")])  # last face loses an index
+    feats = tmp_path / "feats"
+    rc = main(["features", "--manifest", str(data / "manifest.csv"),
+               "--basis", str(cli_workspace["basis"]), "--method", "glf",
+               "--mode", "coords", "--k", "6", "--out", str(feats)] + PATCH_FLAGS)
+    assert rc == 1
+    errors = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["errors"]
+    by_scan = {e["scan"]: e for e in errors}
+    assert set(by_scan) == {str(moved.mesh_path), str(cut.mesh_path)}
+    assert "only triangular faces are supported" in by_scan[str(cut.mesh_path)]["error"]
+    label = lmk.labels[5]
+    assert by_scan[str(moved.mesh_path)]["missing_patches"] == {
+        label: f"iso-level 6.0 has no crossings (landmark {label!r})"}
+    table = load_feature_table(feats)
+    assert table.X.shape[0] == len(records) - 1          # the cut scan is skipped
+    assert np.argwhere(table.missing).tolist() == [[1, 5]]  # flagged in the sidecar
+
+    solve = classify.svm_solve_batch
+
+    def fold_zero_capped(grams, problems, C=1.0, tol=1e-3, max_iter=100_000):
+        solved = solve(grams, problems, C=C, tol=tol, max_iter=max_iter)
+        capped = solve(grams, problems, C=C, tol=tol, max_iter=1)
+        return [c if g == 0 else s for (g, _), s, c in zip(problems, solved, capped)]
+
+    monkeypatch.setattr(classify, "svm_solve_batch", fold_zero_capped)
+    report_path = tmp_path / "report.json"
+    rc = main(["evaluate", "--features", str(feats), "--classifier", "svm", "--folds", "2",
+               "--out", str(report_path)])
+    assert rc == 0, capsys.readouterr().err
+    skipped = json.loads(report_path.read_text())["results"]["skipped"]
+    assert [s["fold"] for s in skipped] == [0]
+    assert "SMO did not converge in 1 iterations" in skipped[0]["reason"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from facespectra.mesh import TriangleMesh
+from facespectra.mesh import LandmarkSet, TriangleMesh
 from facespectra import patches as patches_module
 from facespectra.patches import (
     CurveAmbiguityError,
@@ -22,8 +22,9 @@ from facespectra.synth import SynthConfig, generate_scan
 
 from conftest import make_grid_mesh, make_uv_sphere
 from geometry_oracles import RigidTransform, apply_transform, vertex_degrees
-from patch_oracles import (extract_level_curve, reference_build_patch, reference_level_curves,
-                           reference_resample_uniform, whole_mesh_crop, whole_mesh_level_curves)
+from patch_oracles import (extract_level_curve, level_curves, reference_build_patch,
+                           reference_level_curves, reference_resample_uniform, whole_mesh_crop,
+                           whole_mesh_extract_patches, whole_mesh_level_curves)
 
 
 def polygon_circle(radius, n, z=0.0):
@@ -432,8 +433,9 @@ def test_patch_archive_shape_mismatch(tmp_path):
                            [False, False], cfg)
 
 
-def random_height_field(rng):
-    """21 x 21 grid (0.5 spacing) under a random sum of four plane waves."""
+def random_height_field(rng, n=21, spacing=0.5):
+    """n x n grid (0.5 spacing by default) under a random sum of four plane
+    waves."""
     waves = rng.normal(scale=0.4, size=(4, 2))
     amps = rng.normal(scale=0.3, size=4)
     phases = rng.uniform(0, 2 * np.pi, size=4)
@@ -441,7 +443,7 @@ def random_height_field(rng):
     def height(x, y):
         return sum(a * np.sin(w[0] * x + w[1] * y + p) for a, w, p in zip(amps, waves, phases))
 
-    return make_grid_mesh(21, 21, spacing=0.5, height=height)
+    return make_grid_mesh(n, n, spacing=spacing, height=height)
 
 
 def test_build_patch_ignores_unreferenced_vertex_at_landmark():
@@ -563,7 +565,7 @@ def test_neighbourhood_crop_equals_whole_mesh_crop(seed, radius):
         assert np.array_equal(mesh.faces_within(center, radius),
                               whole_mesh_crop(mesh, center, radius)), center
         with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN vertices
-            assert (_curves_outcome(patches_module._level_curves, mesh, center, levels)
+            assert (_curves_outcome(level_curves, mesh, center, levels)
                     == _curves_outcome(whole_mesh_level_curves, mesh, center, levels)), center
 
 
@@ -576,16 +578,16 @@ def test_non_finite_landmark_has_no_crossings():
         assert str(exc.value) == "iso-level 1.0 has no crossings (landmark 'L')"
 
 
-def test_extract_patches_equal_on_whole_mesh_crop(monkeypatch):
-    """Patches, missing flags and errors of a synthetic scan are
-    bit-identical to tracing on the whole-mesh crop."""
+def test_extract_patches_equal_on_whole_mesh_crop():
+    """Patches, missing flags and errors of a synthetic scan, all landmarks
+    traced together, are bit-identical to tracing each landmark alone on
+    its whole-mesh crop."""
     mesh, lmk, _ = generate_scan(
         SynthConfig(subjects=1, seed=2, amplitude=1.2, subject_amplitude=3.5, jitter=0.4),
         0, "SU", 2)
     cfg = PatchConfig(5.0, 20.0, 6, 16)
     new = [extract_patches(mesh, lmk, cfg, align=a) for a in ("none", "normal")]
-    monkeypatch.setattr(patches_module, "_level_curves", whole_mesh_level_curves)
-    old = [extract_patches(mesh, lmk, cfg, align=a) for a in ("none", "normal")]
+    old = [whole_mesh_extract_patches(mesh, lmk, cfg, align=a) for a in ("none", "normal")]
     for (p, m, e), (po, mo, eo) in zip(new, old):
         assert p.tobytes() == po.tobytes()
         assert np.array_equal(m, mo) and e == eo
@@ -623,7 +625,7 @@ def _patch_outcome(build, mesh, center, cfg, axis):
 
 def _assert_matches_reference(mesh, center, cfg, axis=(1.0, 0.0, 0.0)):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        traced = _curves_outcome(patches_module._level_curves, mesh, center, cfg.levels())
+        traced = _curves_outcome(level_curves, mesh, center, cfg.levels())
         assert traced == _curves_outcome(reference_level_curves, mesh, center, cfg.levels())
         patch = _patch_outcome(build_patch, mesh, center, cfg, axis)
         assert patch == _patch_outcome(reference_build_patch, mesh, center, cfg, axis)
@@ -761,3 +763,121 @@ def test_resample_matches_reference(seed):
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# Every landmark of a scan traced together
+
+def _two_density_scan(rng):
+    """A 0.5-spaced and a 0.25-spaced random height field, 40 apart and
+    re-indexed as one mesh, so loops of one radius have about twice as
+    many points on the fine part: ``(mesh, coarse grid, fine grid)``."""
+    coarse, fine = random_height_field(rng), random_height_field(rng, n=41, spacing=0.25)
+    fine = TriangleMesh(fine.vertices + [40.0, 0.0, 0.0], fine.faces)
+    parts = [(m.vertices, m.faces) for m in (coarse, fine)]
+    return _reindexed(_union(*parts), rng), coarse, fine
+
+
+def _batch_landmarks(rng, coarse, fine):
+    """Landmarks of both densities: near the middle, anywhere (open
+    contours near the border), lifted off the surface, or with a NaN or
+    infinite coordinate."""
+    centers = []
+    for _ in range(int(rng.integers(2, 7))):
+        grid = coarse if rng.random() < 0.5 else fine
+        side = int(round(np.sqrt(grid.n_vertices)))
+        kind = rng.random()
+        if kind < 0.55:
+            i, j = rng.integers(side // 3, side - side // 3, size=2)
+        else:
+            i, j = rng.integers(0, side, size=2)
+        center = grid.vertices[side * i + j] + rng.normal(scale=0.05, size=3)
+        if 0.8 <= kind < 0.9:
+            center[2] += rng.uniform(0.5, 50.0)
+        elif kind >= 0.9:
+            center[rng.integers(3)] = rng.choice([np.nan, np.inf, -np.inf])
+        centers.append(center)
+    return [f"L{i}" for i in range(len(centers))], np.array(centers)
+
+
+def _outcome(patch, error):
+    return patch.tobytes() if error is None else (type(error), str(error))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_batched_patches_match_reference_per_landmark(seed):
+    """All landmarks of a mesh traced in one batch give, landmark by
+    landmark, the bytes of the per-level reference tracer run on that
+    landmark alone, or its error class and text, and a failed landmark's
+    patch is zero: re-indexed height fields of two densities (so a batch's
+    padded loop width differs from a lone landmark's), random reference
+    axes, both alignments, landmarks near the border, off the surface or
+    with NaN or infinite coordinates, and a non-finite vertex now and
+    then.  ``extract_patches`` flags and names the same failures."""
+    rng = np.random.default_rng(seed)
+    mesh, coarse, fine = _two_density_scan(rng)
+    if rng.random() < 0.2:
+        verts = mesh.vertices.copy()
+        verts[rng.integers(mesh.n_vertices), rng.integers(3)] = rng.choice([np.nan, np.inf])
+        mesh = TriangleMesh(verts, mesh.faces)
+    labels, centers = _batch_landmarks(rng, coarse, fine)
+    lam = rng.uniform(0.3, 1.5)
+    cfg = PatchConfig(lam, lam + rng.uniform(0.5, 2.0), int(rng.integers(2, 6)),
+                      int(rng.integers(3, 25)))
+    axis = (1.0, 0.0, 0.0) if rng.random() < 0.5 else rng.normal(size=3)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for align in ("none", "normal"):
+            got, errors = patches_module._patches(mesh, labels, centers, cfg, axis, align)
+            for label, center, patch, error in zip(labels, centers, got, errors):
+                try:
+                    want = reference_build_patch(mesh, (label, center), cfg,
+                                                 reference_axis=axis, align=align).tobytes()
+                except CurveExtractionError as exc:
+                    want = (type(exc), str(exc))
+                assert _outcome(patch, error) == want, label
+                assert error is None or not patch.any()
+            patches, missing, named = extract_patches(mesh, LandmarkSet(labels, centers), cfg,
+                                                      align=align)
+            default, default_errors = patches_module._patches(mesh, labels, centers, cfg,
+                                                              align=align)
+            assert patches.tobytes() == default.tobytes()
+            assert missing.tolist() == [e is not None for e in default_errors]
+            assert named == {label: str(e) for label, e in zip(labels, default_errors)
+                             if e is not None}
+
+
+def test_landmark_groups_split_without_changing_patches():
+    """Landmarks whose edge keys would not fit the key limit, or whose
+    crops exceed the batch size, run in consecutive groups of the same
+    path; the patches and errors come out byte-identical to one batch.  A
+    landmark over a bound on its own runs alone."""
+    def groups(face_counts, *args, **kwargs):
+        near = [np.arange(n) for n in face_counts]
+        return [[ids.size for ids in group]
+                for group in patches_module._landmark_groups(near, *args, **kwargs)]
+
+    assert groups([2840] * 68, 15, 28_960, cells=1 << 30) == [[2840] * 68]
+    assert groups([10] * 7, 4, 1000, key_limit=3 * 4 * 1000 ** 2) == [[10] * 3, [10] * 3, [10]]
+    assert groups([10] * 3, 4, 1000, key_limit=1) == [[10], [10], [10]]
+    assert groups([5, 5, 10, 1, 30], 2, 1000, cells=20) == [[5, 5], [10], [1], [30]]
+    rng = np.random.default_rng(11)
+    mesh, coarse, fine = _two_density_scan(rng)
+    labels = [f"L{i}" for i in range(7)]
+    centers = np.array([coarse.vertices[21 * 10 + 10], fine.vertices[41 * 20 + 20],
+                        coarse.vertices[0], fine.vertices[41 * 15 + 25] + [0.0, 0.0, 30.0],
+                        fine.vertices[41 * 25 + 18], [np.nan, 0.0, 0.0],
+                        coarse.vertices[21 * 8 + 12]])
+    cfg = PatchConfig(0.6, 2.4, 4, 10)
+    n, k = mesh.n_vertices, cfg.n_curves
+    with np.errstate(invalid="ignore"):
+        for align in ("none", "normal"):
+            one, one_errors = patches_module._patches(mesh, labels, centers, cfg, align=align)
+            assert [e is None for e in one_errors] == [True, True, False, False, True, False,
+                                                       True]
+            for limit in (3 * k * n * n, 1):
+                grouped, errors = patches_module._patches(mesh, labels, centers, cfg,
+                                                          align=align, key_limit=limit)
+                assert grouped.tobytes() == one.tobytes()
+                assert [(type(e), str(e)) for e in errors] == [(type(e), str(e))
+                                                               for e in one_errors]
