@@ -171,13 +171,8 @@ def distance_field(mesh: TriangleMesh, r, at=None) -> np.ndarray:
     r = np.asarray(r, dtype=np.float64).reshape(3)
     if at is None:
         return _distances(mesh.vertices, r)
-    out = np.zeros(np.shape(at))
-    for axis in range(3):  # the sums of _distances, in its order
-        d = np.take(mesh.vertices[:, axis], at)
-        d -= r[axis]
-        d *= d
-        out += d
-    return np.sqrt(out, out=out)
+    at = np.asarray(at)
+    return _distances(np.take(mesh.vertices, at.ravel(), axis=0), r).reshape(at.shape)
 
 
 def nearest_vertex(points: np.ndarray, r) -> int:
