@@ -304,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("basis", "compute and store the shared graph-Laplacian basis", cmd_basis)
-    p.add_argument("--out", default="basis.fsb")
+    p.add_argument("--out", default="basis",
+                   help="output stem (.npy and .json are written)")
     add_patch_args(p)
     p.add_argument("--k", type=int, default=None,
                    help="eigenpairs to keep (default: all)")
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--out", default="features",
                    help="output stem (.npy and .json are written)")
-    p.add_argument("--basis", help="basis file (required for glf)")
+    p.add_argument("--basis", help="basis stem (required for glf)")
     p.add_argument("--method", choices=("glf", "shapedna"), default="glf")
     p.add_argument("--mode", choices=("coords", "norms"), default="coords")
     p.add_argument("--k", type=_positive(int), default=50)

@@ -9,12 +9,11 @@ per-landmark blocks (``block_length`` values each) in landmark order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .patches import npy_json_paths, read_npy_json
+from .artifacts import read_npy_json, save_npy_json
 from .spectral import SpectralBasis
 
 METHOD_GLF = "glf"
@@ -118,9 +117,7 @@ class FeatureTable:
 def save_feature_table(path, table: FeatureTable) -> None:
     """Binary feature matrix (`.npy`) with a JSON sidecar holding method,
     k, landmark labels, connectivity hash and the per-sample label columns."""
-    npy, sidecar = npy_json_paths(path)
-    np.save(npy, np.asarray(table.X, dtype=np.float64))
-    meta = {
+    save_npy_json(path, np.asarray(table.X, dtype=np.float64), {
         "method": table.method,
         "mode": table.mode,
         "k": table.k,
@@ -133,31 +130,16 @@ def save_feature_table(path, table: FeatureTable) -> None:
         "intensities": [int(x) for x in table.intensities],
         "aus": [list(map(int, a)) for a in table.aus],
         "missing": [[bool(x) for x in row] for row in table.missing],
-    }
-    sidecar.write_text(json.dumps(meta, indent=1), encoding="utf-8")
+    })
 
 
 def load_feature_table(path) -> FeatureTable:
     """Read a feature table.  A sidecar field that is absent, does not
     convert, or lacks one row per sample raises ValueError naming the
     ``.json`` file and the field."""
-    npy, X, meta = read_npy_json(path)
-    sidecar = npy_json_paths(path)[1]
-    if not isinstance(meta, dict):
-        raise ValueError(f"{sidecar}: not a JSON object")
-
-    def entry(name, convert, rows=None):
-        if name not in meta:
-            raise ValueError(f"{sidecar}: field {name!r} is missing")
-        try:
-            value = convert(meta[name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{sidecar}: field {name!r}: {exc}") from None
-        if rows is not None and len(value) != rows:
-            raise ValueError(f"{sidecar}: field {name!r} has {len(value)} rows "
-                             f"for {rows} samples")
-        return value
-
+    npy, X, entry = read_npy_json(path)
+    if X.ndim != 2:
+        raise ValueError(f"{npy}: feature matrix has shape {X.shape}, expected 2-D")
     n = X.shape[0]
     labels = entry("landmark_labels", lambda v: [str(x) for x in v])
 
@@ -178,8 +160,8 @@ def load_feature_table(path) -> FeatureTable:
         method=entry("method", str),
         mode=entry("mode", str),
         k=entry("k", int),
-        config=dict(meta.get("config") or {}),
-        config_hash=meta.get("config_hash"),
+        config=entry("config", lambda v: dict(v or {})),
+        config_hash=entry("config_hash", lambda v: None if v is None else int(v)),
     )
     expected = len(table.landmark_labels) * block_length(table.method, table.mode, table.k)
     if X.shape[1] != expected:

@@ -540,13 +540,12 @@ def load_ply(path, rescale: float = 1.0) -> TriangleMesh:
     return _parsed_mesh(path, vertices, faces, rescale)
 
 
-def load_mesh(path, format: str | None = None, rescale: float = 1.0) -> TriangleMesh:
-    """Load a mesh from OBJ or PLY; the format defaults to the file suffix."""
+def load_mesh(path, rescale: float = 1.0) -> TriangleMesh:
+    """Load a mesh from OBJ or PLY, chosen by the file suffix."""
     path = Path(path)
-    if format is None:
-        format = path.suffix.lstrip(".").lower()
-    if format == "obj":
+    suffix = path.suffix.lstrip(".").lower()
+    if suffix == "obj":
         return load_obj(path, rescale=rescale)
-    if format == "ply":
+    if suffix == "ply":
         return load_ply(path, rescale=rescale)
-    raise MeshFormatError(f"{path}: unsupported mesh format {format!r}")
+    raise MeshFormatError(f"{path}: unsupported mesh format {suffix!r}")

@@ -34,12 +34,11 @@ the same patch, bit for bit, alone or among others:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import read_npy_json, save_npy_json
 from .mesh import TriangleMesh, LandmarkSet, distance_field, nearest_vertex
 
 
@@ -748,53 +747,29 @@ def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig
 
 
 # ---------------------------------------------------------------------------
-# Patch archives: one binary file per scan + JSON sidecar
-
-def npy_json_paths(path) -> tuple[Path, Path]:
-    """``(<stem>.npy, <stem>.json)`` for a stem given with or without
-    either suffix: the file pair of a patch archive or feature table."""
-    path = Path(path)
-    base = path.with_suffix("") if path.suffix in (".npy", ".json") else path
-    return Path(f"{base}.npy"), Path(f"{base}.json")
-
-
-def read_npy_json(path):
-    """``(npy path, array, sidecar dict)`` of a :func:`npy_json_paths`
-    pair; a file that does not parse raises ValueError naming it."""
-    npy, sidecar = npy_json_paths(path)
-    reading = npy
-    try:
-        arr = np.load(npy)
-        reading = sidecar
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{reading}: {exc}") from exc
-    return npy, arr, meta
-
+# Patch archives: one .npy + .json pair per scan
 
 def save_patch_archive(path, patches: np.ndarray, labels, missing, cfg: PatchConfig) -> None:
     """Write per-scan patches as ``<path>.npy`` plus ``<path>.json`` sidecar
     recording the patch configuration, landmark labels and missing flags."""
-    npy, sidecar_path = npy_json_paths(path)
     arr = np.asarray(patches, dtype=np.float64)
     if arr.ndim != 3 or arr.shape[1] != cfg.n_vertices or arr.shape[2] != 3:
         raise ValueError(f"patch array shape {arr.shape} does not match config "
                          f"(expected (N, {cfg.n_vertices}, 3))")
-    np.save(npy, arr)
-    sidecar = {
+    save_npy_json(path, arr, {
         "config": cfg.to_dict(),
         "labels": list(labels),
         "missing": [bool(x) for x in missing],
-    }
-    sidecar_path.write_text(json.dumps(sidecar, indent=1), encoding="utf-8")
+    })
 
 
 def load_patch_archive(path):
     """Read a patch archive; returns (patches, labels, missing, cfg)."""
-    npy, arr, sidecar = read_npy_json(path)
-    cfg = PatchConfig.from_dict(sidecar["config"])
-    labels = [str(x) for x in sidecar["labels"]]
-    missing = np.array(sidecar["missing"], dtype=bool)
+    npy, arr, field = read_npy_json(path)
+    cfg = field("config", PatchConfig.from_dict)
+    labels = field("labels", lambda v: [str(x) for x in v])
+    missing = field("missing", lambda v: np.array([bool(x) for x in v], dtype=bool),
+                    len(labels))
     if arr.shape != (len(labels), cfg.n_vertices, 3):
         raise ValueError(f"{npy}: archive shape {arr.shape} inconsistent with sidecar")
     return arr, labels, missing, cfg

@@ -9,12 +9,11 @@ the per-patch Shape-DNA signature.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .artifacts import npy_json_paths, read_npy_json, save_npy_json
 from .mesh import unique_edges
 
 
@@ -259,46 +258,27 @@ def shape_dna(vertices, faces: np.ndarray, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Basis persistence
 
-_BASIS_MAGIC = b"FSPB"
-_BASIS_VERSION = 1
-
-
 def save_basis(path, basis: SpectralBasis) -> None:
-    """Binary layout: magic, version, n, k, connectivity hash, then the
-    row-major eigenvector block and the eigenvalue block (float64 LE)."""
+    """Write the eigenvectors to ``<path>.npy`` and the connectivity hash
+    and eigenvalues to ``<path>.json`` (JSON floats round-trip exactly)."""
     if basis.config_hash is None:
         raise ValueError("basis must carry a connectivity hash to be persisted")
-    path = Path(path)
-    header = _BASIS_MAGIC + struct.pack("<IQQQ", _BASIS_VERSION, basis.n, basis.k,
-                                        basis.config_hash)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(basis.eigenvectors, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(basis.eigenvalues, dtype="<f8").tobytes())
+    save_npy_json(path, basis.eigenvectors, {"config_hash": basis.config_hash,
+                                             "eigenvalues": basis.eigenvalues.tolist()})
 
 
 def load_basis(path, expected_hash: int | None = None) -> SpectralBasis:
     """Load a persisted basis; refuses to load against a mismatched
     connectivity hash."""
-    path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != _BASIS_MAGIC:
-        raise ValueError(f"{path}: not a spectral basis file")
-    off = 4 + struct.calcsize("<IQQQ")
-    if len(data) < off:
-        raise ValueError(f"{path}: truncated basis file ({len(data)} of at least {off} bytes)")
-    version, n, k, chash = struct.unpack_from("<IQQQ", data, 4)
-    if version != _BASIS_VERSION:
-        raise ValueError(f"{path}: unsupported basis file version {version}")
+    npy, v, field = read_npy_json(path)
+    chash = field("config_hash", int)
     if expected_hash is not None and chash != expected_hash:
         raise ValueError(
-            f"{path}: basis connectivity hash {chash:#x} does not match the "
-            f"requested patch configuration ({expected_hash:#x})"
+            f"{npy_json_paths(path)[1]}: basis connectivity hash {chash:#x} does not match "
+            f"the requested patch configuration ({expected_hash:#x})"
         )
-    need = off + 8 * (n + 1) * k
-    if len(data) < need:
-        raise ValueError(f"{path}: truncated basis file ({len(data)} of {need} bytes)")
-    v = np.frombuffer(data, dtype="<f8", count=n * k, offset=off).reshape(n, k).copy()
-    off += 8 * n * k
-    w = np.frombuffer(data, dtype="<f8", count=k, offset=off).copy()
-    return SpectralBasis(w, v, config_hash=chash)
+    w = field("eigenvalues", lambda w: [float(x) for x in w])
+    try:
+        return SpectralBasis(w, v, config_hash=chash)
+    except ValueError as exc:
+        raise ValueError(f"{npy}: {exc}") from None

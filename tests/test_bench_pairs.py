@@ -59,6 +59,17 @@ def test_too_few_pairs_rejected_before_any_run(bench_pairs, monkeypatch, capsys,
     assert not (bench_pairs.ROOT / "BENCH_eval-acc.json").exists()
 
 
+def test_unknown_claim_rejected_before_any_run(bench_pairs, monkeypatch, capsys):
+    sides = _canned_runs(monkeypatch, bench_pairs, {"parent": [], "change": []})
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(_argv(bench_pairs.ROOT, 10) + ["--claim", "wall_s",
+                                                        "--claim", "wal_s"])
+    assert exit_info.value.code == 2
+    assert "--claim wal_s: not an end-to-end metric" in capsys.readouterr().err
+    assert sides == []
+    assert not (bench_pairs.ROOT / "BENCH_eval-acc.json").exists()
+
+
 @pytest.mark.parametrize("tail, wins, holds", [
     ([1.0], 9, True),              # 9 wins and a tie
     ([1.0, 1.0], 8, False),        # 8 wins and two ties

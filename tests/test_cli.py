@@ -21,7 +21,7 @@ def cli_workspace(tmp_path_factory):
     rc = main(["synth", "--out", str(data), "--subjects", "2", "--seed", "3",
                "--resolution", "40"])
     assert rc == 0
-    basis = ws / "basis.fsb"
+    basis = ws / "basis"
     rc = main(["basis", "--out", str(basis)] + PATCH_FLAGS + ["--k", "25"])
     assert rc == 0
     feats = ws / "glf"
@@ -38,20 +38,22 @@ def test_synth_cmd_creates_dataset(cli_workspace):
 
 
 def test_basis_cmd_bit_identical_rerun(cli_workspace, tmp_path):
-    other = tmp_path / "again.fsb"
+    other = tmp_path / "again"
     rc = main(["basis", "--out", str(other)] + PATCH_FLAGS + ["--k", "25"])
     assert rc == 0
-    assert other.read_bytes() == cli_workspace["basis"].read_bytes()
+    for suffix in (".npy", ".json"):
+        first = cli_workspace["ws"] / f"basis{suffix}"
+        assert (tmp_path / f"again{suffix}").read_bytes() == first.read_bytes()
 
 
 def test_basis_cmd_default_dimension(tmp_path, capsys):
-    rc = main(["basis", "--out", str(tmp_path / "default.fsb"), "--k", "10"])
+    rc = main(["basis", "--out", str(tmp_path / "default"), "--k", "10"])
     assert rc == 0
     assert "n=751" in capsys.readouterr().out
 
 
 def test_basis_cmd_k_too_large_is_usage_error(tmp_path, capsys):
-    rc = main(["basis", "--out", str(tmp_path / "b.fsb")] + PATCH_FLAGS +
+    rc = main(["basis", "--out", str(tmp_path / "b")] + PATCH_FLAGS +
               ["--k", "26"])  # n = 1 + 3*8 = 25
     assert rc == 2
     err = json.loads(capsys.readouterr().err)

@@ -159,6 +159,14 @@ def test_feature_table_unreadable_file_named(tmp_path, spoil, name):
 
 
 
+def test_feature_table_matrix_not_2d_named(tmp_path):
+    save_feature_table(tmp_path / "t", make_table())
+    np.save(tmp_path / "t.npy", np.zeros(5))
+    with pytest.raises(ValueError, match="expected 2-D") as exc:
+        load_feature_table(tmp_path / "t")
+    assert str(exc.value).startswith(f"{tmp_path / 't.npy'}: ")
+
+
 def _edit_sidecar(path, edit):
     meta = json.loads(path.read_text())
     edit(meta)

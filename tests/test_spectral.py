@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -390,11 +391,12 @@ def test_basis_save_load_roundtrip(tmp_path):
     cfg = PatchConfig(5, 20, 3, 8)
     L = graph_laplacian(canonical_connectivity(cfg), cfg.n_vertices)
     basis = eig_sym(L, 10, config_hash=cfg.connectivity_hash())
-    p = tmp_path / "b.fsb"
-    save_basis(p, basis)
-    back = load_basis(p, expected_hash=cfg.connectivity_hash())
+    save_basis(tmp_path / "b", basis)
+    back = load_basis(tmp_path / "b", expected_hash=cfg.connectivity_hash())
+    assert back.config_hash == basis.config_hash
     assert np.array_equal(back.eigenvalues, basis.eigenvalues)
     assert np.array_equal(back.eigenvectors, basis.eigenvectors)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json", "b.npy"]
 
 
 def test_basis_refuses_mismatched_hash(tmp_path):
@@ -402,43 +404,51 @@ def test_basis_refuses_mismatched_hash(tmp_path):
     other = PatchConfig(5, 20, 4, 8)
     L = graph_laplacian(canonical_connectivity(cfg), cfg.n_vertices)
     basis = eig_sym(L, 5, config_hash=cfg.connectivity_hash())
-    p = tmp_path / "b.fsb"
-    save_basis(p, basis)
+    save_basis(tmp_path / "b", basis)
     with pytest.raises(ValueError, match="hash"):
-        load_basis(p, expected_hash=other.connectivity_hash())
+        load_basis(tmp_path / "b", expected_hash=other.connectivity_hash())
 
 
 def test_basis_file_bit_identical_rerun(tmp_path):
     cfg = PatchConfig(5, 20, 4, 9)
     L = graph_laplacian(canonical_connectivity(cfg), cfg.n_vertices)
-    p1, p2 = tmp_path / "a.fsb", tmp_path / "b.fsb"
-    save_basis(p1, eig_sym(L, 12, config_hash=cfg.connectivity_hash()))
-    save_basis(p2, eig_sym(L, 12, config_hash=cfg.connectivity_hash()))
-    assert p1.read_bytes() == p2.read_bytes()
+    save_basis(tmp_path / "a", eig_sym(L, 12, config_hash=cfg.connectivity_hash()))
+    save_basis(tmp_path / "b", eig_sym(L, 12, config_hash=cfg.connectivity_hash()))
+    for suffix in (".npy", ".json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
 
-def _saved_basis(tmp_path):
+def _saved_basis_npy(tmp_path):
     cfg = PatchConfig(5, 20, 3, 8)
     L = graph_laplacian(canonical_connectivity(cfg), cfg.n_vertices)
-    p = tmp_path / "b.fsb"
-    save_basis(p, eig_sym(L, 10, config_hash=cfg.connectivity_hash()))
-    return p
+    save_basis(tmp_path / "b", eig_sym(L, 10, config_hash=cfg.connectivity_hash()))
+    return tmp_path / "b.npy"
 
 
 def test_load_basis_names_truncated_header(tmp_path):
-    p = _saved_basis(tmp_path)
+    p = _saved_basis_npy(tmp_path)
     p.write_bytes(p.read_bytes()[:10])
-    with pytest.raises(ValueError, match="truncated basis file") as exc:
-        load_basis(p)
-    assert str(p) in str(exc.value)
+    with pytest.raises(ValueError, match="header") as exc:
+        load_basis(tmp_path / "b")
+    assert str(exc.value).startswith(f"{p}: ")
 
 
 def test_load_basis_names_truncated_body(tmp_path):
-    p = _saved_basis(tmp_path)
+    p = _saved_basis_npy(tmp_path)
     p.write_bytes(p.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated basis file") as exc:
-        load_basis(p)
-    assert str(p) in str(exc.value)
+    with pytest.raises(ValueError, match="Failed to read all data") as exc:
+        load_basis(tmp_path / "b")
+    assert str(exc.value).startswith(f"{p}: ")
+
+
+def test_load_basis_names_pair_that_disagrees_in_k(tmp_path):
+    p = _saved_basis_npy(tmp_path)
+    sidecar = tmp_path / "b.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "eigenvalues": meta["eigenvalues"][:-1]}))
+    with pytest.raises(ValueError, match="does not match 9 eigenvalues") as exc:
+        load_basis(tmp_path / "b")
+    assert str(exc.value).startswith(f"{p}: ")
 
 
 def test_spectral_basis_requires_ascending_eigenvalues():

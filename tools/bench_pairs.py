@@ -51,12 +51,18 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=20.0)
     p.add_argument("--claim", action="append", default=[],
-                   help="metric whose gain this change claims (repeatable)")
+                   help="end-to-end metric of BENCHMARK.json whose gain this change "
+                        "claims (repeatable)")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error(f"--pairs must be at least 2 (quartiles need two runs a side), got {args.pairs}")
-    seeds = [int(s) for s in args.seeds.split(",")]
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [m["name"] for m in bench["end_to_end"]]
+    unknown = [name for name in args.claim if name not in known]
+    if unknown:
+        p.error(f"--claim {', '.join(unknown)}: not an end-to-end metric "
+                f"(one of {', '.join(known)})")
+    seeds = [int(s) for s in args.seeds.split(",")]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     pairs = []
     for i in range(args.pairs):
