@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pipeline
+from .artifacts import npy_json_paths
 from .data import load_manifest
 from .experiments import (
     ClassifierConfig,
@@ -151,7 +152,8 @@ def cmd_basis(args) -> int:
         raise UsageError(f"--k must be in [1, {n}] for this configuration, got {k}")
     basis = compute_basis(pc, k)
     save_basis(args.out, basis)
-    print(f"basis: n={basis.n} k={basis.k} hash={basis.config_hash:#x} -> {args.out}")
+    npy, sidecar = npy_json_paths(args.out)
+    print(f"basis: n={basis.n} k={basis.k} hash={basis.config_hash:#x} -> {npy} + {sidecar}")
     return 0
 
 
@@ -174,8 +176,9 @@ def cmd_features(args) -> int:
     save_feature_table(args.out, table)
     if args.csv:
         save_feature_csv(args.csv, table)
+    npy, sidecar = npy_json_paths(args.out)
     print(f"features: {table.X.shape[0]} scans x {table.X.shape[1]} columns "
-          f"({table.method}/{table.mode}, k={table.k}) -> {args.out}.npy")
+          f"({table.method}/{table.mode}, k={table.k}) -> {npy} + {sidecar}")
     if errors:
         print(json.dumps({"errors": errors}), file=sys.stderr)
         return 1
@@ -222,12 +225,8 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"sweep k values {repeated} are repeated")
         result = eigen_sweep(table, k_values, classifier=clf, folds=folds, seed=seed)
         report = build_report("sweep", run_config, sweep_report_section(result))
-        save_report(args.out, report)
-        print(format_sweep_result(result))
-        print(f"report -> {args.out}")
-        return 0
-
-    if args.task == "expressions":
+        summary = format_sweep_result(result)
+    elif args.task == "expressions":
         result = evaluate_expressions(table.X, table.expressions, table.subjects,
                                       classifier=clf, folds=folds, seed=seed,
                                       missing=table.missing)
@@ -248,19 +247,17 @@ def cmd_evaluate(args) -> int:
             comparison = compare_methods(dict(zip(names, (result, other_result))))
         report = build_report("expressions", run_config,
                               expression_report_section(result), comparison=comparison)
-        save_report(args.out, report)
-        print(format_expression_result(result))
+        summary = format_expression_result(result)
         if comparison:
-            print(f"method comparison: {comparison['ordering']} "
-                  f"(mean paired difference {100 * comparison['mean_difference']:+.2f} points)")
-        print(f"report -> {args.out}")
-        return 0
-
-    result = evaluate_aus(table.X, table.aus, table.subjects,
-                          classifier=clf, folds=folds, seed=seed, missing=table.missing)
-    report = build_report("aus", run_config, au_report_section(result))
+            summary += (f"\nmethod comparison: {comparison['ordering']} (mean paired "
+                        f"difference {100 * comparison['mean_difference']:+.2f} points)")
+    else:
+        result = evaluate_aus(table.X, table.aus, table.subjects,
+                              classifier=clf, folds=folds, seed=seed, missing=table.missing)
+        report = build_report("aus", run_config, au_report_section(result))
+        summary = format_au_result(result)
     save_report(args.out, report)
-    print(format_au_result(result))
+    print(summary)
     print(f"report -> {args.out}")
     return 0
 

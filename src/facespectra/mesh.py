@@ -369,12 +369,20 @@ def _obj_lines(path):
     return np.array(verts, dtype=np.float64), np.array(faces, dtype=np.int64).reshape(-1, 3)
 
 
+def obj_vertex_records(vertices: np.ndarray) -> str:
+    """One ``v`` line per row of ``(n, 3)`` vertices, 6 decimals, in one pass."""
+    return ("v %.6f %.6f %.6f\n" * len(vertices)) % tuple(vertices.ravel().tolist())
+
+
+def obj_face_records(faces: np.ndarray) -> str:
+    """One ``f`` line per row of ``(F, 3)`` 0-based faces, written 1-based, in one pass."""
+    return ("f %d %d %d\n" * len(faces)) % tuple((faces + 1).ravel().tolist())
+
+
 def save_obj(path, mesh: TriangleMesh) -> None:
     """Write an OBJ file with fixed 6-decimal formatting (deterministic)."""
-    path = Path(path)
-    lines = ["v %.6f %.6f %.6f" % (p[0], p[1], p[2]) for p in mesh.vertices]
-    lines += ["f %d %d %d" % (f[0] + 1, f[1] + 1, f[2] + 1) for f in mesh.faces]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(obj_vertex_records(mesh.vertices) + obj_face_records(mesh.faces),
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

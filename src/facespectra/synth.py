@@ -23,7 +23,8 @@ import numpy as np
 
 from .classify import EXPRESSIONS
 from .data import ManifestRecord, save_manifest
-from .mesh import LandmarkSet, TriangleMesh, save_landmarks, save_obj
+from .mesh import (LandmarkSet, TriangleMesh, obj_face_records, obj_vertex_records,
+                   save_landmarks)
 
 X_EXTENT = 150.0  # grid width, mm
 Y_EXTENT = 170.0  # grid height, mm
@@ -164,11 +165,8 @@ class _SubjectParams:
         u = (x + X_EXTENT / 2.0) / X_EXTENT
         v = (y + Y_EXTENT / 2.0) / Y_EXTENT
         z = np.zeros_like(np.asarray(x, dtype=np.float64))
-        for p in range(3):
-            for q in range(3):
-                if p == 0 and q == 0:
-                    continue
-                z = z + self.coeffs[p, q] * np.cos(np.pi * p * u) * np.cos(np.pi * q * v)
+        for p, q in list(np.ndindex(3, 3))[1:]:   # every term but the constant (0, 0)
+            z = z + self.coeffs[p, q] * np.cos(np.pi * p * u) * np.cos(np.pi * q * v)
         return z
 
 
@@ -227,11 +225,9 @@ def generate_scan(cfg: SynthConfig, subject_idx: int, expression: str | None,
         rng = np.random.default_rng([cfg.seed, 202, subject_idx, expr_idx, level])
         verts = verts + rng.normal(0.0, cfg.jitter, size=verts.shape)
     mesh = TriangleMesh(verts, faces)
-    labels = [p[0] for p in LANDMARK_LAYOUT]
-    lx = np.array([p[1] for p in LANDMARK_LAYOUT])
-    ly = np.array([p[2] for p in LANDMARK_LAYOUT])
+    lx, ly = np.array(list(LANDMARK_XY.values())).T
     lz = surface_height(lx, ly, params, aus, level, cfg.amplitude)
-    landmarks = LandmarkSet(tuple(labels), np.column_stack([lx, ly, lz]))
+    landmarks = LandmarkSet(tuple(LANDMARK_XY), np.column_stack([lx, ly, lz]))
     return mesh, landmarks, tuple(sorted(aus))
 
 
@@ -242,24 +238,22 @@ def synth_generate(cfg: SynthConfig, out_dir) -> Path:
     (out_dir / "meshes").mkdir(parents=True, exist_ok=True)
     (out_dir / "landmarks").mkdir(parents=True, exist_ok=True)
     records = []
+    faces = face_records = None  # every scan shares the grid's faces: format them once
     for s in range(cfg.subjects):
         subject = subject_id(s)
         for expression in cfg.expressions:
-            for level in cfg.levels:
-                mesh, landmarks, aus = generate_scan(cfg, s, expression, int(level))
-                sid = scan_id(subject, expression, int(level))
+            for level in map(int, cfg.levels):
+                mesh, landmarks, aus = generate_scan(cfg, s, expression, level)
+                if faces is None or not np.array_equal(mesh.faces, faces):
+                    faces, face_records = mesh.faces, obj_face_records(mesh.faces)
+                sid = scan_id(subject, expression, level)
                 mesh_path = out_dir / "meshes" / f"{sid}.obj"
                 lmk_path = out_dir / "landmarks" / f"{sid}.csv"
-                save_obj(mesh_path, mesh)
+                mesh_path.write_text(obj_vertex_records(mesh.vertices) + face_records,
+                                     encoding="utf-8")
                 save_landmarks(lmk_path, landmarks)
-                records.append(ManifestRecord(
-                    subject=subject,
-                    expression=expression,
-                    intensity=int(level),
-                    mesh_path=mesh_path,
-                    landmarks_path=lmk_path,
-                    aus=aus,
-                ))
+                records.append(ManifestRecord(subject, expression, level, mesh_path,
+                                              lmk_path, aus))
     records.sort(key=lambda r: (r.subject, r.expression, r.intensity))
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, records)

@@ -71,6 +71,20 @@ def test_features_cmd_column_counts(cli_workspace, tmp_path):
     assert t2.X.shape == (24, 680)
 
 
+@pytest.mark.parametrize("suffix", ["", ".npy", ".json"])
+def test_completion_messages_name_the_files_written(cli_workspace, tmp_path, capsys, suffix):
+    basis, feats = tmp_path / "b", tmp_path / "feats"
+    assert main(["basis", "--out", f"{basis}{suffix}", "--k", "5"] + PATCH_FLAGS) == 0
+    assert main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+                 "--method", "shapedna", "--k", "3", "--out", f"{feats}{suffix}"]
+                + PATCH_FLAGS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for stem, line in zip((basis, feats), lines):
+        assert line.endswith(f"-> {stem}.npy + {stem}.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "b.json", "b.npy", "feats.json", "feats.npy"]
+
+
 def test_features_cmd_requires_basis_for_glf(cli_workspace, capsys):
     rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
                "--method", "glf", "--k", "4", "--out", "x"] + PATCH_FLAGS)

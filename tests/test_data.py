@@ -8,7 +8,7 @@ from facespectra.data import (
     save_manifest,
     scan_corpus_dir,
 )
-from facespectra.mesh import load_landmarks, load_mesh
+from facespectra.mesh import load_landmarks, load_mesh, save_obj
 from facespectra.patches import PatchConfig, extract_patches
 from facespectra.spectral import shape_dna
 from facespectra.synth import (
@@ -139,6 +139,20 @@ def test_synth_counts_and_determinism(tmp_path):
     b2 = (out2 / "meshes" / f"{scan}.obj").read_bytes()
     assert b1 == b2
     assert (out1 / "manifest.csv").read_bytes() == (out2 / "manifest.csv").read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [24, 48])
+@pytest.mark.parametrize("settings", [{}, {"amplitude": 1.2, "subject_amplitude": 3.5,
+                                          "jitter": 0.4}], ids=["default", "acceptance"])
+def test_synth_meshes_are_the_bytes_of_save_obj(tmp_path, resolution, settings):
+    """The face block written once per corpus is each scan's own."""
+    cfg = SynthConfig(subjects=2, resolution=resolution, seed=5, **settings)
+    manifest = load_manifest(synth_generate(cfg, tmp_path / "corpus"))
+    assert len(manifest) == 24
+    for r in manifest.records:
+        mesh = generate_scan(cfg, int(r.subject[1:]), r.expression, r.intensity)[0]
+        save_obj(tmp_path / "one.obj", mesh)
+        assert r.mesh_path.read_bytes() == (tmp_path / "one.obj").read_bytes(), r.mesh_path
 
 
 def test_synth_layout_has_68_unique_landmarks():

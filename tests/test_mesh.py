@@ -24,6 +24,7 @@ from facespectra.mesh import (
 
 from conftest import make_grid_mesh
 from geometry_oracles import RigidTransform, apply_transform, vertex_degrees
+from obj_oracles import obj_face_lines, save_obj_per_record
 
 
 def random_mesh(rng, n=40):
@@ -80,6 +81,47 @@ def test_obj_save_load_roundtrip(tmp_path):
     q = tmp_path / "grid2.obj"
     save_obj(q, mesh)
     assert p.read_bytes() == q.read_bytes()
+
+
+_COORDS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, -4e-7, 5e-7, -5e-7, 1e6, -1e6]),
+    st.integers(-2**27, 2**27).map(lambda m: m / 128),    # exact ties at the 7th decimal
+    st.integers(-10**12, 10**12).map(lambda m: (m + 0.5) / 10**6),  # nearest-double ties
+)
+
+
+@st.composite
+def obj_meshes(draw):
+    n = draw(st.integers(1, 40))
+    verts = np.array(draw(st.lists(_COORDS, min_size=3 * n, max_size=3 * n))).reshape(n, 3)
+    rows = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    faces = draw(st.lists(rows, max_size=30)) if n >= 3 else []
+    return TriangleMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mesh=obj_meshes())
+def test_save_obj_writes_the_per_record_bytes(tmp_path_factory, mesh):
+    """The one-pass writer writes what the per-record formatter wrote, and
+    ``load_obj`` reads it back to the 6-decimal values."""
+    d = tmp_path_factory.mktemp("obj")
+    save_obj(d / "new.obj", mesh)
+    save_obj_per_record(d / "old.obj", mesh)
+    assert (d / "new.obj").read_bytes() == (d / "old.obj").read_bytes()
+    back = load_obj(d / "new.obj")
+    rounded = [[float("%.6f" % x) for x in p] for p in mesh.vertices.tolist()]
+    assert np.array_equal(back.vertices, np.array(rounded).reshape(-1, 3))
+    assert np.array_equal(back.faces, mesh.faces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(faces=st.lists(st.lists(st.integers(0, 2**63 - 2), min_size=3, max_size=3),
+                      max_size=20))
+def test_obj_face_records_match_per_record_lines_for_large_indices(faces):
+    faces = np.array(faces, dtype=np.int64).reshape(-1, 3)
+    assert mesh_module.obj_face_records(faces) == "".join(
+        line + "\n" for line in obj_face_lines(faces))
 
 
 def test_obj_slashed_face_indices(tmp_path):
