@@ -509,7 +509,7 @@ def sweep_report_section(result: SweepResult) -> dict:
 
 
 def build_report(task: str, run_config: dict, results: dict,
-                 comparison: dict | None = None, errors=None) -> dict:
+                 comparison: dict | None = None) -> dict:
     report = {
         "schema_version": 1,
         "task": task,
@@ -519,8 +519,6 @@ def build_report(task: str, run_config: dict, results: dict,
     }
     if comparison is not None:
         report["comparison"] = comparison
-    if errors:
-        report["errors"] = list(errors)
     validate_report(report)
     return report
 

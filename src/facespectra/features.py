@@ -26,13 +26,14 @@ def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
     """Project the patch's x/y/z coordinate functions onto the first k
     shared eigenvectors.  Returns the (k, 3) coefficient matrix; entry
     (i, c) is the plain dot product of eigenvector i with channel c (no
-    normalization)."""
+    normalization).  Stacked ``(..., n, 3)`` patches give ``(..., k, 3)``
+    in one product."""
     coords = np.asarray(patch, dtype=np.float64)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise ValueError(f"patch coordinates must be (n, 3), got {coords.shape}")
-    if coords.shape[0] != basis.n:
+    if coords.ndim < 2 or coords.shape[-1] != 3:
+        raise ValueError(f"patch coordinates must be (..., n, 3), got {coords.shape}")
+    if coords.shape[-2] != basis.n:
         raise ValueError(
-            f"basis dimension {basis.n} does not match patch vertex count {coords.shape[0]}"
+            f"basis dimension {basis.n} does not match patch vertex count {coords.shape[-2]}"
         )
     if not 1 <= k <= basis.k:
         raise ValueError(f"k must be in [1, {basis.k}], got {k}")
@@ -41,8 +42,9 @@ def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
 
 def glf_norms(coeffs: np.ndarray) -> np.ndarray:
     """Euclidean norm of each coefficient row across the three channels
-    (rotation-invariant variant of the projection features)."""
-    return np.linalg.norm(np.asarray(coeffs, dtype=np.float64), axis=1)
+    (rotation-invariant variant of the projection features); the last axis
+    holds the channels."""
+    return np.linalg.norm(np.asarray(coeffs, dtype=np.float64), axis=-1)
 
 
 def block_length(method: str, mode: str, k: int) -> int:

@@ -94,31 +94,31 @@ def _spec_blocks(patches, missing, labels, spec, errors):
     mask: landmark i's block fills ``row[i*w:(i+1)*w]``, zeros where the
     landmark is missing.
 
-    A landmark whose descriptor fails on its geometry is flagged missing
-    for this spec and its reason added to ``errors``; it is never
+    GLF blocks of all present landmarks are one product on the shared
+    basis.  A landmark whose Shape-DNA fails on its geometry is flagged
+    missing for this spec and its reason added to ``errors``; it is never
     fabricated.
     """
     method, mode, k = spec
     w = block_length(method, mode, k)
-    row = np.zeros(len(labels) * w)
+    blocks = np.zeros((len(labels), w))
     miss = missing.copy()
-    for i in np.flatnonzero(~missing):
+    present = np.flatnonzero(~missing)
+    if method == METHOD_GLF:
+        drop = int(_JOB.drop_constant)
+        coeffs = glf_project(patches[present], _JOB.basis, k + drop)[:, drop:]
+        if mode == MODE_NORMS:
+            coeffs = glf_norms(coeffs)
+        blocks[present] = coeffs.reshape(len(present), w)
+        return blocks.reshape(-1), miss
+    for i in present:
         try:
-            if method == METHOD_SHAPEDNA:
-                block = shape_dna(patches[i], _JOB.faces, k)
-            elif _JOB.drop_constant:
-                block = glf_project(patches[i], _JOB.basis, k + 1)[1:]
-            else:
-                block = glf_project(patches[i], _JOB.basis, k)
-            if mode == MODE_NORMS:
-                block = glf_norms(block)
+            blocks[i] = shape_dna(patches[i], _JOB.faces, k)
         except (DegenerateGeometryError, EigenConvergenceError) as exc:
             miss[i] = True
             reason = f"{method} k={k}: {exc}"
             errors[labels[i]] = "; ".join(filter(None, (errors.get(labels[i]), reason)))
-            continue
-        row[i * w:(i + 1) * w] = block.reshape(-1)
-    return row, miss
+    return blocks.reshape(-1), miss
 
 
 def _featurize_record(rec):

@@ -55,8 +55,11 @@ class SynthConfig:
             raise ValueError(f"unknown expression tokens {bad}")
         if not self.levels:
             raise ValueError("levels is empty: need at least one intensity level")
-        if any(int(l) < 1 for l in self.levels):
-            raise ValueError("intensity levels must be positive integers")
+        if any(int(l) != l or int(l) < 1 for l in self.levels):
+            raise ValueError(f"intensity levels must be positive integers, got {self.levels}")
+        for name, values in (("expressions", self.expressions), ("levels", self.levels)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} {values} repeat an entry: every scan id must be unique")
 
 
 # ---------------------------------------------------------------------------
@@ -148,33 +151,20 @@ def rectangular_grid(nx: int, ny: int, x_extent: float = X_EXTENT,
     return xy, faces.astype(np.int64)
 
 
-def _base_height(x, y):
+def _neutral_height(x, y, dome_scale: float, coeffs):
+    """A subject's face without expression: the base face scaled by the
+    subject's dome factor, plus its low-frequency cosine shape series
+    (``coeffs`` is (3, 3); every term but the constant (0, 0))."""
     z = 32.0 * np.exp(-(x * x / (2 * 55.0 ** 2) + y * y / (2 * 70.0 ** 2)))
     z = z + 7.0 * np.exp(-(x * x / (2 * 7.0 ** 2) + (y - 6.0) ** 2 / (2 * 13.0 ** 2)))
     for sx in (-33.0, 33.0):
         z = z - 2.0 * np.exp(-(((x - sx) ** 2 + (y - 24.0) ** 2) / (2 * 9.0 ** 2)))
-    return z
-
-
-@dataclass(frozen=True)
-class _SubjectParams:
-    dome_scale: float
-    coeffs: np.ndarray  # (3, 3) cosine series, entry (0, 0) unused
-
-    def field(self, x, y):
-        u = (x + X_EXTENT / 2.0) / X_EXTENT
-        v = (y + Y_EXTENT / 2.0) / Y_EXTENT
-        z = np.zeros_like(np.asarray(x, dtype=np.float64))
-        for p, q in list(np.ndindex(3, 3))[1:]:   # every term but the constant (0, 0)
-            z = z + self.coeffs[p, q] * np.cos(np.pi * p * u) * np.cos(np.pi * q * v)
-        return z
-
-
-def _subject_params(cfg: SynthConfig, subject_idx: int) -> _SubjectParams:
-    rng = np.random.default_rng([cfg.seed, 101, subject_idx])
-    coeffs = rng.normal(0.0, cfg.subject_amplitude / 2.0, size=(3, 3))
-    dome_scale = 1.0 + 0.05 * float(np.clip(rng.normal(), -2.0, 2.0))
-    return _SubjectParams(dome_scale=dome_scale, coeffs=coeffs)
+    u = (x + X_EXTENT / 2.0) / X_EXTENT
+    v = (y + Y_EXTENT / 2.0) / Y_EXTENT
+    shape = np.zeros_like(np.asarray(x, dtype=np.float64))
+    for p, q in list(np.ndindex(3, 3))[1:]:
+        shape = shape + coeffs[p, q] * np.cos(np.pi * p * u) * np.cos(np.pi * q * v)
+    return dome_scale * z + shape
 
 
 def _expression_field(x, y, aus, level: int, amplitude: float):
@@ -188,22 +178,42 @@ def _expression_field(x, y, aus, level: int, amplitude: float):
     return z
 
 
-def surface_height(x, y, params: _SubjectParams, aus=(), level: int = 0,
-                   amplitude: float = 3.0):
-    """Full analytic height field: base face + subject shape + expression."""
-    z = params.dome_scale * _base_height(x, y)
-    z = z + params.field(x, y)
-    if aus and level > 0:
-        z = z + _expression_field(x, y, aus, level, amplitude)
-    return z
-
-
 def subject_id(idx: int) -> str:
     return f"S{idx:03d}"
 
 
 def scan_id(subject: str, expression: str, level: int) -> str:
     return f"{subject}_{expression}_{level}"
+
+
+def _scans(cfg: SynthConfig, subjects, expressions, levels):
+    """Yield ``(subject_idx, expression, level, mesh, landmarks, aus)`` for
+    every combination, subject-major.  The grid is built once and each
+    subject's neutral heights (at the grid vertices and the landmarks)
+    once; a scan adds only its expression field and its vertex noise."""
+    nx = cfg.resolution
+    ny = int(round(cfg.resolution * Y_EXTENT / X_EXTENT))
+    xy, faces = rectangular_grid(nx, ny)
+    points = (xy, np.array(list(LANDMARK_XY.values())))  # grid vertices, landmarks
+    for s in subjects:
+        rng = np.random.default_rng([cfg.seed, 101, s])
+        coeffs = rng.normal(0.0, cfg.subject_amplitude / 2.0, size=(3, 3))
+        dome_scale = 1.0 + 0.05 * float(np.clip(rng.normal(), -2.0, 2.0))
+        neutral = [_neutral_height(p[:, 0], p[:, 1], dome_scale, coeffs) for p in points]
+        for expression in expressions:
+            aus = EXPRESSION_AUS[expression] if expression is not None else ()
+            for level in levels:
+                heights = neutral
+                if aus and level > 0:
+                    heights = [z + _expression_field(p[:, 0], p[:, 1], aus, level, cfg.amplitude)
+                               for z, p in zip(neutral, points)]
+                verts, lmk = (np.column_stack([p, z]) for p, z in zip(points, heights))
+                if cfg.jitter > 0:
+                    expr_idx = -1 if expression is None else EXPRESSIONS.index(expression)
+                    rng = np.random.default_rng([cfg.seed, 202, s, expr_idx, level])
+                    verts = verts + rng.normal(0.0, cfg.jitter, size=verts.shape)
+                yield (s, expression, level, TriangleMesh(verts, faces),
+                       LandmarkSet(tuple(LANDMARK_XY), lmk), tuple(sorted(aus)))
 
 
 def generate_scan(cfg: SynthConfig, subject_idx: int, expression: str | None,
@@ -213,22 +223,7 @@ def generate_scan(cfg: SynthConfig, subject_idx: int, expression: str | None,
     ``expression=None`` produces the neutral geometry (no active fields),
     useful for locality checks; neutral scans are not part of manifests.
     """
-    params = _subject_params(cfg, subject_idx)
-    aus = EXPRESSION_AUS[expression] if expression is not None else ()
-    nx = cfg.resolution
-    ny = int(round(cfg.resolution * Y_EXTENT / X_EXTENT))
-    xy, faces = rectangular_grid(nx, ny)
-    z = surface_height(xy[:, 0], xy[:, 1], params, aus, level, cfg.amplitude)
-    verts = np.column_stack([xy, z])
-    if cfg.jitter > 0:
-        expr_idx = -1 if expression is None else EXPRESSIONS.index(expression)
-        rng = np.random.default_rng([cfg.seed, 202, subject_idx, expr_idx, level])
-        verts = verts + rng.normal(0.0, cfg.jitter, size=verts.shape)
-    mesh = TriangleMesh(verts, faces)
-    lx, ly = np.array(list(LANDMARK_XY.values())).T
-    lz = surface_height(lx, ly, params, aus, level, cfg.amplitude)
-    landmarks = LandmarkSet(tuple(LANDMARK_XY), np.column_stack([lx, ly, lz]))
-    return mesh, landmarks, tuple(sorted(aus))
+    return next(_scans(cfg, (subject_idx,), (expression,), (level,)))[3:]
 
 
 def synth_generate(cfg: SynthConfig, out_dir) -> Path:
@@ -238,22 +233,20 @@ def synth_generate(cfg: SynthConfig, out_dir) -> Path:
     (out_dir / "meshes").mkdir(parents=True, exist_ok=True)
     (out_dir / "landmarks").mkdir(parents=True, exist_ok=True)
     records = []
-    faces = face_records = None  # every scan shares the grid's faces: format them once
-    for s in range(cfg.subjects):
+    face_records = None  # every scan shares the one grid's faces: format them once
+    for s, expression, level, mesh, landmarks, aus in _scans(
+            cfg, range(cfg.subjects), cfg.expressions, tuple(map(int, cfg.levels))):
+        if face_records is None:
+            face_records = obj_face_records(mesh.faces)
         subject = subject_id(s)
-        for expression in cfg.expressions:
-            for level in map(int, cfg.levels):
-                mesh, landmarks, aus = generate_scan(cfg, s, expression, level)
-                if faces is None or not np.array_equal(mesh.faces, faces):
-                    faces, face_records = mesh.faces, obj_face_records(mesh.faces)
-                sid = scan_id(subject, expression, level)
-                mesh_path = out_dir / "meshes" / f"{sid}.obj"
-                lmk_path = out_dir / "landmarks" / f"{sid}.csv"
-                mesh_path.write_text(obj_vertex_records(mesh.vertices) + face_records,
-                                     encoding="utf-8")
-                save_landmarks(lmk_path, landmarks)
-                records.append(ManifestRecord(subject, expression, level, mesh_path,
-                                              lmk_path, aus))
+        sid = scan_id(subject, expression, level)
+        mesh_path = out_dir / "meshes" / f"{sid}.obj"
+        lmk_path = out_dir / "landmarks" / f"{sid}.csv"
+        mesh_path.write_text(obj_vertex_records(mesh.vertices) + face_records,
+                             encoding="utf-8")
+        save_landmarks(lmk_path, landmarks)
+        records.append(ManifestRecord(subject, expression, level, mesh_path,
+                                      lmk_path, aus))
     records.sort(key=lambda r: (r.subject, r.expression, r.intensity))
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, records)

@@ -54,6 +54,7 @@ CASES = {
     "zero-byte-npy": (".npy", lambda p, name, bad: p.write_bytes(b""), False),
     "truncated-npy": (".npy", lambda p, name, bad: p.write_bytes(p.read_bytes()[:-8]), False),
     "broken-json": (".json", lambda p, name, bad: p.write_text('{"config_hash": '), False),
+    "non-json-sidecar": (".json", lambda p, name, bad: p.write_text("{not json"), False),
     "json-list": (".json", lambda p, name, bad: _edit_json(p, lambda m: list(m)), False),
     "field-missing": (".json", lambda p, name, bad: _edit_json(p, _pop(name)), True),
     "field-wrong-type": (".json", lambda p, name, bad: _edit_json(p, lambda m: {**m, name: bad}),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from facespectra.data import (
     save_manifest,
     scan_corpus_dir,
 )
-from facespectra.mesh import load_landmarks, load_mesh, save_obj
+from facespectra.mesh import load_landmarks, load_mesh, save_landmarks, save_obj
 from facespectra.patches import PatchConfig, extract_patches
 from facespectra.spectral import shape_dna
 from facespectra.synth import (
@@ -145,14 +147,18 @@ def test_synth_counts_and_determinism(tmp_path):
 @pytest.mark.parametrize("settings", [{}, {"amplitude": 1.2, "subject_amplitude": 3.5,
                                           "jitter": 0.4}], ids=["default", "acceptance"])
 def test_synth_meshes_are_the_bytes_of_save_obj(tmp_path, resolution, settings):
-    """The face block written once per corpus is each scan's own."""
+    """The face block written once per corpus and the neutral heights built
+    once per subject give every scan the files of its own ``generate_scan``."""
     cfg = SynthConfig(subjects=2, resolution=resolution, seed=5, **settings)
     manifest = load_manifest(synth_generate(cfg, tmp_path / "corpus"))
     assert len(manifest) == 24
     for r in manifest.records:
-        mesh = generate_scan(cfg, int(r.subject[1:]), r.expression, r.intensity)[0]
+        mesh, lmk, _ = generate_scan(cfg, int(r.subject[1:]), r.expression, r.intensity)
         save_obj(tmp_path / "one.obj", mesh)
+        save_landmarks(tmp_path / "one.csv", lmk)
         assert r.mesh_path.read_bytes() == (tmp_path / "one.obj").read_bytes(), r.mesh_path
+        assert (r.landmarks_path.read_bytes() == (tmp_path / "one.csv").read_bytes()
+                ), r.landmarks_path
 
 
 def test_synth_layout_has_68_unique_landmarks():
@@ -239,6 +245,20 @@ def test_synth_config_validation():
         SynthConfig(resolution=10)
     with pytest.raises(ValueError):
         SynthConfig(expressions=("AN", "XX"))
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"levels": (1, 1)}, "levels (1, 1) repeat an entry"),
+    ({"expressions": ("HA", "SU", "HA")}, "expressions ('HA', 'SU', 'HA') repeat an entry"),
+    ({"levels": (2.5,)}, "positive integers, got (2.5,)"),
+    ({"levels": (1, 0)}, "positive integers, got (1, 0)"),
+], ids=["repeated-level", "repeated-expression", "fractional-level", "zero-level"])
+def test_synth_config_rejects_repeats_and_fractional_levels(settings, named):
+    """Every config that passes writes a corpus its own manifest reader
+    accepts: a repeated expression or level would write one scan id twice,
+    and a fractional level would be written as its integer part."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        SynthConfig(**settings)
 
 
 def test_synth_dataset_is_loadable(tiny_dataset_dir, tiny_manifest):

@@ -112,6 +112,40 @@ def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_pat
         assert np.array_equal(dna[i], shape_dna(patch, faces, k))
 
 
+@pytest.mark.parametrize("off", [[2], list(range(68))], ids=["one-missing", "all-missing"])
+@pytest.mark.parametrize("drop_constant", [False, True])
+def test_glf_blocks_are_one_product_over_present_patches(tiny_manifest, tiny_basis, tmp_path,
+                                                         monkeypatch, off, drop_constant):
+    """A scan's GLF blocks for one spec come from one stacked projection of
+    its present patches: each present block is that patch's own
+    ``glf_project``, and a missing landmark's block is zero and flagged."""
+    rec = tiny_manifest.records[0]
+    lmk = load_landmarks(rec.landmarks_path)
+    positions = lmk.positions.copy()
+    positions[off] += 1000.0                    # far off the mesh
+    save_landmarks(tmp_path / "off.csv", LandmarkSet(lmk.labels, positions))
+    manifest = DatasetManifest([dataclasses.replace(rec, landmarks_path=tmp_path / "off.csv")],
+                               tiny_manifest.root)
+    calls = []
+    monkeypatch.setattr(pipeline, "glf_project",
+                        lambda *args: calls.append(args) or glf_project(*args))
+    k, drop = 6, int(drop_constant)
+    (coords, norms), errors = compute_feature_tables(
+        manifest, TINY_PATCH_CFG, [("glf", "coords", k), ("glf", "norms", k)],
+        basis=tiny_basis, drop_constant=drop_constant, patches_dir=tmp_path)
+    assert len(calls) == 2                      # one product per scan and spec
+    assert list(errors[0]["missing_patches"]) == [lmk.labels[i] for i in off]
+    patches, _, missing, _ = load_patch_archive(tmp_path / rec.mesh_path.stem)
+    assert np.flatnonzero(missing).tolist() == off
+    assert np.array_equal(coords.missing[0], missing) and np.array_equal(norms.missing[0], missing)
+    c, n = coords.X[0].reshape(68, -1), norms.X[0].reshape(68, -1)
+    assert not c[missing].any() and not n[missing].any()
+    for i in np.flatnonzero(~missing):
+        coeffs = glf_project(patches[i], tiny_basis, k + drop)[drop:]
+        assert np.array_equal(c[i], coeffs.reshape(-1))
+        assert np.array_equal(n[i], glf_norms(coeffs))
+
+
 def test_multi_spec_matches_single_spec(tiny_manifest, tiny_basis):
     tables, errors = compute_feature_tables(
         tiny_manifest, TINY_PATCH_CFG,
