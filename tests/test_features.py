@@ -142,6 +142,20 @@ def test_feature_table_roundtrip(tmp_path):
     assert back.k == table.k and back.method == "glf"
 
 
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) - 40])
+
+
+@pytest.mark.parametrize("spoil, name", [(_truncate, "t.npy")], ids=["truncated-npy"])
+def test_feature_table_unreadable_file_named(tmp_path, spoil, name):
+    save_feature_table(tmp_path / "t", make_table())
+    spoil(tmp_path / name)
+    with pytest.raises(ValueError) as exc:
+        load_feature_table(tmp_path / "t")
+    assert str(exc.value).startswith(f"{tmp_path / name}: ")
+
+
 def test_feature_table_matrix_not_2d_named(tmp_path):
     save_feature_table(tmp_path / "t", make_table())
     np.save(tmp_path / "t.npy", np.zeros(5))
