@@ -33,7 +33,8 @@ from .experiments import (
     save_report,
     sweep_report_section,
 )
-from .features import METHOD_GLF, load_feature_table, save_feature_csv, save_feature_table
+from .features import (METHOD_GLF, MODE_NORMS, load_feature_table, save_feature_csv,
+                       save_feature_table)
 from .patches import PatchConfig
 from .pipeline import compute_basis
 from .spectral import load_basis, save_basis
@@ -166,6 +167,14 @@ def cmd_features(args) -> int:
         if not args.basis:
             raise UsageError("--basis is required for glf features")
         basis = load_basis(args.basis, expected_hash=pc.connectivity_hash())
+    else:
+        unused = [flag for flag, given in (("--basis", args.basis is not None),
+                                           ("--drop-constant", args.drop_constant),
+                                           ("--mode norms", args.mode == MODE_NORMS))
+                  if given]
+        if unused:
+            raise UsageError(f"--method {args.method} takes no {' or '.join(unused)} "
+                             f"(glf features only)")
     manifest = load_manifest(args.manifest)
     (table,), errors = pipeline.compute_feature_tables(
         manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
@@ -280,25 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def add_patch_args(p):
-        p.add_argument("--lambda-min", dest="lambda_min", type=float, default=5.0)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float, default=20.0)
-        p.add_argument("--curves", type=int, default=15, help="level curves per patch")
-        p.add_argument("--samples", type=int, default=50, help="samples per curve")
+        p.add_argument("--lambda-min", dest="lambda_min", type=float,
+                       default=PatchConfig.lambda_min)
+        p.add_argument("--lambda-max", dest="lambda_max", type=float,
+                       default=PatchConfig.lambda_max)
+        p.add_argument("--curves", type=int, default=PatchConfig.n_curves,
+                       help="level curves per patch")
+        p.add_argument("--samples", type=int, default=PatchConfig.samples_per_curve,
+                       help="samples per curve")
 
     p = add("synth", "generate a synthetic dataset (meshes, landmarks, manifest)",
             cmd_synth)
     p.add_argument("--out", default="synth_data", help="output directory")
-    p.add_argument("--subjects", type=int, default=10)
-    p.add_argument("--levels", type=int, default=2,
+    p.add_argument("--subjects", type=int, default=SynthConfig.subjects)
+    p.add_argument("--levels", type=int, default=len(SynthConfig.levels),
                    help="number of intensity levels (1..L)")
-    p.add_argument("--resolution", type=int, default=64,
+    p.add_argument("--resolution", type=int, default=SynthConfig.resolution,
                    help="grid vertices across the face")
-    p.add_argument("--amplitude", type=float, default=3.0,
+    p.add_argument("--amplitude", type=float, default=SynthConfig.amplitude,
                    help="expression bump scale, mm")
     p.add_argument("--subject-amplitude", dest="subject_amplitude", type=float,
-                   default=1.5)
-    p.add_argument("--jitter", type=float, default=0.0, help="Gaussian vertex noise, mm")
-    p.add_argument("--seed", type=int, default=0)
+                   default=SynthConfig.subject_amplitude)
+    p.add_argument("--jitter", type=float, default=SynthConfig.jitter,
+                   help="Gaussian vertex noise, mm")
+    p.add_argument("--seed", type=int, default=SynthConfig.seed)
 
     p = add("basis", "compute and store the shared graph-Laplacian basis", cmd_basis)
     p.add_argument("--out", default="basis",
@@ -335,11 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features")
     p.add_argument("--out", default="report.json")
     p.add_argument("--task", choices=("expressions", "aus"), default="expressions")
-    p.add_argument("--classifier", choices=("svm", "flda"), default="svm")
-    p.add_argument("--kernel", choices=("rbf", "linear"), default="rbf")
-    p.add_argument("--C", type=_positive(float), default=1.0)
-    p.add_argument("--gamma", type=_positive(float))
-    p.add_argument("--reg", type=_positive(float), default=1e-3)
+    p.add_argument("--classifier", choices=("svm", "flda"), default=ClassifierConfig.kind)
+    p.add_argument("--kernel", choices=("rbf", "linear"), default=ClassifierConfig.kernel)
+    p.add_argument("--C", type=_positive(float), default=ClassifierConfig.C)
+    p.add_argument("--gamma", type=_positive(float), default=ClassifierConfig.gamma)
+    p.add_argument("--reg", type=_positive(float), default=ClassifierConfig.reg)
     p.add_argument("--folds", type=_fold_count, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sweep", help="comma-separated eigenvalue counts")

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import classify
+from . import __version__, classify
 from .classify import (
     AU_SET,
     identity_disjoint_folds,
@@ -464,8 +464,6 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 def environment_fingerprint() -> dict:
     """Versions, platform, CPU count and the BLAS thread settings the
     process runs under (each variable's value, or None when unset)."""
-    from . import __version__
-
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,

@@ -105,16 +105,6 @@ class FeatureTable:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def sliced(self, k: int) -> "FeatureTable":
-        cols = truncation_columns(len(self.landmark_labels), self.method, self.mode,
-                                  self.k, k)
-        return FeatureTable(
-            X=self.X[:, cols], subjects=self.subjects, expressions=self.expressions,
-            intensities=self.intensities, aus=self.aus, missing=self.missing,
-            landmark_labels=self.landmark_labels, method=self.method, mode=self.mode,
-            k=k, config=self.config, config_hash=self.config_hash,
-        )
-
 
 def save_feature_table(path, table: FeatureTable) -> None:
     """Binary feature matrix (`.npy`) with a JSON sidecar holding method,

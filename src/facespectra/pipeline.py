@@ -169,9 +169,10 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
         patches_dir.mkdir(parents=True, exist_ok=True)
     job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), align,
                drop_constant, rescale, patches_dir)
-    if jobs > 1 and len(manifest.records) > 1:
-        with multiprocessing.Pool(jobs, initializer=_set_job, initargs=(job,)) as pool:
-            # map's chunks of ceil(records / (4 * jobs)) keep every worker busy
+    workers = min(jobs, len(manifest.records))
+    if workers > 1:
+        with multiprocessing.Pool(workers, initializer=_set_job, initargs=(job,)) as pool:
+            # map's chunks of ceil(records / (4 * workers)) keep every worker busy
             results = pool.map(_featurize_record, manifest.records)
     else:
         _set_job(job)

@@ -209,7 +209,8 @@ def _scans(cfg: SynthConfig, subjects, expressions, levels):
                                for z, p in zip(neutral, points)]
                 verts, lmk = (np.column_stack([p, z]) for p, z in zip(points, heights))
                 if cfg.jitter > 0:
-                    expr_idx = -1 if expression is None else EXPRESSIONS.index(expression)
+                    # a neutral scan seeds after the expressions: seed entries must be >= 0
+                    expr_idx = EXPRESSIONS.index(expression) if expression else len(EXPRESSIONS)
                     rng = np.random.default_rng([cfg.seed, 202, s, expr_idx, level])
                     verts = verts + rng.normal(0.0, cfg.jitter, size=verts.shape)
                 yield (s, expression, level, TriangleMesh(verts, faces),

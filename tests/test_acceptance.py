@@ -32,7 +32,7 @@ from facespectra.experiments import (
     sweep_report_section,
     validate_report,
 )
-from facespectra.features import glf_norms, glf_project
+from facespectra.features import glf_norms, glf_project, truncation_columns
 from facespectra.patches import PatchConfig, build_patch, canonical_connectivity
 from facespectra.pipeline import compute_basis, compute_feature_tables
 from facespectra.spectral import (
@@ -238,16 +238,17 @@ def test_criterion_5_solver_oracles():
 
 def test_criterion_6_end_to_end_synthetic(acc_tables, tmp_path):
     t0 = time.monotonic()
-    table = acc_tables["glf"].sliced(50)
-    assert table.X.shape[1] == 68 * 50 * 3      # 10200 columns at k=50
-    res = evaluate_expressions(table.X, table.expressions, table.subjects,
+    table = acc_tables["glf"]
+    X = table.X[:, truncation_columns(68, "glf", "coords", ACC_KMAX, 50)]
+    assert X.shape[1] == 68 * 50 * 3            # 10200 columns at k=50
+    res = evaluate_expressions(X, table.expressions, table.subjects,
                                classifier=SVM, folds=10, seed=0)
     assert res.folds == 10
     # chance control: within-subject label permutation (the grouped-design
     # null; a global shuffle would leave subject-level imbalances whose
     # variance is limited by the subject count, not the sample count)
     shuffled = shuffle_within_subjects(table.expressions, table.subjects, 77)
-    control = evaluate_expressions(table.X, shuffled, table.subjects,
+    control = evaluate_expressions(X, shuffled, table.subjects,
                                    classifier=SVM, folds=10, seed=0)
     report = build_report(
         "expressions",
@@ -277,12 +278,13 @@ def test_criterion_7_method_comparison_emitted(acc_tables, tmp_path):
     # or asserted here; this harness only emits the paired comparison on
     # synthetic data, where the ordering is informative rather than
     # normative.
-    glf = acc_tables["glf"].sliced(50)
-    dna = acc_tables["dna"].sliced(50)
-    assert dna.X.shape[1] == 68 * 50            # 3400 columns at k=50
-    res_glf = evaluate_expressions(glf.X, glf.expressions, glf.subjects,
+    glf, dna = acc_tables["glf"], acc_tables["dna"]
+    X_glf = glf.X[:, truncation_columns(68, "glf", "coords", ACC_KMAX, 50)]
+    X_dna = dna.X[:, truncation_columns(68, "shapedna", "eigenvalues", ACC_KMAX, 50)]
+    assert X_dna.shape[1] == 68 * 50            # 3400 columns at k=50
+    res_glf = evaluate_expressions(X_glf, glf.expressions, glf.subjects,
                                    classifier=SVM, folds=10, seed=0)
-    res_dna = evaluate_expressions(dna.X, dna.expressions, dna.subjects,
+    res_dna = evaluate_expressions(X_dna, dna.expressions, dna.subjects,
                                    classifier=SVM, folds=10, seed=0)
     cmp = compare_methods({"glf": res_glf, "shapedna": res_dna})
     report = build_report("expressions", {"comparison_of": ["glf", "shapedna"]},

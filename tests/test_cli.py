@@ -326,6 +326,24 @@ def test_removed_no_op_flags_rejected(capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_glf_only_flags_rejected_for_shapedna(cli_workspace, tmp_path, capsys):
+    """``--basis``, ``--drop-constant`` and ``--mode norms`` change nothing in
+    Shape-DNA features, so with ``--method shapedna`` each is a usage error
+    naming the flag, from the command line and from ``--config`` alike."""
+    argv = ["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+            "--method", "shapedna", "--k", "3", "--out", str(tmp_path / "dna")] + PATCH_FLAGS
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"drop_constant": True}))
+    for extra, flag in ((["--basis", str(cli_workspace["basis"])], "--basis"),
+                        (["--drop-constant"], "--drop-constant"),
+                        (["--mode", "norms"], "--mode norms"),
+                        (["--config", str(cfgfile)], "--drop-constant")):
+        assert main(argv + extra) == 2, extra
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "usage" and flag in err["message"], extra
+    assert not any(tmp_path.glob("dna*"))
+
+
 def test_out_of_range_flags_rejected(capsys):
     for flag, value in (("--rescale", "-1"), ("--rescale", "0"), ("--rescale", "nan"),
                         ("--jobs", "-2"), ("--jobs", "0")):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -188,6 +189,22 @@ def test_intensity_levels_scale_deformation_linearly():
     d2 = l2.vertices[:, 2] - neutral.vertices[:, 2]
     assert np.abs(d2 - 2.0 * d1).max() < 1e-9
     assert np.abs(d1).max() > 1.0  # the level-1 bumps are real
+
+
+def test_jittered_neutral_scan_has_its_own_seed():
+    """The neutral scan draws vertex noise from a valid seed of its own: it
+    repeats, and differs from the noise-free scan and from the level-0 scan
+    of every expression."""
+    cfg = SynthConfig(subjects=1, resolution=24, seed=3, jitter=0.3)
+    noisy, _, _ = generate_scan(cfg, 0, None)
+    again, _, _ = generate_scan(cfg, 0, None)
+    plain, _, _ = generate_scan(replace(cfg, jitter=0.0), 0, None)
+    assert np.array_equal(noisy.vertices, again.vertices)
+    assert not np.array_equal(noisy.vertices, plain.vertices)
+    assert np.array_equal(noisy.faces, plain.faces)
+    for expr in EXPRESSIONS:
+        level0, _, _ = generate_scan(cfg, 0, expr, 0)
+        assert not np.array_equal(noisy.vertices, level0.vertices), expr
 
 
 def test_au_labels_follow_active_fields():

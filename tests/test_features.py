@@ -193,12 +193,12 @@ def test_feature_table_bad_sidecar_field_named(tmp_path, edit, field, message):
 def test_truncation_columns_match_direct_slice():
     table = make_table(k=6)
     cols = truncation_columns(3, "glf", "coords", 6, 2)
-    sliced = table.sliced(2)
-    assert sliced.X.shape[1] == 3 * 3 * 2
+    sliced = table.X[:, cols]
+    assert sliced.shape[1] == 3 * 3 * 2
     # block b columns [b*18 .. b*18+6) survive
     expected = np.concatenate([np.arange(b * 18, b * 18 + 6) for b in range(3)])
     assert np.array_equal(cols, expected)
-    assert np.array_equal(sliced.X, table.X[:, expected])
+    assert np.array_equal(sliced, table.X[:, expected])
 
 
 def test_feature_names_pattern():

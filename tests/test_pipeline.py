@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import shutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -91,6 +92,42 @@ def test_four_scans_on_two_jobs_use_both_workers(tiny_manifest, tiny_basis, tmp_
     assert len(workers) == 2 and str(os.getpid()) not in workers
     assert errors == [] and table.subjects == [r.subject for r in manifest.records]
     assert table.expressions == [r.expression for r in manifest.records]
+
+
+def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, monkeypatch):
+    """``jobs`` above the scan count sizes the pool at one worker per scan,
+    and one scan runs without a pool; the tables equal the serial ones."""
+    sizes = []
+
+    class InProcessPool:
+        """``multiprocessing.Pool`` that records its size and maps in this
+        process, so no worker is started."""
+
+        def __init__(self, processes, initializer, initargs):
+            sizes.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return [func(item) for item in items]
+
+    specs = [("glf", "coords", 8), ("shapedna", "coords", 8)]
+    monkeypatch.setattr(pipeline, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+    for n_scans, jobs, pools in ((3, 64, [3]), (3, 2, [2]), (1, 64, [])):
+        manifest = DatasetManifest(tiny_manifest.records[:n_scans], tiny_manifest.root)
+        sizes.clear()
+        pooled, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs,
+                                                basis=tiny_basis, jobs=jobs)
+        assert sizes == pools and errors == [], (n_scans, jobs)
+        serial, _ = compute_feature_tables(manifest, TINY_PATCH_CFG, specs, basis=tiny_basis)
+        for a, b in zip(serial, pooled):
+            assert np.array_equal(a.X, b.X) and np.array_equal(a.missing, b.missing)
+            assert a.subjects == b.subjects
 
 
 def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_path):
