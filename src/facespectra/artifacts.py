@@ -28,10 +28,10 @@ def save_npy_json(path, arr: np.ndarray, meta: dict) -> None:
 def read_npy_json(path):
     """``(npy path, array, field)`` of a :func:`npy_json_paths` pair.
 
-    ``field(name, convert, rows=None)`` returns ``convert(meta[name])``; a
-    field that is absent, does not convert, or (given ``rows``) does not
-    hold ``rows`` entries raises ValueError naming the ``.json`` file and
-    the field.
+    ``field(name, convert, rows=None, required=True)`` returns
+    ``convert(meta.get(name))``; a required field that is absent, or one
+    that does not convert or (given ``rows``) does not hold ``rows``
+    entries, raises ValueError naming the ``.json`` file and the field.
     """
     npy, sidecar = npy_json_paths(path)
     reading = npy
@@ -44,11 +44,11 @@ def read_npy_json(path):
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar}: not a JSON object")
 
-    def field(name, convert, rows=None):
-        if name not in meta:
+    def field(name, convert, rows=None, required=True):
+        if required and name not in meta:
             raise ValueError(f"{sidecar}: field {name!r} is missing")
         try:
-            value = convert(meta[name])
+            value = convert(meta.get(name))
         except KeyError as exc:
             raise ValueError(f"{sidecar}: field {name!r} lacks key {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:

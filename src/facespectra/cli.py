@@ -19,9 +19,12 @@ from . import __version__, pipeline
 from .artifacts import npy_json_paths
 from .data import load_manifest
 from .experiments import (
+    FOLDS,
+    SEED,
     ClassifierConfig,
     au_report_section,
     build_report,
+    check_sweep,
     compare_methods,
     eigen_sweep,
     evaluate_aus,
@@ -33,10 +36,10 @@ from .experiments import (
     save_report,
     sweep_report_section,
 )
-from .features import (METHOD_GLF, MODE_NORMS, load_feature_table, save_feature_csv,
-                       save_feature_table)
-from .patches import PatchConfig
-from .pipeline import compute_basis
+from .features import (GLF_MODES, METHOD_GLF, METHODS, MODE_COORDS, MODE_NORMS,
+                       load_feature_table, save_feature_csv, save_feature_table)
+from .patches import ALIGN_MODES, PatchConfig
+from .pipeline import FeatureRunConfig, compute_basis
 from .spectral import load_basis, save_basis
 from .synth import SynthConfig, synth_generate
 
@@ -219,19 +222,9 @@ def cmd_evaluate(args) -> int:
         if args.task != "expressions":
             raise UsageError("--sweep applies to the expressions task only")
         try:
-            k_values = [int(x) for x in args.sweep.split(",") if x.strip()]
-        except ValueError:
-            raise UsageError(f"--sweep must be a comma-separated int list, "
-                             f"got {args.sweep!r}") from None
-        if not k_values:
-            raise UsageError("--sweep list is empty")
-        bad = [k for k in k_values if not 1 <= k <= table.k]
-        if bad:
-            raise UsageError(f"sweep k values {bad} are outside [1, {table.k}] "
-                             f"(the table's k)")
-        repeated = sorted({k for k in k_values if k_values.count(k) > 1})
-        if repeated:
-            raise UsageError(f"sweep k values {repeated} are repeated")
+            k_values = check_sweep([x for x in args.sweep.split(",") if x.strip()], table.k)
+        except ValueError as exc:
+            raise UsageError(f"--sweep {args.sweep!r}: {exc}") from None
         result = eigen_sweep(table, k_values, classifier=clf, folds=folds, seed=seed)
         report = build_report("sweep", run_config, sweep_report_section(result))
         summary = format_sweep_result(result)
@@ -327,18 +320,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="features",
                    help="output stem (.npy and .json are written)")
     p.add_argument("--basis", help="basis stem (required for glf)")
-    p.add_argument("--method", choices=("glf", "shapedna"), default="glf")
-    p.add_argument("--mode", choices=("coords", "norms"), default="coords")
+    p.add_argument("--method", choices=METHODS, default=METHOD_GLF)
+    p.add_argument("--mode", choices=GLF_MODES, default=MODE_COORDS)
     p.add_argument("--k", type=_positive(int), default=50)
     add_patch_args(p)
-    p.add_argument("--align", choices=("none", "normal"), default="none")
-    p.add_argument("--missing", choices=("zero", "drop"), default="zero",
+    run = FeatureRunConfig
+    p.add_argument("--align", choices=ALIGN_MODES, default=run.align)
+    p.add_argument("--missing", choices=run.MISSING_POLICIES, default=run.missing_policy,
                    help="zero-fill missing patches or drop the scan")
     p.add_argument("--drop-constant", dest="drop_constant", action="store_true",
                    help="drop the constant-eigenvector coefficient row")
-    p.add_argument("--rescale", type=_positive(float), default=1.0,
+    p.add_argument("--rescale", type=_positive(float), default=run.rescale,
                    help="unit rescale applied to meshes and their landmarks")
-    p.add_argument("--jobs", type=_positive(int), default=1,
+    p.add_argument("--jobs", type=_positive(int), default=run.jobs,
                    help="worker pool size for scan extraction")
     p.add_argument("--save-patches", dest="save_patches",
                    help="directory for per-scan patch archives")
@@ -349,13 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features")
     p.add_argument("--out", default="report.json")
     p.add_argument("--task", choices=("expressions", "aus"), default="expressions")
-    p.add_argument("--classifier", choices=("svm", "flda"), default=ClassifierConfig.kind)
-    p.add_argument("--kernel", choices=("rbf", "linear"), default=ClassifierConfig.kernel)
-    p.add_argument("--C", type=_positive(float), default=ClassifierConfig.C)
-    p.add_argument("--gamma", type=_positive(float), default=ClassifierConfig.gamma)
-    p.add_argument("--reg", type=_positive(float), default=ClassifierConfig.reg)
-    p.add_argument("--folds", type=_fold_count, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    clf = ClassifierConfig
+    p.add_argument("--classifier", choices=clf.KINDS, default=clf.kind)
+    p.add_argument("--kernel", choices=clf.KERNELS, default=clf.kernel)
+    p.add_argument("--C", type=_positive(float), default=clf.C)
+    p.add_argument("--gamma", type=_positive(float), default=clf.gamma)
+    p.add_argument("--reg", type=_positive(float), default=clf.reg)
+    p.add_argument("--folds", type=_fold_count, default=FOLDS)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--sweep", help="comma-separated eigenvalue counts")
     p.add_argument("--compare-features", dest="compare_features",
                    help="second feature table; emit a paired method comparison")

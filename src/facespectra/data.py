@@ -46,6 +46,7 @@ class ManifestRecord:
 
 @dataclass
 class DatasetManifest:
+    HEADER = ("subject", "expression", "intensity", "mesh", "landmarks", "aus")
     records: list
     root: Path
 
@@ -81,7 +82,7 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
             header = next(reader)
         except StopIteration:
             raise ManifestError(f"{path}: empty manifest file") from None
-        expected = ["subject", "expression", "intensity", "mesh", "landmarks", "aus"]
+        expected = list(DatasetManifest.HEADER)
         if [h.strip().lower() for h in header] != expected:
             raise ManifestError(f"{path}: bad header {header!r}, expected {expected}")
         for ln, row in enumerate(reader, start=2):
@@ -125,7 +126,7 @@ def save_manifest(path, records) -> None:
     root = path.parent
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["subject", "expression", "intensity", "mesh", "landmarks", "aus"])
+        writer.writerow(DatasetManifest.HEADER)
         for r in records:
             mesh_rel = Path(r.mesh_path)
             lmk_rel = Path(r.landmarks_path)
@@ -142,7 +143,7 @@ def save_manifest(path, records) -> None:
 
 
 _BU3DFE_NAME = re.compile(
-    r"^(?P<subject>[FM]\d{4})_(?P<expr>AN|DI|FE|HA|SA|SU)(?P<level>\d{2})"
+    rf"^(?P<subject>[FM]\d{{4}})_(?P<expr>{'|'.join(EXPRESSIONS)})(?P<level>\d{{2}})"
 )
 
 

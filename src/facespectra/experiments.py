@@ -32,20 +32,24 @@ from .classify import (
 )
 from .features import FeatureTable, truncation_columns
 
+FOLDS, SEED = 10, 0   # identity-disjoint cross-validation defaults of every evaluation
+
 
 @dataclass
 class ClassifierConfig:
-    kind: str = "svm"            # "svm" | "flda"
-    kernel: str = "rbf"          # svm only: "rbf" | "linear"
+    KINDS = ("svm", "flda")
+    KERNELS = ("rbf", "linear")  # svm only
+    kind: str = "svm"
+    kernel: str = "rbf"
     C: float = 1.0
     gamma: float | None = None   # None -> 1/d
     reg: float = 1e-3            # flda regularization factor
 
     def __post_init__(self):
-        if self.kind not in ("svm", "flda"):
-            raise ValueError(f"kind must be 'svm' or 'flda', got {self.kind!r}")
-        if self.kernel not in ("rbf", "linear"):
-            raise ValueError(f"kernel must be 'rbf' or 'linear', got {self.kernel!r}")
+        if self.kind not in self.KINDS:
+            raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
+        if self.kernel not in self.KERNELS:
+            raise ValueError(f"kernel must be one of {self.KERNELS}, got {self.kernel!r}")
         for name in ("C", "gamma", "reg"):
             value = getattr(self, name)
             if name == "gamma" and value is None:
@@ -231,7 +235,7 @@ def _flda_short_class(y_train):
 
 def evaluate_expressions(X: np.ndarray, expressions, subjects,
                          classifier: ClassifierConfig | None = None,
-                         folds: int = 10, seed: int = 0,
+                         folds: int = FOLDS, seed: int = SEED,
                          missing=None) -> ExpressionResult:
     """Identity-disjoint k-fold evaluation of the 6-class expression task.
 
@@ -319,7 +323,7 @@ class AUResult:
 
 def evaluate_aus(X: np.ndarray, au_sets, subjects,
                  classifier: ClassifierConfig | None = None,
-                 folds: int = 10, seed: int = 0, aus=AU_SET, missing=None) -> AUResult:
+                 folds: int = FOLDS, seed: int = SEED, aus=AU_SET, missing=None) -> AUResult:
     """One independent binary classifier per AU; F1 per AU over the pooled
     test folds, averaged with per-AU positive counts as weights.
 
@@ -406,8 +410,21 @@ class SweepResult:
     per_k: dict                  # k -> ExpressionResult
 
 
+def check_sweep(k_values, k_max: int) -> list:
+    """``k_values`` as ints; ValueError unless there is at least one, each
+    lies in [1, ``k_max``] (the table's component count) and none repeats."""
+    k_values = [int(k) for k in k_values]
+    bad = [k for k in k_values if not 1 <= k <= k_max]
+    repeated = sorted({k for k in k_values if k_values.count(k) > 1})
+    if not k_values or bad or repeated:
+        raise ValueError(f"sweep k values must be >= 1, none exceeds the table's component "
+                         f"count {k_max} and none repeats; got {k_values} (out of range: "
+                         f"{bad}, repeated: {repeated})")
+    return k_values
+
+
 def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | None = None,
-                folds: int = 10, seed: int = 0) -> SweepResult:
+                folds: int = FOLDS, seed: int = SEED) -> SweepResult:
     """Expression evaluation at several eigenvalue counts from one
     extraction: each fold is standardized once on the table's columns
     (per-column statistics do not depend on the other columns, and the
@@ -415,12 +432,7 @@ def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | No
     and each k reads its leading components from it.  The folds depend
     only on the subjects, ``folds`` and ``seed``, so every k gets the same
     ones; under SVM each k trains in its own batched SMO call."""
-    k_values = [int(k) for k in k_values]
-    for k in k_values:
-        if k < 1:
-            raise ValueError(f"k={k} must be >= 1")
-        if k > table.k:
-            raise ValueError(f"k={k} exceeds the table's component count {table.k}")
+    k_values = check_sweep(k_values, table.k)
     columns = [None if k == table.k else truncation_columns(
         len(table.landmark_labels), table.method, table.mode, table.k, k) for k in k_values]
     results = _expression_results(table.X, table.expressions, table.subjects, classifier,

@@ -18,8 +18,10 @@ from .spectral import SpectralBasis
 
 METHOD_GLF = "glf"
 METHOD_SHAPEDNA = "shapedna"
+METHODS = (METHOD_GLF, METHOD_SHAPEDNA)
 MODE_COORDS = "coords"
 MODE_NORMS = "norms"
+GLF_MODES = (MODE_COORDS, MODE_NORMS)
 
 
 def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
@@ -101,14 +103,16 @@ class FeatureTable:
     k: int
     config: dict = field(default_factory=dict)   # patch config echo
     config_hash: int | None = None
+    run: dict = field(default_factory=dict)      # FeatureRunConfig fields but jobs
+    errors: list = field(default_factory=list)   # skipped scans, missing patches
 
     def __len__(self) -> int:
         return self.X.shape[0]
 
 
 def save_feature_table(path, table: FeatureTable) -> None:
-    """Binary feature matrix (`.npy`) with a JSON sidecar holding method,
-    k, landmark labels, connectivity hash and the per-sample label columns."""
+    """Binary feature matrix (`.npy`) with a JSON sidecar holding method, k,
+    landmark labels, connectivity hash, run settings, errors and label columns."""
     save_npy_json(path, np.asarray(table.X, dtype=np.float64), {
         "method": table.method,
         "mode": table.mode,
@@ -117,6 +121,8 @@ def save_feature_table(path, table: FeatureTable) -> None:
         "landmark_labels": list(table.landmark_labels),
         "config": table.config,
         "config_hash": table.config_hash,
+        "run": table.run,
+        "errors": table.errors,
         "subjects": list(table.subjects),
         "expressions": list(table.expressions),
         "intensities": [int(x) for x in table.intensities],
@@ -154,6 +160,8 @@ def load_feature_table(path) -> FeatureTable:
         k=entry("k", int),
         config=entry("config", lambda v: dict(v or {})),
         config_hash=entry("config_hash", lambda v: None if v is None else int(v)),
+        run=entry("run", lambda v: dict(v or {}), required=False),
+        errors=entry("errors", lambda v: list(v or []), required=False),
     )
     expected = len(table.landmark_labels) * block_length(table.method, table.mode, table.k)
     if X.shape[1] != expected:

@@ -34,12 +34,14 @@ the same patch, bit for bit, alone or among others:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .artifacts import read_npy_json, save_npy_json
 from .mesh import TriangleMesh, LandmarkSet, distance_field, nearest_vertex
+
+ALIGN_MODES = ("none", "normal")
 
 
 class CurveExtractionError(RuntimeError):
@@ -94,12 +96,7 @@ class PatchConfig:
         return int.from_bytes(hashlib.sha256(key).digest()[:8], "little")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "n_curves": self.n_curves,
-            "samples_per_curve": self.samples_per_curve,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "PatchConfig":
@@ -685,7 +682,7 @@ def _patches(mesh: TriangleMesh, labels, centers, cfg: PatchConfig,
     normal run per landmark; everything else runs once for all landmarks
     of each run of :func:`_landmark_groups`, and a landmark's patch and
     error do not depend on the other landmarks."""
-    if align not in ("none", "normal"):
+    if align not in ALIGN_MODES:
         raise ValueError(f"unknown align mode {align!r}")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)

@@ -9,16 +9,16 @@ can run on a bounded worker pool with deterministic output ordering.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import DatasetManifest
 from .features import (
+    GLF_MODES,
     METHOD_GLF,
-    METHOD_SHAPEDNA,
-    MODE_COORDS,
+    METHODS,
     MODE_NORMS,
     FeatureTable,
     block_length,
@@ -41,13 +41,33 @@ def compute_basis(cfg: PatchConfig, k: int | None = None) -> SpectralBasis:
     return eig_sym(L, k, config_hash=cfg.connectivity_hash())
 
 
+@dataclass(frozen=True)
+class FeatureRunConfig:
+    """Settings of a featurization run besides the patch layout and specs;
+    all but ``jobs`` are recorded in each table's sidecar as ``run``."""
+    MISSING_POLICIES = ("zero", "drop")   # zero-fill missing blocks, or drop the scan
+    align: str = "none"                   # patches.ALIGN_MODES
+    missing_policy: str = "zero"
+    drop_constant: bool = False
+    rescale: float = 1.0
+    jobs: int = 1
+
+    def __post_init__(self):
+        if self.missing_policy not in self.MISSING_POLICIES:
+            raise ValueError(f"unknown missing policy {self.missing_policy!r}")
+        if not 0.0 < self.rescale < float("inf"):
+            raise ValueError(f"rescale must be a positive finite number, got {self.rescale}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+
+
 def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant):
-    if method not in (METHOD_GLF, METHOD_SHAPEDNA):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if method == METHOD_GLF:
-        if mode not in (MODE_COORDS, MODE_NORMS):
+        if mode not in GLF_MODES:
             raise ValueError(f"unknown glf mode {mode!r}")
         if basis is None:
             raise ValueError("glf features require a precomputed basis")
@@ -55,6 +75,9 @@ def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant)
             raise ValueError(
                 f"basis dimension {basis.n} does not match patch size {patch_cfg.n_vertices}"
             )
+        if basis.config_hash not in (None, patch_cfg.connectivity_hash()):
+            raise ValueError(f"basis connectivity hash {basis.config_hash:#x} does not "
+                             f"match the patches' {patch_cfg.connectivity_hash():#x}")
         need = k + 1 if drop_constant else k
         if need > basis.k:
             raise ValueError(f"k={k} (+constant row) exceeds basis columns {basis.k}")
@@ -75,9 +98,7 @@ class _Job:
     specs: tuple          # checked (method, mode, k) triples
     basis: SpectralBasis | None
     faces: np.ndarray     # canonical_connectivity(cfg)
-    align: str
-    drop_constant: bool
-    rescale: float
+    run: FeatureRunConfig
     patches_dir: Path | None
 
 
@@ -105,7 +126,7 @@ def _spec_blocks(patches, missing, labels, spec, errors):
     miss = missing.copy()
     present = np.flatnonzero(~missing)
     if method == METHOD_GLF:
-        drop = int(_JOB.drop_constant)
+        drop = int(_JOB.run.drop_constant)
         coeffs = glf_project(patches[present], _JOB.basis, k + drop)[:, drop:]
         if mode == MODE_NORMS:
             coeffs = glf_norms(coeffs)
@@ -126,10 +147,10 @@ def _featurize_record(rec):
     manifest record; an unreadable mesh or landmark file gives ``(None,
     None, {"scan", "error"})`` instead."""
     try:
-        mesh = load_mesh(rec.mesh_path, rescale=_JOB.rescale)
-        landmarks = load_landmarks(rec.landmarks_path, rescale=_JOB.rescale)
+        mesh = load_mesh(rec.mesh_path, rescale=_JOB.run.rescale)
+        landmarks = load_landmarks(rec.landmarks_path, rescale=_JOB.run.rescale)
         patches, missing, errors = extract_patches(mesh, landmarks, _JOB.cfg,
-                                                   align=_JOB.align)
+                                                   align=_JOB.run.align)
         if _JOB.patches_dir is not None:
             save_patch_archive(_JOB.patches_dir / rec.mesh_path.stem,
                                patches, landmarks.labels, missing, _JOB.cfg)
@@ -142,34 +163,26 @@ def _featurize_record(rec):
 
 def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
                            specs, basis: SpectralBasis | None = None,
-                           jobs: int = 1, missing_policy: str = "zero",
-                           align: str = "none", drop_constant: bool = False,
-                           rescale: float = 1.0,
-                           patches_dir=None):
+                           patches_dir=None, **settings):
     """Featurize every scan in a manifest for one or more feature specs.
 
-    ``specs`` is a list of (method, mode, k) triples; patches are
-    extracted once per scan and shared.  Returns ``(tables, errors)``
-    where ``tables[i]`` corresponds to ``specs[i]``.  A scan whose mesh
-    or landmark file cannot be read is skipped and logged with the file
-    named; any other exception aborts the run.  With
+    ``specs`` is a list of (method, mode, k) triples, ``settings`` the
+    fields of :class:`FeatureRunConfig`; patches are extracted once per
+    scan and shared.  Returns ``(tables, errors)``: ``tables[i]`` is
+    ``specs[i]``'s and records the settings but ``jobs``, and the errors.
+    A scan whose mesh or landmark file cannot be read is skipped and
+    logged with the file named; any other exception aborts the run.  With
     ``missing_policy="drop"`` scans with any missing patch are dropped
     too (otherwise their blocks are zero-filled and flagged).
     """
-    if missing_policy not in ("zero", "drop"):
-        raise ValueError(f"unknown missing policy {missing_policy!r}")
-    if not 0.0 < rescale < float("inf"):
-        raise ValueError(f"rescale must be a positive finite number, got {rescale}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, drop_constant), int(k))
+    run = FeatureRunConfig(**settings)
+    specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, run.drop_constant), int(k))
                   for (m, mo, k) in specs)
     if patches_dir is not None:
         patches_dir = Path(patches_dir)
         patches_dir.mkdir(parents=True, exist_ok=True)
-    job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), align,
-               drop_constant, rescale, patches_dir)
-    workers = min(jobs, len(manifest.records))
+    job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), run, patches_dir)
+    workers = min(run.jobs, len(manifest.records))
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_set_job, initargs=(job,)) as pool:
             # map's chunks of ceil(records / (4 * workers)) keep every worker busy
@@ -193,7 +206,7 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             continue
         if errs:
             errors.append({"scan": str(rec.mesh_path), "missing_patches": errs})
-        if missing_policy == "drop" and any(miss.any() for _, miss in per_spec):
+        if run.missing_policy == "drop" and any(miss.any() for _, miss in per_spec):
             errors.append({"scan": str(rec.mesh_path),
                            "error": "dropped (missing patches under --missing drop)"})
             continue
@@ -215,6 +228,8 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             k=k,
             config=patch_cfg.to_dict(),
             config_hash=patch_cfg.connectivity_hash(),
+            run={key: value for key, value in asdict(run).items() if key != "jobs"},
+            errors=errors,
         )
         for s, (method, mode, k) in enumerate(specs)
     ], errors

@@ -1,13 +1,20 @@
+import argparse
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from facespectra.cli import main
+import facespectra
+from facespectra.cli import build_parser, main
 from facespectra.data import load_manifest
-from facespectra.experiments import validate_report
-from facespectra.features import load_feature_table, save_feature_table
+from facespectra.experiments import FOLDS, SEED, ClassifierConfig, validate_report
+from facespectra.features import (GLF_MODES, METHOD_GLF, METHODS, MODE_COORDS,
+                                  load_feature_table, save_feature_table)
+from facespectra.patches import ALIGN_MODES, PatchConfig
+from facespectra.pipeline import FeatureRunConfig
+from facespectra.synth import SynthConfig
 
 PATCH_FLAGS = ["--lambda-min", "6", "--lambda-max", "12", "--curves", "3",
                "--samples", "8"]
@@ -30,6 +37,56 @@ def cli_workspace(tmp_path_factory):
                "--k", "12", "--out", str(feats)] + PATCH_FLAGS)
     assert rc == 0
     return {"ws": ws, "data": data, "basis": basis, "glf": feats}
+
+
+def test_parser_defaults_and_choices_come_from_their_homes():
+    """Each setting defined outside the CLI is parsed with that definition's
+    default and choices: ``{dest: (default, choices)}`` per subcommand."""
+    patch = {"lambda_min": (PatchConfig.lambda_min, None),
+             "lambda_max": (PatchConfig.lambda_max, None),
+             "curves": (PatchConfig.n_curves, None),
+             "samples": (PatchConfig.samples_per_curve, None)}
+    run, clf = FeatureRunConfig, ClassifierConfig
+    homes = {
+        "synth": {"subjects": (SynthConfig.subjects, None),
+                  "levels": (len(SynthConfig.levels), None),
+                  "resolution": (SynthConfig.resolution, None),
+                  "amplitude": (SynthConfig.amplitude, None),
+                  "subject_amplitude": (SynthConfig.subject_amplitude, None),
+                  "jitter": (SynthConfig.jitter, None), "seed": (SynthConfig.seed, None)},
+        "basis": patch,
+        "features": {**patch, "method": (METHOD_GLF, METHODS),
+                     "mode": (MODE_COORDS, GLF_MODES), "align": (run.align, ALIGN_MODES),
+                     "missing": (run.missing_policy, run.MISSING_POLICIES),
+                     "drop_constant": (run.drop_constant, None),
+                     "rescale": (run.rescale, None), "jobs": (run.jobs, None)},
+        "evaluate": {"classifier": (clf.kind, clf.KINDS), "kernel": (clf.kernel, clf.KERNELS),
+                     "C": (clf.C, None), "gamma": (clf.gamma, None), "reg": (clf.reg, None),
+                     "folds": (FOLDS, None), "seed": (SEED, None)},
+    }
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for command, settings in homes.items():
+        parsed = vars(parser.parse_args([command]))
+        actions = {a.dest: a for a in commands[command]._actions}
+        for dest, (default, choices) in settings.items():
+            assert parsed[dest] == default, (command, dest)
+            assert actions[dest].choices == choices, (command, dest)
+        # --task alone has its choices in the CLI
+        assert {d for d, a in actions.items() if a.choices} <= set(settings) | {"task"}
+
+
+def test_version_has_one_home():
+    """The package version is read from ``facespectra.__version__``, not
+    written again in ``pyproject.toml``."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "facespectra.__version__"}
+    assert isinstance(facespectra.__version__, str)
 
 
 def test_synth_cmd_creates_dataset(cli_workspace):

@@ -485,6 +485,15 @@ def test_sweep_rejects_k_below_one():
             eigen_sweep(table, [k, 5], classifier=FLDA)
 
 
+def test_sweep_rejects_repeated_or_no_k():
+    """A repeated k would train twice and leave one ``per_k`` entry for two
+    grid points; an empty grid evaluates nothing."""
+    table = sweep_table(np.random.default_rng(10))
+    for k_values, match in (([5, 5, 3], r"repeated: \[5\]"), ([], r"got \[\]")):
+        with pytest.raises(ValueError, match=match):
+            eigen_sweep(table, k_values, classifier=FLDA)
+
+
 # ---------------------------------------------------------------------------
 # missing patches
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import multiprocessing
 import os
 import shutil
@@ -10,7 +11,8 @@ import pytest
 
 from facespectra import pipeline
 from facespectra.data import DatasetManifest, load_manifest
-from facespectra.features import glf_norms, glf_project, save_feature_table
+from facespectra.features import (glf_norms, glf_project, load_feature_table,
+                                  save_feature_table)
 from facespectra.mesh import LandmarkSet, load_landmarks, load_mesh, save_landmarks
 from facespectra.patches import PatchConfig, canonical_connectivity, load_patch_archive
 from facespectra.pipeline import compute_basis, compute_feature_tables
@@ -225,6 +227,54 @@ def test_basis_patch_size_mismatch_rejected(tiny_manifest):
     with pytest.raises(ValueError, match="dimension"):
         compute_feature_tables(tiny_manifest, TINY_PATCH_CFG,
                                [("glf", "coords", 5)], basis=wrong)
+
+
+def test_basis_of_another_connectivity_rejected(tiny_manifest):
+    """A 12x4 basis has the 49 vertices of the 4x12 patches but not their
+    connectivity, so projecting onto it gives no GLF coefficients."""
+    other = PatchConfig(6.0, 14.0, 12, 4)
+    assert other.n_vertices == TINY_PATCH_CFG.n_vertices
+    with pytest.raises(ValueError, match=f"{other.connectivity_hash():#x} .*"
+                                         f"{TINY_PATCH_CFG.connectivity_hash():#x}"):
+        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                               basis=compute_basis(other, 10))
+
+
+def test_sidecar_records_run_and_errors_alike_for_any_jobs(tiny_manifest, tiny_basis,
+                                                           tmp_path):
+    """The sidecar holds every run setting but ``jobs`` and the errors, its
+    bytes do not depend on ``jobs``, and a sidecar without either loads."""
+    records = tiny_manifest.records[:3]
+    bad = tmp_path / "bad.obj"
+    bad.write_text("v 0 0 nope\n")
+    manifest = DatasetManifest([dataclasses.replace(records[0], mesh_path=bad),
+                                *records[1:]], tiny_manifest.root)
+    settings = {"align": "normal", "missing_policy": "drop", "drop_constant": True,
+                "rescale": 1.0}
+    sidecars = []
+    for jobs in (1, 2):
+        (table,), errors = compute_feature_tables(manifest, TINY_PATCH_CFG,
+                                                  [("glf", "coords", 8)], basis=tiny_basis,
+                                                  jobs=jobs, **settings)
+        save_feature_table(tmp_path / f"jobs{jobs}", table)
+        sidecars.append((tmp_path / f"jobs{jobs}.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert [e["scan"] for e in errors] == [str(bad)]
+    loaded = load_feature_table(tmp_path / "jobs1")
+    assert loaded.run == settings and loaded.errors == errors
+    meta = json.loads(sidecars[0])
+    del meta["run"], meta["errors"]
+    (tmp_path / "jobs1.json").write_text(json.dumps(meta))
+    older = load_feature_table(tmp_path / "jobs1")
+    assert older.run == {} and older.errors == [] and np.array_equal(older.X, table.X)
+
+
+def test_unknown_align_or_missing_policy_rejected(tiny_manifest, tiny_basis):
+    for kwargs, match in (({"align": "sideways"}, "align"),
+                          ({"missing_policy": "fill"}, "missing policy")):
+        with pytest.raises(ValueError, match=match):
+            compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                                   basis=tiny_basis, **kwargs)
 
 
 def test_rescale_and_jobs_out_of_range_rejected(tiny_manifest, tiny_basis):
