@@ -197,6 +197,13 @@ def cmd_features(args) -> int:
     return 0
 
 
+def _table_meta(table) -> dict:
+    """How a feature table was made, as a report's config echoes it."""
+    return {"method": table.method, "mode": table.mode, "k": table.k,
+            "n_landmarks": len(table.landmark_labels), "patch_config": table.config,
+            "config_hash": table.config_hash, "run": table.run}
+
+
 def cmd_evaluate(args) -> int:
     if not args.features:
         raise UsageError("--features is required")
@@ -210,10 +217,7 @@ def cmd_evaluate(args) -> int:
                          f"in {args.features}")
     run_config = _settings(args)
     run_config["classifier_config"] = clf.to_dict()
-    run_config["feature_meta"] = {
-        "method": table.method, "mode": table.mode, "k": table.k,
-        "n_landmarks": len(table.landmark_labels), "patch_config": table.config,
-    }
+    run_config["feature_meta"] = _table_meta(table)
 
     if args.compare_features and (args.sweep or args.task != "expressions"):
         raise UsageError("--compare-features applies to the expressions task "
@@ -237,6 +241,7 @@ def cmd_evaluate(args) -> int:
             other = load_feature_table(args.compare_features)
             if other.subjects != table.subjects:
                 raise UsageError("--compare-features table has different samples")
+            run_config["compare_feature_meta"] = _table_meta(other)
             other_result = evaluate_expressions(
                 other.X, other.expressions, other.subjects,
                 classifier=clf, folds=folds, seed=seed, missing=other.missing)

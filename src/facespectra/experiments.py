@@ -1,13 +1,13 @@
 """Cross-validated expression and Action-Unit experiments.
 
-Per fold: standardize features with training statistics, train the
+Fold by fold: standardize features with training statistics, train the
 requested classifier, predict the held-out subjects.  What does not
 depend on the labels is built once per fold for all its labellings (and
-for all the eigenvalue counts of a sweep), and under SVM every labelling
-of one evaluation trains in one batched SMO call.  Expression results
-report per-fold accuracies and a row-averaged confusion matrix; AU
-results report per-AU precision/recall/F1 over the pooled test folds
-plus the positives-weighted average.  Reports serialize to JSON and are
+for all the eigenvalue counts of a sweep), and under SVM all of them
+train in one batched SMO call per fold.  Expression results report
+per-fold accuracies and a row-averaged confusion matrix; AU results
+report per-AU precision/recall/F1 over the pooled test folds plus the
+positives-weighted average.  Reports serialize to JSON and are
 validated against the schema shipped with the package.
 """
 
@@ -120,32 +120,21 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
     converge, the reason as a string.  Any other failure raises naming
     the fold and, for an AU, the AU.
 
-    A fold is standardized once (:func:`_fold_rows`) for all its jobs and
-    column sets, and not at all when it has no job.  Under SVM each
-    column set's train-by-train and test-by-train kernels (gamma from its
-    column count) are built from it, and each column set trains all its
-    jobs in one batched SMO call; FLDA fits every job of a column set on
-    its span as the fold is reached, and holds one fold's rows at a time.
+    The folds that have jobs are taken one at a time, and each is
+    standardized once (:func:`_fold_rows`) for all its jobs and column
+    sets.  FLDA fits every job of a column set on its span.  SVM builds
+    each column set's train-by-train and test-by-train kernels (gamma
+    from its column count), then trains every (column set, job) pair of
+    the fold in one batched SMO call.  Only one fold's rows, kernels and
+    models are held at a time.
     """
     fold_jobs = {}
     for n, (f, _, _) in enumerate(jobs):
         fold_jobs.setdefault(f, []).append(n)
     out = [[None] * len(jobs) for _ in column_sets]
-    kernels = [{} for _ in column_sets]     # SVM: fold -> (train, test) kernels
-    if cfg.kind == "svm":
-        # every kernel of the call lives in one block: kernels allocated one
-        # by one between each fold's large rows leave a fragmented heap that
-        # stays resident after the call
-        sizes = [(f, len(splits[f][0]), len(splits[f][1])) for f in fold_jobs]
-        block = np.empty(len(column_sets) * sum(a * (a + b) for _, a, b in sizes))
-        offset = 0
-        for fold_kernels in kernels:
-            for f, a, b in sizes:
-                fold_kernels[f] = (block[offset:offset + a * a].reshape(a, a),
-                                   block[offset + a * a:offset + a * (a + b)].reshape(b, a))
-                offset += a * (a + b)
     for f, members in fold_jobs.items():
         first = jobs[members[0]][2]
+        kernels = []                        # SVM: per column set, (train, test) kernels
         try:
             Xtr, Xte = _fold_rows(X, missing, *splits[f])
         except Exception as exc:
@@ -155,9 +144,8 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
             try:
                 if cfg.kind == "svm":
                     gamma = classify.kernel_gamma(cfg.kernel, cfg.gamma, tr.shape[1])
-                    train_kernel, test_kernel = kernels[c][f]
-                    train_kernel[...] = classify.kernel_matrix(tr, tr, cfg.kernel, gamma)
-                    test_kernel[...] = classify.kernel_matrix(te, tr, cfg.kernel, gamma)
+                    kernels.append((classify.kernel_matrix(tr, tr, cfg.kernel, gamma),
+                                    classify.kernel_matrix(te, tr, cfg.kernel, gamma)))
                     continue
                 span = classify.flda_span(tr)
             except Exception as exc:
@@ -166,15 +154,14 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
                 _, labels, entry = jobs[n]
                 out[c][n] = _outcome(entry, lambda: classify.flda_predict(
                     classify.flda_train(tr, labels, reg=cfg.reg, span=span), te))
-        # let this fold's rows go before the next fold's are gathered
-        Xtr = Xte = tr = te = span = None
-    if cfg.kind == "svm":
-        for c, fold_kernels in enumerate(kernels):
+        Xtr = Xte = tr = te = span = None   # released before the SMO call's bank
+        if kernels:
             models = classify.svm_train_folds(
-                [(labels, fold_kernels[f][0]) for f, labels, _ in jobs], C=cfg.C)
-            for n, (f, _, entry) in enumerate(jobs):
-                out[c][n] = _outcome(entry, lambda: classify.svm_predict(
-                    _raised(models[n]), fold_kernels[f][1]))
+                [(jobs[n][1], train) for train, _ in kernels for n in members], C=cfg.C)
+            for c in range(len(column_sets)):
+                for i, n in enumerate(members):
+                    out[c][n] = _outcome(jobs[n][2], lambda: classify.svm_predict(
+                        _raised(models[c * len(members) + i]), kernels[c][1]))
     return out
 
 
@@ -317,7 +304,7 @@ def _expression_result(classes, y, splits, short, preds) -> ExpressionResult:
 class AUResult:
     rows: list                   # dicts: au, precision, recall, f1, positives
     weighted_f1: float
-    skipped: list                # dicts: au, fold[, reason] (untrainable folds)
+    skipped: list                # dicts: au, fold, reason (untrainable folds)
     fold_count: int
 
 
@@ -328,15 +315,15 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     test folds, averaged with per-AU positive counts as weights.
 
     An AU with zero positive training samples in a fold is skipped for
-    that fold and recorded.  FLDA needs two training samples per class,
-    so under FLDA a fold with exactly one positive or one negative is
-    skipped too, recorded with the counts as its reason, and so is an
-    (AU, fold) whose SMO solve does not converge.
+    that fold and recorded with that reason.  FLDA needs two training
+    samples per class, so under FLDA a fold with exactly one positive or
+    one negative is skipped too, recorded with the counts as its reason,
+    and so is an (AU, fold) whose SMO solve does not converge.
 
     Each AU is a "pos"/"neg" labelling of its fold, so a fold is
     standardized once for all its AUs, and its kernels or span are built
     once, or not at all when every AU is skipped or constant.  Under SVM
-    every (AU, fold) trains in one batched SMO call.  ``missing`` fills
+    every AU of a fold trains in one batched SMO call.  ``missing`` fills
     missing landmark blocks as in :func:`evaluate_expressions`.
     """
     classifier = classifier or ClassifierConfig()
@@ -356,7 +343,7 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
             pos = int((y_train > 0).sum())
             neg = len(train) - pos
             if not pos:
-                plan.append((a, f, entry, "skip"))
+                plan.append((a, f, {**entry, "reason": "no positive training sample"}, "skip"))
             elif classifier.kind == "flda" and 1 in (pos, neg):
                 reason = (f"flda needs 2 training samples per class, "
                           f"got {pos} positive and {neg} negative")
@@ -431,7 +418,7 @@ def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | No
     table's missing blocks are filled as in :func:`evaluate_expressions`),
     and each k reads its leading components from it.  The folds depend
     only on the subjects, ``folds`` and ``seed``, so every k gets the same
-    ones; under SVM each k trains in its own batched SMO call."""
+    ones; under SVM every k of a fold trains in one batched SMO call."""
     k_values = check_sweep(k_values, table.k)
     columns = [None if k == table.k else truncation_columns(
         len(table.landmark_labels), table.method, table.mode, table.k, k) for k in k_values]
@@ -571,7 +558,7 @@ def save_report(path, report: dict) -> None:
 
 def format_confusion(confusion: ConfusionMatrix) -> str:
     labels = confusion.labels
-    width = max(6, max(len(l) for l in labels) + 1)
+    width = max(7, max(len(l) for l in labels) + 1)   # 7: "100.00" and a space
     head = "%".rjust(width) + "".join(l.rjust(width) for l in labels)
     lines = [head]
     for i, l in enumerate(labels):

@@ -26,7 +26,8 @@ from .features import (
     glf_project,
 )
 from .mesh import MeshFormatError, MeshStructureError, load_landmarks, load_mesh
-from .patches import PatchConfig, canonical_connectivity, extract_patches, save_patch_archive
+from .patches import (ALIGN_MODES, PatchConfig, canonical_connectivity, extract_patches,
+                      save_patch_archive)
 from .spectral import (DegenerateGeometryError, EigenConvergenceError, SpectralBasis,
                        eig_sym, graph_laplacian, shape_dna)
 
@@ -53,6 +54,8 @@ class FeatureRunConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        if self.align not in ALIGN_MODES:
+            raise ValueError(f"unknown align mode {self.align!r}")
         if self.missing_policy not in self.MISSING_POLICIES:
             raise ValueError(f"unknown missing policy {self.missing_policy!r}")
         if not 0.0 < self.rescale < float("inf"):

@@ -265,6 +265,30 @@ def test_evaluate_cmd_compare_features_same_method(cli_workspace, tmp_path, caps
     assert "glf" in capsys.readouterr().out
 
 
+def test_evaluate_report_says_how_each_table_was_made(cli_workspace, tmp_path, capsys):
+    """The report's config echoes each table's run settings and connectivity
+    hash, for the ``--compare-features`` table too."""
+    aligned = tmp_path / "glf_aligned"
+    rc = main(["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+               "--basis", str(cli_workspace["basis"]), "--method", "glf", "--k", "12",
+               "--align", "normal", "--out", str(aligned)] + PATCH_FLAGS)
+    assert rc == 0
+    report_path = tmp_path / "cmp.json"
+    rc = main(["evaluate", "--features", str(cli_workspace["glf"]), "--classifier", "flda",
+               "--folds", "2", "--compare-features", str(aligned), "--out", str(report_path)])
+    assert rc == 0, capsys.readouterr().err
+    config = json.loads(report_path.read_text())["config"]
+    for key, path in (("feature_meta", cli_workspace["glf"]),
+                      ("compare_feature_meta", aligned)):
+        table = load_feature_table(path)
+        assert config[key] == {"method": "glf", "mode": "coords", "k": 12,
+                               "n_landmarks": len(table.landmark_labels),
+                               "patch_config": table.config,
+                               "config_hash": table.config_hash, "run": table.run}
+    assert [config[key]["run"]["align"] for key in ("feature_meta", "compare_feature_meta")
+            ] == ["none", "normal"]
+
+
 def test_evaluate_cmd_passes_missing_flags(cli_workspace, tmp_path, capsys):
     """``evaluate`` hands each table's missing-patch flags to the
     evaluation, also for the ``--compare-features`` table: a copy whose
@@ -524,11 +548,13 @@ def test_features_then_evaluate_name_every_injected_fault(cli_workspace, tmp_pat
     assert np.argwhere(table.missing).tolist() == [[1, 5]]  # flagged in the sidecar
 
     solve = classify.svm_solve_batch
+    calls = []
 
     def fold_zero_capped(grams, problems, C=1.0, tol=1e-3, max_iter=100_000):
-        solved = solve(grams, problems, C=C, tol=tol, max_iter=max_iter)
-        capped = solve(grams, problems, C=C, tol=tol, max_iter=1)
-        return [c if g == 0 else s for (g, _), s, c in zip(problems, solved, capped)]
+        calls.append(len(problems))
+        if len(calls) == 1:                 # SVM trains fold by fold, fold 0 first
+            max_iter = 1
+        return solve(grams, problems, C=C, tol=tol, max_iter=max_iter)
 
     monkeypatch.setattr(classify, "svm_solve_batch", fold_zero_capped)
     report_path = tmp_path / "report.json"

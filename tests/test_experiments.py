@@ -1,5 +1,7 @@
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from facespectra.classify import (
 )
 from facespectra.experiments import (
     ClassifierConfig,
+    ConfusionMatrix,
     au_report_section,
     build_report,
     compare_methods,
@@ -23,6 +26,7 @@ from facespectra.experiments import (
     evaluate_expressions,
     expression_report_section,
     format_au_result,
+    format_confusion,
     format_expression_result,
     format_sweep_result,
     report_schema,
@@ -266,13 +270,16 @@ def test_au_always_present_trivial_f1():
     assert res.skipped == []
 
 
+NO_POSITIVE = "no positive training sample"
+
+
 def test_au_zero_positives_skipped_and_recorded():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(24, 5))
     subjects = [f"S{i // 2}" for i in range(24)]
     aus = [()] * 24
     res = evaluate_aus(X, aus, subjects, classifier=FLDA, folds=3, seed=0, aus=(4,))
-    assert len(res.skipped) == 3  # every fold skipped
+    assert res.skipped == [{"au": 4, "fold": f, "reason": NO_POSITIVE} for f in range(3)]
     assert res.rows[0]["positives"] == 0
     assert res.rows[0]["f1"] == 0.0
 
@@ -290,8 +297,8 @@ def test_au_flda_single_sample_class_fold_skipped_with_reason():
         by_au.setdefault(s["au"], []).append(s)
     # the fold testing sample 0 has no positive to train on, recorded as before
     assert len(by_au[1]) == 5
-    assert sum(set(s) == {"au", "fold"} for s in by_au[1]) == 1
-    one_pos = [s for s in by_au[1] if "reason" in s]
+    assert sum(s["reason"] == NO_POSITIVE for s in by_au[1]) == 1
+    one_pos = [s for s in by_au[1] if s["reason"] != NO_POSITIVE]
     assert len(one_pos) == 4
     assert all("1 positive and 31 negative" in s["reason"] for s in one_pos)
     # with sample 0 tested, AU4's training fold is all positive: constant predictor
@@ -313,7 +320,7 @@ def reference_evaluate_aus(X, au_sets, subjects, classifier, folds, seed):
             pos = int((ybin[train] > 0).sum())
             neg = len(train) - pos
             if not pos:
-                skipped.append({"au": au, "fold": f})
+                skipped.append({"au": au, "fold": f, "reason": NO_POSITIVE})
                 continue
             if classifier.kind == "flda" and 1 in (pos, neg):
                 skipped.append({"au": au, "fold": f,
@@ -369,7 +376,7 @@ def test_au_evaluation_matches_per_pair_loop(classifier, d):
     assert res.rows == rows
     assert res.skipped == skipped
     assert res.weighted_f1 == weighted
-    reasons = {(s["au"], "reason" in s) for s in skipped}
+    reasons = {(s["au"], s["reason"] != NO_POSITIVE) for s in skipped}
     assert {(1, False), (5, False)} <= reasons
     assert ((1, True) in reasons) == ((6, True) in reasons) == (classifier.kind == "flda")
     assert not any(s["au"] in (2, 4) for s in skipped)
@@ -462,6 +469,36 @@ def test_sweep_standardizes_each_fold_once(monkeypatch):
         eigen_sweep(table, [1, 3, 7, 10], classifier=classifier, folds=4, seed=3)
         assert len(calls) == 4
         assert {shape[1] for shape in calls} == {table.X.shape[1]}
+
+
+def test_svm_sweep_trains_fold_by_fold_holding_one_fold_of_grams(monkeypatch):
+    """Under SVM a sweep makes one ``svm_train_folds`` call per fold, in
+    fold order, with that fold's train Gram of each k, and no Gram passed
+    to an earlier call is alive when the next call starts."""
+    table = sweep_table(np.random.default_rng(12))
+    k_values, folds, seed = [1, 3, 7, 10], 4, 3
+    splits = identity_disjoint_folds(table.subjects, folds, seed)
+    calls, earlier = [], []              # earlier: weak references to passed Grams
+    original = classify.svm_train_folds
+
+    def checked(pairs, **kwargs):
+        gc.collect()
+        assert not [ref for ref in earlier if ref() is not None]
+        Xtr, _ = experiments._fold_rows(table.X, None, *splits[len(calls)])
+        grams = list({id(gram): gram for _, gram in pairs}.values())
+        assert len(grams) == len(k_values)
+        for k, gram in zip(k_values, grams):
+            tr = Xtr[:, truncation_columns(len(table.landmark_labels), table.method,
+                                           table.mode, table.k, k)]
+            assert np.allclose(gram, classify.kernel_matrix(tr, tr, "rbf", 1 / tr.shape[1]))
+        earlier.extend(weakref.ref(gram) for gram in grams)
+        calls.append(len(pairs))
+        return original(pairs, **kwargs)
+
+    monkeypatch.setattr(classify, "svm_train_folds", checked)
+    eigen_sweep(table, k_values, classifier=ClassifierConfig(kind="svm"), folds=folds,
+                seed=seed)
+    assert calls == [len(k_values)] * folds
 
 
 def test_sweep_saturation_beyond_signal():
@@ -687,6 +724,14 @@ def test_report_validation_checks_the_schema_at_most_once(monkeypatch):
     assert len(checks) <= 1
     with pytest.raises(jsonschema.ValidationError):
         validate_report({**report, "task": "nope"})
+
+
+def test_confusion_cells_of_100_percent_stay_apart():
+    labels = list(EXPRESSIONS)
+    eye = np.eye(len(labels))
+    text = format_confusion(ConfusionMatrix(labels, eye.astype(int), 100.0 * eye))
+    for line in text.splitlines()[1:]:
+        assert len(line.split()) == len(labels) + 1
 
 
 def test_ascii_tables_render():

@@ -277,6 +277,18 @@ def test_unknown_align_or_missing_policy_rejected(tiny_manifest, tiny_basis):
                                    basis=tiny_basis, **kwargs)
 
 
+def test_unknown_align_named_before_any_scan_is_read(tiny_manifest, tmp_path):
+    """An unknown align is named up front, also when no scan can be read
+    and before a worker pool starts."""
+    manifest = DatasetManifest(
+        [dataclasses.replace(rec, mesh_path=tmp_path / f"gone{i}.obj")
+         for i, rec in enumerate(tiny_manifest.records[:2])], tiny_manifest.root)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match="align"):
+            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "coords", 5)],
+                                   align="sideways", jobs=jobs)
+
+
 def test_rescale_and_jobs_out_of_range_rejected(tiny_manifest, tiny_basis):
     for kwargs, match in (({"rescale": 0.0}, "rescale"), ({"rescale": -1.0}, "rescale"),
                           ({"rescale": float("nan")}, "rescale"), ({"jobs": 0}, "jobs"),
