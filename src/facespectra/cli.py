@@ -207,6 +207,11 @@ def _table_meta(table) -> dict:
 def cmd_evaluate(args) -> int:
     if not args.features:
         raise UsageError("--features is required")
+    other = ("reg",) if args.classifier == "svm" else ("kernel", "C", "gamma")
+    unused = [f"--{name}" for name in other
+              if getattr(args, name) != getattr(ClassifierConfig, name)]
+    if unused:
+        raise UsageError(f"--classifier {args.classifier} takes no {' or '.join(unused)}")
     clf = ClassifierConfig(kind=args.classifier, kernel=args.kernel, C=args.C,
                            gamma=args.gamma, reg=args.reg)
     folds, seed = args.folds, args.seed

@@ -461,14 +461,17 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_TH
 
 
 def environment_fingerprint() -> dict:
-    """Versions, platform, CPU count and the BLAS thread settings the
-    process runs under (each variable's value, or None when unset)."""
+    """Versions, platform, the host's CPU count, the CPUs the process may
+    run on (None where the platform cannot say) and the BLAS thread
+    settings it runs under (each variable's value, or None when unset)."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
         "package_version": __version__,
         "cpu_count": os.cpu_count(),
+        "usable_cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else None),
         "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES},
     }
 

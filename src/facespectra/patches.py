@@ -20,8 +20,9 @@ the same patch, bit for bit, alone or among others:
   point's place in it, so a loop starts at its lowest point and steps first
   to that point's first neighbour, whatever the face orientation.  Chains
   that reach the mesh boundary are dropped.
-- Each level keeps the loop with the largest absolute winding number about
-  the landmark in the plane orthogonal to the apex normal (at least 1/2),
+- Each level keeps, among the loops that wind about the landmark in the
+  plane orthogonal to the apex normal (absolute winding number at least
+  1/2), the one with the largest winding number rounded to an integer,
   then the one whose centroid lies farthest from the landmark, then the
   first; it is reversed to run counterclockwise.
 - Every ring starts at the point that projects most onto the reference
@@ -308,15 +309,13 @@ def _next_index(width, counts):
     return np.where(j + 1 < counts[:, None], j + 1, 0)
 
 
-def _crossed_edges(faces, face_owner, fv, levels, contexts, errors):
-    """The segments of every (landmark, level) row: a face crossed by a
-    level (its corner distances ``fv`` straddle it) adds one segment
-    between its two crossed edges.  Returns ``(n_mixed, row, lo, hi)``:
-    the number of segments of each row and, for the two crossed edges of
-    every segment (segments level by level, in face order), the row and
-    the edge's end vertices, ``lo < hi``.  A landmark whose crossed faces
-    do not cross exactly two edges each gets that error in ``errors`` and
-    no segments."""
+def _crossed_edges(faces, face_owner, fv, levels, n_rows):
+    """The segments of every one of the ``n_rows`` (landmark, level) rows:
+    a face crossed by a level (its corner distances ``fv`` straddle it)
+    adds one segment between its two crossed edges.  Returns ``(n_mixed,
+    row, lo, hi)``: the number of segments of each row and, for the two
+    crossed edges of every segment (segments level by level, in face
+    order), the row and the edge's end vertices, ``lo < hi``."""
     n_lev = levels.size
     face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
     face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
@@ -324,31 +323,22 @@ def _crossed_edges(faces, face_owner, fv, levels, contexts, errors):
     crossed = np.flatnonzero((face_min < levels[:, None]) & (face_max >= levels[:, None]))
     lev = crossed // face_min.size
     fi = crossed - lev * face_min.size
-    owner = face_owner[fi]
+    row = face_owner[fi] * n_lev + lev
     ir = np.take(fv, fi, axis=0) < levels[lev, None]
     # edge slot s joins face corners s and s+1 and is crossed iff their
-    # inside flags differ.  Around a face the flags change an even number
-    # of times, so a mixed face has exactly two crossed slots: all but the
-    # one whose flags agree
-    same = [ir[:, s] == ir[:, (s + 1) % 3] for s in range(3)]
-    bad = same[0] & same[1]
-    if bad.any():
-        for i in np.unique(owner[bad]).tolist():
-            errors[i] = CurveExtractionError(
-                f"iso-level {levels[lev[bad & (owner == i)][0]]}: "
-                f"inconsistent crossing structure{contexts[i]}")
-        kept = ~np.isin(owner, owner[bad])
-        lev, fi, owner, same = lev[kept], fi[kept], owner[kept], [x[kept] for x in same]
-    row = owner * n_lev + lev
+    # inside flags differ.  A crossed face has a corner inside the level
+    # and one outside, so the flags change exactly twice around it: every
+    # slot is crossed but the one whose flags agree.  The first crossed
+    # slot is 0 unless slot 0 agrees, the second 2 unless slot 2 agrees;
+    # each edge as corner pairs in slot order
+    same0, same2 = ir[:, 0] == ir[:, 1], ir[:, 2] == ir[:, 0]
     f0, f1, f2 = np.take(faces, fi, axis=0).T
-    # the first crossed slot is 0 unless slot 0 agrees, the second 2
-    # unless slot 2 agrees; each edge as corner pairs in slot order
     lo, hi = np.empty((2, 2 * row.size), dtype=np.int64)
-    for k, (a, b) in enumerate([(np.where(same[0], f1, f0), np.where(same[0], f2, f1)),
-                                (np.where(same[2], f1, f2), np.where(same[2], f2, f0))]):
+    for k, (a, b) in enumerate([(np.where(same0, f1, f0), np.where(same0, f2, f1)),
+                                (np.where(same2, f1, f2), np.where(same2, f2, f0))]):
         np.minimum(a, b, out=lo[k::2])
         np.maximum(a, b, out=hi[k::2])
-    return np.bincount(row, minlength=len(errors) * n_lev), np.repeat(row, 2), lo, hi
+    return np.bincount(row, minlength=n_rows), np.repeat(row, 2), lo, hi
 
 
 def _crossing_graph(vertices, row, lo, hi, centers, levels):
@@ -402,15 +392,16 @@ def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, c
     points.  All (landmark, level) rows are traced together in one array
     pass, and no row depends on another.
 
-    A level may hold several closed loops.  The one kept is the one with
-    the largest absolute winding number about the landmark in its frame's
-    plane (at least 1/2), then the one whose centroid is farthest from the
-    landmark, then the first.  It is reversed when it winds clockwise."""
+    A level may hold several closed loops.  Those whose absolute winding
+    number about the landmark in its frame's plane is at least 1/2 are
+    candidates, and the one kept has the largest winding number rounded to
+    an integer, then the centroid farthest from the landmark, then comes
+    first.  It is reversed when it winds clockwise."""
     levels = np.asarray(levels, dtype=np.float64)
     n_land, n_lev = len(centers), levels.size
     n_rows = n_land * n_lev
     errors = [None] * n_land
-    n_mixed, *edges = _crossed_edges(faces, face_owner, fv, levels, contexts, errors)
+    n_mixed, *edges = _crossed_edges(faces, face_owner, fv, levels, n_rows)
     point_row, pts, nbr, deg = _crossing_graph(vertices, *edges, centers, levels)
     per_row = np.bincount(point_row, minlength=n_rows)
     walk, size = _closed_loops(nbr, per_row.max(initial=0))
@@ -418,33 +409,24 @@ def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, c
     loop_row = point_row[walk[start]]
     loop_land = loop_row // n_lev
     loop_pts = np.take(pts, walk, axis=0)
-    # winding number: the wrapped turns of the angle about the normal, each
-    # loop summed pairwise like np.sum, as rows of a padded array.  Points
-    # are numbered landmark by landmark, so each landmark's loops are one
-    # run of the walk, projected on its frame by the matrix-vector products
-    # a lone trace makes
+    # winding number: the wrapped turns of the angle about the normal in
+    # the landmark's frame, summed loop by loop
     walk_land = np.repeat(loop_land, size)
     d = loop_pts - np.take(centers, walk_land, axis=0)
-    x, y = np.empty(walk.size), np.empty(walk.size)
-    bounds = np.searchsorted(walk_land, np.arange(n_land + 1)).tolist()
-    for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-        x[a:b] = d[a:b] @ frames[i, 0]
-        y[a:b] = d[a:b] @ frames[i, 1]
-    theta = np.arctan2(y, x)
+    frame = np.take(frames[:, :2], walk_land, axis=0)
+    theta = np.arctan2(np.einsum("ij,ij->i", d, frame[:, 1]),
+                       np.einsum("ij,ij->i", d, frame[:, 0]))
     nxt = np.arange(1, walk.size + 1)
     nxt[start + size - 1] = start
     dt = theta[nxt] - theta
     dt = (dt + np.pi) % (2.0 * np.pi) - np.pi
-    inside = np.arange(size.max(initial=0)) < size[:, None]
-    turns = np.zeros(inside.shape)
-    turns[inside] = dt
-    w = np.add.reduce(turns, axis=1, where=inside) / (2.0 * np.pi)
     loop = np.repeat(np.arange(size.size), size)
+    w = np.bincount(loop, weights=dt, minlength=size.size) / (2.0 * np.pi)
     centroid = np.stack([np.bincount(loop, weights=loop_pts[:, c], minlength=size.size)
                          for c in range(3)], axis=1) / size[:, None] - centers[loop_land]
     centroid_d = np.sqrt(_dot_rows(centroid, centroid))
     cand = np.flatnonzero((size >= 3) & (np.abs(w) >= 0.5))
-    cand = cand[np.lexsort((-centroid_d[cand], -np.abs(w[cand]), loop_row[cand]))]
+    cand = cand[np.lexsort((-centroid_d[cand], -np.rint(np.abs(w[cand])), loop_row[cand]))]
     best = np.ones(cand.size, dtype=bool)
     best[1:] = loop_row[cand[1:]] != loop_row[cand[:-1]]
     chosen = np.zeros(n_rows, dtype=np.int64)
@@ -474,8 +456,6 @@ def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, c
         counts < 3,
     ]).reshape(6, n_land, n_lev)
     for i in np.flatnonzero(failed.any(axis=(0, 2))).tolist():
-        if errors[i] is not None:
-            continue
         k = int(np.argmax(failed[:, i].any(axis=0)))
         check = int(np.argmax(failed[:, i, k]))
         level, context = levels[k].item(), contexts[i]

@@ -108,7 +108,7 @@ class _Job:
 _JOB: _Job | None = None
 
 
-def _set_job(job: _Job) -> None:
+def _set_job(job: _Job | None) -> None:
     global _JOB
     _JOB = job
 
@@ -192,7 +192,10 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             results = pool.map(_featurize_record, manifest.records)
     else:
         _set_job(job)
-        results = [_featurize_record(rec) for rec in manifest.records]
+        try:
+            results = [_featurize_record(rec) for rec in manifest.records]
+        finally:
+            _set_job(None)
 
     kept = []
     errors = []

@@ -212,7 +212,7 @@ def reference_enclosing_loops(mesh, field, face_min, face_max, center, levels, f
             w = _winding(loop_pts, center, frame)
             if abs(w) >= 0.5:
                 centroid_d = float(np.linalg.norm(loop_pts.mean(axis=0) - center))
-                candidates.append((abs(w), -centroid_d, loop_pts, w))
+                candidates.append((round(abs(w)), -centroid_d, loop_pts, w))
         if not candidates:
             raise patches.CurveAmbiguityError(
                 f"iso-level {level}: {len(loops)} closed component(s), none encloses the landmark{context}"

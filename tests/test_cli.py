@@ -425,6 +425,31 @@ def test_glf_only_flags_rejected_for_shapedna(cli_workspace, tmp_path, capsys):
     assert not any(tmp_path.glob("dna*"))
 
 
+def test_classifier_flags_of_the_other_classifier_rejected(cli_workspace, tmp_path, capsys):
+    """``--kernel``, ``--C`` and ``--gamma`` set the SVM only and ``--reg``
+    FLDA only, so each, set to other than its default for the other
+    classifier, is a usage error naming it, from the command line and
+    from ``--config`` alike; its default value passes."""
+    report_path = tmp_path / "report.json"
+    argv = ["evaluate", "--features", str(cli_workspace["glf"]), "--folds", "2",
+            "--out", str(report_path)]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"C": 5.0, "gamma": 3.0}))
+    for kind, extra, named in (
+            ("flda", ["--C", "5", "--kernel", "linear", "--gamma", "3"],
+             ["--kernel", "--C", "--gamma"]),
+            ("flda", ["--config", str(cfgfile)], ["--C", "--gamma"]),
+            ("svm", ["--reg", "0.5"], ["--reg"])):
+        assert main(argv + ["--classifier", kind] + extra) == 2, extra
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "usage", extra
+        assert all(flag in err["message"] for flag in named), extra
+        assert ("--reg" in err["message"]) == (kind == "svm"), extra
+    assert not report_path.exists()
+    assert main(argv + ["--classifier", "flda", "--kernel", "rbf", "--C", "1"]) == 0
+    assert report_path.exists()
+
+
 def test_out_of_range_flags_rejected(capsys):
     for flag, value in (("--rescale", "-1"), ("--rescale", "0"), ("--rescale", "nan"),
                         ("--jobs", "-2"), ("--jobs", "0")):

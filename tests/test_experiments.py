@@ -664,6 +664,25 @@ def test_environment_records_cpu_count_and_blas_threads(monkeypatch):
                                    "MKL_NUM_THREADS": None}
 
 
+def test_environment_records_usable_cpus():
+    """The CPUs the process may run on: at least one and at most the
+    host's.  The schema takes an integer of at least 1, None, or no entry
+    (reports written before it was recorded)."""
+    report = build_report("expressions", {}, _small_expression_section())
+    env = report["environment"]
+    assert 1 <= env["usable_cpus"] <= env["cpu_count"]
+    validate_report(report)
+    report["environment"]["usable_cpus"] = None
+    validate_report(report)
+    del report["environment"]["usable_cpus"]
+    validate_report(report)
+    import jsonschema
+
+    report["environment"]["usable_cpus"] = 0
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(report)
+
+
 def test_report_without_cpu_and_thread_fields_validates():
     """Reports written before the environment recorded CPU count and BLAS
     threads still validate."""

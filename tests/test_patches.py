@@ -746,6 +746,57 @@ def test_array_pass_matches_reference_on_hand_built_meshes(case):
         _assert_matches_reference(_reindexed(mesh, rng), center, cfg)
 
 
+def test_equal_winding_loops_go_to_the_farthest_centroid():
+    """Two parallel planes 3 apart: at every level both loops wind once
+    around a landmark on the lower plane, so every ring comes from the
+    upper plane, whose loop's centroid is farther, however the float
+    winding sums of the two loops round.  Alone and among other landmarks
+    alike."""
+    mesh = _union(_grid_at(41, 0.5), _grid_at(41, 0.5, offset=(0.1, -0.2, 3.0)))
+    center = np.array([0.05, 0.02, 0.0])
+    cfg = PatchConfig(3.5, 6.0, 3, 10)
+    alone = build_patch(mesh, ("L", center), cfg)
+    assert np.allclose(alone[1:, 2], 3.0, rtol=0, atol=1e-12)
+    others = np.array([[1.0, -0.5, 0.0], [0.3, 0.4, 3.0], [-0.8, 0.2, 0.0]])
+    for centers in (center[None], np.vstack([others[:2], center, others[2:]])):
+        labels = [f"L{i}" for i in range(len(centers))]
+        got, missing, _ = extract_patches(mesh, LandmarkSet(labels, centers), cfg)
+        i = int(np.flatnonzero(np.all(centers == center, axis=1))[0])
+        assert not missing.any()
+        assert got[i].tobytes() == alone.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_crossed_face_crosses_two_distinct_edges(data):
+    """A face is crossed by a level when one corner distance lies below it
+    and one does not, so each segment ``_crossed_edges`` gives joins two
+    distinct edges of its face, each with one corner inside the level:
+    random corner distances in [0, inf], levels often equal to one of
+    them."""
+    n_faces = data.draw(st.integers(1, 12))
+    dist = st.floats(0.0, np.inf, allow_nan=False)
+    fv = np.array(data.draw(st.lists(st.tuples(dist, dist, dist),
+                                     min_size=n_faces, max_size=n_faces)))
+    levels = np.array(data.draw(st.lists(
+        st.one_of(st.floats(0.0, 1e300), st.sampled_from(fv.ravel().tolist())),
+        min_size=1, max_size=4)))
+    faces = np.arange(3 * n_faces).reshape(n_faces, 3)   # corner ids tell the face
+    n_mixed, row, lo, hi = patches_module._crossed_edges(
+        faces, np.zeros(n_faces, dtype=np.int64), fv, levels, levels.size)
+    inside = fv[:, :, None] < levels
+    mixed = inside.any(axis=1) & ~inside.all(axis=1)
+    assert n_mixed.tolist() == np.count_nonzero(mixed, axis=0).tolist()
+    seg_face = lo[::2] // 3
+    assert seg_face.tolist() == np.nonzero(mixed.T)[1].tolist()
+    assert np.array_equal(row[::2], row[1::2])
+    assert np.array_equal(lo // 3, np.repeat(seg_face, 2))
+    assert np.array_equal(hi // 3, lo // 3) and (lo < hi).all()
+    assert ((lo[::2] != lo[1::2]) | (hi[::2] != hi[1::2])).all()
+    at_level = levels[row]
+    assert ((fv.ravel()[lo] < at_level) != (fv.ravel()[hi] < at_level)).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_resample_matches_reference(seed):

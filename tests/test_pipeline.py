@@ -370,6 +370,23 @@ def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
                                basis=tiny_basis, jobs=1)
 
 
+def test_serial_run_releases_its_job(tiny_manifest, tiny_basis, monkeypatch):
+    """A serial run leaves no basis or faces behind in the process, whether
+    it returns or raises."""
+    compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                           basis=tiny_basis, jobs=1)
+    assert pipeline._JOB is None
+
+    def broken(patch, basis, k):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(pipeline, "glf_project", broken)
+    with pytest.raises(TypeError, match="injected bug"):
+        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                               basis=tiny_basis, jobs=1)
+    assert pipeline._JOB is None
+
+
 def test_rescale_applies_to_meshes_and_landmarks(tiny_manifest, tiny_basis, tmp_path):
     """A corpus stored at twice the scale and read back with rescale=0.5
     gives the original table exactly (scaling by 2 is exact)."""
