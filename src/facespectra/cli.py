@@ -179,12 +179,16 @@ def cmd_features(args) -> int:
             raise UsageError(f"--method {args.method} takes no {' or '.join(unused)} "
                              f"(glf features only)")
     manifest = load_manifest(args.manifest)
-    (table,), errors = pipeline.compute_feature_tables(
-        manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
-        jobs=args.jobs, missing_policy=args.missing, align=args.align,
-        drop_constant=args.drop_constant, rescale=args.rescale,
-        patches_dir=args.save_patches,
-    )
+    try:
+        (table,), errors = pipeline.compute_feature_tables(
+            manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
+            jobs=args.jobs, missing_policy=args.missing, align=args.align,
+            drop_constant=args.drop_constant, rescale=args.rescale,
+            patches_dir=args.save_patches,
+        )
+    except pipeline.FeaturizationError as exc:
+        print(json.dumps({"errors": exc.errors}), file=sys.stderr)
+        raise
     save_feature_table(args.out, table)
     if args.csv:
         save_feature_csv(args.csv, table)

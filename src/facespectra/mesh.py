@@ -175,13 +175,6 @@ def distance_field(mesh: TriangleMesh, r, at=None) -> np.ndarray:
     return _distances(np.take(mesh.vertices, at.ravel(), axis=0), r).reshape(at.shape)
 
 
-def nearest_vertex(points: np.ndarray, r) -> int:
-    """Row index of the point in ``points`` (n, 3) nearest to ``r``; the
-    lowest index wins a tie."""
-    d = points - np.asarray(r, dtype=np.float64).reshape(3)
-    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
-
-
 def _text_lines(path):
     """Lines of a UTF-8 text file; a decoding error names the file."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import read_npy_json, save_npy_json
-from .mesh import TriangleMesh, LandmarkSet, distance_field, nearest_vertex
+from .mesh import TriangleMesh, LandmarkSet, distance_field
 
 ALIGN_MODES = ("none", "normal")
 
@@ -69,14 +69,13 @@ class PatchConfig:
     samples_per_curve: int = 50
 
     def __post_init__(self):
-        if not (0 < self.lambda_min < self.lambda_max):
-            raise ValueError(
-                f"need 0 < lambda_min < lambda_max, got ({self.lambda_min}, {self.lambda_max})"
-            )
-        if self.n_curves < 2:
-            raise ValueError(f"n_curves must be >= 2, got {self.n_curves}")
-        if self.samples_per_curve < 3:
-            raise ValueError(f"samples_per_curve must be >= 3, got {self.samples_per_curve}")
+        if not (0 < self.lambda_min < self.lambda_max < float("inf")):
+            raise ValueError(f"need 0 < lambda_min < lambda_max < inf, "
+                             f"got ({self.lambda_min}, {self.lambda_max})")
+        for name, least in (("n_curves", 2), ("samples_per_curve", 3)):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     @property
     def n_vertices(self) -> int:
@@ -215,23 +214,20 @@ def _fan_flips(fan, apex) -> list:
     return [j for j in range(len(flip)) if flip[j]]
 
 
-def apex_normal(mesh: TriangleMesh, r) -> np.ndarray:
-    """Outward surface normal near ``r``: area-weighted average of the face
-    normals incident to the nearest vertex that some face references
-    (vertices no face uses are ignored).  Faces are summed as oriented by
-    the lowest-numbered incident face (:func:`_fan_flips`), so a mesh whose
+def apex_normal(vertices, faces, fv) -> np.ndarray:
+    """Outward surface normal of a crop, ``faces`` (ids into ``vertices``)
+    whose corners lie ``fv`` from the landmark: area-weighted average of
+    the face normals incident to the nearest corner (the lowest id on a
+    tie, or the lowest-id NaN corner).  Faces are summed as oriented by the
+    lowest-numbered incident face (:func:`_fan_flips`), so a mesh whose
     faces are not consistently oriented gets the normal of its consistent
     orientation; a consistent fan is summed as stored."""
-    r = np.asarray(r, dtype=np.float64).reshape(3)
-    f = mesh.faces
-    if f.size == 0:
-        raise CurveExtractionError(f"no faces near {r.tolist()}")
-    used = np.zeros(mesh.n_vertices, dtype=bool)
-    used[f] = True
-    used = np.flatnonzero(used)
-    nearest = used[nearest_vertex(np.take(mesh.vertices, used, axis=0), r)]
-    fan = f[(f[:, 0] == nearest) | (f[:, 1] == nearest) | (f[:, 2] == nearest)]
-    tris = mesh.vertices[fan]
+    if faces.size == 0:
+        raise CurveExtractionError("no faces near the landmark")
+    corners, d = faces.ravel(), fv.ravel()
+    nearest = corners[(d == d.min()) | np.isnan(d)].min()
+    fan = faces[np.flatnonzero(corners == nearest) // 3]
+    tris = vertices[fan]
     normals = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     flip = _fan_flips(fan, nearest)
     if flip:
@@ -359,10 +355,9 @@ def _crossing_graph(vertices, row, lo, hi, centers, levels):
     first = np.flatnonzero(new)
     slot = order[first]
     point_row = row[slot]
-    land = np.repeat(np.arange(len(centers)), np.diff(
-        np.searchsorted(point_row, np.arange(0, n_lev * len(centers) + 1, n_lev))))
+    land, lev = np.divmod(point_row, n_lev)
     pts = _edge_crossing_points(vertices, np.stack([lo[slot], hi[slot]], axis=1),
-                                np.take(centers, land, axis=0), levels[point_row - land * n_lev])
+                                np.take(centers, land, axis=0), levels[lev])
     # a segment's two edges are slots 2k and 2k + 1, so the other end of
     # the segment through slot t is the point of slot t ^ 1
     point = np.empty(keys.size, dtype=np.int64)
@@ -481,11 +476,11 @@ def _level_curves(mesh: TriangleMesh, near, centers, labels, levels):
     three as :func:`_enclosing_loops` returns them.  Only a face with a
     corner closer than the largest level can cross a level, so landmark
     ``i`` is traced on the crop of the faces ``near[i]`` (from the mesh's
-    neighbourhood index), and its apex normal and distance field are taken
-    on that crop: the crops keep the mesh's vertex ids, and the field is
-    computed at the corners of the crop's faces.  A landmark with no face
-    near fails as having no crossings; one whose apex normal fails keeps
-    that error."""
+    neighbourhood index): the crops keep the mesh's vertex ids, the
+    distance field is computed at the corners of the crop's faces, and the
+    apex normal is taken at the corner that field puts nearest the
+    landmark.  A landmark with no face near fails as having no crossings;
+    one whose apex normal fails keeps that error."""
     contexts = [f" (landmark {label!r})" if label else "" for label in labels]
     sizes = [ids.size for ids in near]
     faces = np.take(mesh.faces, np.concatenate(near), axis=0)
@@ -498,7 +493,7 @@ def _level_curves(mesh: TriangleMesh, near, centers, labels, levels):
         if a < b:
             fv[a:b] = distance_field(mesh, centers[i], at=faces[a:b])
             try:
-                normals[i] = apex_normal(TriangleMesh(mesh.vertices, faces[a:b]), centers[i])
+                normals[i] = apex_normal(mesh.vertices, faces[a:b], fv[a:b])
             except CurveExtractionError as exc:
                 apex_errors[i] = exc
     curves, counts, errors = _enclosing_loops(mesh.vertices, faces, face_owner, fv, centers,

@@ -91,6 +91,17 @@ def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant)
     return "eigenvalues"
 
 
+class FeaturizationError(RuntimeError):
+    """No scan of a manifest could be featurized; ``errors`` holds every
+    scan's record, as :func:`compute_feature_tables` would return them."""
+
+    def __init__(self, n_scans: int, errors: list):
+        first = (errors or [{"scan": "none", "error": "the manifest is empty"}])[0]
+        super().__init__(f"no scan could be featurized ({n_scans} scan(s)); first, "
+                         f"{first['scan']}: {first.get('error') or first['missing_patches']}")
+        self.errors = errors
+
+
 @dataclass(frozen=True)
 class _Job:
     """What stays fixed for one featurization run: all patches share one
@@ -176,12 +187,20 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
     A scan whose mesh or landmark file cannot be read is skipped and
     logged with the file named; any other exception aborts the run.  With
     ``missing_policy="drop"`` scans with any missing patch are dropped
-    too (otherwise their blocks are zero-filled and flagged).
+    too (otherwise their blocks are zero-filled and flagged); with none
+    left it raises :class:`FeaturizationError`.  Two scans that would save
+    one patch archive (one mesh file stem) are refused up front.
     """
     run = FeatureRunConfig(**settings)
     specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, run.drop_constant), int(k))
                   for (m, mo, k) in specs)
     if patches_dir is not None:
+        stems = {}
+        for rec in manifest.records:
+            first = stems.setdefault(rec.mesh_path.stem, rec)
+            if first is not rec:
+                raise ValueError(f"scans {first.mesh_path} and {rec.mesh_path} would both "
+                                 f"save their patches as {rec.mesh_path.stem!r}")
         patches_dir = Path(patches_dir)
         patches_dir.mkdir(parents=True, exist_ok=True)
     job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), run, patches_dir)
@@ -218,7 +237,7 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
             continue
         kept.append((rec, per_spec))
     if not kept:
-        raise RuntimeError("no scan could be featurized")
+        raise FeaturizationError(len(manifest.records), errors)
     records = [rec for rec, _ in kept]
     return [
         FeatureTable(

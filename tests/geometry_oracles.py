@@ -1,5 +1,6 @@
 """Test oracles for the geometric laws: a similarity transform for the
-rigid-motion and scale laws, vertex degrees from the unique edges, and the
+rigid-motion and scale laws, the nearest vertex by squared distance for
+the apex normal's vertex, vertex degrees from the unique edges, and the
 inverse of the GLF projection for the reconstruction law."""
 
 from dataclasses import dataclass
@@ -54,6 +55,13 @@ class RigidTransform:
 def apply_transform(mesh: TriangleMesh, t: RigidTransform) -> TriangleMesh:
     """Return a new mesh with transformed vertices; connectivity unchanged."""
     return TriangleMesh(t.apply(mesh.vertices), mesh.faces)
+
+
+def nearest_vertex(points: np.ndarray, r) -> int:
+    """Row index of the point in ``points`` (n, 3) nearest to ``r``; the
+    lowest index wins a tie."""
+    d = points - np.asarray(r, dtype=np.float64).reshape(3)
+    return int(np.argmin(np.einsum("ij,ij->i", d, d)))
 
 
 def vertex_degrees(mesh: TriangleMesh) -> np.ndarray:

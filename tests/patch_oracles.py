@@ -64,11 +64,11 @@ def whole_mesh_level_curves(mesh: TriangleMesh, center, levels, label):
         raise patches.CurveExtractionError(
             f"iso-level {float(levels[0])} has no crossings{context}")
     crop = TriangleMesh(mesh.vertices, mesh.faces[near])
-    normal = patches.apex_normal(crop, center)
+    fv = distance_field(mesh, center)[crop.faces]
+    normal = patches.apex_normal(mesh.vertices, crop.faces, fv)
     curves, counts, errors = patches._enclosing_loops(
-        mesh.vertices, crop.faces, np.zeros(near.size, dtype=np.int64),
-        distance_field(mesh, center)[crop.faces], center[None], levels,
-        patches._plane_basis(normal[None]), [context])
+        mesh.vertices, crop.faces, np.zeros(near.size, dtype=np.int64), fv, center[None],
+        levels, patches._plane_basis(normal[None]), [context])
     _raise_first(errors)
     return normal, (curves, counts)
 
@@ -170,11 +170,6 @@ def reference_enclosing_loops(mesh, field, face_min, face_max, center, levels, f
     fr = mesh.faces[fi]
     ir = field[fr] < levels[lev, None]
     xmask = ir != ir[:, [1, 2, 0]]
-    bad = np.count_nonzero(xmask, axis=1) != 2
-    if bad.any():
-        raise patches.CurveExtractionError(
-            f"iso-level {levels[lev[bad][0]]}: inconsistent crossing structure{context}"
-        )
     v = fr[:, [1, 2, 0]]
     keys = lev[:, None] * span + np.minimum(fr, v) * n_verts + np.maximum(fr, v)
     uniq, inverse = np.unique(keys[xmask], return_inverse=True)
@@ -257,7 +252,7 @@ def reference_level_curves(mesh: TriangleMesh, center, levels, label):
     fv = field[crop.faces]
     face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
     face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
-    normal = patches.apex_normal(crop, center)
+    normal = patches.apex_normal(crop.vertices, crop.faces, fv)
     frame = patches._plane_basis(normal[None])[0]
     return normal, reference_enclosing_loops(crop, field, face_min, face_max, center,
                                              levels, frame, context)

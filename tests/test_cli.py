@@ -177,6 +177,40 @@ def test_features_cmd_unreadable_mesh_continues(cli_workspace, tmp_path, capsys)
     assert table.X.shape[0] == 23  # run continued without the bad scan
 
 
+def test_features_cmd_names_why_no_scan_featurized(cli_workspace, tmp_path, capsys):
+    """With no scan left, ``features`` prints every scan's record on stderr,
+    then an error naming the scan count and the first scan's reason."""
+    import shutil
+
+    data = tmp_path / "data"
+    shutil.copytree(cli_workspace["data"], data)
+    meshes = sorted((data / "meshes").glob("*.obj"))
+    for path in meshes:
+        path.write_text("v 0 0 zzz\n")
+    rc = main(["features", "--manifest", str(data / "manifest.csv"),
+               "--basis", str(cli_workspace["basis"]), "--method", "glf",
+               "--mode", "coords", "--k", "6", "--out", str(tmp_path / "feats")] + PATCH_FLAGS)
+    assert rc == 1
+    errors_line, error_line = capsys.readouterr().err.strip().splitlines()[-2:]
+    errors = json.loads(errors_line)["errors"]
+    assert sorted(e["scan"] for e in errors) == [str(p) for p in meshes]
+    error = json.loads(error_line)["error"]
+    assert error["type"] == "FeaturizationError"
+    assert error["message"].startswith(f"no scan could be featurized ({len(meshes)} scan(s)); "
+                                       f"first, {errors[0]['scan']}: {errors[0]['error']}")
+    assert not (tmp_path / "feats.npy").exists()
+
+
+def test_infinite_lambda_max_is_usage_error(tmp_path, capsys):
+    """``basis`` and ``features`` refuse an infinite ``--lambda-max``, naming
+    the bound, before anything is read or written."""
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["basis", *out], ["features", *out, "--manifest", "m.csv"]):
+        assert main(argv + ["--lambda-max", "inf"]) == 2, argv[0]
+        assert "lambda_max < inf" in capsys.readouterr().err, argv[0]
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_features_cmd_saves_patch_archives_and_csv(cli_workspace, tmp_path):
     arch = tmp_path / "arch"
     out = tmp_path / "feats"

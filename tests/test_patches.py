@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from facespectra.mesh import LandmarkSet, TriangleMesh
+from facespectra.mesh import LandmarkSet, TriangleMesh, distance_field
 from facespectra import patches as patches_module
 from facespectra.patches import (
     CurveAmbiguityError,
@@ -21,7 +21,7 @@ from facespectra.patches import (
 from facespectra.synth import SynthConfig, generate_scan
 
 from conftest import make_grid_mesh, make_uv_sphere
-from geometry_oracles import RigidTransform, apply_transform, vertex_degrees
+from geometry_oracles import RigidTransform, apply_transform, nearest_vertex, vertex_degrees
 from patch_oracles import (extract_level_curve, level_curves, reference_build_patch,
                            reference_level_curves, reference_resample_uniform, whole_mesh_crop,
                            whole_mesh_extract_patches, whole_mesh_level_curves)
@@ -63,6 +63,12 @@ def test_patch_config_validation():
         PatchConfig(n_curves=1)
     with pytest.raises(ValueError):
         PatchConfig(samples_per_curve=2)
+    for bad in ({"lambda_max": math.inf}, {"lambda_min": math.nan}):
+        with pytest.raises(ValueError, match="lambda_min < lambda_max < inf"):
+            PatchConfig(**bad)
+    for name, value in (("n_curves", 2.5), ("samples_per_curve", 8.0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PatchConfig(**{name: value})
 
 
 def test_connectivity_hash_depends_only_on_K_m():
@@ -134,7 +140,7 @@ def test_non_finite_corner_makes_apex_normal_degenerate():
     apex = mesh.vertices[10 * 21 + 10]
     with np.errstate(invalid="ignore"):
         with pytest.raises(CurveExtractionError, match="degenerate apex normal"):
-            apex_normal(mesh, apex)
+            apex_normal(mesh.vertices, mesh.faces, distance_field(mesh, apex, at=mesh.faces))
         with pytest.raises(CurveExtractionError, match="degenerate apex normal"):
             build_patch(mesh, ("P", apex), PatchConfig(1.0, 5.0, 5, 8))
 
@@ -152,24 +158,25 @@ def test_apex_normal_orients_a_flipped_fan_consistently():
     for mesh in (make_grid_mesh(11, 11), random_height_field(rng)):
         apex_vertex = 5 * 11 + 5 if mesh.n_vertices == 121 else 10 * 21 + 10
         apex = mesh.vertices[apex_vertex]
-        want = apex_normal(mesh, apex)
+        want = apex_normal(mesh.vertices, mesh.faces, distance_field(mesh, apex, at=mesh.faces))
         fan = _fan(mesh, apex_vertex)
         assert len(fan) == 6
         for flipped in (fan[1::2], fan[1:4], fan[1:]):
             faces = mesh.faces.copy()
             faces[flipped] = faces[flipped][:, ::-1]
-            got = apex_normal(TriangleMesh(mesh.vertices, faces), apex)
+            got = apex_normal(mesh.vertices, faces, distance_field(mesh, apex, at=faces))
             assert np.abs(got - want).max() <= 1e-12
         faces = mesh.faces.copy()
         faces[fan[0]] = faces[fan[0]][::-1]
-        got = apex_normal(TriangleMesh(mesh.vertices, faces), apex)
+        got = apex_normal(mesh.vertices, faces, distance_field(mesh, apex, at=faces))
         assert np.abs(got + want).max() <= 1e-12
     # half the fan flipped cancelled the stored sum exactly on a flat grid
     grid = make_grid_mesh(11, 11)
     faces = grid.faces.copy()
     fan = _fan(grid, 60)
     faces[fan[1::2]] = faces[fan[1::2]][:, ::-1]
-    assert np.abs(apex_normal(TriangleMesh(grid.vertices, faces), grid.vertices[60])
+    assert np.abs(apex_normal(grid.vertices, faces,
+                              distance_field(grid, grid.vertices[60], at=faces))
                   - [0.0, 0.0, 1.0]).max() <= 1e-12
 
 
@@ -181,8 +188,73 @@ def test_apex_normal_sums_a_consistent_fan_as_stored():
     for vertex in rng.integers(0, mesh.n_vertices, size=20):
         tris = mesh.vertices[mesh.faces[_fan(mesh, vertex)]]
         n = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]).sum(axis=0)
-        got = apex_normal(mesh, mesh.vertices[vertex])
+        got = apex_normal(mesh.vertices, mesh.faces,
+                          distance_field(mesh, mesh.vertices[vertex], at=mesh.faces))
         assert got.tobytes() == (n / np.linalg.norm(n)).tobytes()
+
+
+def _normal_at(vertices, faces, vertex):
+    """The apex normal of ``faces`` taken at ``vertex``, the one corner at
+    distance 0."""
+    return apex_normal(vertices, faces, (faces != vertex).astype(np.float64))
+
+
+def _apex_outcome(vertices, faces, fv):
+    try:
+        return apex_normal(vertices, faces, fv).tobytes()
+    except CurveExtractionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_apex_normal_is_the_normal_at_the_nearest_used_vertex(seed):
+    """On re-indexed, partly flipped random height fields (a non-finite
+    corner now and then), the apex normal read from a crop's corner
+    distances is, bit for bit, the normal at the vertex nearest the
+    landmark by squared distance among those the crop's faces use, the
+    lowest id winning a tie; with a NaN distance, at the lowest-id NaN
+    vertex."""
+    rng = np.random.default_rng(seed)
+    mesh = _reindexed(random_height_field(rng), rng)
+    center = mesh.vertices[rng.integers(mesh.n_vertices)] + rng.normal(scale=0.5, size=3)
+    faces = mesh.faces[mesh.faces_within(center, rng.uniform(0.2, 3.0))]
+    assume(faces.size)
+    used = np.unique(faces)
+    if rng.random() < 0.3:                          # a non-finite corner in the crop
+        verts = mesh.vertices.copy()
+        verts[rng.choice(used), rng.integers(3)] = rng.choice([np.nan, np.inf])
+        mesh = TriangleMesh(verts, mesh.faces)
+    with np.errstate(invalid="ignore"):
+        vertex = used[nearest_vertex(mesh.vertices[used], center)]
+        got = _apex_outcome(mesh.vertices, faces, distance_field(mesh, center, at=faces))
+        assert got == _apex_outcome(mesh.vertices, faces, (faces != vertex).astype(float))
+
+
+def test_apex_normal_ignores_unused_vertices_and_breaks_ties_by_lowest_id():
+    """A vertex no face uses is never the apex, however near; of two
+    corners at one distance from the landmark, the lower id's fan is
+    summed, whichever of them it is."""
+    rng = np.random.default_rng(11)
+    field = random_height_field(rng)
+    a, b = 10 * 21 + 10, 10 * 21 + 11
+    verts = field.vertices.copy()
+    verts[[a, b], 2] = 0.0
+    center = (verts[a] + verts[b]) / 2
+    stray = np.vstack([verts, center])              # vertex 441 sits on the landmark
+    faces = field.faces
+    fv = distance_field(TriangleMesh(stray, faces), center, at=faces)
+    assert fv[faces == a][0] == fv[faces == b][0]   # an exact tie
+    got = apex_normal(stray, faces, fv)
+    assert got.tobytes() == _normal_at(stray, faces, a).tobytes()
+    assert got.tobytes() != _normal_at(stray, faces, b).tobytes()
+    swap = np.arange(len(stray))
+    swap[[a, b]] = [b, a]                           # a now names the other corner
+    moved, swapped = stray[swap], swap[faces]
+    got = apex_normal(moved, swapped, distance_field(TriangleMesh(moved, swapped), center,
+                                                     at=swapped))
+    assert got.tobytes() == _normal_at(moved, swapped, a).tobytes()
+    assert got.tobytes() == _normal_at(stray, faces, b).tobytes()
 
 
 def test_missing_level_raises_with_context():
@@ -363,7 +435,7 @@ def test_build_patch_normal_alignment_mode():
     # the one rotation taking the apex normal to +z and the first sample of
     # the unaligned patch into the +x half-plane
     unaligned = build_patch(mesh, (label, pos), cfg)
-    n = apex_normal(mesh, pos)
+    n = apex_normal(mesh.vertices, mesh.faces, distance_field(mesh, pos, at=mesh.faces))
     u = unaligned[1] - (unaligned[1] @ n) * n
     u /= np.linalg.norm(u)
     expected = unaligned @ np.array([u, np.cross(n, u), n]).T

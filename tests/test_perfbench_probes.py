@@ -6,8 +6,9 @@ from pathlib import Path
 
 import numpy as np
 
-from facespectra import classify, experiments, spectral
-from facespectra.synth import rectangular_grid
+from facespectra import classify, experiments, patches, spectral
+from facespectra.mesh import LandmarkSet
+from facespectra.synth import SynthConfig, generate_scan, rectangular_grid
 
 
 def test_every_probe_target_exists():
@@ -33,6 +34,27 @@ def test_shape_dna_reaches_each_spectral_probe_once(monkeypatch):
     xy, faces = rectangular_grid(5, 5, x_extent=4.0, y_extent=4.0)
     spectral.shape_dna(np.column_stack([xy, 0.1 * xy[:, 0] ** 2]), faces, 5)
     assert calls == dict.fromkeys(stages, 1)
+
+
+def test_level_curves_reach_apex_normal_once_per_cropped_landmark(monkeypatch):
+    """``_level_curves`` looks ``apex_normal`` up as a ``patches`` global,
+    once for each landmark with faces near it, so the traced run's
+    ``patches.apex_normal`` metric stays non-zero and counts landmarks."""
+    calls = []
+
+    def counted(vertices, faces, fv, _original=patches.apex_normal):
+        calls.append(faces.shape[0])
+        return _original(vertices, faces, fv)
+
+    monkeypatch.setattr(patches, "apex_normal", counted)
+    mesh, lmk, _ = generate_scan(SynthConfig(subjects=1, resolution=48, seed=3), 0, "SU", 2)
+    positions = lmk.positions[:6].copy()
+    positions[[1, 4], 2] += 1000.0                   # two landmarks with no face near
+    cfg = patches.PatchConfig(2.0, 6.0, 3, 8)
+    _, missing, _ = patches.extract_patches(mesh, LandmarkSet(lmk.labels[:6], positions), cfg)
+    cropped = [mesh.faces_within(p, cfg.lambda_max).size for p in positions]
+    assert missing.tolist() == [size == 0 for size in cropped]
+    assert calls == [size for size in cropped if size]
 
 
 def test_au_flda_reaches_fit_probes_once_per_fit_and_fold(monkeypatch):

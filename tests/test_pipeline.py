@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import shutil
 from pathlib import Path
 from types import SimpleNamespace
@@ -357,6 +358,53 @@ def test_unreadable_inputs_skip_scan_naming_file(tiny_dataset_dir, tiny_basis, t
         assert str(bad) in e["error"], e
     last_line = len(mesh3.read_text().splitlines())
     assert f"line {last_line}: face index" in errors[3]["error"]
+
+
+def test_no_scan_featurized_names_count_and_first_reason(tiny_manifest, tiny_basis, tmp_path):
+    """When every scan fails to load, or every scan is dropped, the error
+    names the scan count and the first scan with its reason, and carries
+    every scan's record."""
+    records = tiny_manifest.records[:3]
+    unreadable = DatasetManifest(
+        [dataclasses.replace(rec, mesh_path=tmp_path / f"gone{i}.obj")
+         for i, rec in enumerate(records)], tiny_manifest.root)
+    with pytest.raises(pipeline.FeaturizationError) as exc:
+        compute_feature_tables(unreadable, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                               basis=tiny_basis)
+    assert [e["scan"] for e in exc.value.errors] == [str(tmp_path / f"gone{i}.obj")
+                                                     for i in range(3)]
+    first = exc.value.errors[0]
+    assert str(exc.value) == (f"no scan could be featurized (3 scan(s)); first, "
+                              f"{first['scan']}: {first['error']}")
+    assert "gone0.obj" in first["error"]
+
+    lmk = load_landmarks(records[0].landmarks_path)
+    off = tmp_path / "off_surface.csv"
+    save_landmarks(off, LandmarkSet(lmk.labels, lmk.positions + [0.0, 0.0, 1000.0]))
+    dropped = DatasetManifest([dataclasses.replace(rec, landmarks_path=off) for rec in records],
+                              tiny_manifest.root)
+    with pytest.raises(pipeline.FeaturizationError) as exc:
+        compute_feature_tables(dropped, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                               basis=tiny_basis, missing_policy="drop")
+    assert len(exc.value.errors) == 6               # missing patches, then dropped, per scan
+    assert str(exc.value) == (f"no scan could be featurized (3 scan(s)); first, "
+                              f"{records[0].mesh_path}: {exc.value.errors[0]['missing_patches']}")
+
+
+def test_archive_stem_clash_refused_before_any_scan_is_read(tiny_manifest, tmp_path):
+    """Two scans whose meshes share a file stem would write one patch
+    archive; the run is refused up front, naming the stem and both files,
+    before a mesh is read or a worker pool starts."""
+    a, b = tmp_path / "a" / "scan.obj", tmp_path / "b" / "scan.obj"   # neither exists
+    manifest = DatasetManifest(
+        [dataclasses.replace(rec, mesh_path=path)
+         for rec, path in zip(tiny_manifest.records, (a, b))], tiny_manifest.root)
+    for jobs in (1, 2):
+        with pytest.raises(ValueError, match=re.escape(f"scans {a} and {b} would both save "
+                                                       f"their patches as 'scan'")):
+            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "coords", 5)],
+                                   patches_dir=tmp_path / "arch", jobs=jobs)
+    assert not (tmp_path / "arch").exists()
 
 
 def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
