@@ -154,27 +154,34 @@ def scan_corpus_dir(root, levels=None) -> DatasetManifest:
     id, expression token and two-digit intensity level encoded in the
     name) with landmarks in ``<mesh stem>.lmk.csv``.  ``levels`` filters
     to the given intensity levels (the usual protocol keeps the two
-    highest, (3, 4)).
+    highest, (3, 4)).  Two meshes of one (subject, expression, level),
+    such as ``F0001_AN03.obj`` beside ``F0001_AN03.ply`` or
+    ``F0001_AN03_x.obj``, raise :class:`ManifestError` naming both.
     """
     root = Path(root)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus directory not found: {root}")
-    records = []
+    meshes = {}
     for mesh_path in sorted(root.rglob("*")):
         if mesh_path.suffix.lower() not in (".obj", ".ply"):
             continue
         m = _BU3DFE_NAME.match(mesh_path.name)
         if not m:
             continue
-        level = int(m.group("level"))
-        if levels is not None and level not in levels:
+        key = (m.group("subject"), m.group("expr"), int(m.group("level")))
+        if levels is not None and key[2] not in levels:
             continue
+        if key in meshes:
+            raise ManifestError(f"{meshes[key]} and {mesh_path}: two meshes of one scan {key}")
+        meshes[key] = mesh_path
+    records = []
+    for (subject, expression, level), mesh_path in meshes.items():
         lmk_path = mesh_path.parent / (mesh_path.stem + ".lmk.csv")
         if not lmk_path.exists():
             raise ManifestError(f"{mesh_path.name}: expected landmark file {lmk_path.name}")
         records.append(ManifestRecord(
-            subject=m.group("subject"),
-            expression=m.group("expr"),
+            subject=subject,
+            expression=expression,
             intensity=level,
             mesh_path=mesh_path,
             landmarks_path=lmk_path,

@@ -8,6 +8,7 @@ optional unit rescale factor for datasets stored in other units.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,18 @@ class MeshFormatError(ValueError):
 
 class MeshStructureError(ValueError):
     """Parsed mesh data violates structural constraints."""
+
+
+def _any_column(flags: np.ndarray) -> np.ndarray:
+    """``flags.any(axis=1)`` of an ``(n, 3)`` bool array, as column
+    operations: a reduction over an axis of 3 takes several times longer."""
+    return flags[:, 0] | flags[:, 1] | flags[:, 2]
+
+
+def _runs(first, count):
+    """``arange(first[i], first[i] + count[i])`` for every ``i``, one after
+    another."""
+    return np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -99,14 +112,15 @@ class _Neighbourhood:
         self.first = np.concatenate(
             [[0], np.cumsum(np.bincount(f.ravel(), minlength=v.shape[0]))])
         # a NaN corner makes the face's smallest corner distance NaN
-        self.nan_faces = np.flatnonzero(np.isnan(v).any(axis=1)[f].any(axis=1))
+        nan = _any_column(np.isnan(v))
+        self.nan_faces = np.flatnonzero(_any_column(nan[f])) if nan.any() else np.empty(0, int)
         # cells on each axis are split at `bounds`; only finite vertices can
         # be closer than `radius`, and a cell is found by a search, not a
         # division, so it grows monotonically with the coordinate
-        ids = np.flatnonzero(np.isfinite(v).all(axis=1))
+        ids = np.flatnonzero(~_any_column(~np.isfinite(v)))
         pts = v[ids]
-        lo = pts.min(axis=0) if ids.size else np.zeros(3)
-        hi = pts.max(axis=0) if ids.size else np.zeros(3)
+        lo = np.array([c.min() for c in pts.T]) if ids.size else np.zeros(3)
+        hi = np.array([c.max() for c in pts.T]) if ids.size else np.zeros(3)
         side = max(self.radius, float((hi - lo).max()) / self._MAX_CELLS)
         self.bounds = []
         for a in range(3):
@@ -135,14 +149,18 @@ class _Neighbourhood:
                          self.cell_first[(x * ny + y) * nz + z1 + 1]]
             for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
         near = cand[_distances(np.take(self.vertices, cand, axis=0), r) < self.radius]
-        # the incident faces of `near`, one CSR run per vertex
-        start, stop = self.first[near], self.first[near + 1]
-        count = stop - start
-        run = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
-        hit = np.zeros(self.n_faces, dtype=bool)
-        hit[self.incident[run]] = True
-        hit[self.nan_faces] = False
-        return np.flatnonzero(hit)
+        # the incident faces of `near`, one CSR run per vertex, marked on
+        # the span of face ids they cover
+        start = self.first[near]
+        faces = self.incident[_runs(start, self.first[near + 1] - start)]
+        if not faces.size:
+            return faces
+        low = faces.min()
+        hit = np.zeros(faces.max() - low + 1, dtype=bool)
+        hit[faces - low] = True
+        nan = self.nan_faces[(self.nan_faces >= low) & (self.nan_faces < low + hit.size)]
+        hit[nan - low] = False
+        return np.flatnonzero(hit) + low
 
 
 def _distances(points: np.ndarray, r) -> np.ndarray:
@@ -193,12 +211,14 @@ def _parsed_mesh(path, vertices, faces, rescale: float) -> TriangleMesh:
         mesh = TriangleMesh(vertices, faces)
     except MeshStructureError as exc:
         raise MeshStructureError(f"{path}: {exc}") from None
-    bad = ~np.isfinite(mesh.vertices).all(axis=1)[mesh.faces]
-    if bad.any():
-        face = int(np.flatnonzero(bad.any(axis=1))[0])
-        vertex = int(mesh.faces[face][bad[face]][0])
-        raise MeshStructureError(
-            f"{path}: face {face} references vertex {vertex}, whose coordinates are not finite")
+    bad = _any_column(~np.isfinite(mesh.vertices))
+    if bad.any():                       # an error where a face uses one
+        bad = bad[mesh.faces]
+        if bad.any():
+            face = int(np.flatnonzero(_any_column(bad))[0])
+            vertex = int(mesh.faces[face][bad[face]][0])
+            raise MeshStructureError(f"{path}: face {face} references vertex {vertex}, "
+                                     f"whose coordinates are not finite")
     return mesh
 
 
@@ -275,46 +295,76 @@ def save_landmarks(path, landmarks: LandmarkSet) -> None:
 def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
     """Parse a Wavefront OBJ file (``v`` and ``f`` records, triangles only).
 
-    A file of plain ``v x y z`` and ``f i j k`` records is parsed in blocks;
-    anything else, malformed or merely unusual, is read line by line, which
-    names the line and the fault of a malformed record."""
+    A file of plain ``v x y z`` and ``f i j k`` records, ``#`` comments and
+    blank lines is parsed in whole-file array passes; anything else,
+    malformed or merely unusual, is read line by line, which names the line
+    and the fault of a malformed record."""
     path = Path(path)
-    verts, faces = _obj_blocks(path) or _obj_lines(path)
+    verts, faces = _obj_arrays(path) or _obj_lines(path)
     return _parsed_mesh(path, verts, faces, rescale)
 
 
-def _obj_blocks(path):
-    """``(vertices, faces)`` of an OBJ file read in blocks of about 32 KiB,
-    or None unless every ``v`` and ``f`` record is a line starting ``v `` or
-    ``f `` with exactly 3 numeric tokens after it, every face index is at
-    least 1, every line is UTF-8 and there is a vertex.  A None hands the
-    file to :func:`_obj_lines`, so errors are always named by that reader."""
-    verts, faces = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+def _obj_arrays(path):
+    """``(vertices, faces)`` of an OBJ file parsed in whole-file array passes,
+    or None unless it is ASCII, ends its lines with LF or CRLF, and every
+    line is blank, a ``#`` comment from its first byte, or a ``v`` or ``f``
+    record in the plain form :func:`save_obj` writes: the tag, then 3
+    tokens, each after one space, and the line end.  Vertex
+    tokens hold only digits, ``.``, ``+``, ``-``, ``e`` and ``E`` and parse
+    as numbers; face tokens hold only digits, from 1 to below 2**53 (exact
+    as doubles), and there is a vertex.  All numbers are parsed in one
+    ``np.loadtxt`` pass, which converts each token as ``float`` does and
+    skips the blank and comment lines.  A None hands the file to
+    :func:`_obj_lines`, so errors are always named by that reader."""
+    data = path.read_bytes()
+    is_v = _obj_plain_tags(data)
+    if is_v is None or not is_v.any():
+        return None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            while lines := fh.readlines(1 << 15):
-                v = [l for l in lines if l[:2] == "v "]
-                f = [l for l in lines if l[:2] == "f "]
-                # any other line is ignored only if it is no v or f record
-                if len(v) + len(f) < len(lines) and any(
-                        l.split(None, 1)[:1] in (["v"], ["f"]) for l in lines
-                        if l[:2] not in ("v ", "f ")):
-                    return None
-                for rows, out in ((v, verts), (f, faces)):
-                    tok = " ".join(rows).split()
-                    # with 4 tokens per record on average, a record of another
-                    # length moves some tag off every 4th token, and a tag
-                    # left among the numbers fails the conversion
-                    if len(tok) != 4 * len(rows):
-                        return None
-                    del tok[::4]
-                    out.append(np.array(tok, dtype=out[0].dtype))
-    except (ValueError, OverflowError):  # not UTF-8, non-numeric, too large
+        rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
+                          comments="#", delimiter=" ", usecols=(1, 2, 3), ndmin=2)
+    except ValueError:       # a line of under 4 fields, or a token that is no number
         return None
-    verts, faces = np.concatenate(verts), np.concatenate(faces)
-    if not verts.size or (faces.size and faces.min() < 1):
+    del data                 # hold the numbers, not the text too
+    faces = rows[~is_v]
+    if not ((faces >= 1) & (faces < 2.0**53)).all():
         return None
-    return verts.reshape(-1, 3), faces.reshape(-1, 3) - 1
+    faces -= 1
+    faces = faces.astype(np.int64)
+    return rows[is_v], faces
+
+
+# the bytes each kind of line may hold, by its first byte (a carriage
+# return only as part of a CRLF line end, which the caller checks)
+_OBJ_LINE_BYTES = {ord("v"): b"0123456789.+-eEv \r\n", ord("f"): b"0123456789f \r\n",
+                   ord("#"): bytes(range(128)), ord("\n"): b"\n", ord("\r"): b"\r\n"}
+
+
+def _obj_plain_tags(data: bytes):
+    """Whether each ``v``/``f`` record of OBJ text ``data`` is a ``v`` record,
+    or None unless every line passes the byte tests of :func:`_obj_arrays`."""
+    if not data or not data.isascii() or (b"\r" in data
+                                          and data.count(b"\r") != data.count(b"\r\n")):
+        return None
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, b.size)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    tag = b[starts]
+    record = (tag == ord("v")) | (tag == ord("f"))
+    # a record is a tag, a space and more; with 3 spaces per record in each
+    # run of records, and loadtxt refusing a line of under 4 fields, every
+    # record holds exactly 3 tokens
+    if not (np.take(b, starts[record] + 1, mode="clip") == ord(" ")).all():
+        return None
+    run = np.flatnonzero(tag[1:] != tag[:-1]) + 1
+    for a, z in zip([0, *run.tolist()], [*run.tolist(), tag.size]):
+        kind, span = int(tag[a]), slice(starts[a], ends[z - 1])
+        if (kind not in _OBJ_LINE_BYTES or data[span].translate(None, _OBJ_LINE_BYTES[kind])
+                or record[a] and np.count_nonzero(b[span] == ord(" ")) != 3 * (z - a)):
+            return None
+    return tag[record] == ord("v")
 
 
 def _obj_lines(path):

@@ -18,6 +18,7 @@ from .data import DatasetManifest
 from .features import (
     GLF_MODES,
     METHOD_GLF,
+    METHOD_SHAPEDNA,
     METHODS,
     MODE_NORMS,
     FeatureTable,
@@ -124,15 +125,29 @@ def _set_job(job: _Job | None) -> None:
     _JOB = job
 
 
-def _spec_blocks(patches, missing, labels, spec, errors):
+def _shape_dna_rows(patches, missing, k):
+    """Shape-DNA of every present patch at ``k`` eigenvalues, solved once
+    for all Shape-DNA specs (a smaller k is a prefix): ``{landmark: values
+    or the error its geometry raised}``."""
+    rows = {}
+    for i in np.flatnonzero(~missing).tolist():
+        try:
+            rows[i] = shape_dna(patches[i], _JOB.faces, k)
+        except (DegenerateGeometryError, EigenConvergenceError) as exc:
+            rows[i] = exc
+    return rows
+
+
+def _spec_blocks(patches, missing, labels, spec, errors, dna):
     """One scan's feature row for a (method, mode, k) spec and its missing
     mask: landmark i's block fills ``row[i*w:(i+1)*w]``, zeros where the
     landmark is missing.
 
     GLF blocks of all present landmarks are one product on the shared
-    basis.  A landmark whose Shape-DNA fails on its geometry is flagged
-    missing for this spec and its reason added to ``errors``; it is never
-    fabricated.
+    basis; Shape-DNA blocks are the first k values of ``dna``
+    (:func:`_shape_dna_rows`).  A landmark whose Shape-DNA fails on its
+    geometry is flagged missing for this spec and its reason added to
+    ``errors``; it is never fabricated.
     """
     method, mode, k = spec
     w = block_length(method, mode, k)
@@ -146,13 +161,13 @@ def _spec_blocks(patches, missing, labels, spec, errors):
             coeffs = glf_norms(coeffs)
         blocks[present] = coeffs.reshape(len(present), w)
         return blocks.reshape(-1), miss
-    for i in present:
-        try:
-            blocks[i] = shape_dna(patches[i], _JOB.faces, k)
-        except (DegenerateGeometryError, EigenConvergenceError) as exc:
+    for i, values in dna.items():
+        if isinstance(values, Exception):
             miss[i] = True
-            reason = f"{method} k={k}: {exc}"
+            reason = f"{method} k={k}: {values}"
             errors[labels[i]] = "; ".join(filter(None, (errors.get(labels[i]), reason)))
+        else:
+            blocks[i] = values[:k]
     return blocks.reshape(-1), miss
 
 
@@ -170,7 +185,9 @@ def _featurize_record(rec):
                                patches, landmarks.labels, missing, _JOB.cfg)
     except (MeshFormatError, MeshStructureError, OSError) as exc:
         return None, None, {"scan": str(rec.mesh_path), "error": str(exc)}
-    per_spec = [_spec_blocks(patches, missing, landmarks.labels, spec, errors)
+    dna_k = max((k for method, _, k in _JOB.specs if method == METHOD_SHAPEDNA), default=0)
+    dna = _shape_dna_rows(patches, missing, dna_k) if dna_k else {}
+    per_spec = [_spec_blocks(patches, missing, landmarks.labels, spec, errors, dna)
                 for spec in _JOB.specs]
     return per_spec, list(landmarks.labels), errors
 

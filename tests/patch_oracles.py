@@ -42,7 +42,7 @@ def extract_level_curve(mesh: TriangleMesh, r, level: float, label: str = "") ->
     if level <= 0:
         raise ValueError(f"level must be positive, got {level}")
     curves, counts = level_curves(mesh, r, [level], label)[1]
-    return curves[0, :counts[0]]
+    return curves[:counts[0]]
 
 
 def whole_mesh_crop(mesh: TriangleMesh, r, radius: float) -> np.ndarray:

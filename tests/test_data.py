@@ -120,6 +120,29 @@ def test_corpus_dir_adapter(tmp_path):
     assert all(r.intensity == 4 for r in high.records)
 
 
+def test_corpus_dir_refuses_two_meshes_of_one_scan(tmp_path):
+    """A second mesh of one (subject, expression, level), of another
+    suffix or stem, is refused with both paths named, in subdirectories
+    too, before any landmark file is looked for."""
+    tri = "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"
+    for first, second in (("F0001_AN03.obj", "F0001_AN03.ply"),
+                          ("F0001_AN03.obj", "F0001_AN03_x.obj"),
+                          ("F0001_AN03_RAW.obj", "sub/F0001_AN03_F3D.obj")):
+        root = tmp_path / second.replace("/", "_")
+        for name in (first, second):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(tri)
+        with pytest.raises(ManifestError) as exc:
+            scan_corpus_dir(root)
+        assert str(root / first) in str(exc.value) and str(root / second) in str(exc.value)
+        assert "('F0001', 'AN', 3)" in str(exc.value)
+        # another level or subject of the same expression is no clash
+        (root / second).rename(root / second.replace("F0001_AN03", "F0001_AN04"))
+        for name in (first, second.replace("F0001_AN03", "F0001_AN04")):
+            (root / name).with_suffix(".lmk.csv").write_text("label,x,y,z\nP,0,0,0\n")
+        assert len(scan_corpus_dir(root)) == 2
+
+
 def test_corpus_dir_missing_landmarks(tmp_path):
     (tmp_path / "F0001_AN03.obj").write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
     with pytest.raises(ManifestError, match="landmark"):

@@ -141,26 +141,38 @@ def _obj_outcome(path):
 
 
 def _line_reader_outcome(path):
-    with mock.patch.object(mesh_module, "_obj_blocks", lambda path: None):
+    with mock.patch.object(mesh_module, "_obj_arrays", lambda path: None):
         return _obj_outcome(path)
 
 
-# a plain vertex/face prefix long enough that later lines fall in the
-# second 32 KiB block
+# a plain vertex/face prefix over 32 KiB
 _PAD_VERTS = 1600
 _PAD = "".join("v %.6f %.6f %.6f\n" % (i, 0.5 * i, -0.25 * i) for i in range(_PAD_VERTS)) \
     + "".join("f %d %d %d\n" % (i + 1, i + 2, i + 3) for i in range(_PAD_VERTS - 2))
 
 _NUMBERS = ("0", "1", "-2.5", "3.25e1", "+3", "1_0", "nan", "-inf", "inf", ".5", "7.",
             "1e400", "x", "1,5", "0x10", "٣")
+# face indices around the largest integers a double holds exactly (2**53)
+# and an int64 holds (2**63 - 1)
+_BIG = (str(2**53 - 1), str(2**53), str(2**53 + 1), str(2**63 - 1), str(2**63), str(2**64))
 _INDICES = ("1", "2", "3", "4", "+2", "1_0", "0", "-1", "-3", "9999", "2.0", "x",
-            "1/1/1", "2//3", "3/1", "99999999999999999999999")
+            "1/1/1", "2//3", "3/1", "99999999999999999999999") + _BIG
 _RECORDS = ("# comment", "#v 1 2 3", "vn 0 0 1", "vt 0.5 0.5", "g group", "o object",
             "s off", "usemtl skin", "", "   ", "v", "f")
+# plain records, which the array reader parses itself
+_PLAIN_NUMBERS = ("0", "1", "-2.5", "3.25e1", "+3", ".5", "7.", "1e400", "-0.000001", "1E-3",
+                  "0.100000000000000005551115123125783")
+_PLAIN_INDICES = ("1", "2", "3", "0004", "1600") + _BIG
 
 
 @st.composite
-def obj_lines(draw):
+def obj_lines(draw, plain=False):
+    if plain:
+        kind = draw(st.sampled_from(("v", "v", "f", "f", "", "#")))
+        if kind == "#":
+            return "#" + draw(st.sampled_from(("", " comment", "v 1 2 3", "\tf 1 2 3 #")))
+        numbers = _PLAIN_NUMBERS if kind == "v" else _PLAIN_INDICES
+        return kind and kind + "".join(" " + draw(st.sampled_from(numbers)) for _ in range(3))
     kind = draw(st.sampled_from(("v", "v", "f", "f", "record", "lead")))
     if kind == "v":
         n = draw(st.sampled_from((3, 3, 3, 2, 4)))  # 4: a w coordinate
@@ -173,22 +185,39 @@ def obj_lines(draw):
     else:
         body = draw(st.sampled_from((" v 1 2 3", "\tf 1 2 3", "v\t1 2 3", "f\t1 2 3",
                                      "v 1  2\t3", "f 1 2 3 ", "  # v 1")))
-    return body + draw(st.sampled_from(("\n", "\n", "\r\n", "\r")))
+    return body
 
 
-@settings(max_examples=300, deadline=None)
-@given(pad=st.booleans(), lines=st.lists(obj_lines(), max_size=12),
-       cut=st.none() | st.integers(0, 400), junk=st.none() | st.sampled_from(
-           (b"\xff", b"\xc3", b"\xe2\x82", b"\x00", "é".encode())),
+@st.composite
+def obj_texts(draw):
+    """OBJ text: any records (or only plain ones, among blank and comment
+    lines, with a fault in the last line now and then), each line ended by
+    a line feed, CRLF or CR (or all alike), the last one or not."""
+    plain = draw(st.booleans())
+    lines = draw(st.lists(obj_lines(plain), max_size=12))
+    if plain and lines and draw(st.booleans()):
+        lines[-1] = draw(obj_lines())
+    style = draw(st.sampled_from(("\n", "\r\n", "\r", None)))
+    ends = [style or draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=400, deadline=None)
+@given(pad=st.booleans(), text=obj_texts(), cut=st.none() | st.integers(0, 400),
+       junk=st.none() | st.sampled_from((b"\xff", b"\xc3", b"\xe2\x82", b"\x00", "é".encode())),
        junk_at=st.integers(0, 400))
-def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, lines, cut, junk,
-                                              junk_at):
+def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, text, cut, junk, junk_at):
     """Every file gives the arrays, or the error type and text, of the line
-    reader: comments, other records, leading whitespace, tabs, CRLF and lone
-    CR, w coordinates, short records, slashed and non-positive indices,
-    quads, special and non-numeric tokens, bad bytes and truncation, in the
-    first block or after a 32 KiB prefix."""
-    body = "".join(lines).encode()
+    reader: comments, other records, blank lines, leading whitespace, tabs,
+    CRLF and lone CR (also throughout), w coordinates, short records,
+    slashed, non-positive and huge (2**53, 2**63) indices, quads, special
+    and non-numeric tokens, bad bytes, truncation and no final line feed;
+    plain files with interleaved records, blank and comment lines, or with
+    a fault in their last line only; alone or after a 32 KiB plain
+    prefix."""
+    body = text.encode()
     if junk is not None:
         at = min(junk_at, len(body))
         body = body[:at] + junk + body[at:]
@@ -200,29 +229,50 @@ def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, lines, cut,
 
 
 def test_obj_block_reader_reads_plain_files_and_defers_the_rest(tmp_path):
-    """Plain files take the block reader, over several blocks; each unusual
-    file is handed to the line reader and read as before."""
+    """Plain files take the array reader, interleaved, among comment and
+    blank lines, with CRLF line ends or without a final line feed; each
+    unusual file is handed to the line reader and read as before, and a
+    fault in the last line of a long plain file is named."""
     mesh = make_grid_mesh(60, 60)
     p = tmp_path / "grid.obj"
     save_obj(p, mesh)
     assert p.stat().st_size > 3 * (1 << 15)
-    verts, faces = mesh_module._obj_blocks(p)
+    verts, faces = mesh_module._obj_arrays(p)
     assert np.array_equal(faces, mesh.faces) and verts.shape == mesh.vertices.shape
     assert _obj_outcome(p) == _line_reader_outcome(p)
     plain = "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3\nf 2 4 3\n"
+    for text in (plain[:-1], "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 3 2 1\nv 1 1 0\n",
+                 "v 5 5 5\n" + plain, plain + "f 0004 2 1\n", plain + "f %d 1 2\n" % (2**53 - 1),
+                 "# header\n" + plain, "#\n\n" + plain.replace("f 1", "# v 9 9 9\tf\n\nf 1") + "#",
+                 plain + "\n", plain.replace("\n", "\r\n"), "# \r\n\r\n" + plain):
+        p.write_text(text, newline="")
+        assert mesh_module._obj_arrays(p) is not None, text
+        assert _obj_outcome(p) == _line_reader_outcome(p), text
     for text in ("v 0 0 0 1\nv 1 0\nv 0 1 0\nf 1 2 3\n",   # 4 + 2 tokens
                  " v 5 5 5\n" + plain, "v\t5 5 5\n" + plain, "f\t1 2 4\n" + plain,
                  plain + "f 1/1 2/2 3/3\n", plain + "f 1 2 3 4\n", plain + "f 0 1 2\n",
-                 plain + "f -1 2 3\n", plain + "v 1 2 zz\n", "# only a comment\n", ""):
+                 plain + "f -1 2 3\n", plain + "v 1 2 zz\n", plain + "v 1 2 3.5.5\n",
+                 plain + "f 1e0 2 3\n", plain + "f 1 2\n", plain + "v 1  2 3\n",
+                 plain + "v 1 2 3 \n", plain + "v 1 2 3 # c\n", " # c\n" + plain,
+                 "# \r c\n" + plain, plain + "v 1 2 3\r\r\n", plain[:-1] + "\r",
+                 "vn 0 0 1\n" + plain, "#\n\n", plain.replace("\n", "\r"),
+                 plain + "f %d 1 2\n" % 2**53,
+                 plain + "f %d 1 2\n" % (2**63 - 1), plain + "f %d 1 2\n" % 2**63,
+                 "# only a comment\n", "f 1 2 3\n", ""):
         p.write_text(text, newline="")
-        assert mesh_module._obj_blocks(p) is None, text
+        assert mesh_module._obj_arrays(p) is None, text
         assert _obj_outcome(p) == _line_reader_outcome(p), text
     p.write_bytes(plain.encode() + b"# \xff\n")
-    assert mesh_module._obj_blocks(p) is None
+    assert mesh_module._obj_arrays(p) is None
     assert _obj_outcome(p) == _line_reader_outcome(p)
-    p.write_text("# header\r\nvn 0 0 1\r\n" + plain.replace("\n", "\r") + "g x", newline="")
-    assert mesh_module._obj_blocks(p) is not None
-    assert _obj_outcome(p) == _line_reader_outcome(p)
+    save_obj(p, mesh)
+    base = p.read_bytes()
+    line = base.count(b"\n") + 1
+    for last in (b"f 1 2\n", b"v 1 2 x", b"f 1 2 %d\n" % 2**63):
+        p.write_bytes(base + last)
+        assert mesh_module._obj_arrays(p) is None
+        assert _obj_outcome(p) == _line_reader_outcome(p)
+        assert f": line {line}: " in _obj_outcome(p)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,35 @@ def test_descriptor_failure_names_landmark(tiny_manifest, monkeypatch):
     assert not table.X[:, :8].any() and table.X[:, 8:].all()
 
 
+def test_shape_dna_specs_solve_each_patch_once(tiny_manifest, monkeypatch):
+    """Several Shape-DNA specs solve each present patch once, at the
+    largest k, and each spec's table is byte for byte the table of its own
+    single-spec run, errors and missing flags too (the first landmark of
+    each scan fails its geometry)."""
+    real, calls = pipeline.shape_dna, []
+
+    def counted(vertices, faces, k):
+        calls.append(k)
+        if len(calls) % 68 == 1:
+            raise DegenerateGeometryError("injected zero-area face")
+        return real(vertices, faces, k)
+
+    monkeypatch.setattr(pipeline, "shape_dna", counted)
+    manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
+    specs = [("shapedna", "coords", 5), ("shapedna", "norms", 12), ("shapedna", "coords", 8)]
+    tables, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs)
+    assert calls == [12] * (2 * 68)
+    for spec, table in zip(specs, tables):
+        calls.clear()
+        (alone,), alone_errors = compute_feature_tables(manifest, TINY_PATCH_CFG, [spec])
+        assert calls == [spec[2]] * (2 * 68)
+        assert table.X.tobytes() == alone.X.tobytes()
+        assert np.array_equal(table.missing, alone.missing) and table.missing[:, 0].all()
+        assert [{label: reason.split("; ")[specs.index(spec)]
+                 for label, reason in e["missing_patches"].items()} for e in errors] \
+            == [e["missing_patches"] for e in alone_errors]
+
+
 def test_unreadable_inputs_skip_scan_naming_file(tiny_dataset_dir, tiny_basis, tmp_path):
     shutil.copytree(tiny_dataset_dir, tmp_path / "data")
     manifest = load_manifest(tmp_path / "data" / "manifest.csv")
