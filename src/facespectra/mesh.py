@@ -23,12 +23,6 @@ class MeshStructureError(ValueError):
     """Parsed mesh data violates structural constraints."""
 
 
-def _any_column(flags: np.ndarray) -> np.ndarray:
-    """``flags.any(axis=1)`` of an ``(n, 3)`` bool array, as column
-    operations: a reduction over an axis of 3 takes several times longer."""
-    return flags[:, 0] | flags[:, 1] | flags[:, 2]
-
-
 def _runs(first, count):
     """``arange(first[i], first[i] + count[i])`` for every ``i``, one after
     another."""
@@ -112,15 +106,14 @@ class _Neighbourhood:
         self.first = np.concatenate(
             [[0], np.cumsum(np.bincount(f.ravel(), minlength=v.shape[0]))])
         # a NaN corner makes the face's smallest corner distance NaN
-        nan = _any_column(np.isnan(v))
-        self.nan_faces = np.flatnonzero(_any_column(nan[f])) if nan.any() else np.empty(0, int)
+        self.nan_faces = np.flatnonzero(np.isnan(v).any(axis=1)[f].any(axis=1))
         # cells on each axis are split at `bounds`; only finite vertices can
         # be closer than `radius`, and a cell is found by a search, not a
         # division, so it grows monotonically with the coordinate
-        ids = np.flatnonzero(~_any_column(~np.isfinite(v)))
+        ids = np.flatnonzero(np.isfinite(v).all(axis=1))
         pts = v[ids]
-        lo = np.array([c.min() for c in pts.T]) if ids.size else np.zeros(3)
-        hi = np.array([c.max() for c in pts.T]) if ids.size else np.zeros(3)
+        lo = pts.min(axis=0) if ids.size else np.zeros(3)
+        hi = pts.max(axis=0) if ids.size else np.zeros(3)
         side = max(self.radius, float((hi - lo).max()) / self._MAX_CELLS)
         self.bounds = []
         for a in range(3):
@@ -149,18 +142,12 @@ class _Neighbourhood:
                          self.cell_first[(x * ny + y) * nz + z1 + 1]]
             for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
         near = cand[_distances(np.take(self.vertices, cand, axis=0), r) < self.radius]
-        # the incident faces of `near`, one CSR run per vertex, marked on
-        # the span of face ids they cover
+        # the incident faces of `near`, one CSR run per vertex
         start = self.first[near]
-        faces = self.incident[_runs(start, self.first[near + 1] - start)]
-        if not faces.size:
-            return faces
-        low = faces.min()
-        hit = np.zeros(faces.max() - low + 1, dtype=bool)
-        hit[faces - low] = True
-        nan = self.nan_faces[(self.nan_faces >= low) & (self.nan_faces < low + hit.size)]
-        hit[nan - low] = False
-        return np.flatnonzero(hit) + low
+        hit = np.zeros(self.n_faces, dtype=bool)
+        hit[self.incident[_runs(start, self.first[near + 1] - start)]] = True
+        hit[self.nan_faces] = False
+        return np.flatnonzero(hit)
 
 
 def _distances(points: np.ndarray, r) -> np.ndarray:
@@ -211,14 +198,12 @@ def _parsed_mesh(path, vertices, faces, rescale: float) -> TriangleMesh:
         mesh = TriangleMesh(vertices, faces)
     except MeshStructureError as exc:
         raise MeshStructureError(f"{path}: {exc}") from None
-    bad = _any_column(~np.isfinite(mesh.vertices))
-    if bad.any():                       # an error where a face uses one
-        bad = bad[mesh.faces]
-        if bad.any():
-            face = int(np.flatnonzero(_any_column(bad))[0])
-            vertex = int(mesh.faces[face][bad[face]][0])
-            raise MeshStructureError(f"{path}: face {face} references vertex {vertex}, "
-                                     f"whose coordinates are not finite")
+    bad = ~np.isfinite(mesh.vertices).all(axis=1)[mesh.faces]
+    if bad.any():
+        face = int(np.flatnonzero(bad.any(axis=1))[0])
+        vertex = int(mesh.faces[face][bad[face]][0])
+        raise MeshStructureError(
+            f"{path}: face {face} references vertex {vertex}, whose coordinates are not finite")
     return mesh
 
 
@@ -295,10 +280,11 @@ def save_landmarks(path, landmarks: LandmarkSet) -> None:
 def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
     """Parse a Wavefront OBJ file (``v`` and ``f`` records, triangles only).
 
-    A file of plain ``v x y z`` and ``f i j k`` records, ``#`` comments and
-    blank lines is parsed in whole-file array passes; anything else,
-    malformed or merely unusual, is read line by line, which names the line
-    and the fault of a malformed record."""
+    A file of plain ``v x y z`` and ``f i j k`` records among comments,
+    blank lines and other records (``vn``, ``vt``, ``g``, ...) is parsed in
+    whole-file array passes; anything else, malformed or merely unusual,
+    is read line by line, which names the line and the fault of a
+    malformed record."""
     path = Path(path)
     verts, faces = _obj_arrays(path) or _obj_lines(path)
     return _parsed_mesh(path, verts, faces, rescale)
@@ -307,25 +293,26 @@ def load_obj(path, rescale: float = 1.0) -> TriangleMesh:
 def _obj_arrays(path):
     """``(vertices, faces)`` of an OBJ file parsed in whole-file array passes,
     or None unless it is ASCII, ends its lines with LF or CRLF, and every
-    line is blank, a ``#`` comment from its first byte, or a ``v`` or ``f``
-    record in the plain form :func:`save_obj` writes: the tag, then 3
-    tokens, each after one space, and the line end.  Vertex
-    tokens hold only digits, ``.``, ``+``, ``-``, ``e`` and ``E`` and parse
-    as numbers; face tokens hold only digits, from 1 to below 2**53 (exact
-    as doubles), and there is a vertex.  All numbers are parsed in one
-    ``np.loadtxt`` pass, which converts each token as ``float`` does and
-    skips the blank and comment lines.  A None hands the file to
-    :func:`_obj_lines`, so errors are always named by that reader."""
-    data = path.read_bytes()
-    is_v = _obj_plain_tags(data)
-    if is_v is None or not is_v.any():
+    line is blank, starts a comment or a record of another kind at its
+    first byte, or is a ``v`` or ``f`` record in the plain form
+    :func:`save_obj` writes: the tag, then 3 tokens, each after one space,
+    and the line end.  Vertex tokens hold only digits, ``.``, ``+``, ``-``,
+    ``e`` and ``E`` and parse as numbers; face tokens hold only digits,
+    from 1 to below 2**53 (exact as doubles), and there is a vertex.  The
+    other lines are dropped, and all numbers are parsed in one
+    ``np.loadtxt`` pass, which converts each token as ``float`` does.  A
+    None hands the file to :func:`_obj_lines`, so errors are always named
+    by that reader."""
+    plain = _obj_plain_records(path.read_bytes())
+    if plain is None or not plain[1].any():
         return None
+    data, is_v = plain
     try:
         rows = np.loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii"),
-                          comments="#", delimiter=" ", usecols=(1, 2, 3), ndmin=2)
+                          comments=None, delimiter=" ", usecols=(1, 2, 3), ndmin=2)
     except ValueError:       # a line of under 4 fields, or a token that is no number
         return None
-    del data                 # hold the numbers, not the text too
+    del data, plain          # hold the numbers, not the text too
     faces = rows[~is_v]
     if not ((faces >= 1) & (faces < 2.0**53)).all():
         return None
@@ -334,37 +321,44 @@ def _obj_arrays(path):
     return rows[is_v], faces
 
 
-# the bytes each kind of line may hold, by its first byte (a carriage
-# return only as part of a CRLF line end, which the caller checks)
-_OBJ_LINE_BYTES = {ord("v"): b"0123456789.+-eEv \r\n", ord("f"): b"0123456789f \r\n",
-                   ord("#"): bytes(range(128)), ord("\n"): b"\n", ord("\r"): b"\r\n"}
+# the bytes each kind of record may hold, by its tag (a carriage return
+# only as part of a CRLF line end, which the caller checks)
+_OBJ_RECORD_BYTES = {ord("v"): b"0123456789.+-eEv \r\n", ord("f"): b"0123456789f \r\n"}
 
 
-def _obj_plain_tags(data: bytes):
-    """Whether each ``v``/``f`` record of OBJ text ``data`` is a ``v`` record,
-    or None unless every line passes the byte tests of :func:`_obj_arrays`."""
+def _obj_plain_records(data: bytes):
+    """``(text, is_v)``: the ``v``/``f`` records of OBJ text ``data``, the
+    other lines dropped, and whether each is a ``v`` record; or None unless
+    every line passes the byte tests of :func:`_obj_arrays`."""
     if not data or not data.isascii() or (b"\r" in data
                                           and data.count(b"\r") != data.count(b"\r\n")):
         return None
     b = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, b.size)
-    starts = np.concatenate([[0], ends[:-1] + 1])
+    starts = np.concatenate([[0], np.flatnonzero(b[:-1] == ord("\n")) + 1])
+    size = np.diff(np.append(starts, b.size))
     tag = b[starts]
-    record = (tag == ord("v")) | (tag == ord("f"))
-    # a record is a tag, a space and more; with 3 spaces per record in each
-    # run of records, and loadtxt refusing a line of under 4 fields, every
-    # record holds exactly 3 tokens
-    if not (np.take(b, starts[record] + 1, mode="clip") == ord(" ")).all():
+    after = np.take(b, starts + 1, mode="clip")
+    after[size == 1] = ord("\n")
+    # the line reader takes a line's first token as its tag: a record is
+    # ``v`` or ``f`` and a space (another blank sends the file to it);
+    # other tokens from the first byte, comments and blank lines it skips
+    printable = (after > ord(" ")) & (after < 127)
+    record = ((tag == ord("v")) | (tag == ord("f"))) & ~printable
+    skip = ~record & ((tag == ord("\n")) | (tag == ord("\r")) | ((tag > ord(" ")) & (tag < 127)))
+    if not record.any() or not (record | skip).all() or (after[record] != ord(" ")).any():
         return None
+    if skip.any():
+        b = b[np.repeat(record, size)]
+        data, tag, size = b.tobytes(), tag[record], size[record]
+        starts = np.cumsum(size) - size
+    # with 3 spaces per record in each run of records, and loadtxt refusing
+    # a line of under 4 fields, every record holds exactly 3 tokens
     run = np.flatnonzero(tag[1:] != tag[:-1]) + 1
     for a, z in zip([0, *run.tolist()], [*run.tolist(), tag.size]):
-        kind, span = int(tag[a]), slice(starts[a], ends[z - 1])
-        if (kind not in _OBJ_LINE_BYTES or data[span].translate(None, _OBJ_LINE_BYTES[kind])
-                or record[a] and np.count_nonzero(b[span] == ord(" ")) != 3 * (z - a)):
+        span = data[starts[a]:starts[z - 1] + size[z - 1]]
+        if span.translate(None, _OBJ_RECORD_BYTES[int(tag[a])]) or span.count(b" ") != 3 * (z - a):
             return None
-    return tag[record] == ord("v")
+    return data, tag == ord("v")
 
 
 def _obj_lines(path):

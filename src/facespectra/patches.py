@@ -240,7 +240,7 @@ def apex_normal(vertices, faces, fv) -> np.ndarray:
     return n / norm
 
 
-def _closed_loops(nbr, longest, forward):
+def _closed_loops(nbr, longest):
     """The closed loops of the crossing graph in which point ``p`` is joined
     to ``nbr[p, 0]`` and ``nbr[p, 1]`` (-1 for none) and no component has
     more than ``longest`` points, as ``(walk, size)``:
@@ -252,39 +252,22 @@ def _closed_loops(nbr, longest, forward):
     The walk runs on directed half-edges: state ``2p + j`` steps from ``p``
     to ``nbr[p, j]``, and its successor leaves that point by its other
     neighbour (by ``nbr[q, 1]`` when ``nbr[q, 0]`` is where it came from).
-    Every loop is two cycles of states, one each way round.  ``forward``
-    proposes one state per point, ``2p + forward[p]``; when every successor
-    of a proposed state is proposed too (as on faces oriented alike, see
-    :func:`_crossed_edges`), each loop is one cycle of proposed states and
-    only those are walked, else every state is.  Pointer doubling gives
-    every state the lowest state on its path and the number of steps to
-    it, or a negative key when the path ends.  A loop is the cycle through
-    its lowest state, ``2 * start`` or, of proposed states only,
-    ``2 * start + 1``: a state's place in the loop counts back from the
-    first, forward from the second, which runs the other way round
-    (Wyllie's list ranking).  Two faces that share both crossed edges make
-    a loop of two points, which may keep its start alone; like every loop
-    of fewer than 3 points it is never a candidate.  Where a point has more
-    than two neighbours the paths are not loops or chains; the result for
-    that component is meaningless but stays within it."""
-    n_points = nbr.shape[0]
+    Pointer doubling gives every state the lowest state on its path and the
+    number of steps to it, or a negative key when the path ends.  A loop is
+    the cycle through its lowest state ``2 * start``, and a state's place in
+    the loop counts back from there (Wyllie's list ranking).  Two faces that
+    share both crossed edges make a loop of two points whose second point is
+    not on the cycle of ``2 * start``: that loop keeps its start alone, and
+    like every loop of fewer than 3 points it is never a candidate.  Where
+    a point has more than two neighbours the paths are not loops or chains;
+    the result for that component is meaningless but stays within it."""
+    n_states = 2 * nbr.shape[0]
     target = nbr.ravel()
-
-    def successors(states):
-        t = np.take(target, states)
-        to = np.maximum(t, 0)
-        return np.where(t < 0, -1, 2 * to + (np.take(nbr[:, 0], to) == states >> 1))
-
-    states = 2 * np.arange(n_points) + forward
-    succ = successors(states)
-    proposed = ((succ < 0) | (succ == np.take(states, succ >> 1, mode="wrap"))).all()
-    if proposed:
-        succ >>= 1                  # a proposed state's position is its point
-    else:
-        states = np.arange(2 * n_points)
-        succ = successors(states)
-    end = succ < 0
-    succ[end] = np.flatnonzero(end)
+    states = np.arange(n_states)
+    to = np.maximum(target, 0)
+    succ = 2 * to + (np.take(nbr[:, 0], to) == states >> 1)
+    end = target < 0
+    succ[end] = states[end]
     rounds = int(longest).bit_length()  # 2**rounds > longest: every path seen
     scale = 1 << rounds                  # step counts stay below it
     key = states * scale    # lowest state seen * scale + steps to it
@@ -297,15 +280,13 @@ def _closed_loops(nbr, longest, forward):
         np.take(succ, succ, out=jump, mode="clip")
         succ, jump = jump, succ
     low, steps = key >> rounds, key & (scale - 1)
-    # a state whose lowest state is even (or, of proposed states only, any)
-    # lies on the cycle through it
-    member = np.flatnonzero((low >= 0) & (proposed | (low & 1 == 0)))
-    low, steps = low[member], steps[member]
-    start = low >> 1
-    size = np.bincount(start, minlength=n_points)
+    # a state whose lowest state is even lies on the cycle through it
+    member = np.flatnonzero((low >= 0) & (low & 1 == 0))
+    start = low[member] >> 1
+    size = np.bincount(start, minlength=nbr.shape[0])
     offset = np.cumsum(size) - size
     walk = np.zeros(member.size, dtype=np.int64)
-    walk[offset[start] + np.where(low & 1, steps, -steps) % size[start]] = states[member] >> 1
+    walk[offset[start] + -steps[member] % size[start]] = member >> 1
     return walk, size[size > 0]
 
 
@@ -328,13 +309,9 @@ def _crossed_edges(faces, face_owner, fv, levels, n_rows):
     """The segments of every one of the ``n_rows`` (landmark, level) rows:
     a face crossed by a level (its corner distances ``fv`` straddle it)
     adds one segment between its two crossed edges.  Returns ``(n_mixed,
-    row, ends, leave)``: the number of segments of each row; for the two
+    row, lo, hi)``: the number of segments of each row and, for the two
     crossed edges of every segment (segments level by level, in face
-    order), the row and the edge's end vertices ``(lo, hi)``, ``lo < hi``;
-    and for each segment, whether the walk round its face's corners
-    leaves the level by its first edge (else it enters by it).  Where
-    faces are oriented alike, an edge that one face enters by the other
-    leaves by, so the segments chain one way round (:func:`_closed_loops`)."""
+    order), the row and the edge's end vertices, ``lo < hi``."""
     n_lev = levels.size
     face_min = np.minimum(np.minimum(fv[:, 0], fv[:, 1]), fv[:, 2])
     face_max = np.maximum(np.maximum(fv[:, 0], fv[:, 1]), fv[:, 2])
@@ -352,48 +329,45 @@ def _crossed_edges(faces, face_owner, fv, levels, n_rows):
     # each edge as corner pairs in slot order
     same0, same2 = ir[:, 0] == ir[:, 1], ir[:, 2] == ir[:, 0]
     f0, f1, f2 = np.take(faces, fi, axis=0).T
-    ends = np.empty((2 * row.size, 2), dtype=np.int64)
+    lo, hi = np.empty((2, 2 * row.size), dtype=np.int64)
     for k, (a, b) in enumerate([(np.where(same0, f1, f0), np.where(same0, f2, f1)),
                                 (np.where(same2, f1, f2), np.where(same2, f2, f0))]):
-        np.minimum(a, b, out=ends[k::2, 0])
-        np.maximum(a, b, out=ends[k::2, 1])
-    # the walk c0 -> c1 -> c2 leaves the level at the first crossed edge
-    # iff corner 0 is inside
-    return np.bincount(row, minlength=n_rows), np.repeat(row, 2), ends, ir[:, 0]
+        np.minimum(a, b, out=lo[k::2])
+        np.maximum(a, b, out=hi[k::2])
+    return np.bincount(row, minlength=n_rows), np.repeat(row, 2), lo, hi
 
 
-def _crossing_graph(vertices, row, ends, leave, centers, levels):
+def _crossing_graph(vertices, row, lo, hi, centers, levels):
     """The crossing points of the edges of :func:`_crossed_edges`, one per
     distinct (row, lo, hi) and numbered in that order, as ``(point_row,
-    pts, nbr, deg, forward)``: each point's row (ascending), position (on
-    its edge, at its level's distance from its landmark), neighbours (the
-    other ends of the first and the second segment that contain it, -1 for
-    none), degree, and 0 if the walk round the face of its first segment
-    enters the level there (so leaves it toward ``nbr[p, 0]``), else 1."""
+    pts, nbr, deg)``: each point's row (ascending), position (on its edge,
+    at its level's distance from its landmark), neighbours (the other ends
+    of the first and the second segment that contain it, -1 for none) and
+    degree."""
     n_verts, n_lev = vertices.shape[0], levels.size
     # :func:`_landmark_groups` keeps these keys in int64; the stable sort
     # also lists each point's segments in their order
-    keys = (row * n_verts + ends[:, 0]) * n_verts + ends[:, 1]
+    keys = (row * n_verts + lo) * n_verts + hi
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     new = np.ones(keys.size, dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=new[1:])
     first = np.flatnonzero(new)
-    deg = np.diff(np.append(first, keys.size))
     slot = order[first]
     point_row = row[slot]
     land, lev = np.divmod(point_row, n_lev)
-    pts = _edge_crossing_points(vertices, np.take(ends, slot, axis=0),
+    pts = _edge_crossing_points(vertices, np.stack([lo[slot], hi[slot]], axis=1),
                                 np.take(centers, land, axis=0), levels[lev])
     # a segment's two edges are slots 2k and 2k + 1, so the other end of
     # the segment through slot t is the point of slot t ^ 1
     point = np.empty(keys.size, dtype=np.int64)
     point[order] = np.cumsum(new) - 1
+    deg = np.diff(np.append(first, keys.size))
     nbr = np.full((first.size, 2), -1, dtype=np.int64)
     nbr[:, 0] = point[slot ^ 1]
     two = deg > 1
     nbr[two, 1] = point[order[first[two] + 1] ^ 1]
-    return point_row, pts, nbr, deg, (slot & 1) ^ np.take(leave, slot >> 1)
+    return point_row, pts, nbr, deg
 
 
 def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, contexts):
@@ -423,9 +397,9 @@ def _enclosing_loops(vertices, faces, face_owner, fv, centers, levels, frames, c
     n_rows = n_land * n_lev
     errors = [None] * n_land
     n_mixed, *edges = _crossed_edges(faces, face_owner, fv, levels, n_rows)
-    point_row, pts, nbr, deg, forward = _crossing_graph(vertices, *edges, centers, levels)
+    point_row, pts, nbr, deg = _crossing_graph(vertices, *edges, centers, levels)
     per_row = np.bincount(point_row, minlength=n_rows)
-    walk, size = _closed_loops(nbr, per_row.max(initial=0), forward)
+    walk, size = _closed_loops(nbr, per_row.max(initial=0))
     start = np.cumsum(size) - size
     loop_row = point_row[walk[start]]
     loop_land = loop_row // n_lev
@@ -612,45 +586,21 @@ def _ring_shifts(rings):
     return shifts
 
 
-# padded (row, point) cells per call of _resample_rings in _assemble
-_BUCKET_CELLS = 1 << 14
-
-
-def _row_buckets(counts, cells: int = _BUCKET_CELLS):
-    """The rows in ascending order of ``counts``, in runs whose counts
-    exceed their first row's by at most a quarter and whose rows, padded to
-    the longest, hold at most ``cells`` cells (or one row)."""
-    order = np.argsort(counts, kind="stable")
-    c = counts[order]
-    a = 0
-    while a < c.size:
-        b = int(np.searchsorted(c, c[a] + c[a] // 4, side="right"))
-        b = min(b, a + max(1, cells // int(c[b - 1])))
-        yield order[a:b]
-        a = b
-
-
 def _assemble(curves, counts, centers, normals, axis, m: int, align: str) -> np.ndarray:
     """The canonical patches ``(L, 1 + K*m, 3)`` of the ``L`` landmarks at
     ``centers`` from their ``K`` loops each, rows as
     :func:`_enclosing_loops` returns them: every ring starts at the point
     that projects most onto ``axis``, is resampled to ``m`` points and
-    shifted into rotational alignment with the ring before it (see
-    :func:`build_patch`).  Rings of similar length are resampled together,
-    padded to the longest of them (:func:`_row_buckets`); no ring depends
-    on the others."""
+    shifted into rotational alignment with the ring before it, all rows at
+    once, each padded to the longest (see :func:`build_patch`)."""
     n_land = len(centers)
-    n_rows = counts.size
-    first = np.cumsum(counts) - counts
+    n = counts[:, None]
+    j = np.arange(n.max())
+    first = (np.cumsum(counts) - counts)[:, None]
     proj = (curves - np.repeat(centers, counts.reshape(n_land, -1).sum(axis=1), axis=0)) @ axis
-    samples = np.empty((n_rows, m, 3))
-    for rows in _row_buckets(counts):
-        n = counts[rows][:, None]
-        j = np.arange(n.max())
-        at = first[rows][:, None]
-        score = np.where(j < n, np.take(proj, at + np.minimum(j, n - 1)), -np.inf)
-        ring = np.take(curves, at + (j + np.argmax(score, axis=1)[:, None]) % n, axis=0)
-        samples[rows] = _resample_rings(ring, n[:, 0], m)
+    score = np.where(j < n, np.take(proj, first + np.minimum(j, n - 1)), -np.inf)
+    ring = np.take(curves, first + (j + np.argmax(score, axis=1)[:, None]) % n, axis=0)
+    samples = _resample_rings(ring, counts, m)
     shifts = _ring_shifts(samples.reshape(n_land, -1, m, 3)).reshape(-1, 1)
     rings = _take_along_rings(samples, (np.arange(m) + shifts) % m)
     verts = (np.concatenate([centers[:, None], rings.reshape(n_land, -1, 3)], axis=1)
@@ -676,11 +626,6 @@ _KEY_LIMIT = 1 << 63  # the edge keys of _enclosing_loops are int64
 # scan at a 15-level patch.  There, batches of one landmark ran about 20%
 # slower, and batches twice as large no faster but with 4 MiB more peak RSS
 _BATCH_CELLS = 1 << 17
-# loop points of the batches assembled together: about 11 landmarks of a
-# resolution-160 scan at a 15x20 patch.  There, assembling batch by batch
-# gained nothing on the parent's padded rows, and twice as many points
-# raised the peak RSS of repeated featurization by 3 MiB
-_ASSEMBLE_POINTS = 1 << 15
 
 
 def _landmark_groups(near, n_levels: int, n_vertices: int, key_limit: int = _KEY_LIMIT,
@@ -710,52 +655,28 @@ def _patches(mesh: TriangleMesh, labels, centers, cfg: PatchConfig,
     """Patches ``(L, 1+K*m, 3)`` of the landmarks ``labels`` at ``centers``
     and, for each, the error its extraction raised or None (its patch is
     then zero).  The neighbourhood query, the distance field and the apex
-    normal run per landmark; the tracing runs once for all landmarks of
-    each run of :func:`_landmark_groups`, and the assembly once for the
-    traced landmarks of as many runs as ``_ASSEMBLE_POINTS`` loop points
-    hold.  A landmark's patch and error do not depend on the other
-    landmarks."""
+    normal run per landmark; everything else runs once for all landmarks
+    of each run of :func:`_landmark_groups`, and a landmark's patch and
+    error do not depend on the other landmarks."""
     if align not in ALIGN_MODES:
         raise ValueError(f"unknown align mode {align!r}")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     axis = np.asarray(reference_axis, dtype=np.float64).reshape(3)
     levels = cfg.levels()
     out = np.zeros((len(centers), cfg.n_vertices, 3), dtype=np.float64)
-    errors, traced = [], []
-    # the traced loops wait in one buffer, made before any batch is traced,
-    # so that they do not hold memory amid the next batch's arrays
-    buffer, held = np.empty((_ASSEMBLE_POINTS, 3)), 0
-
-    def assemble(curves):
-        landmarks, normals, counts = (np.concatenate(a) for a in zip(*traced))
-        traced.clear()
-        out[landmarks] = _assemble(curves, counts, centers[landmarks], normals, axis,
-                                   cfg.samples_per_curve, align)
-
+    errors = []
     near = (mesh.faces_within(center, max(levels)) for center in centers)
     for group in _landmark_groups(near, levels.size, mesh.n_vertices, key_limit):
         a, b = len(errors), len(errors) + len(group)
         normals, curves, counts, group_errors = _level_curves(
             mesh, group, centers[a:b], labels[a:b], levels)
+        ok = np.array([e is None for e in group_errors])
+        if ok.any():
+            rows = np.repeat(ok, levels.size)
+            out[a:b][ok] = _assemble(curves[np.repeat(rows, counts)], counts[rows],
+                                     centers[a:b][ok], normals[ok], axis,
+                                     cfg.samples_per_curve, align)
         errors += group_errors
-        ok = np.flatnonzero([e is None for e in group_errors])
-        if ok.size < len(group):     # keep the loops of the traced landmarks
-            rows = (ok[:, None] * levels.size + np.arange(levels.size)).ravel()
-            curves = curves[_runs(np.cumsum(counts)[rows] - counts[rows], counts[rows])]
-            normals, counts = normals[ok], counts[rows]
-        if not ok.size:
-            continue
-        if held + len(curves) > len(buffer) and traced:
-            assemble(buffer[:held])
-            held = 0
-        traced.append((a + ok, normals, counts))
-        if len(curves) > len(buffer):
-            assemble(curves)
-        else:
-            buffer[held:held + len(curves)] = curves
-            held += len(curves)
-    if traced:
-        assemble(buffer[:held])
     return out, errors
 
 

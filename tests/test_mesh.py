@@ -163,14 +163,19 @@ _RECORDS = ("# comment", "#v 1 2 3", "vn 0 0 1", "vt 0.5 0.5", "g group", "o obj
 _PLAIN_NUMBERS = ("0", "1", "-2.5", "3.25e1", "+3", ".5", "7.", "1e400", "-0.000001", "1E-3",
                   "0.100000000000000005551115123125783")
 _PLAIN_INDICES = ("1", "2", "3", "0004", "1600") + _BIG
+# records of other kinds, which both readers skip
+_OTHER_RECORDS = ("vn 0 0 1", "vt 0.5 0.5", "g group", "o object", "s off", "usemtl skin",
+                  "mtllib a.mtl", "l 1 2", "v1 2 3", "fo 1 2 3", "1 2 3")
 
 
 @st.composite
 def obj_lines(draw, plain=False):
     if plain:
-        kind = draw(st.sampled_from(("v", "v", "f", "f", "", "#")))
+        kind = draw(st.sampled_from(("v", "v", "f", "f", "", "#", "other")))
         if kind == "#":
             return "#" + draw(st.sampled_from(("", " comment", "v 1 2 3", "\tf 1 2 3 #")))
+        if kind == "other":
+            return draw(st.sampled_from(_OTHER_RECORDS))
         numbers = _PLAIN_NUMBERS if kind == "v" else _PLAIN_INDICES
         return kind and kind + "".join(" " + draw(st.sampled_from(numbers)) for _ in range(3))
     kind = draw(st.sampled_from(("v", "v", "f", "f", "record", "lead")))
@@ -191,7 +196,8 @@ def obj_lines(draw, plain=False):
 @st.composite
 def obj_texts(draw):
     """OBJ text: any records (or only plain ones, among blank and comment
-    lines, with a fault in the last line now and then), each line ended by
+    lines and other records, with a fault in the last line now and then),
+    each line ended by
     a line feed, CRLF or CR (or all alike), the last one or not."""
     plain = draw(st.booleans())
     lines = draw(st.lists(obj_lines(plain), max_size=12))
@@ -214,7 +220,8 @@ def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, text, cut, 
     CRLF and lone CR (also throughout), w coordinates, short records,
     slashed, non-positive and huge (2**53, 2**63) indices, quads, special
     and non-numeric tokens, bad bytes, truncation and no final line feed;
-    plain files with interleaved records, blank and comment lines, or with
+    plain files with interleaved records, blank and comment lines and
+    records of other kinds, or with
     a fault in their last line only; alone or after a 32 KiB plain
     prefix."""
     body = text.encode()
@@ -230,9 +237,10 @@ def test_obj_block_reader_matches_line_reader(tmp_path_factory, pad, text, cut, 
 
 def test_obj_block_reader_reads_plain_files_and_defers_the_rest(tmp_path):
     """Plain files take the array reader, interleaved, among comment and
-    blank lines, with CRLF line ends or without a final line feed; each
-    unusual file is handed to the line reader and read as before, and a
-    fault in the last line of a long plain file is named."""
+    blank lines and records of other kinds (a normal before each vertex),
+    with CRLF line ends or without a final line feed; each unusual file is
+    handed to the line reader and read as before, and a fault in the last
+    line of a long plain file is named."""
     mesh = make_grid_mesh(60, 60)
     p = tmp_path / "grid.obj"
     save_obj(p, mesh)
@@ -244,7 +252,11 @@ def test_obj_block_reader_reads_plain_files_and_defers_the_rest(tmp_path):
     for text in (plain[:-1], "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nf 3 2 1\nv 1 1 0\n",
                  "v 5 5 5\n" + plain, plain + "f 0004 2 1\n", plain + "f %d 1 2\n" % (2**53 - 1),
                  "# header\n" + plain, "#\n\n" + plain.replace("f 1", "# v 9 9 9\tf\n\nf 1") + "#",
-                 plain + "\n", plain.replace("\n", "\r\n"), "# \r\n\r\n" + plain):
+                 plain + "\n", plain.replace("\n", "\r\n"), "# \r\n\r\n" + plain,
+                 "vn 0 0 1\n" + plain, "mtllib a.mtl\nusemtl skin\ng x\n" + plain + "s off\nl 1 2",
+                 "v1 2 3 4\nfo 1\n1 2 3\n" + plain,
+                 "# header\r\nvn 0 0 1\r\n" + plain.replace("\n", "\r\n") + "g x",
+                 "".join("vn 0 0 1\n" + line + "\n" for line in plain.splitlines())):
         p.write_text(text, newline="")
         assert mesh_module._obj_arrays(p) is not None, text
         assert _obj_outcome(p) == _line_reader_outcome(p), text
@@ -255,7 +267,8 @@ def test_obj_block_reader_reads_plain_files_and_defers_the_rest(tmp_path):
                  plain + "f 1e0 2 3\n", plain + "f 1 2\n", plain + "v 1  2 3\n",
                  plain + "v 1 2 3 \n", plain + "v 1 2 3 # c\n", " # c\n" + plain,
                  "# \r c\n" + plain, plain + "v 1 2 3\r\r\n", plain[:-1] + "\r",
-                 "vn 0 0 1\n" + plain, "#\n\n", plain.replace("\n", "\r"),
+                 "vn 0 0 1\r" + plain, "v\x0b5 5 5\n" + plain, "v\x01 5\n" + plain,
+                 "\x01 c\n" + plain, "#\n\n", "vn 0 0 1\n", plain.replace("\n", "\r"),
                  plain + "f %d 1 2\n" % 2**53,
                  plain + "f %d 1 2\n" % (2**63 - 1), plain + "f %d 1 2\n" % 2**63,
                  "# only a comment\n", "f 1 2 3\n", ""):

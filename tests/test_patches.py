@@ -710,8 +710,7 @@ def _assert_matches_reference(mesh, center, cfg, axis=(1.0, 0.0, 0.0)):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_array_pass_matches_reference_tracer(seed):
     """On random height fields, re-indexed with shuffled faces, rotated
-    corners and about 30% of faces flipped (or none, so that loops are
-    ranked one way round only), the loops and patches of the
+    corners and about 30% of faces flipped, the loops and patches of the
     array pass are bit-identical to the per-level reference tracer's, or
     fail with the same error class and message: landmarks anywhere on the
     grid (open contours near the border), random reference axes, a
@@ -733,48 +732,13 @@ def test_array_pass_matches_reference_tracer(seed):
         lam = rng.uniform(0.3, 2.0)
         cfg = PatchConfig(lam, lam + rng.uniform(0.5, 2.0), int(rng.integers(2, 7)),
                           int(rng.integers(3, 25)))
-    mesh = _reindexed(mesh, rng, flip=rng.choice([0.0, 0.3]))
+    mesh = _reindexed(mesh, rng)
     if rng.random() < 0.2:
         verts = mesh.vertices.copy()
         verts[rng.integers(mesh.n_vertices), rng.integers(3)] = rng.choice([np.nan, np.inf])
         mesh = TriangleMesh(verts, mesh.faces)
     axis = (1.0, 0.0, 0.0) if rng.random() < 0.5 else rng.normal(size=3)
     _assert_matches_reference(mesh, center, cfg, axis)
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), flip=st.sampled_from((0.0, 1.0)))
-def test_consistent_faces_rank_loops_one_way_round(seed, flip):
-    """On faces oriented alike (re-indexed, none or all flipped) every
-    crossing point is where the walk round one of its two faces enters the
-    level, and its proposed state leaves it along that face, so the
-    successor of a proposed state is proposed: the loops come from
-    ranking the states of one way round, either way, as they come from
-    ranking both ways round (forced by reversing one proposal)."""
-    rng = np.random.default_rng(seed)
-    mesh = _reindexed(random_height_field(rng), rng, flip=flip)
-    center = mesh.vertices[rng.integers(mesh.n_vertices)] + rng.normal(scale=0.1, size=3)
-    levels = np.sort(rng.uniform(0.3, 4.0, size=int(rng.integers(1, 5))))
-    fv = distance_field(mesh, center, at=mesh.faces)
-    _, *edges = patches_module._crossed_edges(mesh.faces, np.zeros(mesh.n_faces, dtype=np.int64),
-                                              fv, levels, levels.size)
-    point_row, _, nbr, deg, forward = patches_module._crossing_graph(
-        mesh.vertices, *edges, center[None], levels)
-    assume((deg == 2).any())
-
-    def closed(proposed):
-        to = nbr[np.arange(nbr.shape[0]), proposed]
-        step = to >= 0
-        return np.array_equal(proposed[to[step]], nbr[to[step], 0] == np.flatnonzero(step))
-
-    one_reversed = forward.copy()
-    one_reversed[np.argmax(deg == 2)] ^= 1
-    assert deg.max() <= 2 and closed(forward) and closed(1 - forward) and not closed(one_reversed)
-    longest = np.bincount(point_row).max()
-    walks = [patches_module._closed_loops(nbr, longest, a)
-             for a in (forward, 1 - forward, one_reversed)]
-    for walk, size in walks[1:]:
-        assert np.array_equal(walk, walks[0][0]) and np.array_equal(size, walks[0][1])
 
 
 def _grid_at(nx, spacing, offset=(0.0, 0.0, 0.0), plane="xy"):
@@ -881,8 +845,7 @@ def test_equal_winding_loops_go_to_the_farthest_centroid():
 def test_every_crossed_face_crosses_two_distinct_edges(data):
     """A face is crossed by a level when one corner distance lies below it
     and one does not, so each segment ``_crossed_edges`` gives joins two
-    distinct edges of its face, each with one corner inside the level,
-    and is left by its first edge iff corner 0 is inside:
+    distinct edges of its face, each with one corner inside the level:
     random corner distances in [0, inf], levels often equal to one of
     them."""
     n_faces = data.draw(st.integers(1, 12))
@@ -893,9 +856,8 @@ def test_every_crossed_face_crosses_two_distinct_edges(data):
         st.one_of(st.floats(0.0, 1e300), st.sampled_from(fv.ravel().tolist())),
         min_size=1, max_size=4)))
     faces = np.arange(3 * n_faces).reshape(n_faces, 3)   # corner ids tell the face
-    n_mixed, row, ends, leave = patches_module._crossed_edges(
+    n_mixed, row, lo, hi = patches_module._crossed_edges(
         faces, np.zeros(n_faces, dtype=np.int64), fv, levels, levels.size)
-    lo, hi = ends.T
     inside = fv[:, :, None] < levels
     mixed = inside.any(axis=1) & ~inside.all(axis=1)
     assert n_mixed.tolist() == np.count_nonzero(mixed, axis=0).tolist()
@@ -907,9 +869,6 @@ def test_every_crossed_face_crosses_two_distinct_edges(data):
     assert ((lo[::2] != lo[1::2]) | (hi[::2] != hi[1::2])).all()
     at_level = levels[row]
     assert ((fv.ravel()[lo] < at_level) != (fv.ravel()[hi] < at_level)).all()
-    # the walk round the face leaves the level by the first edge iff
-    # corner 0 is inside, and enters by the second edge then
-    assert np.array_equal(leave, inside[seg_face, 0, row[::2]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1047,27 +1006,3 @@ def test_landmark_groups_split_without_changing_patches():
                 assert grouped.tobytes() == one.tobytes()
                 assert [(type(e), str(e)) for e in errors] == [(type(e), str(e))
                                                                for e in one_errors]
-
-
-def test_assembly_buffer_size_does_not_change_patches(monkeypatch):
-    """Traced batches are assembled together while their loops fit the
-    buffer, and a batch whose loops alone overflow it is assembled on its
-    own; every buffer size gives the same patches and errors, one landmark
-    per batch or all in one."""
-    rng = np.random.default_rng(12)
-    mesh, coarse, fine = _two_density_scan(rng)
-    labels = [f"L{i}" for i in range(5)]
-    centers = np.array([coarse.vertices[21 * 10 + 10], fine.vertices[41 * 20 + 20],
-                        [np.nan, 0.0, 0.0], fine.vertices[41 * 25 + 18],
-                        coarse.vertices[21 * 8 + 12]])
-    cfg = PatchConfig(0.6, 2.4, 4, 10)
-    want = patches_module._patches(mesh, labels, centers, cfg, align="normal")
-    assert [e is None for e in want[1]] == [True, True, False, True, True]
-    for points in (1, 150, 500, 10**6):
-        monkeypatch.setattr(patches_module, "_ASSEMBLE_POINTS", points)
-        for key_limit in (1, patches_module._KEY_LIMIT):
-            got = patches_module._patches(mesh, labels, centers, cfg, align="normal",
-                                          key_limit=key_limit)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert [str(e) for e in got[1]] == [str(e) for e in want[1]]
-
