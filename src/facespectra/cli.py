@@ -36,8 +36,7 @@ from .experiments import (
     save_report,
     sweep_report_section,
 )
-from .features import (GLF_MODES, METHOD_GLF, METHODS, MODE_COORDS, MODE_NORMS,
-                       load_feature_table, save_feature_csv, save_feature_table)
+from .features import DESCRIPTORS, load_feature_table, save_feature_csv, save_feature_table
 from .patches import ALIGN_MODES, PatchConfig
 from .pipeline import FeatureRunConfig, compute_basis
 from .spectral import load_basis, save_basis
@@ -161,23 +160,28 @@ def cmd_basis(args) -> int:
     return 0
 
 
+def _basis_methods() -> str:
+    """The methods that project onto the shared basis, as usage texts name them."""
+    return " or ".join(name for name, d in DESCRIPTORS.items() if d.needs_basis)
+
+
 def cmd_features(args) -> int:
     if not args.manifest:
         raise UsageError("--manifest is required")
     pc = _patch_config(args)
+    desc = DESCRIPTORS[args.method]
+    unused = [flag for flag, given in (
+        ("--basis", args.basis is not None and not desc.needs_basis),
+        ("--drop-constant", args.drop_constant and not desc.needs_basis),
+        (f"--mode {args.mode}", args.mode not in desc.modes)) if given]
+    if unused:
+        raise UsageError(f"--method {args.method} takes no {' or '.join(unused)} "
+                         f"({_basis_methods()} features only)")
     basis = None
-    if args.method == METHOD_GLF:
+    if desc.needs_basis:
         if not args.basis:
-            raise UsageError("--basis is required for glf features")
+            raise UsageError(f"--basis is required for {args.method} features")
         basis = load_basis(args.basis, expected_hash=pc.connectivity_hash())
-    else:
-        unused = [flag for flag, given in (("--basis", args.basis is not None),
-                                           ("--drop-constant", args.drop_constant),
-                                           ("--mode norms", args.mode == MODE_NORMS))
-                  if given]
-        if unused:
-            raise UsageError(f"--method {args.method} takes no {' or '.join(unused)} "
-                             f"(glf features only)")
     manifest = load_manifest(args.manifest)
     try:
         (table,), errors = pipeline.compute_feature_tables(
@@ -333,9 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--out", default="features",
                    help="output stem (.npy and .json are written)")
-    p.add_argument("--basis", help="basis stem (required for glf)")
-    p.add_argument("--method", choices=METHODS, default=METHOD_GLF)
-    p.add_argument("--mode", choices=GLF_MODES, default=MODE_COORDS)
+    p.add_argument("--basis", help=f"basis stem (required for {_basis_methods()})")
+    default = next(iter(DESCRIPTORS.values()))   # --mode offers the default method's modes
+    p.add_argument("--method", choices=tuple(DESCRIPTORS), default=default.name)
+    p.add_argument("--mode", choices=tuple(default.modes), default=next(iter(default.modes)))
     p.add_argument("--k", type=_positive(int), default=50)
     add_patch_args(p)
     run = FeatureRunConfig

@@ -1,27 +1,59 @@
 """Per-patch and per-face feature vectors.
 
-Two descriptor families: projections of the patch coordinate functions
-onto the shared graph-Laplacian eigenbasis (with an optional
-rotation-invariant per-row-norm variant), and per-patch Shape-DNA
-eigenvalue signatures.  A scan's feature row concatenates its
+Two descriptor families, one :class:`Descriptor` record each: projections
+of the patch coordinate functions onto the shared graph-Laplacian eigenbasis
+(with an optional rotation-invariant per-row-norm variant), and per-patch
+Shape-DNA eigenvalue signatures.  A scan's feature row concatenates its
 per-landmark blocks (``block_length`` values each) in landmark order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .artifacts import read_npy_json, save_npy_json
 from .spectral import SpectralBasis
 
-METHOD_GLF = "glf"
-METHOD_SHAPEDNA = "shapedna"
-METHODS = (METHOD_GLF, METHOD_SHAPEDNA)
-MODE_COORDS = "coords"
-MODE_NORMS = "norms"
-GLF_MODES = (MODE_COORDS, MODE_NORMS)
+
+@dataclass(frozen=True)
+class Descriptor:
+    """How one feature method's tables are laid out and its specs checked;
+    its per-scan compute is ``pipeline.BLOCKS[name]``."""
+
+    name: str
+    modes: dict           # mode a spec names -> mode its table records
+    widths: dict          # recorded mode -> values per component (1, or 3: x/y/z)
+    needs_basis: bool     # projects onto the shared basis
+    check: Callable       # (k, basis, patch_cfg, drop_constant); raises ValueError
+
+
+def _check_glf(k, basis, patch_cfg, drop_constant):
+    if basis.n != patch_cfg.n_vertices:
+        raise ValueError(f"basis dimension {basis.n} does not match patch size "
+                         f"{patch_cfg.n_vertices}")
+    if basis.config_hash not in (None, patch_cfg.connectivity_hash()):
+        raise ValueError(f"basis connectivity hash {basis.config_hash:#x} does not "
+                         f"match the patches' {patch_cfg.connectivity_hash():#x}")
+    if k + drop_constant > basis.k:
+        raise ValueError(f"k={k} (+constant row) exceeds basis columns {basis.k}")
+
+
+def _check_shape_dna(k, basis, patch_cfg, drop_constant):
+    if k > patch_cfg.n_vertices - 1:
+        raise ValueError(f"shapedna k={k} exceeds the {patch_cfg.n_vertices - 1} non-zero "
+                         f"eigenvalues of a {patch_cfg.n_vertices}-vertex patch")
+
+
+# the first record is the CLI's default method, and its modes are --mode's choices
+DESCRIPTORS = {d.name: d for d in (
+    Descriptor("glf", {"coords": "coords", "norms": "norms"}, {"coords": 3, "norms": 1},
+               True, _check_glf),
+    Descriptor("shapedna", {"coords": "eigenvalues", "eigenvalues": "eigenvalues"},
+               {"eigenvalues": 1}, False, _check_shape_dna))}
+METHODS = tuple(DESCRIPTORS)
 
 
 def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
@@ -50,25 +82,14 @@ def glf_norms(coeffs: np.ndarray) -> np.ndarray:
 
 
 def block_length(method: str, mode: str, k: int) -> int:
-    if method == METHOD_GLF and mode == MODE_COORDS:
-        return 3 * k
-    return k
+    return k * DESCRIPTORS[method].widths[mode]
 
 
 def feature_names(landmark_labels, method: str, mode: str, k: int) -> list:
-    """Column names: ``L{landmark}_e{i}_{x|y|z}`` in per-coordinate mode,
-    ``L{landmark}_e{i}`` otherwise."""
-    names = []
-    if method == METHOD_GLF and mode == MODE_COORDS:
-        for lab in landmark_labels:
-            for i in range(k):
-                for c in ("x", "y", "z"):
-                    names.append(f"L{lab}_e{i}_{c}")
-    else:
-        for lab in landmark_labels:
-            for i in range(k):
-                names.append(f"L{lab}_e{i}")
-    return names
+    """Column names: ``L{landmark}_e{i}_{x|y|z}`` for 3 values per
+    component, ``L{landmark}_e{i}`` for 1."""
+    channels = ("",) if DESCRIPTORS[method].widths[mode] == 1 else ("_x", "_y", "_z")
+    return [f"L{lab}_e{i}{c}" for lab in landmark_labels for i in range(k) for c in channels]
 
 
 def truncation_columns(n_landmarks: int, method: str, mode: str, k_full: int,
@@ -133,8 +154,9 @@ def save_feature_table(path, table: FeatureTable) -> None:
 
 def load_feature_table(path) -> FeatureTable:
     """Read a feature table.  A sidecar field that is absent, does not
-    convert, or lacks one row per sample raises ValueError naming the
-    ``.json`` file and the field."""
+    convert, or lacks one row per sample, and a method or mode that no
+    :class:`Descriptor` records, raise ValueError naming the ``.json``
+    file and the field."""
     npy, X, entry = read_npy_json(path)
     if X.ndim != 2:
         raise ValueError(f"{npy}: feature matrix has shape {X.shape}, expected 2-D")
@@ -147,6 +169,12 @@ def load_feature_table(path) -> FeatureTable:
             raise ValueError(f"a row does not hold one flag per landmark ({len(labels)})")
         return np.array(rows, dtype=bool).reshape(len(rows), len(labels))
 
+    def known(v, names, kind):
+        if str(v) not in names:
+            raise ValueError(f"unknown {kind} {str(v)!r}")
+        return str(v)
+
+    method = entry("method", lambda v: known(v, DESCRIPTORS, "method"))
     table = FeatureTable(
         X=X,
         subjects=entry("subjects", lambda v: [str(s) for s in v], n),
@@ -155,8 +183,8 @@ def load_feature_table(path) -> FeatureTable:
         aus=entry("aus", lambda v: [tuple(int(x) for x in a) for a in v], n),
         missing=entry("missing", flags, n),
         landmark_labels=labels,
-        method=entry("method", str),
-        mode=entry("mode", str),
+        method=method,
+        mode=entry("mode", lambda v: known(v, DESCRIPTORS[method].widths, f"{method} mode")),
         k=entry("k", int),
         config=entry("config", lambda v: dict(v or {})),
         config_hash=entry("config_hash", lambda v: None if v is None else int(v)),

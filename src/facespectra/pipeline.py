@@ -15,17 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DatasetManifest
-from .features import (
-    GLF_MODES,
-    METHOD_GLF,
-    METHOD_SHAPEDNA,
-    METHODS,
-    MODE_NORMS,
-    FeatureTable,
-    block_length,
-    glf_norms,
-    glf_project,
-)
+from .features import DESCRIPTORS, FeatureTable, glf_norms, glf_project
 from .mesh import MeshFormatError, MeshStructureError, load_landmarks, load_mesh
 from .patches import (ALIGN_MODES, PatchConfig, canonical_connectivity, extract_patches,
                       save_patch_archive)
@@ -66,30 +56,19 @@ class FeatureRunConfig:
 
 
 def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant):
-    if method not in METHODS:
+    """Check a (method, mode, k) spec against its :class:`~.features.Descriptor`
+    and return the mode its table records."""
+    if method not in DESCRIPTORS:
         raise ValueError(f"unknown method {method!r}")
+    desc = DESCRIPTORS[method]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if method == METHOD_GLF:
-        if mode not in GLF_MODES:
-            raise ValueError(f"unknown glf mode {mode!r}")
-        if basis is None:
-            raise ValueError("glf features require a precomputed basis")
-        if basis.n != patch_cfg.n_vertices:
-            raise ValueError(
-                f"basis dimension {basis.n} does not match patch size {patch_cfg.n_vertices}"
-            )
-        if basis.config_hash not in (None, patch_cfg.connectivity_hash()):
-            raise ValueError(f"basis connectivity hash {basis.config_hash:#x} does not "
-                             f"match the patches' {patch_cfg.connectivity_hash():#x}")
-        need = k + 1 if drop_constant else k
-        if need > basis.k:
-            raise ValueError(f"k={k} (+constant row) exceeds basis columns {basis.k}")
-        return mode
-    if k > patch_cfg.n_vertices - 1:
-        raise ValueError(f"shapedna k={k} exceeds the {patch_cfg.n_vertices - 1} non-zero "
-                         f"eigenvalues of a {patch_cfg.n_vertices}-vertex patch")
-    return "eigenvalues"
+    if mode not in desc.modes:
+        raise ValueError(f"unknown {method} mode {mode!r}")
+    if desc.needs_basis and basis is None:
+        raise ValueError(f"{method} features require a precomputed basis")
+    desc.check(k, basis, patch_cfg, drop_constant)
+    return desc.modes[mode]
 
 
 class FeaturizationError(RuntimeError):
@@ -125,50 +104,47 @@ def _set_job(job: _Job | None) -> None:
     _JOB = job
 
 
-def _shape_dna_rows(patches, missing, k):
-    """Shape-DNA of every present patch at ``k`` eigenvalues, solved once
-    for all Shape-DNA specs (a smaller k is a prefix): ``{landmark: values
-    or the error its geometry raised}``."""
-    rows = {}
-    for i in np.flatnonzero(~missing).tolist():
-        try:
-            rows[i] = shape_dna(patches[i], _JOB.faces, k)
-        except (DegenerateGeometryError, EigenConvergenceError) as exc:
-            rows[i] = exc
+def _glf_blocks(patches, missing, specs, note):
+    """GLF rows: one product of all present patches on the shared basis
+    per spec, zeros where a landmark is missing."""
+    drop = int(_JOB.run.drop_constant)
+    present = np.flatnonzero(~missing)
+    rows = []
+    for _, mode, k in specs:
+        coeffs = glf_project(patches[present], _JOB.basis, k + drop)[:, drop:]
+        if mode == "norms":
+            coeffs = glf_norms(coeffs)
+        blocks = np.zeros((len(missing),) + coeffs.shape[1:])
+        blocks[present] = coeffs
+        rows.append((blocks.reshape(-1), missing))
     return rows
 
 
-def _spec_blocks(patches, missing, labels, spec, errors, dna):
-    """One scan's feature row for a (method, mode, k) spec and its missing
-    mask: landmark i's block fills ``row[i*w:(i+1)*w]``, zeros where the
-    landmark is missing.
-
-    GLF blocks of all present landmarks are one product on the shared
-    basis; Shape-DNA blocks are the first k values of ``dna``
-    (:func:`_shape_dna_rows`).  A landmark whose Shape-DNA fails on its
-    geometry is flagged missing for this spec and its reason added to
-    ``errors``; it is never fabricated.
-    """
-    method, mode, k = spec
-    w = block_length(method, mode, k)
-    blocks = np.zeros((len(labels), w))
-    miss = missing.copy()
-    present = np.flatnonzero(~missing)
-    if method == METHOD_GLF:
-        drop = int(_JOB.run.drop_constant)
-        coeffs = glf_project(patches[present], _JOB.basis, k + drop)[:, drop:]
-        if mode == MODE_NORMS:
-            coeffs = glf_norms(coeffs)
-        blocks[present] = coeffs.reshape(len(present), w)
-        return blocks.reshape(-1), miss
-    for i, values in dna.items():
-        if isinstance(values, Exception):
-            miss[i] = True
-            reason = f"{method} k={k}: {values}"
-            errors[labels[i]] = "; ".join(filter(None, (errors.get(labels[i]), reason)))
-        else:
+def _shape_dna_blocks(patches, missing, specs, note):
+    """Shape-DNA rows: each present patch is solved once, at the largest k
+    of the specs (a smaller k is a prefix).  A landmark whose geometry
+    fails the solve is flagged missing, and its reason noted, per spec; it
+    is never fabricated."""
+    k_max = max(k for _, _, k in specs)
+    rows = [(np.zeros((len(missing), k)), missing.copy()) for _, _, k in specs]
+    for i in np.flatnonzero(~missing).tolist():
+        try:
+            values = shape_dna(patches[i], _JOB.faces, k_max)
+        except (DegenerateGeometryError, EigenConvergenceError) as exc:
+            for (method, _, k), (_, miss) in zip(specs, rows):
+                miss[i] = True
+                note(i, f"{method} k={k}: {exc}")
+            continue
+        for (_, _, k), (blocks, _) in zip(specs, rows):
             blocks[i] = values[:k]
-    return blocks.reshape(-1), miss
+    return [(blocks.reshape(-1), miss) for blocks, miss in rows]
+
+
+# Each features.DESCRIPTORS record's per-scan compute (here, so that the solvers
+# are looked up as this module's globals): ``blocks(patches, missing, specs,
+# note)`` gives each of its specs' (row, missing); ``note(i, reason)`` adds a
+# reason to landmark i's errors.
+BLOCKS = {"glf": _glf_blocks, "shapedna": _shape_dna_blocks}
 
 
 def _featurize_record(rec):
@@ -185,11 +161,16 @@ def _featurize_record(rec):
                                patches, landmarks.labels, missing, _JOB.cfg)
     except (MeshFormatError, MeshStructureError, OSError) as exc:
         return None, None, {"scan": str(rec.mesh_path), "error": str(exc)}
-    dna_k = max((k for method, _, k in _JOB.specs if method == METHOD_SHAPEDNA), default=0)
-    dna = _shape_dna_rows(patches, missing, dna_k) if dna_k else {}
-    per_spec = [_spec_blocks(patches, missing, landmarks.labels, spec, errors, dna)
-                for spec in _JOB.specs]
-    return per_spec, list(landmarks.labels), errors
+
+    def note(i, reason):
+        label = landmarks.labels[i]
+        errors[label] = "; ".join(filter(None, (errors.get(label), reason)))
+
+    rows = {}    # each method's specs in one call, their rows taken back in spec order
+    for method in dict.fromkeys(method for method, _, _ in _JOB.specs):
+        specs = [spec for spec in _JOB.specs if spec[0] == method]
+        rows[method] = iter(BLOCKS[method](patches, missing, specs, note))
+    return [next(rows[method]) for method, _, _ in _JOB.specs], list(landmarks.labels), errors
 
 
 def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,

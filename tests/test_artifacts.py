@@ -91,3 +91,18 @@ def test_patch_archive_sidecar_field_named(tmp_path, edit, field):
         load_patch_archive(tmp_path / "scan")
     assert str(exc.value).startswith(f"{tmp_path / 'scan.json'}: field {field!r}")
 
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda m: {**m, "method": "curves"}, "method"),
+    (lambda m: {**m, "mode": "bogus"}, "mode"),
+    (lambda m: {**m, "mode": "eigenvalues"}, "mode"),
+    (lambda m: {**m, "method": "shapedna"}, "mode"),
+], ids=["unknown-method", "unknown-mode", "glf-eigenvalues", "shapedna-norms"])
+def test_feature_table_sidecar_descriptor_named(tmp_path, edit, field):
+    """A table whose method, or mode for that method, no featurization
+    writes is refused with the field named: its block width is unknown."""
+    _save_table(tmp_path / "table")
+    _edit_json(tmp_path / "table.json", edit)
+    with pytest.raises(ValueError) as exc:
+        load_feature_table(tmp_path / "table")
+    assert str(exc.value).startswith(f"{tmp_path / 'table.json'}: field {field!r}")

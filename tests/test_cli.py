@@ -10,8 +10,7 @@ import facespectra
 from facespectra.cli import build_parser, main
 from facespectra.data import load_manifest
 from facespectra.experiments import FOLDS, SEED, ClassifierConfig, validate_report
-from facespectra.features import (GLF_MODES, METHOD_GLF, METHODS, MODE_COORDS,
-                                  load_feature_table, save_feature_table)
+from facespectra.features import METHODS, load_feature_table, save_feature_table
 from facespectra.patches import ALIGN_MODES, PatchConfig
 from facespectra.pipeline import FeatureRunConfig
 from facespectra.synth import SynthConfig
@@ -55,8 +54,8 @@ def test_parser_defaults_and_choices_come_from_their_homes():
                   "subject_amplitude": (SynthConfig.subject_amplitude, None),
                   "jitter": (SynthConfig.jitter, None), "seed": (SynthConfig.seed, None)},
         "basis": patch,
-        "features": {**patch, "method": (METHOD_GLF, METHODS),
-                     "mode": (MODE_COORDS, GLF_MODES), "align": (run.align, ALIGN_MODES),
+        "features": {**patch, "method": ("glf", METHODS),
+                     "mode": ("coords", ("coords", "norms")), "align": (run.align, ALIGN_MODES),
                      "missing": (run.missing_policy, run.MISSING_POLICIES),
                      "drop_constant": (run.drop_constant, None),
                      "rescale": (run.rescale, None), "jobs": (run.jobs, None)},

@@ -10,9 +10,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from facespectra import pipeline
+from facespectra import features, pipeline
+from facespectra.cli import main
 from facespectra.data import DatasetManifest, load_manifest
-from facespectra.features import (glf_norms, glf_project, load_feature_table,
+from facespectra.experiments import evaluate_expressions
+from facespectra.features import (Descriptor, glf_norms, glf_project, load_feature_table,
                                   save_feature_table)
 from facespectra.mesh import LandmarkSet, load_landmarks, load_mesh, save_landmarks
 from facespectra.patches import PatchConfig, canonical_connectivity, load_patch_archive
@@ -150,6 +152,47 @@ def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_pat
         assert np.array_equal(coords[i], coeffs.reshape(-1))
         assert np.array_equal(norms[i], glf_norms(coeffs))
         assert np.array_equal(dna[i], shape_dna(patch, faces, k))
+
+
+def test_a_third_descriptor_is_one_record_and_one_block_function(tiny_manifest, tmp_path,
+                                                                 monkeypatch):
+    """A toy descriptor, the raw aligned patch coordinates (k vertices of
+    x/y/z, no basis), added as one features.DESCRIPTORS record and one
+    pipeline.BLOCKS function, runs through featurization, the table
+    reader, evaluation and the CLI with no other code knowing it."""
+    n = TINY_PATCH_CFG.n_vertices
+
+    def check(k, basis, patch_cfg, drop_constant):
+        if k > patch_cfg.n_vertices:
+            raise ValueError(f"toy k={k} exceeds the patch's {patch_cfg.n_vertices} vertices")
+
+    def toy_blocks(patches, missing, specs, note):
+        return [(patches[:, :k].reshape(-1), missing) for _, _, k in specs]
+
+    monkeypatch.setitem(features.DESCRIPTORS, "toy",
+                        Descriptor("toy", {"coords": "coords"}, {"coords": 3}, False, check))
+    monkeypatch.setitem(pipeline.BLOCKS, "toy", toy_blocks)
+    with pytest.raises(ValueError, match="exceeds the patch's"):
+        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("toy", "coords", n + 1)])
+    (table,), errors = compute_feature_tables(tiny_manifest, TINY_PATCH_CFG,
+                                              [("toy", "coords", n)], align="normal",
+                                              patches_dir=tmp_path / "patches")
+    assert errors == [] and table.X.shape == (len(tiny_manifest), 68 * 3 * n)
+    for rec, row in zip(tiny_manifest.records, table.X):
+        patches, _, _, _ = load_patch_archive(tmp_path / "patches" / rec.mesh_path.stem)
+        assert np.array_equal(row, patches.reshape(-1))
+    save_feature_table(tmp_path / "api", table)
+    loaded = load_feature_table(tmp_path / "api")
+    assert (loaded.method, loaded.mode, loaded.k) == ("toy", "coords", n)
+    result = evaluate_expressions(loaded.X, loaded.expressions, loaded.subjects, folds=3,
+                                  missing=loaded.missing)
+    assert (result.n_samples, result.folds) == (len(tiny_manifest), 3)
+    rc = main(["features", "--manifest", str(tiny_manifest.root / "manifest.csv"),
+               "--method", "toy", "--k", str(n), "--align", "normal",
+               "--out", str(tmp_path / "cli"), "--lambda-min", "6", "--lambda-max", "14",
+               "--curves", "4", "--samples", "12"])
+    assert rc == 0
+    assert (tmp_path / "cli.npy").read_bytes() == (tmp_path / "api.npy").read_bytes()
 
 
 @pytest.mark.parametrize("off", [[2], list(range(68))], ids=["one-missing", "all-missing"])
@@ -303,7 +346,11 @@ def test_k_out_of_range_rejected(tiny_manifest, tiny_basis):
     n = TINY_PATCH_CFG.n_vertices
     for spec, match in ((("glf", "coords", 0), "k must be"),
                         (("shapedna", "coords", 0), "k must be"),
-                        (("shapedna", "coords", n), "non-zero eigenvalues")):
+                        (("shapedna", "coords", n), "non-zero eigenvalues"),
+                        (("shapedna", "norms", 5), "unknown shapedna mode 'norms'"),
+                        (("shapedna", "bogus", 5), "unknown shapedna mode 'bogus'"),
+                        (("glf", "bogus", 5), "unknown glf mode 'bogus'"),
+                        (("curves", "coords", 5), "unknown method 'curves'")):
         with pytest.raises(ValueError, match=match):
             compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [spec], basis=tiny_basis)
     (table,), errors = compute_feature_tables(
@@ -351,7 +398,8 @@ def test_shape_dna_specs_solve_each_patch_once(tiny_manifest, monkeypatch):
 
     monkeypatch.setattr(pipeline, "shape_dna", counted)
     manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
-    specs = [("shapedna", "coords", 5), ("shapedna", "norms", 12), ("shapedna", "coords", 8)]
+    specs = [("shapedna", "coords", 5), ("shapedna", "eigenvalues", 12),
+             ("shapedna", "coords", 8)]
     tables, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs)
     assert calls == [12] * (2 * 68)
     for spec, table in zip(specs, tables):
