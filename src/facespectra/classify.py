@@ -27,11 +27,25 @@ class ConvergenceError(RuntimeError):
     """The SMO solver hit its iteration cap before reaching tolerance."""
 
 
+STD_CHUNK = 256   # columns per np.std call in standardize_fit
+
+
 def standardize_fit(X: np.ndarray):
     """Per-dimension mean/std from a training fold; zero-variance
-    dimensions get unit scale so they stay inert."""
+    dimensions get unit scale so they stay inert.
+
+    The std is taken over chunks of ``STD_CHUNK`` to ``2 * STD_CHUNK - 1``
+    columns (one chunk when there are fewer), so that its temporary is a
+    chunk, not the whole fold.  Each column's reduction runs down its rows
+    in the same order as on the whole array, so the bits do not change; a
+    chunk of one column would sum pairwise, so there is none."""
     mu = X.mean(axis=0)
-    sigma = X.std(axis=0)
+    d = X.shape[1]
+    chunks = max(1, d // STD_CHUNK)
+    edges = [d * c // chunks for c in range(chunks + 1)]
+    sigma = np.empty(d)
+    for lo, hi in zip(edges, edges[1:]):
+        sigma[lo:hi] = X[:, lo:hi].std(axis=0)
     sigma = np.where(sigma < 1e-12, 1.0, sigma)
     return mu, sigma
 
@@ -232,31 +246,47 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
     y_i e_i - y_j e_j moves m by -t (K[:, i] - K[:, j]), and only alpha_i
     and alpha_j can change their membership of the up/low index sets.
 
-    The state of the problems still running is held as (A, n) arrays, n
-    the largest Gram size, and one step advances all of them.  A problem
-    retires when it has no up or no low index, when its violation is at
-    most ``tol`` or when its step is not positive, and the state is then
-    compacted to the rows still running.  Every problem does the
-    arithmetic of a lone solve in the same order, eta reading K[i, j] as
-    row i of column j, so its path does not depend on the batch.
+    A problem steps over its own rows only, kept in their order in its
+    Gram.  Its columns come from one block of the column bank: the
+    columns of its Gram restricted to its rows, one block per distinct
+    (Gram, row set), so that the problems on every row of a Gram share
+    the whole Gram as their block.  The state of the problems still
+    running is held as (A, n) arrays, n the most rows of any problem, and
+    one step advances all of them.  A problem retires when it has no up or
+    no low index, when its violation is at most ``tol`` or when its step
+    is not positive; its support is then mapped back to its Gram's rows,
+    and the state is compacted to the rows still running.  Every problem
+    does the arithmetic of a lone solve on its rows in the same order, eta
+    reading K[i, j] as row i of column j, so its path does not depend on
+    the batch.
     """
     if not 0 < C < np.inf:
         raise ValueError(f"C must be positive and finite, got {C!r}")
     if not problems:
         return []
-    sizes = [K.shape[0] for K in grams]
-    n = max(sizes)
-    # row offset[g] + i of the bank is column i of grams[g], zero-padded to n
-    offset = np.cumsum([0, *sizes])
-    bank = np.zeros((int(offset[-1]), n))
-    for g, K in enumerate(grams):
-        bank[offset[g]:offset[g + 1], :sizes[g]] = K.T
+    labels = [np.asarray(y, dtype=np.float64) for _, y in problems]
+    rows_of = [np.flatnonzero(y) for y in labels]
+    n = max(1, *(r.size for r in rows_of))
     P = len(problems)
+    # bank row start[p] + i is column rows_of[p][i] of the problem's Gram
+    # on the rows rows_of[p], zero-padded to n; a problem without rows
+    # retires at its first step, and the spare last row keeps the row it
+    # reads then inside the bank
+    start = np.empty((P, 1), dtype=np.int64)
+    offsets, blocks, total = {}, [], 0
+    for p, ((g, _), r) in enumerate(zip(problems, rows_of)):
+        key = (g, r.tobytes())
+        if key not in offsets:
+            offsets[key] = total
+            blocks.append((grams[g], r, total))
+            total += r.size
+        start[p] = offsets[key]
+    bank = np.zeros((total + 1, n))
+    for K, r, at in blocks:
+        bank[at:at + r.size, :r.size] = K.T if r.size == len(K) else K[np.ix_(r, r)].T
     y = np.zeros((P, n))
-    start = np.empty((P, 1), dtype=np.int64)   # bank row of each problem's column 0
-    for p, (g, labels) in enumerate(problems):
-        y[p, :sizes[g]] = labels
-        start[p] = offset[g]
+    for p, (r, labels_p) in enumerate(zip(rows_of, labels)):
+        y[p, :r.size] = labels_p[r]
     eps = 1e-12 * max(1.0, C)
     top = C - eps
     alpha = np.zeros((P, n))
@@ -290,8 +320,9 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
                 hi = m_r[r][up].max() if up.any() else 0.0
                 lo = m_r[r][low].min() if low.any() else 0.0
                 bias = float((hi + lo) / 2.0)
-            results[p] = BinarySVM(support=sv[s0:s1], dual_coef=coef[s0:s1], bias=bias,
-                                   n_iter=n_iter, final_violation=float(max(violation[row], 0.0)))
+            results[p] = BinarySVM(support=rows_of[p][sv[s0:s1]], dual_coef=coef[s0:s1],
+                                   bias=bias, n_iter=n_iter,
+                                   final_violation=float(max(violation[row], 0.0)))
             f0, s0 = f1, s1
 
     def flat_views():
@@ -312,7 +343,7 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
         violation = m_ij[:, 0] - m_ij[:, 1]
         empty = ~sets.any(axis=2).all(axis=1)
         violation[empty] = 0.0
-        column = bank[start + ij]                 # (A, 2, n): K[:, i] and K[:, j]
+        column = bank.take(start + ij, axis=0)     # (A, 2, n): K[:, i] and K[:, j]
         flat_column = column.reshape(-1)
         set_cells = set0 + ij                     # i and j in the up half; + n: low half
         k_ii = flat_column[set_cells[:, 0]]
@@ -383,8 +414,9 @@ def svm_train_folds(folds, C: float = 1.0, tol: float = 1e-3, max_iter: int = 10
     :func:`svm_solve_batch` call.
 
     ``folds`` holds ``(labels, gram)`` pairs, ``gram`` the kernel of the
-    fold's training rows against themselves; labellings that share one
-    Gram matrix object share its columns in the solver.  Returns, per
+    fold's training rows against themselves; pairs on the same rows of
+    one Gram matrix object share one block of its columns in the solver
+    (two-class labellings of every row share the whole Gram).  Returns, per
     fold, an :class:`SVMModel` whose machines' ``support`` indexes the
     fold's rows, or the error of the fold: a ``ValueError`` for fewer
     than two classes or a Gram matrix of the wrong shape, else the error

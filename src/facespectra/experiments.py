@@ -3,8 +3,9 @@
 Fold by fold: standardize features with training statistics, train the
 requested classifier, predict the held-out subjects.  What does not
 depend on the labels is built once per fold for all its labellings (and
-for all the eigenvalue counts of a sweep), and under SVM all of them
-train in one batched SMO call per fold.  Expression results report
+for all the eigenvalue counts of a sweep), and under SVM all of them,
+for consecutive folds whose train Grams fit a byte budget, train in one
+batched SMO call.  Expression results report
 per-fold accuracies and a row-averaged confusion matrix; AU results
 report per-AU precision/recall/F1 over the pooled test folds plus the
 positives-weighted average.  Reports serialize to JSON and are
@@ -33,6 +34,12 @@ from .classify import (
 from .features import FeatureTable, truncation_columns
 
 FOLDS, SEED = 10, 0   # identity-disjoint cross-validation defaults of every evaluation
+# Bytes of train Grams that consecutive SVM folds may hold for one batched
+# SMO call.  It packs 2 folds of a 10-subject sweep over 5 k values (5
+# Grams of 108 rows per fold) and leaves one fold per call at the paper's
+# size (2,160 training rows), where a second fold's kernels would raise
+# the peak memory.
+GRAM_BUDGET = 1 << 20
 
 
 @dataclass
@@ -120,20 +127,30 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
     converge, the reason as a string.  Any other failure raises naming
     the fold and, for an AU, the AU.
 
-    The folds that have jobs are taken one at a time, and each is
-    standardized once (:func:`_fold_rows`) for all its jobs and column
-    sets.  FLDA fits every job of a column set on its span.  SVM builds
-    each column set's train-by-train and test-by-train kernels (gamma
-    from its column count), then trains every (column set, job) pair of
-    the fold in one batched SMO call.  Only one fold's rows, kernels and
-    models are held at a time.
+    The folds that have jobs are taken in order, and each is standardized
+    once (:func:`_fold_rows`) for all its jobs and column sets.  FLDA
+    fits every job of a column set on its span.  SVM builds each column
+    set's train-by-train and test-by-train kernels (gamma from its column
+    count).  Consecutive folds whose train Grams fit :data:`GRAM_BUDGET`
+    bytes together train every (fold, column set, job) in one batched SMO
+    call (:func:`_train_pack`); a fold whose Grams alone exceed it trains
+    alone.  Whether a fold joins the pack is decided from its training
+    row count before its kernels are built, so at most one fold's rows
+    and one pack's kernels and models are held at a time.
     """
     fold_jobs = {}
     for n, (f, _, _) in enumerate(jobs):
         fold_jobs.setdefault(f, []).append(n)
     out = [[None] * len(jobs) for _ in column_sets]
+    pack, held = [], 0                      # SVM: (members, kernels) of untrained folds
     for f, members in fold_jobs.items():
         first = jobs[members[0]][2]
+        if cfg.kind == "svm":
+            gram_bytes = len(column_sets) * len(splits[f][0]) ** 2 * 8
+            if pack and held + gram_bytes > GRAM_BUDGET:
+                _train_pack(cfg, jobs, pack, out)
+                pack, held = [], 0
+            held += gram_bytes
         kernels = []                        # SVM: per column set, (train, test) kernels
         try:
             Xtr, Xte = _fold_rows(X, missing, *splits[f])
@@ -154,15 +171,27 @@ def _predictions(cfg: ClassifierConfig, X, missing, splits, jobs, column_sets=(N
                 _, labels, entry = jobs[n]
                 out[c][n] = _outcome(entry, lambda: classify.flda_predict(
                     classify.flda_train(tr, labels, reg=cfg.reg, span=span), te))
-        Xtr = Xte = tr = te = span = None   # released before the SMO call's bank
+        Xtr = Xte = tr = te = span = None   # released before the next fold or SMO call
         if kernels:
-            models = classify.svm_train_folds(
-                [(jobs[n][1], train) for train, _ in kernels for n in members], C=cfg.C)
-            for c in range(len(column_sets)):
-                for i, n in enumerate(members):
-                    out[c][n] = _outcome(jobs[n][2], lambda: classify.svm_predict(
-                        _raised(models[c * len(members) + i]), kernels[c][1]))
+            pack.append((members, kernels))
+    if pack:
+        _train_pack(cfg, jobs, pack, out)
     return out
+
+
+def _train_pack(cfg: ClassifierConfig, jobs, pack, out) -> None:
+    """Train the SVM jobs of a pack of folds, each ``(members, per column
+    set (train, test) kernels)``, in one ``svm_train_folds`` call, and
+    write each job's test-row labels, per column set, into ``out``."""
+    models = iter(classify.svm_train_folds(
+        [(jobs[n][1], train) for members, kernels in pack for train, _ in kernels
+         for n in members], C=cfg.C))
+    for members, kernels in pack:
+        for c, (_, test) in enumerate(kernels):
+            for n in members:
+                model = next(models)
+                out[c][n] = _outcome(jobs[n][2], lambda: classify.svm_predict(
+                    _raised(model), test))
 
 
 def _raised(model):
@@ -323,7 +352,8 @@ def evaluate_aus(X: np.ndarray, au_sets, subjects,
     Each AU is a "pos"/"neg" labelling of its fold, so a fold is
     standardized once for all its AUs, and its kernels or span are built
     once, or not at all when every AU is skipped or constant.  Under SVM
-    every AU of a fold trains in one batched SMO call.  ``missing`` fills
+    every AU of a fold trains in one batched SMO call, shared with the
+    folds packed with it (:func:`_predictions`).  ``missing`` fills
     missing landmark blocks as in :func:`evaluate_expressions`.
     """
     classifier = classifier or ClassifierConfig()
@@ -418,7 +448,8 @@ def eigen_sweep(table: FeatureTable, k_values, classifier: ClassifierConfig | No
     table's missing blocks are filled as in :func:`evaluate_expressions`),
     and each k reads its leading components from it.  The folds depend
     only on the subjects, ``folds`` and ``seed``, so every k gets the same
-    ones; under SVM every k of a fold trains in one batched SMO call."""
+    ones; under SVM every k of a fold trains in one batched SMO call,
+    shared with the folds packed with it (:func:`_predictions`)."""
     k_values = check_sweep(k_values, table.k)
     columns = [None if k == table.k else truncation_columns(
         len(table.landmark_labels), table.method, table.mode, table.k, k) for k in k_values]

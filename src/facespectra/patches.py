@@ -713,11 +713,21 @@ def extract_patches(mesh: TriangleMesh, landmarks: LandmarkSet, cfg: PatchConfig
     A landmark whose extraction fails is flagged missing (vertices zeroed),
     never fabricated; the error message is kept for the report.  Every
     other landmark's patch is what :func:`build_patch` gives it alone.
+    When the scan's bounding-box diagonal is below ``cfg.lambda_max``, no
+    patch fits on it, and each missing landmark's message ends with a
+    hint that the coordinates may not be in millimetres.
     """
     patches, errors = _patches(mesh, landmarks.labels, landmarks.positions, cfg, align=align)
     missing = np.array([e is not None for e in errors])
-    return patches, missing, {label: str(e) for label, e in zip(landmarks.labels, errors)
-                              if e is not None}
+    reasons = {label: str(e) for label, e in zip(landmarks.labels, errors) if e is not None}
+    if reasons and mesh.n_vertices:
+        extent = float(np.linalg.norm(np.ptp(mesh.vertices, axis=0)))
+        if extent < cfg.lambda_max:
+            hint = (f"; hint: the scan's bounding-box diagonal {extent:.4g} is below the "
+                    f"largest level {cfg.lambda_max:g}, so coordinates may not be in "
+                    f"millimetres; see --rescale")
+            reasons = {label: reason + hint for label, reason in reasons.items()}
+    return patches, missing, reasons
 
 
 # ---------------------------------------------------------------------------

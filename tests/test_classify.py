@@ -14,7 +14,9 @@ from facespectra.classify import (
     flda_span,
     flda_train,
     identity_disjoint_folds,
+    STD_CHUNK,
     kernel_matrix,
+    standardize_fit,
     svm_predict,
     svm_solve_batch,
     svm_train_binary,
@@ -285,9 +287,12 @@ def test_svm_train_rejects_gram_of_wrong_shape():
 @st.composite
 def smo_batches(draw):
     """One batch of binary problems over 1-3 Gram matrices of different
-    sizes: each Gram serves 1-3 problems on random subsets of its rows
-    (the other rows masked out), and one Gram has an entry moved by one
-    ulp, so that it is not exactly symmetric."""
+    sizes: each Gram serves 1-3 problems, each on random rows (the other
+    rows masked out), on every row, on the rows of one pair of the Gram's
+    3 classes (so pairs interleave and overlap, as one-vs-one pairs do),
+    or on the rows of the problem before it on the same Gram (so the two
+    share one block).  One Gram has an entry moved by one ulp, so that it
+    is not exactly symmetric."""
     kernel = draw(st.sampled_from(["rbf", "linear"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     grams, data, problems = [], [], []
@@ -301,11 +306,21 @@ def smo_batches(draw):
         K = kernel_matrix(X, X, kernel, 1.0 / d if kernel == "rbf" else None)
         grams.append(K)
         data.append(X)
-        for _ in range(draw(st.integers(1, 3))):
-            y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
-            y[rng.random(n) < 0.3] = 0.0            # rows left out
-            a, b = rng.choice(n, size=2, replace=False)
-            y[a], y[b] = 1.0, -1.0
+        classes = rng.integers(0, 3, size=n)
+        for p in range(draw(st.integers(1, 3))):
+            rows = draw(st.sampled_from(["random", "every", "class pair", "previous"]))
+            if rows == "class pair":
+                a, b = rng.choice(3, size=2, replace=False)
+                y = np.where(classes == a, 1.0, np.where(classes == b, -1.0, 0.0))
+            else:
+                y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+                if rows == "previous" and p:
+                    y[problems[-1][1] == 0] = 0.0
+                elif rows != "every":
+                    y[rng.random(n) < 0.3] = 0.0    # rows left out
+            kept = np.flatnonzero(y)
+            a, b = rng.choice(kept if kept.size > 1 else n, size=2, replace=False)
+            y[a], y[b] = 1.0, -1.0                  # both labels, on the drawn rows
             problems.append((g, y))
     K = grams[draw(st.integers(0, len(grams) - 1))]
     if K.shape[0] > 1:
@@ -652,3 +667,23 @@ def test_folds_deterministic_in_seed():
         assert np.array_equal(ta, tb) and np.array_equal(sa, sb)
     assert any(not np.array_equal(sa, sc)
                for (_, sa), (_, sc) in zip(a, c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300),
+       st.one_of(st.integers(1, 3 * STD_CHUNK + 5),
+                 st.sampled_from([STD_CHUNK - 1, STD_CHUNK, STD_CHUNK + 1, 2 * STD_CHUNK - 1,
+                                  2 * STD_CHUNK, 2 * STD_CHUNK + 1, 4 * STD_CHUNK + 3])),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0, 1e4]), st.booleans())
+def test_standardize_fit_std_bits_equal_whole_array_std(n, d, seed, scale, constant):
+    """The column-chunked std of ``standardize_fit`` has the bytes of
+    ``X.std(axis=0)`` on the whole array, at widths that are and are not
+    multiples of the chunk, with constant columns given unit scale."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * scale + rng.normal(size=d) * 100.0
+    if constant:
+        X[:, rng.random(d) < 0.2] = 3.0
+    mu, sigma = standardize_fit(X)
+    want = X.std(axis=0)
+    assert np.array_equal(mu, X.mean(axis=0))
+    assert sigma.tobytes() == np.where(want < 1e-12, 1.0, want).tobytes()

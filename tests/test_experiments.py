@@ -471,34 +471,52 @@ def test_sweep_standardizes_each_fold_once(monkeypatch):
         assert {shape[1] for shape in calls} == {table.X.shape[1]}
 
 
-def test_svm_sweep_trains_fold_by_fold_holding_one_fold_of_grams(monkeypatch):
-    """Under SVM a sweep makes one ``svm_train_folds`` call per fold, in
-    fold order, with that fold's train Gram of each k, and no Gram passed
-    to an earlier call is alive when the next call starts."""
+def test_svm_sweep_packs_consecutive_folds_under_the_gram_budget(monkeypatch):
+    """Under SVM a sweep trains consecutive folds, in fold order, in one
+    ``svm_train_folds`` call while their train Grams (k count x n_train^2
+    doubles) fit ``GRAM_BUDGET`` bytes together, and a fold whose Grams
+    alone exceed it trains alone.  Each call's Grams equal each of its
+    folds' ``kernel_matrix`` of each k, no Gram passed to an earlier call
+    is alive when the next call starts, and the results do not depend on
+    the packing."""
     table = sweep_table(np.random.default_rng(12))
-    k_values, folds, seed = [1, 3, 7, 10], 4, 3
+    k_values, folds, seed = [1, 3, 7, 10], 5, 3
     splits = identity_disjoint_folds(table.subjects, folds, seed)
-    calls, earlier = [], []              # earlier: weak references to passed Grams
+    assert [len(train) for train, _ in splits] == [54, 54, 60, 60, 60]
+    grams_of = [len(k_values) * len(train) ** 2 * 8 for train, _ in splits]
+    assert grams_of == [93_312, 93_312, 115_200, 115_200, 115_200]
     original = classify.svm_train_folds
+    reports = []
+    for budget, packs in ((1 << 20, [[0, 1, 2, 3, 4]]),
+                          (250_000, [[0, 1], [2, 3], [4]]),
+                          (200_000, [[0, 1], [2], [3], [4]]),
+                          (100_000, [[0], [1], [2], [3], [4]])):
+        calls, earlier = [], []              # earlier: weak references to passed Grams
 
-    def checked(pairs, **kwargs):
-        gc.collect()
-        assert not [ref for ref in earlier if ref() is not None]
-        Xtr, _ = experiments._fold_rows(table.X, None, *splits[len(calls)])
-        grams = list({id(gram): gram for _, gram in pairs}.values())
-        assert len(grams) == len(k_values)
-        for k, gram in zip(k_values, grams):
-            tr = Xtr[:, truncation_columns(len(table.landmark_labels), table.method,
-                                           table.mode, table.k, k)]
-            assert np.allclose(gram, classify.kernel_matrix(tr, tr, "rbf", 1 / tr.shape[1]))
-        earlier.extend(weakref.ref(gram) for gram in grams)
-        calls.append(len(pairs))
-        return original(pairs, **kwargs)
+        def checked(pairs, **kwargs):
+            gc.collect()
+            assert not [ref for ref in earlier if ref() is not None]
+            grams = list({id(gram): gram for _, gram in pairs}.values())
+            assert len(grams) % len(k_values) == 0
+            first = sum(len(call) for call in calls)
+            calls.append(list(range(first, first + len(grams) // len(k_values))))
+            for f, fold_grams in zip(calls[-1], np.split(np.arange(len(grams)), len(calls[-1]))):
+                Xtr, _ = experiments._fold_rows(table.X, None, *splits[f])
+                for k, g in zip(k_values, fold_grams):
+                    tr = Xtr if k == table.k else Xtr[:, truncation_columns(
+                        len(table.landmark_labels), table.method, table.mode, table.k, k)]
+                    assert np.array_equal(grams[g], classify.kernel_matrix(tr, tr, "rbf",
+                                                                           1 / tr.shape[1]))
+            earlier.extend(weakref.ref(gram) for gram in grams)
+            return original(pairs, **kwargs)
 
-    monkeypatch.setattr(classify, "svm_train_folds", checked)
-    eigen_sweep(table, k_values, classifier=ClassifierConfig(kind="svm"), folds=folds,
-                seed=seed)
-    assert calls == [len(k_values)] * folds
+        monkeypatch.setattr(classify, "svm_train_folds", checked)
+        monkeypatch.setattr(experiments, "GRAM_BUDGET", budget)
+        reports.append(sweep_report_section(eigen_sweep(
+            table, k_values, classifier=ClassifierConfig(kind="svm"), folds=folds, seed=seed)))
+        assert calls == packs, budget
+        assert all(sum(grams_of[f] for f in pack) <= budget for pack in packs if len(pack) > 1)
+    assert all(report == reports[0] for report in reports)
 
 
 def test_sweep_saturation_beyond_signal():

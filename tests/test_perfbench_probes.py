@@ -84,8 +84,9 @@ def test_au_flda_reaches_fit_probes_once_per_fit_and_fold(monkeypatch):
 def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
     """Under SVM, ``evaluate_aus`` builds one train-by-train and one
     test-by-train kernel per fold for all its AUs, still through
-    ``classify.kernel_matrix``, and fits every AU of a fold in one call
-    of the batched solver ``classify.svm_solve_batch``."""
+    ``classify.kernel_matrix``, and fits every AU of the 5 folds, whose
+    Grams fit ``GRAM_BUDGET`` together, in one call of the batched solver
+    ``classify.svm_solve_batch``."""
     calls = {}
     problems = []
     for name in ("kernel_matrix", "svm_solve_batch"):
@@ -103,7 +104,7 @@ def test_au_svm_builds_two_kernels_per_fold(monkeypatch):
     svm = experiments.ClassifierConfig(kind="svm")
     result = experiments.evaluate_aus(X, aus, subjects, svm, folds=5, seed=0, aus=(1, 2, 4))
     assert result.skipped == []
-    assert calls == {"kernel_matrix": 2 * 5, "svm_solve_batch": 5}
+    assert calls == {"kernel_matrix": 2 * 5, "svm_solve_batch": 1}
     assert len(problems) == 3 * 5
 
 

@@ -540,6 +540,39 @@ def test_rescale_applies_to_meshes_and_landmarks(tiny_manifest, tiny_basis, tmp_
     assert np.array_equal(scaled.X, orig.X) and not scaled.missing.any()
 
 
+def test_mesh_in_metres_names_units_and_rescale(tiny_manifest, tiny_basis, tmp_path):
+    """A scan stored in metres (scaled by 1e-3) loses every landmark, and
+    each reason ends with a hint naming its bounding-box diagonal, the
+    largest level and ``--rescale``; the clean scan next to it gives the
+    row and the (empty) errors it gives alone."""
+    clean, scaled = tiny_manifest.records[:2]
+    mesh = load_mesh(scaled.mesh_path)
+    lmk = load_landmarks(scaled.landmarks_path)
+    mesh_path = tmp_path / scaled.mesh_path.name
+    lmk_path = tmp_path / scaled.landmarks_path.name
+    mesh_path.write_text(
+        "".join("v %r %r %r\n" % tuple(v) for v in (1e-3 * mesh.vertices).tolist())
+        + "".join("f %d %d %d\n" % tuple(f) for f in (mesh.faces + 1).tolist()))
+    save_landmarks(lmk_path, LandmarkSet(lmk.labels, 1e-3 * lmk.positions))
+    metres = dataclasses.replace(scaled, mesh_path=mesh_path, landmarks_path=lmk_path)
+    spec = [("glf", "coords", 8)]
+    (table,), errors = compute_feature_tables(DatasetManifest([clean, metres], tmp_path),
+                                              TINY_PATCH_CFG, spec, basis=tiny_basis)
+    (alone,), alone_errors = compute_feature_tables(DatasetManifest([clean], tmp_path),
+                                                    TINY_PATCH_CFG, spec, basis=tiny_basis)
+    assert alone_errors == [] and table.X[0].tobytes() == alone.X[0].tobytes()
+    assert table.missing.tolist() == [[False] * len(lmk.labels), [True] * len(lmk.labels)]
+    (error,) = errors
+    assert error["scan"] == str(mesh_path)
+    assert list(error["missing_patches"]) == list(lmk.labels)
+    diagonal = np.linalg.norm(np.ptp(1e-3 * mesh.vertices, axis=0))
+    hint = (f"; hint: the scan's bounding-box diagonal {diagonal:.4g} is below the largest "
+            f"level 14, so coordinates may not be in millimetres; see --rescale")
+    assert diagonal < 1.0
+    for label, reason in error["missing_patches"].items():
+        assert reason == f"iso-level 6.0 has no crossings (landmark {label!r}){hint}"
+
+
 def test_missing_policy_zero_flags_and_drop_removes_scan(tiny_manifest, tiny_basis, tmp_path):
     records = tiny_manifest.records[:3]
     lmk = load_landmarks(records[0].landmarks_path)

@@ -5,10 +5,13 @@
 
 The table has BU-3DFE's layout: 6 expressions x 4 levels per subject, and
 68 landmarks x GLF coords at k=50, so 100 subjects give 2,400 rows of
-10,200 columns, filled with seeded normal values.  ``expressions`` runs
-``evaluate_expressions`` on all columns and ``sweep`` runs ``eigen_sweep``
-at k = 10,20,30,40,50, both with 10 identity-disjoint folds of SVM rbf on
-one BLAS thread (set before numpy loads).  It prints one JSON line: the
+10,200 columns, filled with seeded normal values; each row holds each of
+the 17 AUs with probability 0.3, seeded apart from the values.
+``expressions`` runs ``evaluate_expressions`` on all columns, ``sweep``
+runs ``eigen_sweep`` at k = 10,20,30,40,50 and ``aus`` runs
+``evaluate_aus`` over the 17 AUs on all columns, each with 10
+identity-disjoint folds of SVM rbf on one BLAS thread (set before numpy
+loads).  It prints one JSON line: the
 task, the subjects, the seconds of the evaluation, the process's peak RSS
 in MiB and the sha256 of the report section, so that two checkouts can be
 compared by running it with each one's ``src`` on ``PYTHONPATH``.
@@ -27,24 +30,27 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from facespectra.classify import EXPRESSIONS  # noqa: E402
-from facespectra.experiments import (ClassifierConfig, eigen_sweep,  # noqa: E402
-                                     evaluate_expressions, expression_report_section,
-                                     sweep_report_section)
+from facespectra.classify import AU_SET, EXPRESSIONS  # noqa: E402
+from facespectra.experiments import (ClassifierConfig, au_report_section,  # noqa: E402
+                                     eigen_sweep, evaluate_aus, evaluate_expressions,
+                                     expression_report_section, sweep_report_section)
 from facespectra.features import FeatureTable  # noqa: E402
 
 LEVELS, LANDMARKS, K = 4, 68, 50
 SWEEP = (10, 20, 30, 40, 50)
+AU_RATE = 0.3
 
 
 def random_table(subjects: int) -> FeatureTable:
     rows = [(f"S{s:03d}", e) for s in range(subjects) for e in EXPRESSIONS
             for _ in range(LEVELS)]
     n = len(rows)
+    has_au = np.random.default_rng(1).random((n, len(AU_SET))) < AU_RATE
     return FeatureTable(
         X=np.random.default_rng(0).standard_normal((n, LANDMARKS * 3 * K)),
         subjects=[s for s, _ in rows], expressions=[e for _, e in rows],
-        intensities=[1 + i % LEVELS for i in range(n)], aus=[()] * n,
+        intensities=[1 + i % LEVELS for i in range(n)],
+        aus=[tuple(np.array(AU_SET)[row].tolist()) for row in has_au],
         missing=np.zeros((n, LANDMARKS), dtype=bool),
         landmark_labels=[f"L{l}" for l in range(LANDMARKS)],
         method="glf", mode="coords", k=K)
@@ -53,13 +59,16 @@ def random_table(subjects: int) -> FeatureTable:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--subjects", type=int, default=100)
-    p.add_argument("--task", choices=("expressions", "sweep"), default="expressions")
+    p.add_argument("--task", choices=("expressions", "sweep", "aus"), default="expressions")
     args = p.parse_args(argv)
     table = random_table(args.subjects)
     svm = ClassifierConfig(kind="svm", kernel="rbf")
     start = time.perf_counter()
     if args.task == "sweep":
         section = sweep_report_section(eigen_sweep(table, SWEEP, classifier=svm, folds=10))
+    elif args.task == "aus":
+        section = au_report_section(evaluate_aus(table.X, table.aus, table.subjects,
+                                                 classifier=svm, folds=10))
     else:
         section = expression_report_section(evaluate_expressions(
             table.X, table.expressions, table.subjects, classifier=svm, folds=10))
