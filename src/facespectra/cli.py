@@ -87,7 +87,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     win over them."""
     try:
         overrides = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read --config {args.config}: {exc}") from exc
     if not isinstance(overrides, dict):
         raise UsageError(f"--config {args.config} must contain a JSON object")

@@ -11,6 +11,7 @@ no corpus data ships with this package.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,47 +77,50 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
     root = path.parent
     records = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ManifestError(f"{path}: empty manifest file") from None
+    expected = list(DatasetManifest.HEADER)
+    if [h.strip().lower() for h in header] != expected:
+        raise ManifestError(f"{path}: bad header {header!r}, expected {expected}")
+    for ln, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ManifestError(f"{path}: line {ln}: expected 6 fields, got {len(row)}")
+        subject, expression, intensity, mesh_rel, lmk_rel, aus = [x.strip() for x in row]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ManifestError(f"{path}: empty manifest file") from None
-        expected = list(DatasetManifest.HEADER)
-        if [h.strip().lower() for h in header] != expected:
-            raise ManifestError(f"{path}: bad header {header!r}, expected {expected}")
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise ManifestError(f"{path}: line {ln}: expected 6 fields, got {len(row)}")
-            subject, expression, intensity, mesh_rel, lmk_rel, aus = [x.strip() for x in row]
-            try:
-                record = ManifestRecord(
-                    subject=subject,
-                    expression=expression,
-                    intensity=int(intensity),
-                    mesh_path=root / mesh_rel,
-                    landmarks_path=root / lmk_rel,
-                    aus=_parse_aus(aus),
-                )
-            except ManifestError as exc:
-                raise ManifestError(f"{path}: line {ln}: {exc}") from None
-            except ValueError:
-                raise ManifestError(f"{path}: line {ln}: non-integer intensity "
-                                    f"{intensity!r}") from None
-            key = (record.subject, record.expression, record.intensity)
-            if key in seen:
-                raise ManifestError(f"{path}: line {ln}: duplicate record {key}")
-            seen.add(key)
-            if check_paths:
-                if not record.mesh_path.exists():
-                    raise ManifestError(f"{path}: line {ln}: mesh file missing: "
-                                        f"{record.mesh_path}")
-                if not record.landmarks_path.exists():
-                    raise ManifestError(f"{path}: line {ln}: landmark file missing: "
-                                        f"{record.landmarks_path}")
-            records.append(record)
+            record = ManifestRecord(
+                subject=subject,
+                expression=expression,
+                intensity=int(intensity),
+                mesh_path=root / mesh_rel,
+                landmarks_path=root / lmk_rel,
+                aus=_parse_aus(aus),
+            )
+        except ManifestError as exc:
+            raise ManifestError(f"{path}: line {ln}: {exc}") from None
+        except ValueError:
+            raise ManifestError(f"{path}: line {ln}: non-integer intensity "
+                                f"{intensity!r}") from None
+        key = (record.subject, record.expression, record.intensity)
+        if key in seen:
+            raise ManifestError(f"{path}: line {ln}: duplicate record {key}")
+        seen.add(key)
+        if check_paths:
+            if not record.mesh_path.exists():
+                raise ManifestError(f"{path}: line {ln}: mesh file missing: "
+                                    f"{record.mesh_path}")
+            if not record.landmarks_path.exists():
+                raise ManifestError(f"{path}: line {ln}: landmark file missing: "
+                                    f"{record.landmarks_path}")
+        records.append(record)
     return DatasetManifest(records=records, root=root)
 
 

@@ -53,7 +53,6 @@ class TriangleMesh:
         f = _readonly(np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
-        object.__setattr__(self, "_neighbourhoods", {})  # radius -> _Neighbourhood
         if f.size:
             if f.min() < 0 or f.max() >= v.shape[0]:
                 bad = int(np.nonzero(((f < 0) | (f >= v.shape[0])).any(axis=1))[0][0])
@@ -75,19 +74,10 @@ class TriangleMesh:
     def n_faces(self) -> int:
         return self.faces.shape[0]
 
-    def faces_within(self, r, radius: float) -> np.ndarray:
-        """Ascending ids of the faces whose smallest corner value of
-        :func:`distance_field` at ``r`` is below ``radius``: the faces with
-        a corner closer than ``radius`` and no NaN corner.  The index that
-        answers this is built on the first call for each radius and kept."""
-        index = self._neighbourhoods.get(radius)
-        if index is None:
-            index = self._neighbourhoods[radius] = _Neighbourhood(self, radius)
-        return index.faces_within(r)
 
-
-class _Neighbourhood:
-    """Faces near any point of one mesh, for one radius.
+class Neighbourhood:
+    """Faces near any point of one mesh, for one radius; its caller builds
+    it, and the mesh keeps none.
 
     Holds the vertex->face incidence in CSR form, the faces that have a
     NaN corner, and a uniform grid of the finite vertices in cells of
@@ -128,6 +118,9 @@ class _Neighbourhood:
             [[0], np.cumsum(np.bincount(cell, minlength=int(np.prod(self.shape))))])
 
     def faces_within(self, r) -> np.ndarray:
+        """Ascending ids of the faces whose smallest corner value of
+        :func:`distance_field` at ``r`` is below the radius: the faces with
+        a corner closer than it and no NaN corner."""
         r = np.asarray(r, dtype=np.float64).reshape(3)
         # a vertex whose computed distance is below `radius` lies within
         # `reach` of r on every axis, so inside the cells of r -+ reach (a

@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .artifacts import read_npy_json, save_npy_json
-from .mesh import TriangleMesh, LandmarkSet, _runs, distance_field
+from .mesh import TriangleMesh, LandmarkSet, Neighbourhood, _runs, distance_field
 
 ALIGN_MODES = ("none", "normal")
 
@@ -654,10 +654,10 @@ def _patches(mesh: TriangleMesh, labels, centers, cfg: PatchConfig,
              reference_axis=(1.0, 0.0, 0.0), align: str = "none", key_limit: int = _KEY_LIMIT):
     """Patches ``(L, 1+K*m, 3)`` of the landmarks ``labels`` at ``centers``
     and, for each, the error its extraction raised or None (its patch is
-    then zero).  The neighbourhood query, the distance field and the apex
-    normal run per landmark; everything else runs once for all landmarks
-    of each run of :func:`_landmark_groups`, and a landmark's patch and
-    error do not depend on the other landmarks."""
+    then zero).  One neighbourhood index serves the call; its query, the
+    distance field and the apex normal run per landmark, everything else
+    once for all landmarks of each run of :func:`_landmark_groups`, and a
+    landmark's patch and error do not depend on the other landmarks."""
     if align not in ALIGN_MODES:
         raise ValueError(f"unknown align mode {align!r}")
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -665,7 +665,8 @@ def _patches(mesh: TriangleMesh, labels, centers, cfg: PatchConfig,
     levels = cfg.levels()
     out = np.zeros((len(centers), cfg.n_vertices, 3), dtype=np.float64)
     errors = []
-    near = (mesh.faces_within(center, max(levels)) for center in centers)
+    index = Neighbourhood(mesh, max(levels))
+    near = (index.faces_within(center) for center in centers)
     for group in _landmark_groups(near, levels.size, mesh.n_vertices, key_limit):
         a, b = len(errors), len(errors) + len(group)
         normals, curves, counts, group_errors = _level_curves(

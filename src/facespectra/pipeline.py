@@ -8,6 +8,7 @@ can run on a bounded worker pool with deterministic output ordering.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -85,8 +86,8 @@ class FeaturizationError(RuntimeError):
 @dataclass(frozen=True)
 class _Job:
     """What stays fixed for one featurization run: all patches share one
-    connectivity, so the config, its faces and the basis are set once per
-    worker (the basis is not re-pickled for every task)."""
+    connectivity, so the config, its faces and the basis are derived once
+    and passed to every scan's call (a pool pickles it once per chunk)."""
 
     cfg: PatchConfig
     specs: tuple          # checked (method, mode, k) triples
@@ -96,22 +97,14 @@ class _Job:
     patches_dir: Path | None
 
 
-_JOB: _Job | None = None
-
-
-def _set_job(job: _Job | None) -> None:
-    global _JOB
-    _JOB = job
-
-
-def _glf_blocks(patches, missing, specs, note):
+def _glf_blocks(job, patches, missing, specs, note):
     """GLF rows: one product of all present patches on the shared basis
     per spec, zeros where a landmark is missing."""
-    drop = int(_JOB.run.drop_constant)
+    drop = int(job.run.drop_constant)
     present = np.flatnonzero(~missing)
     rows = []
     for _, mode, k in specs:
-        coeffs = glf_project(patches[present], _JOB.basis, k + drop)[:, drop:]
+        coeffs = glf_project(patches[present], job.basis, k + drop)[:, drop:]
         if mode == "norms":
             coeffs = glf_norms(coeffs)
         blocks = np.zeros((len(missing),) + coeffs.shape[1:])
@@ -120,7 +113,7 @@ def _glf_blocks(patches, missing, specs, note):
     return rows
 
 
-def _shape_dna_blocks(patches, missing, specs, note):
+def _shape_dna_blocks(job, patches, missing, specs, note):
     """Shape-DNA rows: each present patch is solved once, at the largest k
     of the specs (a smaller k is a prefix).  A landmark whose geometry
     fails the solve is flagged missing, and its reason noted, per spec; it
@@ -129,7 +122,7 @@ def _shape_dna_blocks(patches, missing, specs, note):
     rows = [(np.zeros((len(missing), k)), missing.copy()) for _, _, k in specs]
     for i in np.flatnonzero(~missing).tolist():
         try:
-            values = shape_dna(patches[i], _JOB.faces, k_max)
+            values = shape_dna(patches[i], job.faces, k_max)
         except (DegenerateGeometryError, EigenConvergenceError) as exc:
             for (method, _, k), (_, miss) in zip(specs, rows):
                 miss[i] = True
@@ -141,24 +134,23 @@ def _shape_dna_blocks(patches, missing, specs, note):
 
 
 # Each features.DESCRIPTORS record's per-scan compute (here, so that the solvers
-# are looked up as this module's globals): ``blocks(patches, missing, specs,
-# note)`` gives each of its specs' (row, missing); ``note(i, reason)`` adds a
-# reason to landmark i's errors.
+# are looked up as this module's globals): ``blocks(job, patches, missing,
+# specs, note)`` gives each of its specs' (row, missing); ``note(i, reason)``
+# adds a reason to landmark i's errors.
 BLOCKS = {"glf": _glf_blocks, "shapedna": _shape_dna_blocks}
 
 
-def _featurize_record(rec):
+def _featurize_record(job: _Job, rec):
     """``(per-spec (row, missing) list, landmark labels, errors)`` for one
     manifest record; an unreadable mesh or landmark file gives ``(None,
     None, {"scan", "error"})`` instead."""
     try:
-        mesh = load_mesh(rec.mesh_path, rescale=_JOB.run.rescale)
-        landmarks = load_landmarks(rec.landmarks_path, rescale=_JOB.run.rescale)
-        patches, missing, errors = extract_patches(mesh, landmarks, _JOB.cfg,
-                                                   align=_JOB.run.align)
-        if _JOB.patches_dir is not None:
-            save_patch_archive(_JOB.patches_dir / rec.mesh_path.stem,
-                               patches, landmarks.labels, missing, _JOB.cfg)
+        mesh = load_mesh(rec.mesh_path, rescale=job.run.rescale)
+        landmarks = load_landmarks(rec.landmarks_path, rescale=job.run.rescale)
+        patches, missing, errors = extract_patches(mesh, landmarks, job.cfg, align=job.run.align)
+        if job.patches_dir is not None:
+            save_patch_archive(job.patches_dir / rec.mesh_path.stem,
+                               patches, landmarks.labels, missing, job.cfg)
     except (MeshFormatError, MeshStructureError, OSError) as exc:
         return None, None, {"scan": str(rec.mesh_path), "error": str(exc)}
 
@@ -167,10 +159,10 @@ def _featurize_record(rec):
         errors[label] = "; ".join(filter(None, (errors.get(label), reason)))
 
     rows = {}    # each method's specs in one call, their rows taken back in spec order
-    for method in dict.fromkeys(method for method, _, _ in _JOB.specs):
-        specs = [spec for spec in _JOB.specs if spec[0] == method]
-        rows[method] = iter(BLOCKS[method](patches, missing, specs, note))
-    return [next(rows[method]) for method, _, _ in _JOB.specs], list(landmarks.labels), errors
+    for method in dict.fromkeys(method for method, _, _ in job.specs):
+        specs = [spec for spec in job.specs if spec[0] == method]
+        rows[method] = iter(BLOCKS[method](job, patches, missing, specs, note))
+    return [next(rows[method]) for method, _, _ in job.specs], list(landmarks.labels), errors
 
 
 def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
@@ -202,17 +194,15 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
         patches_dir = Path(patches_dir)
         patches_dir.mkdir(parents=True, exist_ok=True)
     job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), run, patches_dir)
+    featurize = functools.partial(_featurize_record, job)
     workers = min(run.jobs, len(manifest.records))
     if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_set_job, initargs=(job,)) as pool:
-            # map's chunks of ceil(records / (4 * workers)) keep every worker busy
-            results = pool.map(_featurize_record, manifest.records)
+        with multiprocessing.Pool(workers) as pool:
+            # map's chunks of ceil(records / (4 * workers)) keep every worker
+            # busy; each chunk carries one pickled copy of the job
+            results = pool.map(featurize, manifest.records)
     else:
-        _set_job(job)
-        try:
-            results = [_featurize_record(rec) for rec in manifest.records]
-        finally:
-            _set_job(None)
+        results = [featurize(rec) for rec in manifest.records]
 
     kept = []
     errors = []

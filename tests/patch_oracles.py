@@ -1,6 +1,6 @@
 """Test oracles for level-curve extraction: one-landmark entries to the
-batched tracer, the whole-mesh crop and tracing set-up that the
-neighbourhood index of ``TriangleMesh`` must reproduce exactly, and the
+batched tracer, the whole-mesh crop and tracing set-up that
+``mesh.Neighbourhood`` must reproduce exactly, and the
 per-level reference tracer (a Python walk of each level's crossing graph,
 on each landmark's own renumbered crop, then winding, start, resampling and
 alignment one ring at a time) that the array pass of ``patches`` must
@@ -9,7 +9,7 @@ reproduce bit for bit."""
 import numpy as np
 
 from facespectra import patches
-from facespectra.mesh import TriangleMesh, distance_field
+from facespectra.mesh import Neighbourhood, TriangleMesh, distance_field
 
 
 def _raise_first(errors):
@@ -21,7 +21,7 @@ def level_curves(mesh: TriangleMesh, center, levels, label):
     """``patches._level_curves`` for one landmark: ``(normal, (curves,
     counts))``, or the landmark's error raised."""
     center = np.asarray(center, dtype=np.float64).reshape(1, 3)
-    near = [mesh.faces_within(center[0], max(levels))]
+    near = [Neighbourhood(mesh, max(levels)).faces_within(center[0])]
     normals, curves, counts, errors = patches._level_curves(mesh, near, center, [label],
                                                             np.asarray(levels, dtype=float))
     _raise_first(errors)
@@ -243,7 +243,7 @@ def reference_level_curves(mesh: TriangleMesh, center, levels, label):
     0 and traced by :func:`reference_enclosing_loops`: ``(normal, iterator
     of loops)``."""
     context = f" (landmark {label!r})" if label else ""
-    near = mesh.faces_within(center, max(levels))
+    near = Neighbourhood(mesh, max(levels)).faces_within(center)
     if not near.size:
         raise patches.CurveExtractionError(
             f"iso-level {float(levels[0])} has no crossings{context}")

@@ -430,6 +430,14 @@ def test_config_value_checked_like_flag(tmp_path, capsys):
         assert "--" + next(iter(config)).replace("_", "-") in err, config
 
 
+def test_unreadable_config_is_a_usage_error_naming_it(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    for data in (b'{"k": 3', b'{"align": "\xff"}'):
+        cfgfile.write_bytes(data)
+        assert main(["basis", "--config", str(cfgfile)]) == 2, data
+        assert f"cannot read --config {cfgfile}" in capsys.readouterr().err, data
+
+
 def test_removed_no_op_flags_rejected(capsys):
     for argv in (["basis", "--seed", "1"], ["basis", "--jobs", "2"],
                  ["features", "--seed", "1"], ["evaluate", "--jobs", "2"],

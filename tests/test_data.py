@@ -66,6 +66,14 @@ def test_duplicate_record_rejected(tmp_path):
         load_manifest(p, check_paths=False)
 
 
+def test_non_utf8_manifest_named(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes(b"subject,expression,intensity,mesh,landmarks,aus\n"
+                  b"S1,AN,1,\xff.obj,a.csv,\n")
+    with pytest.raises(ManifestError, match=r"m\.csv: not UTF-8 text"):
+        load_manifest(p, check_paths=False)
+
+
 def test_missing_manifest_file():
     with pytest.raises(FileNotFoundError):
         load_manifest("/nonexistent/m.csv")

@@ -1,10 +1,11 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from facespectra.mesh import LandmarkSet, TriangleMesh, distance_field
+from facespectra.mesh import LandmarkSet, Neighbourhood, TriangleMesh, distance_field
 from facespectra import patches as patches_module
 from facespectra.patches import (
     CurveAmbiguityError,
@@ -218,7 +219,7 @@ def test_apex_normal_is_the_normal_at_the_nearest_used_vertex(seed):
     rng = np.random.default_rng(seed)
     mesh = _reindexed(random_height_field(rng), rng)
     center = mesh.vertices[rng.integers(mesh.n_vertices)] + rng.normal(scale=0.5, size=3)
-    faces = mesh.faces[mesh.faces_within(center, rng.uniform(0.2, 3.0))]
+    faces = mesh.faces[Neighbourhood(mesh, rng.uniform(0.2, 3.0)).faces_within(center)]
     assume(faces.size)
     used = np.unique(faces)
     if rng.random() < 0.3:                          # a non-finite corner in the crop
@@ -635,8 +636,9 @@ def test_neighbourhood_crop_equals_whole_mesh_crop(seed, radius):
         np.array([inside[0], -np.inf, inside[2]]),
     ]
     levels = np.linspace(radius / 3, radius, 3)
+    index = Neighbourhood(mesh, radius)
     for center in centers:
-        assert np.array_equal(mesh.faces_within(center, radius),
+        assert np.array_equal(index.faces_within(center),
                               whole_mesh_crop(mesh, center, radius)), center
         with np.errstate(invalid="ignore", over="ignore"):  # inf/NaN vertices
             assert (_curves_outcome(level_curves, mesh, center, levels)
@@ -665,6 +667,15 @@ def test_extract_patches_equal_on_whole_mesh_crop():
     for (p, m, e), (po, mo, eo) in zip(new, old):
         assert p.tobytes() == po.tobytes()
         assert np.array_equal(m, mo) and e == eo
+
+
+def test_extract_patches_leaves_the_mesh_unchanged():
+    """Tracing a scan keeps nothing on its mesh: the mesh pickles to the
+    same bytes before and after, as its immutability promises workers."""
+    mesh, lmk, _ = generate_scan(SynthConfig(subjects=1, resolution=48, seed=3), 0, "SU", 2)
+    before = pickle.dumps(mesh)
+    extract_patches(mesh, lmk, PatchConfig(2.0, 6.0, 3, 8))
+    assert pickle.dumps(mesh) == before
 
 
 # ---------------------------------------------------------------------------

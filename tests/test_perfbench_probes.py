@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from facespectra import classify, experiments, patches, spectral
-from facespectra.mesh import LandmarkSet
+from facespectra.mesh import LandmarkSet, Neighbourhood
 from facespectra.synth import SynthConfig, generate_scan, rectangular_grid
 
 
@@ -52,7 +52,8 @@ def test_level_curves_reach_apex_normal_once_per_cropped_landmark(monkeypatch):
     positions[[1, 4], 2] += 1000.0                   # two landmarks with no face near
     cfg = patches.PatchConfig(2.0, 6.0, 3, 8)
     _, missing, _ = patches.extract_patches(mesh, LandmarkSet(lmk.labels[:6], positions), cfg)
-    cropped = [mesh.faces_within(p, cfg.lambda_max).size for p in positions]
+    index = Neighbourhood(mesh, cfg.lambda_max)
+    cropped = [index.faces_within(p).size for p in positions]
     assert missing.tolist() == [size == 0 for size in cropped]
     assert calls == [size for size in cropped if size]
 

@@ -64,7 +64,7 @@ def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis, tmp_path, monkeyp
         return tables, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
 
     serial_tables, serial_arch = run(1, tmp_path / "serial")
-    # spawned workers unpickle the job; forked ones would inherit it
+    # spawned workers import afresh, so they hold only what each task pickles
     monkeypatch.setattr(pipeline, "multiprocessing", multiprocessing.get_context("spawn"))
     parallel_tables, parallel_arch = run(2, tmp_path / "parallel")
     for a, b in zip(serial_tables, parallel_tables):
@@ -77,11 +77,11 @@ def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis, tmp_path, monkeyp
 _featurize_record = pipeline._featurize_record
 
 
-def _featurize_noting_worker(rec):
+def _featurize_noting_worker(job, rec):
     """``pipeline._featurize_record`` that first leaves a file named after
     its process id in the directory ``$FACESPECTRA_TEST_PIDS``."""
     (Path(os.environ["FACESPECTRA_TEST_PIDS"]) / str(os.getpid())).touch()
-    return _featurize_record(rec)
+    return _featurize_record(job, rec)
 
 
 def test_four_scans_on_two_jobs_use_both_workers(tiny_manifest, tiny_basis, tmp_path,
@@ -108,9 +108,8 @@ def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, monkeyp
         """``multiprocessing.Pool`` that records its size and maps in this
         process, so no worker is started."""
 
-        def __init__(self, processes, initializer, initargs):
+        def __init__(self, processes):
             sizes.append(processes)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -166,7 +165,7 @@ def test_a_third_descriptor_is_one_record_and_one_block_function(tiny_manifest, 
         if k > patch_cfg.n_vertices:
             raise ValueError(f"toy k={k} exceeds the patch's {patch_cfg.n_vertices} vertices")
 
-    def toy_blocks(patches, missing, specs, note):
+    def toy_blocks(job, patches, missing, specs, note):
         return [(patches[:, :k].reshape(-1), missing) for _, _, k in specs]
 
     monkeypatch.setitem(features.DESCRIPTORS, "toy",
@@ -493,23 +492,6 @@ def test_programming_error_propagates(tiny_manifest, tiny_basis, monkeypatch):
     with pytest.raises(TypeError, match="injected bug"):
         compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
                                basis=tiny_basis, jobs=1)
-
-
-def test_serial_run_releases_its_job(tiny_manifest, tiny_basis, monkeypatch):
-    """A serial run leaves no basis or faces behind in the process, whether
-    it returns or raises."""
-    compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
-                           basis=tiny_basis, jobs=1)
-    assert pipeline._JOB is None
-
-    def broken(patch, basis, k):
-        raise TypeError("injected bug")
-
-    monkeypatch.setattr(pipeline, "glf_project", broken)
-    with pytest.raises(TypeError, match="injected bug"):
-        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
-                               basis=tiny_basis, jobs=1)
-    assert pipeline._JOB is None
 
 
 def test_rescale_applies_to_meshes_and_landmarks(tiny_manifest, tiny_basis, tmp_path):
