@@ -220,6 +220,8 @@ def cmd_evaluate(args) -> int:
               if getattr(args, name) != getattr(ClassifierConfig, name)]
     if unused:
         raise UsageError(f"--classifier {args.classifier} takes no {' or '.join(unused)}")
+    if args.kernel == "linear" and args.gamma != ClassifierConfig.gamma:
+        raise UsageError("--kernel linear takes no --gamma")
     clf = ClassifierConfig(kind=args.classifier, kernel=args.kernel, C=args.C,
                            gamma=args.gamma, reg=args.reg)
     folds, seed = args.folds, args.seed

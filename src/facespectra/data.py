@@ -65,12 +65,9 @@ def _parse_aus(token: str):
         raise ManifestError(f"malformed AU list {token!r}") from None
 
 
-def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
-    """Read and validate a manifest CSV.
-
-    Duplicate (subject, expression, intensity) triples are rejected; all
-    referenced files must exist unless ``check_paths`` is disabled.
-    """
+def load_manifest(path) -> DatasetManifest:
+    """Read and validate a manifest CSV: duplicate (subject, expression,
+    intensity) triples are rejected, and every file it names must exist."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"manifest not found: {path}")
@@ -113,13 +110,9 @@ def load_manifest(path, check_paths: bool = True) -> DatasetManifest:
         if key in seen:
             raise ManifestError(f"{path}: line {ln}: duplicate record {key}")
         seen.add(key)
-        if check_paths:
-            if not record.mesh_path.exists():
-                raise ManifestError(f"{path}: line {ln}: mesh file missing: "
-                                    f"{record.mesh_path}")
-            if not record.landmarks_path.exists():
-                raise ManifestError(f"{path}: line {ln}: landmark file missing: "
-                                    f"{record.landmarks_path}")
+        for kind, named in (("mesh", record.mesh_path), ("landmark", record.landmarks_path)):
+            if not named.exists():
+                raise ManifestError(f"{path}: line {ln}: {kind} file missing: {named}")
         records.append(record)
     return DatasetManifest(records=records, root=root)
 

@@ -495,10 +495,13 @@ def environment_fingerprint() -> dict:
     """Versions, platform, the host's CPU count, the CPUs the process may
     run on (None where the platform cannot say) and the BLAS thread
     settings it runs under (each variable's value, or None when unset)."""
+    # platform.platform()'s string where `uname -p` adds nothing, without forking it
+    libc = "".join(platform.libc_ver())
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "platform": platform.platform(),
+        "platform": "-".join([platform.system(), platform.release(), platform.machine()]
+                             + (["with", libc] if libc else [])),
         "package_version": __version__,
         "cpu_count": os.cpu_count(),
         "usable_cpus": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -86,25 +86,24 @@ class FeaturizationError(RuntimeError):
 @dataclass(frozen=True)
 class _Job:
     """What stays fixed for one featurization run: all patches share one
-    connectivity, so the config, its faces and the basis are derived once
-    and passed to every scan's call (a pool pickles it once per chunk)."""
+    connectivity, so the config, its faces and the basis window are derived
+    once and passed to every scan's call (a pool pickles it once per chunk)."""
 
     cfg: PatchConfig
     specs: tuple          # checked (method, mode, k) triples
-    basis: SpectralBasis | None
+    basis: SpectralBasis | None   # the columns GLF reads; None when no spec reads the basis
     faces: np.ndarray     # canonical_connectivity(cfg)
     run: FeatureRunConfig
     patches_dir: Path | None
 
 
 def _glf_blocks(job, patches, missing, specs, note):
-    """GLF rows: one product of all present patches on the shared basis
-    per spec, zeros where a landmark is missing."""
-    drop = int(job.run.drop_constant)
+    """GLF rows: one product of all present patches on the job's basis
+    window per spec, zeros where a landmark is missing."""
     present = np.flatnonzero(~missing)
     rows = []
     for _, mode, k in specs:
-        coeffs = glf_project(patches[present], job.basis, k + drop)[:, drop:]
+        coeffs = glf_project(patches[present], job.basis, k)
         if mode == "norms":
             coeffs = glf_norms(coeffs)
         blocks = np.zeros((len(missing),) + coeffs.shape[1:])
@@ -184,6 +183,10 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
     run = FeatureRunConfig(**settings)
     specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, run.drop_constant), int(k))
                   for (m, mo, k) in specs)
+    d = int(run.drop_constant)    # basis specs read columns [d, d + K), K their largest k
+    K = max((k for m, _, k in specs if DESCRIPTORS[m].needs_basis), default=0)
+    window = (SpectralBasis(basis.eigenvalues[d:d + K], basis.eigenvectors[:, d:d + K],
+                            basis.config_hash) if K else None)
     if patches_dir is not None:
         stems = {}
         for rec in manifest.records:
@@ -193,7 +196,7 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
                                  f"save their patches as {rec.mesh_path.stem!r}")
         patches_dir = Path(patches_dir)
         patches_dir.mkdir(parents=True, exist_ok=True)
-    job = _Job(patch_cfg, specs, basis, canonical_connectivity(patch_cfg), run, patches_dir)
+    job = _Job(patch_cfg, specs, window, canonical_connectivity(patch_cfg), run, patches_dir)
     featurize = functools.partial(_featurize_record, job)
     workers = min(run.jobs, len(manifest.records))
     if workers > 1:

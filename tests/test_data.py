@@ -42,7 +42,7 @@ def test_unknown_expression_token_rejected(tmp_path):
     p.write_text("subject,expression,intensity,mesh,landmarks,aus\n"
                  "S1,JOY,1,a.obj,a.csv,\n")
     with pytest.raises(ManifestError, match="JOY"):
-        load_manifest(p, check_paths=False)
+        load_manifest(p)
 
 
 def test_full_grid_manifest_row_count(tmp_path):
@@ -53,7 +53,9 @@ def test_full_grid_manifest_row_count(tmp_path):
                 rows.append(f"S{s:03d},{e},{lvl},m.obj,l.csv,1+2")
     p = tmp_path / "m.csv"
     p.write_text("\n".join(rows) + "\n")
-    manifest = load_manifest(p, check_paths=False)
+    (tmp_path / "m.obj").touch()
+    (tmp_path / "l.csv").touch()
+    manifest = load_manifest(p)
     assert len(manifest) == 1200
     assert len({r.subject for r in manifest.records}) == 100
 
@@ -62,8 +64,10 @@ def test_duplicate_record_rejected(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("subject,expression,intensity,mesh,landmarks,aus\n"
                  "S1,AN,1,a.obj,a.csv,\nS1,AN,1,b.obj,b.csv,\n")
+    (tmp_path / "a.obj").touch()
+    (tmp_path / "a.csv").touch()
     with pytest.raises(ManifestError, match="duplicate"):
-        load_manifest(p, check_paths=False)
+        load_manifest(p)
 
 
 def test_non_utf8_manifest_named(tmp_path):
@@ -71,7 +75,7 @@ def test_non_utf8_manifest_named(tmp_path):
     p.write_bytes(b"subject,expression,intensity,mesh,landmarks,aus\n"
                   b"S1,AN,1,\xff.obj,a.csv,\n")
     with pytest.raises(ManifestError, match=r"m\.csv: not UTF-8 text"):
-        load_manifest(p, check_paths=False)
+        load_manifest(p)
 
 
 def test_missing_manifest_file():
@@ -83,7 +87,10 @@ def test_missing_referenced_files_rejected(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("subject,expression,intensity,mesh,landmarks,aus\n"
                  "S1,AN,1,a.obj,a.csv,\n")
-    with pytest.raises(ManifestError, match="missing"):
+    with pytest.raises(ManifestError, match=r"line 2: mesh file missing: .*a\.obj"):
+        load_manifest(p)
+    (tmp_path / "a.obj").touch()
+    with pytest.raises(ManifestError, match=r"line 2: landmark file missing: .*a\.csv"):
         load_manifest(p)
 
 
@@ -92,7 +99,7 @@ def test_malformed_au_list_rejected(tmp_path):
     p.write_text("subject,expression,intensity,mesh,landmarks,aus\n"
                  "S1,AN,1,a.obj,a.csv,1+x\n")
     with pytest.raises(ManifestError, match="AU"):
-        load_manifest(p, check_paths=False)
+        load_manifest(p)
 
 
 def test_manifest_roundtrip_relative_paths(tmp_path):

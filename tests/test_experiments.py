@@ -1,7 +1,10 @@
 import gc
 import json
 import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -699,6 +702,28 @@ def test_environment_records_usable_cpus():
     report["environment"]["usable_cpus"] = 0
     with pytest.raises(jsonschema.ValidationError):
         validate_report(report)
+
+
+def test_environment_fingerprint_starts_no_child_process():
+    """The fingerprint forks no child (``platform.platform()`` forks
+    ``uname -p``), so a finished child's peak RSS that a tool reads is
+    never the parent's; its platform string is ``platform.platform()``'s
+    wherever the processor adds nothing to the machine."""
+    code = (
+        "import json, platform, resource\n"
+        "from facespectra.experiments import environment_fingerprint\n"
+        "before = tuple(resource.getrusage(resource.RUSAGE_CHILDREN))\n"
+        "env = environment_fingerprint()\n"
+        "after = tuple(resource.getrusage(resource.RUSAGE_CHILDREN))\n"
+        "print(json.dumps([before == after, env['platform'], platform.platform(),\n"
+        "                  platform.uname().processor, platform.machine()]))\n")
+    src = str(Path(experiments.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    unchanged, ours, theirs, processor, machine = json.loads(done.stdout)
+    assert unchanged
+    if processor in ("", "unknown", machine):
+        assert ours == theirs
 
 
 def test_report_without_cpu_and_thread_fields_validates():

@@ -99,17 +99,16 @@ def test_four_scans_on_two_jobs_use_both_workers(tiny_manifest, tiny_basis, tmp_
     assert table.expressions == [r.expression for r in manifest.records]
 
 
-def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, monkeypatch):
-    """``jobs`` above the scan count sizes the pool at one worker per scan,
-    and one scan runs without a pool; the tables equal the serial ones."""
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Gives the pipeline a ``multiprocessing.Pool`` that maps in this
+    process, so no worker is started; returns the size of each pool made
+    and the job each pool's map hands its scans."""
+    seen = SimpleNamespace(sizes=[], jobs=[])
 
     class InProcessPool:
-        """``multiprocessing.Pool`` that records its size and maps in this
-        process, so no worker is started."""
-
         def __init__(self, processes):
-            sizes.append(processes)
+            seen.sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -118,20 +117,63 @@ def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, monkeyp
             return False
 
         def map(self, func, items):
+            seen.jobs.append(func.args[0])    # func is _featurize_record bound to the job
             return [func(item) for item in items]
 
-    specs = [("glf", "coords", 8), ("shapedna", "coords", 8)]
     monkeypatch.setattr(pipeline, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+    return seen
+
+
+def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, in_process_pool):
+    """``jobs`` above the scan count sizes the pool at one worker per scan,
+    and one scan runs without a pool; the tables equal the serial ones."""
+    specs = [("glf", "coords", 8), ("shapedna", "coords", 8)]
     for n_scans, jobs, pools in ((3, 64, [3]), (3, 2, [2]), (1, 64, [])):
         manifest = DatasetManifest(tiny_manifest.records[:n_scans], tiny_manifest.root)
-        sizes.clear()
+        in_process_pool.sizes.clear()
         pooled, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs,
                                                 basis=tiny_basis, jobs=jobs)
-        assert sizes == pools and errors == [], (n_scans, jobs)
+        assert in_process_pool.sizes == pools and errors == [], (n_scans, jobs)
         serial, _ = compute_feature_tables(manifest, TINY_PATCH_CFG, specs, basis=tiny_basis)
         for a, b in zip(serial, pooled):
             assert np.array_equal(a.X, b.X) and np.array_equal(a.missing, b.missing)
             assert a.subjects == b.subjects
+
+
+@pytest.mark.parametrize("drop_constant", [False, True], ids=["constant-kept", "constant-cut"])
+def test_job_carries_the_basis_window_glf_reads(tiny_manifest, tiny_basis, tmp_path,
+                                                in_process_pool, drop_constant):
+    """The job a pool is handed holds eigenvectors [d, d + K) of the basis,
+    d = 1 when the constant row is cut and K the largest GLF k; its GLF
+    tables equal the projection on the full basis with the first d rows
+    cut after it.  A run with no GLF spec is handed no basis."""
+    d = int(drop_constant)
+    manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
+    specs = [("glf", "coords", 6), ("glf", "norms", 9), ("shapedna", "coords", 12)]
+    tables, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs, basis=tiny_basis,
+                                            jobs=2, drop_constant=drop_constant,
+                                            patches_dir=tmp_path)
+    assert errors == []
+    (job,) = in_process_pool.jobs
+    assert job.basis.eigenvectors.shape == (TINY_PATCH_CFG.n_vertices, 9)
+    assert np.array_equal(job.basis.eigenvectors, tiny_basis.eigenvectors[:, d:d + 9])
+    assert np.array_equal(job.basis.eigenvalues, tiny_basis.eigenvalues[d:d + 9])
+    for row, rec in enumerate(manifest.records):
+        patches, _, missing, _ = load_patch_archive(tmp_path / rec.mesh_path.stem)
+        present = ~missing
+        for table, (_, mode, k) in zip(tables, specs[:2]):
+            full = glf_project(patches[present], tiny_basis, k + d)[:, d:]
+            if mode == "norms":
+                full = glf_norms(full)
+            blocks = table.X[row].reshape((len(missing),) + full.shape[1:])
+            assert np.array_equal(blocks[present], full), (rec.mesh_path.stem, mode)
+            assert not blocks[missing].any()
+
+    in_process_pool.jobs.clear()
+    compute_feature_tables(manifest, TINY_PATCH_CFG, specs[2:], basis=tiny_basis, jobs=2,
+                           drop_constant=drop_constant)
+    (job,) = in_process_pool.jobs
+    assert job.basis is None
 
 
 def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_path):
