@@ -1,7 +1,7 @@
 """Artifact file pairs: an array in ``<stem>.npy`` plus a JSON object in
 ``<stem>.json``, the format of the shared basis, feature tables and patch
-archives.  A file that does not parse, and a field that is absent or does
-not convert, raise ValueError starting with that file's path."""
+archives.  A file that does not parse or holds a nan or inf, and a field
+that is absent or does not convert, raise ValueError starting with its path."""
 
 from __future__ import annotations
 
@@ -43,6 +43,8 @@ def read_npy_json(path):
         raise ValueError(f"{reading}: {exc}") from exc
     if not isinstance(meta, dict):
         raise ValueError(f"{sidecar}: not a JSON object")
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():   # integers are always finite
+        raise ValueError(f"{npy}: non-finite entry {np.argwhere(~np.isfinite(arr))[0].tolist()}")
 
     def field(name, convert, rows=None, required=True):
         if required and name not in meta:

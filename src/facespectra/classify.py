@@ -252,13 +252,14 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
     (Gram, row set), so that the problems on every row of a Gram share
     the whole Gram as their block.  The state of the problems still
     running is held as (A, n) arrays, n the most rows of any problem, and
-    one step advances all of them.  A problem retires when it has no up or
-    no low index, when its violation is at most ``tol`` or when its step
-    is not positive; its support is then mapped back to its Gram's rows,
-    and the state is compacted to the rows still running.  Every problem
-    does the arithmetic of a lone solve on its rows in the same order, eta
-    reading K[i, j] as row i of column j, so its path does not depend on
-    the batch.
+    one step advances all of them.  A problem without both labels, or C
+    at most 1e-12 n (the tolerance on alpha times n), could empty an index
+    set, and raises ValueError.  A problem retires when its violation is
+    at most ``tol`` or when its step is not positive; its support is then
+    mapped back to its Gram's rows, and the state is compacted to the rows
+    still running.  Every problem does the arithmetic of a lone solve on
+    its rows in the same order, eta reading K[i, j] as row i of column j,
+    so its path does not depend on the batch.
     """
     if not 0 < C < np.inf:
         raise ValueError(f"C must be positive and finite, got {C!r}")
@@ -266,12 +267,12 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
         return []
     labels = [np.asarray(y, dtype=np.float64) for _, y in problems]
     rows_of = [np.flatnonzero(y) for y in labels]
-    n = max(1, *(r.size for r in rows_of))
+    n = max(r.size for r in rows_of)
+    if min(C, 1.0) <= 1e-12 * n:
+        raise ValueError(f"C must exceed 1e-12 times the largest problem's {n} rows, got {C!r}")
     P = len(problems)
     # bank row start[p] + i is column rows_of[p][i] of the problem's Gram
-    # on the rows rows_of[p], zero-padded to n; a problem without rows
-    # retires at its first step, and the spare last row keeps the row it
-    # reads then inside the bank
+    # on the rows rows_of[p], zero-padded to n
     start = np.empty((P, 1), dtype=np.int64)
     offsets, blocks, total = {}, [], 0
     for p, ((g, _), r) in enumerate(zip(problems, rows_of)):
@@ -281,12 +282,15 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
             blocks.append((grams[g], r, total))
             total += r.size
         start[p] = offsets[key]
-    bank = np.zeros((total + 1, n))
+    bank = np.zeros((total, n))
     for K, r, at in blocks:
         bank[at:at + r.size, :r.size] = K.T if r.size == len(K) else K[np.ix_(r, r)].T
     y = np.zeros((P, n))
     for p, (r, labels_p) in enumerate(zip(rows_of, labels)):
         y[p, :r.size] = labels_p[r]
+    both = (y > 0).any(axis=1) & (y < 0).any(axis=1)
+    if not both.all():
+        raise ValueError(f"problem {int(np.argmin(both))} needs both +1 and -1 labels")
     eps = 1e-12 * max(1.0, C)
     top = C - eps
     alpha = np.zeros((P, n))
@@ -300,11 +304,10 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
     select_sign = step_sign[:, None]
 
     def retire(rows, n_iter):
-        # the machines of the state rows that have finished, from one
-        # gather of their free m values and support: the bias is the mean
-        # of m over the free alphas (one pairwise sum per problem, as
-        # np.mean takes it), or else the midpoint of max m over up and min
-        # m over low (0 for an empty set)
+        # the machines of the state rows that have finished, from one gather
+        # of their free m values and support: the bias is the mean of m over
+        # the free alphas (one pairwise sum per problem, as np.mean takes
+        # it), or else the midpoint of max m over up and min m over low
         a, m_r = alpha[rows], m[rows]
         free, support = (a > eps) & (a < top), a > eps
         free_m, n_free = m_r[free], free.sum(axis=1).tolist()
@@ -316,10 +319,7 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
             if f1 > f0:
                 bias = float(free_m[f0:f1].sum() / (f1 - f0))
             else:
-                up, low = sets[row]
-                hi = m_r[r][up].max() if up.any() else 0.0
-                lo = m_r[r][low].min() if low.any() else 0.0
-                bias = float((hi + lo) / 2.0)
+                bias = float((m_r[r][sets[row, 0]].max() + m_r[r][sets[row, 1]].min()) / 2.0)
             results[p] = BinarySVM(support=rows_of[p][sv[s0:s1]], dual_coef=coef[s0:s1],
                                    bias=bias, n_iter=n_iter,
                                    final_violation=float(max(violation[row], 0.0)))
@@ -341,8 +341,6 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
         cells = cell0 + ij
         m_ij = flat_m[cells]
         violation = m_ij[:, 0] - m_ij[:, 1]
-        empty = ~sets.any(axis=2).all(axis=1)
-        violation[empty] = 0.0
         column = bank.take(start + ij, axis=0)     # (A, 2, n): K[:, i] and K[:, j]
         flat_column = column.reshape(-1)
         set_cells = set0 + ij                     # i and j in the up half; + n: low half
@@ -358,7 +356,7 @@ def svm_solve_batch(grams, problems, C: float = 1.0, tol: float = 1e-3,
         t_max = np.where(sign > 0, C - a_ij, a_ij)
         t = np.where(t_max[:, 0] < t, t_max[:, 0], t)
         t = np.where(t_max[:, 1] < t, t_max[:, 1], t)
-        done = empty | (violation <= tol) | (t <= 0)
+        done = (violation <= tol) | (t <= 0)
         finished = np.flatnonzero(done)
         if finished.size:
             retire(finished, it)

@@ -170,22 +170,23 @@ def cmd_features(args) -> int:
         raise UsageError("--manifest is required")
     pc = _patch_config(args)
     desc = DESCRIPTORS[args.method]
-    unused = [flag for flag, given in (
-        ("--basis", args.basis is not None and not desc.needs_basis),
-        ("--drop-constant", args.drop_constant and not desc.needs_basis),
-        (f"--mode {args.mode}", args.mode not in desc.modes)) if given]
-    if unused:
+    mode = args.mode or next(iter(desc.modes))
+    if mode not in desc.modes:
+        raise UsageError(f"--method {args.method} takes no --mode {mode} "
+                         f"(modes: {', '.join(desc.modes)})")
+    unused = [flag for flag, given in (("--basis", args.basis is not None),
+                                       ("--drop-constant", args.drop_constant)) if given]
+    if unused and not desc.needs_basis:
         raise UsageError(f"--method {args.method} takes no {' or '.join(unused)} "
                          f"({_basis_methods()} features only)")
-    basis = None
-    if desc.needs_basis:
-        if not args.basis:
-            raise UsageError(f"--basis is required for {args.method} features")
-        basis = load_basis(args.basis, expected_hash=pc.connectivity_hash())
+    if desc.needs_basis and not args.basis:
+        raise UsageError(f"--basis is required for {args.method} features")
+    basis = (load_basis(args.basis, expected_hash=pc.connectivity_hash())
+             if desc.needs_basis else None)
     manifest = load_manifest(args.manifest)
     try:
         (table,), errors = pipeline.compute_feature_tables(
-            manifest, pc, [(args.method, args.mode, args.k)], basis=basis,
+            manifest, pc, [(args.method, mode, args.k)], basis=basis,
             jobs=args.jobs, missing_policy=args.missing, align=args.align,
             drop_constant=args.drop_constant, rescale=args.rescale,
             patches_dir=args.save_patches,
@@ -340,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="features",
                    help="output stem (.npy and .json are written)")
     p.add_argument("--basis", help=f"basis stem (required for {_basis_methods()})")
-    default = next(iter(DESCRIPTORS.values()))   # --mode offers the default method's modes
-    p.add_argument("--method", choices=tuple(DESCRIPTORS), default=default.name)
-    p.add_argument("--mode", choices=tuple(default.modes), default=next(iter(default.modes)))
+    p.add_argument("--method", choices=tuple(DESCRIPTORS), default=next(iter(DESCRIPTORS)))
+    modes = dict.fromkeys(mode for d in DESCRIPTORS.values() for mode in d.modes)
+    p.add_argument("--mode", choices=tuple(modes), help="default: the method's first mode")
     p.add_argument("--k", type=_positive(int), default=50)
     add_patch_args(p)
     run = FeatureRunConfig

@@ -24,8 +24,7 @@ class Descriptor:
     its per-scan compute is ``pipeline.BLOCKS[name]``."""
 
     name: str
-    modes: dict           # mode a spec names -> mode its table records
-    widths: dict          # recorded mode -> values per component (1, or 3: x/y/z)
+    modes: dict           # mode -> values per component (1, or 3: x/y/z); first is the default
     needs_basis: bool     # projects onto the shared basis
     check: Callable       # (k, basis, patch_cfg, drop_constant); raises ValueError
 
@@ -34,7 +33,9 @@ def _check_glf(k, basis, patch_cfg, drop_constant):
     if basis.n != patch_cfg.n_vertices:
         raise ValueError(f"basis dimension {basis.n} does not match patch size "
                          f"{patch_cfg.n_vertices}")
-    if basis.config_hash not in (None, patch_cfg.connectivity_hash()):
+    if basis.config_hash is None:
+        raise ValueError("basis carries no connectivity hash to check against the patches'")
+    if basis.config_hash != patch_cfg.connectivity_hash():
         raise ValueError(f"basis connectivity hash {basis.config_hash:#x} does not "
                          f"match the patches' {patch_cfg.connectivity_hash():#x}")
     if k + drop_constant > basis.k:
@@ -47,13 +48,10 @@ def _check_shape_dna(k, basis, patch_cfg, drop_constant):
                          f"eigenvalues of a {patch_cfg.n_vertices}-vertex patch")
 
 
-# the first record is the CLI's default method, and its modes are --mode's choices
+# the first record is the CLI's default method; --mode offers every record's modes
 DESCRIPTORS = {d.name: d for d in (
-    Descriptor("glf", {"coords": "coords", "norms": "norms"}, {"coords": 3, "norms": 1},
-               True, _check_glf),
-    Descriptor("shapedna", {"coords": "eigenvalues", "eigenvalues": "eigenvalues"},
-               {"eigenvalues": 1}, False, _check_shape_dna))}
-METHODS = tuple(DESCRIPTORS)
+    Descriptor("glf", {"coords": 3, "norms": 1}, True, _check_glf),
+    Descriptor("shapedna", {"eigenvalues": 1}, False, _check_shape_dna))}
 
 
 def glf_project(patch: np.ndarray, basis: SpectralBasis, k: int) -> np.ndarray:
@@ -82,13 +80,13 @@ def glf_norms(coeffs: np.ndarray) -> np.ndarray:
 
 
 def block_length(method: str, mode: str, k: int) -> int:
-    return k * DESCRIPTORS[method].widths[mode]
+    return k * DESCRIPTORS[method].modes[mode]
 
 
 def feature_names(landmark_labels, method: str, mode: str, k: int) -> list:
     """Column names: ``L{landmark}_e{i}_{x|y|z}`` for 3 values per
     component, ``L{landmark}_e{i}`` for 1."""
-    channels = ("",) if DESCRIPTORS[method].widths[mode] == 1 else ("_x", "_y", "_z")
+    channels = ("",) if DESCRIPTORS[method].modes[mode] == 1 else ("_x", "_y", "_z")
     return [f"L{lab}_e{i}{c}" for lab in landmark_labels for i in range(k) for c in channels]
 
 
@@ -184,7 +182,7 @@ def load_feature_table(path) -> FeatureTable:
         missing=entry("missing", flags, n),
         landmark_labels=labels,
         method=method,
-        mode=entry("mode", lambda v: known(v, DESCRIPTORS[method].widths, f"{method} mode")),
+        mode=entry("mode", lambda v: known(v, DESCRIPTORS[method].modes, f"{method} mode")),
         k=entry("k", int),
         config=entry("config", lambda v: dict(v or {})),
         config_hash=entry("config_hash", lambda v: None if v is None else int(v)),

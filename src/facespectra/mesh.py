@@ -249,11 +249,13 @@ def load_landmarks(path, rescale: float = 1.0) -> LandmarkSet:
             raise MeshFormatError(f"{path}: line {ln}: expected 4 fields, got {len(row)}")
         labels.append(row[0])
         try:
-            pos.append([float(row[1]), float(row[2]), float(row[3])])
+            pos.append([float(x) * float(rescale) for x in row[1:]])
         except ValueError:
             raise MeshFormatError(f"{path}: line {ln}: non-numeric coordinate") from None
+        if not np.isfinite(pos[-1]).all():   # nan, inf, or beyond the float range once rescaled
+            raise MeshFormatError(f"{path}: line {ln}: non-finite coordinate")
     try:
-        return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64) * float(rescale))
+        return LandmarkSet(tuple(labels), np.array(pos, dtype=np.float64))
     except ValueError as exc:
         raise MeshFormatError(f"{path}: {exc}") from None
 

@@ -57,8 +57,7 @@ class FeatureRunConfig:
 
 
 def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant):
-    """Check a (method, mode, k) spec against its :class:`~.features.Descriptor`
-    and return the mode its table records."""
+    """Check a (method, mode, k) spec against its :class:`~.features.Descriptor`."""
     if method not in DESCRIPTORS:
         raise ValueError(f"unknown method {method!r}")
     desc = DESCRIPTORS[method]
@@ -69,7 +68,6 @@ def _check_spec(method: str, mode: str, k: int, basis, patch_cfg, drop_constant)
     if desc.needs_basis and basis is None:
         raise ValueError(f"{method} features require a precomputed basis")
     desc.check(k, basis, patch_cfg, drop_constant)
-    return desc.modes[mode]
 
 
 class FeaturizationError(RuntimeError):
@@ -181,8 +179,9 @@ def compute_feature_tables(manifest: DatasetManifest, patch_cfg: PatchConfig,
     one patch archive (one mesh file stem) are refused up front.
     """
     run = FeatureRunConfig(**settings)
-    specs = tuple((m, _check_spec(m, mo, int(k), basis, patch_cfg, run.drop_constant), int(k))
-                  for (m, mo, k) in specs)
+    specs = tuple((m, mo, int(k)) for m, mo, k in specs)
+    for spec in specs:
+        _check_spec(*spec, basis, patch_cfg, run.drop_constant)
     d = int(run.drop_constant)    # basis specs read columns [d, d + K), K their largest k
     K = max((k for m, _, k in specs if DESCRIPTORS[m].needs_basis), default=0)
     window = (SpectralBasis(basis.eigenvalues[d:d + K], basis.eigenvectors[:, d:d + K],

@@ -69,7 +69,7 @@ def tiny_basis():
 def tiny_tables(tiny_manifest, tiny_basis):
     tables, errors = compute_feature_tables(
         tiny_manifest, TINY_PATCH_CFG,
-        [("glf", "coords", 20), ("shapedna", "coords", 20)],
+        [("glf", "coords", 20), ("shapedna", "eigenvalues", 20)],
         basis=tiny_basis,
     )
     assert errors == []

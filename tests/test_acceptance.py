@@ -82,7 +82,7 @@ def acc_tables(acc_dataset):
     basis = compute_basis(ACC_PATCH, ACC_KMAX)
     tables, errors = compute_feature_tables(
         acc_dataset["manifest"], ACC_PATCH,
-        [("glf", "coords", ACC_KMAX), ("shapedna", "coords", ACC_KMAX)],
+        [("glf", "coords", ACC_KMAX), ("shapedna", "eigenvalues", ACC_KMAX)],
         basis=basis,
     )
     assert errors == []

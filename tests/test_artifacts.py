@@ -49,10 +49,17 @@ def _pop(name):
     return lambda meta: {k: v for k, v in meta.items() if k != name}
 
 
+def _nan_entry(path):
+    arr = np.load(path)
+    arr.flat[1] = np.nan
+    np.save(path, arr)
+
+
 # case -> (file spoiled, how, whether the message names the required field)
 CASES = {
     "zero-byte-npy": (".npy", lambda p, name, bad: p.write_bytes(b""), False),
     "truncated-npy": (".npy", lambda p, name, bad: p.write_bytes(p.read_bytes()[:-8]), False),
+    "non-finite-npy": (".npy", lambda p, name, bad: _nan_entry(p), False),
     "broken-json": (".json", lambda p, name, bad: p.write_text('{"config_hash": '), False),
     "non-json-sidecar": (".json", lambda p, name, bad: p.write_text("{not json"), False),
     "json-list": (".json", lambda p, name, bad: _edit_json(p, lambda m: list(m)), False),

@@ -82,6 +82,26 @@ def test_svm_requires_both_labels():
         svm_train_binary(np.zeros((3, 1)), np.ones(3))
 
 
+def test_svm_solve_batch_refuses_problems_that_would_empty_an_index_set():
+    """A problem without both labels, or a C at most 1e-12 (the tolerance
+    on alpha) times the largest problem's rows, could leave an up or low
+    set empty, so the batch is refused up front with the problem or C
+    named."""
+    X = np.arange(10.0)[:, None]
+    K = kernel_matrix(X, X, "linear", None)
+    good = np.where(np.arange(10) < 5, 1.0, -1.0)
+    one_label = np.where(np.arange(10) < 5, 1.0, 0.0)
+    for problems, match in ((((0, good), (0, one_label)), "problem 1 needs both"),
+                            (((0, np.zeros(10)), (0, good)), "problem 0 needs both")):
+        with pytest.raises(ValueError, match=match):
+            svm_solve_batch([K], problems)
+    for C in (1e-13, 1e-11):
+        with pytest.raises(ValueError, match="C must exceed 1e-12 times .* 10 rows"):
+            svm_solve_batch([K], [(0, good)], C=C)
+    (machine,) = svm_solve_batch([K], [(0, good)], C=2e-11)
+    assert isinstance(machine, BinarySVM)
+
+
 def test_svm_iteration_cap_raises():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(40, 4))

@@ -10,7 +10,7 @@ import facespectra
 from facespectra.cli import build_parser, main
 from facespectra.data import load_manifest
 from facespectra.experiments import FOLDS, SEED, ClassifierConfig, validate_report
-from facespectra.features import METHODS, load_feature_table, save_feature_table
+from facespectra.features import DESCRIPTORS, load_feature_table, save_feature_table
 from facespectra.patches import ALIGN_MODES, PatchConfig
 from facespectra.pipeline import FeatureRunConfig
 from facespectra.synth import SynthConfig
@@ -54,8 +54,9 @@ def test_parser_defaults_and_choices_come_from_their_homes():
                   "subject_amplitude": (SynthConfig.subject_amplitude, None),
                   "jitter": (SynthConfig.jitter, None), "seed": (SynthConfig.seed, None)},
         "basis": patch,
-        "features": {**patch, "method": ("glf", METHODS),
-                     "mode": ("coords", ("coords", "norms")), "align": (run.align, ALIGN_MODES),
+        "features": {**patch, "method": ("glf", tuple(DESCRIPTORS)),
+                     "mode": (None, ("coords", "norms", "eigenvalues")),
+                     "align": (run.align, ALIGN_MODES),
                      "missing": (run.missing_policy, run.MISSING_POLICIES),
                      "drop_constant": (run.drop_constant, None),
                      "rescale": (run.rescale, None), "jobs": (run.jobs, None)},
@@ -464,6 +465,53 @@ def test_glf_only_flags_rejected_for_shapedna(cli_workspace, tmp_path, capsys):
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "usage" and flag in err["message"], extra
     assert not any(tmp_path.glob("dna*"))
+
+
+def test_mode_defaults_to_the_methods_first_and_is_checked_against_it(cli_workspace,
+                                                                      tmp_path, capsys):
+    """``--mode`` offers every method's modes and defaults to the chosen
+    method's first: Shape-DNA's own mode, named on the command line or in
+    ``--config``, writes the bytes the default writes, and a mode of
+    another method is a usage error naming the method's modes."""
+    argv = ["features", "--manifest", str(cli_workspace["data"] / "manifest.csv"),
+            "--k", "3"] + PATCH_FLAGS
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"mode": "eigenvalues"}))
+    for stem, extra in (("default", []), ("named", ["--mode", "eigenvalues"]),
+                        ("config", ["--config", str(cfgfile)])):
+        assert main(argv + ["--method", "shapedna", "--out", str(tmp_path / stem)]
+                    + extra) == 0, extra
+        assert load_feature_table(tmp_path / stem).mode == "eigenvalues"
+        for suffix in (".npy", ".json"):
+            assert (tmp_path / f"{stem}{suffix}").read_bytes() \
+                == (tmp_path / f"default{suffix}").read_bytes(), extra
+    capsys.readouterr()
+    for method, mode, extra, modes in (
+            ("shapedna", "coords", [], "eigenvalues"),
+            ("glf", "eigenvalues", ["--basis", str(cli_workspace["basis"])], "coords, norms")):
+        assert main(argv + ["--method", method, "--mode", mode, "--out", str(tmp_path / "x")]
+                    + extra) == 2, mode
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "usage", mode
+        assert err["message"] == f"--method {method} takes no --mode {mode} (modes: {modes})"
+    assert not any(tmp_path.glob("x*"))
+
+
+def test_non_finite_table_entry_fails_evaluate_naming_it(cli_workspace, tmp_path, capsys):
+    """A feature table with a NaN cell is refused at load, naming the
+    ``.npy`` file and the entry, instead of scoring the folds it spoils."""
+    for suffix in (".npy", ".json"):
+        (tmp_path / f"t{suffix}").write_bytes(
+            Path(f"{cli_workspace['glf']}{suffix}").read_bytes())
+    X = np.load(tmp_path / "t.npy")
+    X[1, 2] = np.nan
+    np.save(tmp_path / "t.npy", X)
+    rc = main(["evaluate", "--features", str(tmp_path / "t"), "--folds", "2",
+               "--out", str(tmp_path / "report.json")])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["message"] == f"{tmp_path / 't.npy'}: non-finite entry [1, 2]"
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_classifier_flags_of_the_other_classifier_rejected(cli_workspace, tmp_path, capsys):

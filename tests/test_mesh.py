@@ -665,3 +665,16 @@ def test_landmark_csv_bad_header(tmp_path):
     p.write_text("name,x,y,z\nA,0,0,0\n")
     with pytest.raises(MeshFormatError, match="header"):
         load_landmarks(p)
+
+
+@pytest.mark.parametrize("token, rescale, reason", [
+    ("x", 1.0, "non-numeric"), ("nan", 1.0, "non-finite"), ("inf", 1.0, "non-finite"),
+    ("-inf", 1.0, "non-finite"), ("1e308", 10.0, "non-finite")])
+def test_landmark_csv_bad_coordinate_names_its_line(tmp_path, token, rescale, reason):
+    """A coordinate that is not a finite number, as read or once rescaled,
+    is refused with its line named, rather than loading a landmark that
+    no level curve can reach."""
+    p = tmp_path / "lm.csv"
+    p.write_text(f"label,x,y,z\nA,0,0,0\nB,1,{token},2\n")
+    with pytest.raises(MeshFormatError, match=f"line 3: {reason} coordinate"):
+        load_landmarks(p, rescale=rescale)

@@ -19,7 +19,7 @@ from facespectra.features import (Descriptor, glf_norms, glf_project, load_featu
 from facespectra.mesh import LandmarkSet, load_landmarks, load_mesh, save_landmarks
 from facespectra.patches import PatchConfig, canonical_connectivity, load_patch_archive
 from facespectra.pipeline import compute_basis, compute_feature_tables
-from facespectra.spectral import DegenerateGeometryError, shape_dna
+from facespectra.spectral import DegenerateGeometryError, eig_sym, graph_laplacian, shape_dna
 
 from conftest import TINY_PATCH_CFG
 
@@ -57,7 +57,7 @@ def test_parallel_jobs_match_serial(tiny_manifest, tiny_basis, tmp_path, monkeyp
         """Every job setting; returns the tables and the archive bytes."""
         tables, errors = compute_feature_tables(
             manifest, TINY_PATCH_CFG,
-            [("glf", "coords", 8), ("glf", "norms", 8), ("shapedna", "coords", 8)],
+            [("glf", "coords", 8), ("glf", "norms", 8), ("shapedna", "eigenvalues", 8)],
             basis=tiny_basis, jobs=jobs, drop_constant=True, align="normal",
             patches_dir=out)
         assert errors == []
@@ -127,7 +127,7 @@ def in_process_pool(monkeypatch):
 def test_pool_has_at_most_one_worker_per_scan(tiny_manifest, tiny_basis, in_process_pool):
     """``jobs`` above the scan count sizes the pool at one worker per scan,
     and one scan runs without a pool; the tables equal the serial ones."""
-    specs = [("glf", "coords", 8), ("shapedna", "coords", 8)]
+    specs = [("glf", "coords", 8), ("shapedna", "eigenvalues", 8)]
     for n_scans, jobs, pools in ((3, 64, [3]), (3, 2, [2]), (1, 64, [])):
         manifest = DatasetManifest(tiny_manifest.records[:n_scans], tiny_manifest.root)
         in_process_pool.sizes.clear()
@@ -149,7 +149,7 @@ def test_job_carries_the_basis_window_glf_reads(tiny_manifest, tiny_basis, tmp_p
     cut after it.  A run with no GLF spec is handed no basis."""
     d = int(drop_constant)
     manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
-    specs = [("glf", "coords", 6), ("glf", "norms", 9), ("shapedna", "coords", 12)]
+    specs = [("glf", "coords", 6), ("glf", "norms", 9), ("shapedna", "eigenvalues", 12)]
     tables, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs, basis=tiny_basis,
                                             jobs=2, drop_constant=drop_constant,
                                             patches_dir=tmp_path)
@@ -182,7 +182,7 @@ def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_pat
     manifest = DatasetManifest(tiny_manifest.records[:1], tiny_manifest.root)
     tables, errors = compute_feature_tables(
         manifest, TINY_PATCH_CFG,
-        [("glf", "coords", k), ("glf", "norms", k), ("shapedna", "coords", k)],
+        [("glf", "coords", k), ("glf", "norms", k), ("shapedna", "eigenvalues", k)],
         basis=tiny_basis, patches_dir=tmp_path)
     assert errors == []
     patches, _, _, _ = load_patch_archive(tmp_path / manifest.records[0].mesh_path.stem)
@@ -198,9 +198,10 @@ def test_row_blocks_are_per_patch_descriptors(tiny_manifest, tiny_basis, tmp_pat
 def test_a_third_descriptor_is_one_record_and_one_block_function(tiny_manifest, tmp_path,
                                                                  monkeypatch):
     """A toy descriptor, the raw aligned patch coordinates (k vertices of
-    x/y/z, no basis), added as one features.DESCRIPTORS record and one
-    pipeline.BLOCKS function, runs through featurization, the table
-    reader, evaluation and the CLI with no other code knowing it."""
+    x/y/z, no basis) under a mode of its own, added as one
+    features.DESCRIPTORS record and one pipeline.BLOCKS function, runs
+    through featurization, the table reader, evaluation and the CLI (with
+    its mode named and by default) with no other code knowing it."""
     n = TINY_PATCH_CFG.n_vertices
 
     def check(k, basis, patch_cfg, drop_constant):
@@ -211,12 +212,12 @@ def test_a_third_descriptor_is_one_record_and_one_block_function(tiny_manifest, 
         return [(patches[:, :k].reshape(-1), missing) for _, _, k in specs]
 
     monkeypatch.setitem(features.DESCRIPTORS, "toy",
-                        Descriptor("toy", {"coords": "coords"}, {"coords": 3}, False, check))
+                        Descriptor("toy", {"raw": 3}, False, check))
     monkeypatch.setitem(pipeline.BLOCKS, "toy", toy_blocks)
     with pytest.raises(ValueError, match="exceeds the patch's"):
-        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("toy", "coords", n + 1)])
+        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("toy", "raw", n + 1)])
     (table,), errors = compute_feature_tables(tiny_manifest, TINY_PATCH_CFG,
-                                              [("toy", "coords", n)], align="normal",
+                                              [("toy", "raw", n)], align="normal",
                                               patches_dir=tmp_path / "patches")
     assert errors == [] and table.X.shape == (len(tiny_manifest), 68 * 3 * n)
     for rec, row in zip(tiny_manifest.records, table.X):
@@ -224,15 +225,20 @@ def test_a_third_descriptor_is_one_record_and_one_block_function(tiny_manifest, 
         assert np.array_equal(row, patches.reshape(-1))
     save_feature_table(tmp_path / "api", table)
     loaded = load_feature_table(tmp_path / "api")
-    assert (loaded.method, loaded.mode, loaded.k) == ("toy", "coords", n)
+    assert (loaded.method, loaded.mode, loaded.k) == ("toy", "raw", n)
     result = evaluate_expressions(loaded.X, loaded.expressions, loaded.subjects, folds=3,
                                   missing=loaded.missing)
     assert (result.n_samples, result.folds) == (len(tiny_manifest), 3)
-    rc = main(["features", "--manifest", str(tiny_manifest.root / "manifest.csv"),
-               "--method", "toy", "--k", str(n), "--align", "normal",
-               "--out", str(tmp_path / "cli"), "--lambda-min", "6", "--lambda-max", "14",
-               "--curves", "4", "--samples", "12"])
-    assert rc == 0
+    for stem, mode in (("cli", []), ("cli_raw", ["--mode", "raw"])):
+        rc = main(["features", "--manifest", str(tiny_manifest.root / "manifest.csv"),
+                   "--method", "toy", "--k", str(n), "--align", "normal",
+                   "--out", str(tmp_path / stem), "--lambda-min", "6", "--lambda-max", "14",
+                   "--curves", "4", "--samples", "12"] + mode)
+        assert rc == 0, mode
+        assert load_feature_table(tmp_path / stem).mode == "raw"
+        for suffix in (".npy", ".json"):
+            assert (tmp_path / f"{stem}{suffix}").read_bytes() \
+                == (tmp_path / f"cli{suffix}").read_bytes()
     assert (tmp_path / "cli.npy").read_bytes() == (tmp_path / "api.npy").read_bytes()
 
 
@@ -273,7 +279,7 @@ def test_glf_blocks_are_one_product_over_present_patches(tiny_manifest, tiny_bas
 def test_multi_spec_matches_single_spec(tiny_manifest, tiny_basis):
     tables, errors = compute_feature_tables(
         tiny_manifest, TINY_PATCH_CFG,
-        [("glf", "coords", 8), ("glf", "norms", 8), ("shapedna", "coords", 8)],
+        [("glf", "coords", 8), ("glf", "norms", 8), ("shapedna", "eigenvalues", 8)],
         basis=tiny_basis)
     assert errors == []
     (single,), _ = compute_feature_tables(
@@ -316,13 +322,20 @@ def test_basis_patch_size_mismatch_rejected(tiny_manifest):
 
 def test_basis_of_another_connectivity_rejected(tiny_manifest):
     """A 12x4 basis has the 49 vertices of the 4x12 patches but not their
-    connectivity, so projecting onto it gives no GLF coefficients."""
+    connectivity, so projecting onto it gives no GLF coefficients; one
+    that carries no connectivity hash cannot be checked, so it is refused
+    as well."""
     other = PatchConfig(6.0, 14.0, 12, 4)
     assert other.n_vertices == TINY_PATCH_CFG.n_vertices
-    with pytest.raises(ValueError, match=f"{other.connectivity_hash():#x} .*"
-                                         f"{TINY_PATCH_CFG.connectivity_hash():#x}"):
-        compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
-                               basis=compute_basis(other, 10))
+    hashless = eig_sym(graph_laplacian(canonical_connectivity(other), other.n_vertices), 20)
+    assert hashless.config_hash is None
+    for basis, match in ((compute_basis(other, 10),
+                          f"{other.connectivity_hash():#x} .*"
+                          f"{TINY_PATCH_CFG.connectivity_hash():#x}"),
+                         (hashless, "carries no connectivity hash")):
+        with pytest.raises(ValueError, match=match):
+            compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [("glf", "coords", 5)],
+                                   basis=basis)
 
 
 def test_sidecar_records_run_and_errors_alike_for_any_jobs(tiny_manifest, tiny_basis,
@@ -370,7 +383,7 @@ def test_unknown_align_named_before_any_scan_is_read(tiny_manifest, tmp_path):
          for i, rec in enumerate(tiny_manifest.records[:2])], tiny_manifest.root)
     for jobs in (1, 2):
         with pytest.raises(ValueError, match="align"):
-            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "coords", 5)],
+            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "eigenvalues", 5)],
                                    align="sideways", jobs=jobs)
 
 
@@ -386,8 +399,9 @@ def test_rescale_and_jobs_out_of_range_rejected(tiny_manifest, tiny_basis):
 def test_k_out_of_range_rejected(tiny_manifest, tiny_basis):
     n = TINY_PATCH_CFG.n_vertices
     for spec, match in ((("glf", "coords", 0), "k must be"),
-                        (("shapedna", "coords", 0), "k must be"),
-                        (("shapedna", "coords", n), "non-zero eigenvalues"),
+                        (("shapedna", "eigenvalues", 0), "k must be"),
+                        (("shapedna", "eigenvalues", n), "non-zero eigenvalues"),
+                        (("shapedna", "coords", 5), "unknown shapedna mode 'coords'"),
                         (("shapedna", "norms", 5), "unknown shapedna mode 'norms'"),
                         (("shapedna", "bogus", 5), "unknown shapedna mode 'bogus'"),
                         (("glf", "bogus", 5), "unknown glf mode 'bogus'"),
@@ -396,7 +410,7 @@ def test_k_out_of_range_rejected(tiny_manifest, tiny_basis):
             compute_feature_tables(tiny_manifest, TINY_PATCH_CFG, [spec], basis=tiny_basis)
     (table,), errors = compute_feature_tables(
         DatasetManifest(tiny_manifest.records[:1], tiny_manifest.root), TINY_PATCH_CFG,
-        [("shapedna", "coords", n - 1)])
+        [("shapedna", "eigenvalues", n - 1)])
     assert errors == [] and table.X.shape[1] == 68 * (n - 1)
 
 
@@ -414,7 +428,7 @@ def test_descriptor_failure_names_landmark(tiny_manifest, monkeypatch):
     monkeypatch.setattr(pipeline, "shape_dna", failing_first_landmark)
     manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
     (table,), errors = compute_feature_tables(manifest, TINY_PATCH_CFG,
-                                              [("shapedna", "coords", 8)])
+                                              [("shapedna", "eigenvalues", 8)])
     first = table.landmark_labels[0]
     assert [e["scan"] for e in errors] == [str(r.mesh_path) for r in manifest.records]
     for e in errors:
@@ -439,8 +453,8 @@ def test_shape_dna_specs_solve_each_patch_once(tiny_manifest, monkeypatch):
 
     monkeypatch.setattr(pipeline, "shape_dna", counted)
     manifest = DatasetManifest(tiny_manifest.records[:2], tiny_manifest.root)
-    specs = [("shapedna", "coords", 5), ("shapedna", "eigenvalues", 12),
-             ("shapedna", "coords", 8)]
+    specs = [("shapedna", "eigenvalues", 5), ("shapedna", "eigenvalues", 12),
+             ("shapedna", "eigenvalues", 8)]
     tables, errors = compute_feature_tables(manifest, TINY_PATCH_CFG, specs)
     assert calls == [12] * (2 * 68)
     for spec, table in zip(specs, tables):
@@ -520,7 +534,7 @@ def test_archive_stem_clash_refused_before_any_scan_is_read(tiny_manifest, tmp_p
     for jobs in (1, 2):
         with pytest.raises(ValueError, match=re.escape(f"scans {a} and {b} would both save "
                                                        f"their patches as 'scan'")):
-            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "coords", 5)],
+            compute_feature_tables(manifest, TINY_PATCH_CFG, [("shapedna", "eigenvalues", 5)],
                                    patches_dir=tmp_path / "arch", jobs=jobs)
     assert not (tmp_path / "arch").exists()
 

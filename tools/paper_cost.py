@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         for method, extra, listed, subjects in (
                 ("glf", ["--basis", str(root / "basis"), "--mode", "coords"], manifest,
                  args.subjects),
-                ("shapedna", [], dna_manifest, dna_subjects)):
+                ("shapedna", ["--mode", "eigenvalues"], dna_manifest, dna_subjects)):
             table = root / method
             line = stage("features", ["features", "--manifest", str(listed), "--method", method,
                                       "--k", str(k), "--jobs", str(args.jobs),
